@@ -6,14 +6,15 @@ prints a human-readable report, and optionally writes the same numbers as
 JSON (schema ``necklace-kit/1``) via ``--json PATH``.
 
 Exit codes: 0 on success, 1 on a domain error (bad vectors, exceeded caps,
-unsolvable inputs), 2 on a usage error.
+unsolvable inputs), 2 on a usage error, among them a numeric flag out of
+its range.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import forms, lie, numerics, roots, strata
@@ -52,6 +53,26 @@ def _absorb_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _checked(convert, accept, requirement: str):
+    """argparse type: ``convert`` the text, then refuse values failing ``accept``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse reports "invalid int value: ..."
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda value: value >= 1, "at least 1")
+_NONNEGATIVE_INT = _checked(int, lambda value: value >= 0, "at least 0")
+_POSITIVE_FLOAT = _checked(
+    float, lambda value: math.isfinite(value) and value > 0, "finite and positive"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="necklace-kit",
@@ -67,9 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", metavar="PATH", help="also write the report as JSON")
         p.add_argument(
             "--threads",
-            type=int,
+            type=_POSITIVE_INT,
             default=1,
-            help="worker threads for independent pieces (results are identical)",
+            help="accepted for compatibility; the work runs serially on one thread",
         )
 
     p_info = sub.add_parser("info", help="Euler/Tits forms and the double quiver")
@@ -78,20 +99,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_roots = sub.add_parser("roots", help="enumerate positive roots in a box")
     common(p_roots)
     p_roots.add_argument("--box", required=True, help="comma-separated box bound, e.g. 2,3")
-    p_roots.add_argument("--entry-cap", type=int, default=roots.ENTRY_CAP)
-    p_roots.add_argument("--candidate-cap", type=int, default=roots.CANDIDATE_CAP)
+    p_roots.add_argument("--entry-cap", type=_POSITIVE_INT, default=roots.ENTRY_CAP)
+    p_roots.add_argument("--candidate-cap", type=_POSITIVE_INT, default=roots.CANDIDATE_CAP)
 
     p_sigma = sub.add_parser("sigma", help="membership in the flatness/simple sets")
     common(p_sigma)
     p_sigma.add_argument("--alpha", required=True, help="dimension vector, e.g. 1,2")
     p_sigma.add_argument("--lambda", dest="lam", required=True, help="weight, e.g. -2,1")
-    p_sigma.add_argument("--entry-cap", type=int, default=roots.ENTRY_CAP)
+    p_sigma.add_argument("--entry-cap", type=_POSITIVE_INT, default=roots.ENTRY_CAP)
 
     p_classify = sub.add_parser("classify", help="full coadjoint-orbit classification")
     common(p_classify)
     p_classify.add_argument("--alpha", required=True)
     p_classify.add_argument("--lambda", dest="lam", required=True)
-    p_classify.add_argument("--entry-cap", type=int, default=roots.ENTRY_CAP)
+    p_classify.add_argument("--entry-cap", type=_POSITIVE_INT, default=roots.ENTRY_CAP)
 
     p_bracket = sub.add_parser("bracket", help="necklace bracket of two words")
     common(p_bracket)
@@ -100,26 +121,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_derham = sub.add_parser("derham", help="graded homology dimensions of the form algebra")
     common(p_derham)
-    p_derham.add_argument("--max-degree", type=int, default=forms.DEGREE_CAP)
-    p_derham.add_argument("--max-length", type=int, default=4)
+    p_derham.add_argument("--max-degree", type=_NONNEGATIVE_INT, default=forms.DEGREE_CAP)
+    p_derham.add_argument("--max-length", type=_NONNEGATIVE_INT, default=4)
     p_derham.add_argument(
         "--base", action="store_true", help="work on the base quiver instead of its double"
     )
 
     p_karoubi = sub.add_parser("karoubi", help="graded dimensions of the commutator quotients")
     common(p_karoubi)
-    p_karoubi.add_argument("--max-degree", type=int, default=forms.DEGREE_CAP)
-    p_karoubi.add_argument("--max-length", type=int, default=4)
+    p_karoubi.add_argument("--max-degree", type=_NONNEGATIVE_INT, default=forms.DEGREE_CAP)
+    p_karoubi.add_argument("--max-length", type=_NONNEGATIVE_INT, default=4)
     p_karoubi.add_argument("--base", action="store_true")
 
     p_moment = sub.add_parser("moment", help="numerical moment-map solves and ranks")
     common(p_moment)
     p_moment.add_argument("--alpha", required=True)
     p_moment.add_argument("--lambda", dest="lam", required=True)
-    p_moment.add_argument("--seeds", type=int, default=10, help="run seeds 0..N-1")
-    p_moment.add_argument("--tol", type=float, default=1e-10)
-    p_moment.add_argument("--max-iter", type=int, default=200)
-    p_moment.add_argument("--svd-tol", type=float, default=1e-7)
+    p_moment.add_argument("--seeds", type=_POSITIVE_INT, default=10, help="run seeds 0..N-1")
+    p_moment.add_argument("--tol", type=_POSITIVE_FLOAT, default=1e-10)
+    p_moment.add_argument("--max-iter", type=_POSITIVE_INT, default=200)
+    p_moment.add_argument("--svd-tol", type=_POSITIVE_FLOAT, default=1e-7)
     return parser
 
 
@@ -337,24 +358,11 @@ def cmd_bracket(q: Quiver, args) -> dict:
 
 
 def _graded_table(q: Quiver, args, value_fn) -> list[dict]:
-    cells = [
-        (degree, length)
+    return [
+        {"degree": degree, "length": length, "dim": value_fn(q, degree, length)}
         for degree in range(0, args.max_degree + 1)
         for length in range(0, args.max_length + 1)
     ]
-
-    def compute(cell):
-        degree, length = cell
-        return {
-            "degree": degree,
-            "length": length,
-            "dim": value_fn(q, degree, length),
-        }
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            return list(pool.map(compute, cells))
-    return [compute(cell) for cell in cells]
 
 
 def cmd_derham(q: Quiver, args) -> dict:
@@ -405,7 +413,6 @@ def cmd_karoubi(q: Quiver, args) -> dict:
 def cmd_moment(q: Quiver, args) -> dict:
     alpha = parse_dim_vector(args.alpha, q.vertex_count)
     lam = parse_weight(args.lam, q.vertex_count)
-    seeds = list(range(args.seeds))
 
     def run(seed: int) -> dict:
         result = numerics.solve(q, alpha, lam, seed, tol=args.tol, max_iter=args.max_iter)
@@ -427,11 +434,7 @@ def cmd_moment(q: Quiver, args) -> dict:
             entry["singular_values"] = rank.singular_values
         return entry
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(run, seeds))
-    else:
-        results = [run(seed) for seed in seeds]
+    results = [run(seed) for seed in range(args.seeds)]
     report = {
         "schema": SCHEMA,
         "command": "moment",

@@ -162,19 +162,32 @@ def double(q: Quiver) -> DoubleQuiver:
 
 
 def euler_form(q: Quiver) -> IntMatrix:
-    """Matrix with (i, j) entry delta_ij minus the number of arrows i -> j."""
-    k = q.vertex_count
-    rows = []
-    for i in q.vertices:
-        rows.append(tuple((1 if i == j else 0) - q.arrow_count(i, j) for j in q.vertices))
-    return tuple(rows)
+    """Matrix with (i, j) entry delta_ij minus the number of arrows i -> j.
+
+    Computed once per quiver instance and stored on it, like its hash.
+    """
+    chi = q.__dict__.get("_euler_form")
+    if chi is None:
+        chi = tuple(
+            tuple((1 if i == j else 0) - q.arrow_count(i, j) for j in q.vertices)
+            for i in q.vertices
+        )
+        object.__setattr__(q, "_euler_form", chi)
+    return chi
 
 
 def tits_form(q: Quiver) -> IntMatrix:
-    """Symmetrization of the Euler form: euler_form(q) plus its transpose."""
-    chi = euler_form(q)
-    k = q.vertex_count
-    return tuple(tuple(chi[i][j] + chi[j][i] for j in range(k)) for i in range(k))
+    """Symmetrization of the Euler form: euler_form(q) plus its transpose.
+
+    Computed once per quiver instance and stored on it, like its hash.
+    """
+    t_matrix = q.__dict__.get("_tits_form")
+    if t_matrix is None:
+        chi = euler_form(q)
+        k = q.vertex_count
+        t_matrix = tuple(tuple(chi[i][j] + chi[j][i] for j in range(k)) for i in range(k))
+        object.__setattr__(q, "_tits_form", t_matrix)
+    return t_matrix
 
 
 def bilinear(matrix: Sequence[Sequence], alpha: Sequence, beta: Sequence):

@@ -13,9 +13,21 @@ Membership conventions:
   with zero pairing against the weight, which is forced on representations
   by the trace of the deformed relation;
 * "minimal" is with respect to the componentwise partial order.
+
+Every public function answers membership questions from one memoised table
+per call over the box 0 < beta <= alpha for a fixed (quiver, weight) pair
+(``_SigmaTable``): each box vector is classified at most once, and the best
+decomposition of every remainder is computed once and shared by all the
+vectors of the box.  ``classify`` builds one table and runs the whole
+pipeline on it; ``two_alpha_nonsmooth`` called on its own adds a second one
+over the box of 2 alpha once alpha passes.  ``decompositions`` enumerates
+the same decompositions one by one; the library no longer uses it, and it
+stays public as the route the tests check the table against.
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -32,7 +44,6 @@ from .quiver import (
     euler_form,
     num_parameters,
     tits_form,
-    weight_pairing,
 )
 from .roots import ENTRY_CAP, RootClass, box_vectors, classify_root
 
@@ -58,14 +69,7 @@ def delta_lambda(
     """Positive roots beta <= bound with exact pairing lambda . beta = 0."""
     lam = as_weight(q, lam)
     bound = as_dim_vector(q, bound)
-    _check_entry_cap(bound, entry_cap)
-    out = []
-    for vec in box_vectors(bound):
-        if weight_pairing(lam, vec) != 0:
-            continue
-        if classify_root(q, vec).is_root:
-            out.append(vec)
-    return out
+    return _SigmaTable(q, lam, bound, entry_cap).hyperplane_roots()
 
 
 def decompositions(
@@ -147,6 +151,149 @@ class SigmaMembership:
     reason: str = ""
 
 
+_Best = tuple[int, Decomposition] | None
+"""Largest p-value sum over some decompositions, with the first one reaching it."""
+
+
+class _SigmaTable:
+    """Membership in the weak and strict sets for the vectors 0 < beta <= box.
+
+    The parts are the hyperplane roots of the box in descending lex order,
+    the order in which ``decompositions`` draws them.  ``_best(i, rest)``
+    is the largest p-value sum over the decompositions of ``rest`` into
+    parts[i:], with the first decomposition reaching it in the enumeration
+    order of ``_sum_multisets`` (multiplicities tried from the largest down
+    to 0, a later candidate kept only when its sum is strictly larger), so
+    the witnesses are those of a full enumeration.  A part lex above alpha
+    never fits inside alpha and a part that does not fit can only be
+    skipped, so the decompositions of a hyperplane root alpha are those of
+    ``_best(index of alpha + 1, alpha)``; they have at least two parts,
+    since alpha is not among them.  Everything is computed on first use.
+    """
+
+    def __init__(self, q: Quiver, lam: Sequence, box: DimVector, entry_cap: int) -> None:
+        self.q = q
+        self.lam = as_weight(q, lam)
+        _check_entry_cap(box, entry_cap)
+        self.box = box
+        self.entry_cap = entry_cap
+        scale = math.lcm(*(l.denominator for l in self.lam))
+        self._scaled_lam = tuple(int(l * scale) for l in self.lam)
+        self._root_classes: dict[DimVector, RootClass] = {}
+        self._memberships: dict[DimVector, SigmaMembership] = {}
+        self._parts: list[DimVector] | None = None
+        self._part_p: list[int] = []
+        self._part_index: dict[DimVector, int] = {}
+        self._columns: dict[DimVector, tuple[list[int], list[_Best]]] = {}
+
+    def on_hyperplane(self, vec: DimVector) -> bool:
+        return sum(l * v for l, v in zip(self._scaled_lam, vec)) == 0
+
+    def root_class(self, vec: DimVector) -> RootClass:
+        found = self._root_classes.get(vec)
+        if found is None:
+            found = self._root_classes[vec] = classify_root(self.q, vec)
+        return found
+
+    def parts(self) -> list[DimVector]:
+        """The hyperplane roots of the box, descending lex."""
+        if self._parts is None:
+            self._parts = [
+                vec
+                for vec in box_vectors(self.box)
+                if self.on_hyperplane(vec) and self.root_class(vec).is_root
+            ]
+            self._parts.reverse()
+            chi = euler_form(self.q)
+            self._part_p = [1 - bilinear(chi, beta, beta) for beta in self._parts]
+            self._part_index = {beta: i for i, beta in enumerate(self._parts)}
+        return self._parts
+
+    def hyperplane_roots(self) -> list[DimVector]:
+        """The hyperplane roots of the box, ascending lex."""
+        return self.parts()[::-1]
+
+    def membership(self, alpha: DimVector) -> SigmaMembership:
+        found = self._memberships.get(alpha)
+        if found is None:
+            found = self._memberships[alpha] = self._membership(alpha)
+        return found
+
+    def in_sigma(self, alpha: DimVector) -> bool:
+        """Strict membership; a vector off the hyperplane is not classified."""
+        return self.on_hyperplane(alpha) and self.membership(alpha).in_sigma
+
+    def _membership(self, alpha: DimVector) -> SigmaMembership:
+        if not any(alpha):
+            return SigmaMembership(alpha, False, False, None, True, None, reason="zero vector")
+        root_class = self.root_class(alpha)
+        on_hyperplane = self.on_hyperplane(alpha)
+        if not root_class.is_root or not on_hyperplane:
+            reason = "not a root" if not root_class.is_root else "nonzero pairing with the weight"
+            return SigmaMembership(
+                alpha, False, False, root_class, on_hyperplane, None, reason=reason
+            )
+        self.parts()  # builds the part list with its p-values and index
+        index = self._part_index[alpha]
+        p_alpha = self._part_p[index]
+        in_s, in_sigma = True, True
+        witness_s = witness_sigma = None
+        worst = self._best(index + 1, alpha)
+        if worst is not None:
+            worst_sum, decomposition = worst
+            if p_alpha < worst_sum:
+                in_s, witness_s = False, decomposition
+            if p_alpha <= worst_sum:
+                in_sigma, witness_sigma = False, decomposition
+        return SigmaMembership(
+            alpha,
+            in_s,
+            in_sigma,
+            root_class,
+            on_hyperplane,
+            p_alpha,
+            witness_s,
+            witness_sigma,
+        )
+
+    def _best(self, start: int, rest: DimVector) -> _Best:
+        if not any(rest):
+            return 0, ()
+        fits, column = self._column(rest)
+        return column[bisect_left(fits, start)]
+
+    def _column(self, rest: DimVector) -> tuple[list[int], list[_Best]]:
+        """The indices of the parts that fit inside rest, ascending, and
+        ``_best`` of rest from each of them on (one entry more: None, as
+        nothing is left to cover rest)."""
+        found = self._columns.get(rest)
+        if found is not None:
+            return found
+        parts, part_p = self._parts, self._part_p
+        fits = [
+            i for i, beta in enumerate(parts) if all(b <= r for b, r in zip(beta, rest))
+        ]
+        column: list[_Best] = [None] * (len(fits) + 1)
+        for m in range(len(fits) - 1, -1, -1):
+            i = fits[m]
+            beta = parts[i]
+            top = min(r // b for r, b in zip(rest, beta) if b)
+            best = None
+            for mult in range(top, 0, -1):
+                sub = self._best(i + 1, tuple(r - mult * b for r, b in zip(rest, beta)))
+                if sub is None:
+                    continue
+                total = sub[0] + mult * part_p[i]
+                if best is None or total > best[0]:
+                    best = (total, ((beta, mult),) + sub[1])
+            skip = column[m + 1]
+            if skip is not None and (best is None or skip[0] > best[0]):
+                best = skip
+            column[m] = best
+        found = self._columns[rest] = (fits, column)
+        return found
+
+
 def sigma_membership(
     q: Quiver,
     alpha: Sequence[int],
@@ -156,41 +303,7 @@ def sigma_membership(
 ) -> SigmaMembership:
     """Test the defining inequalities over every decomposition of alpha."""
     alpha = as_dim_vector(q, alpha)
-    lam = as_weight(q, lam)
-    _check_entry_cap(alpha, entry_cap)
-    if all(a == 0 for a in alpha):
-        return SigmaMembership(alpha, False, False, None, True, None, reason="zero vector")
-    root_class = classify_root(q, alpha)
-    on_hyperplane = weight_pairing(lam, alpha) == 0
-    if not root_class.is_root or not on_hyperplane:
-        reason = "not a root" if not root_class.is_root else "nonzero pairing with the weight"
-        return SigmaMembership(
-            alpha, False, False, root_class, on_hyperplane, None, reason=reason
-        )
-    p_alpha = num_parameters(q, alpha)
-    in_s, in_sigma = True, True
-    witness_s = witness_sigma = None
-    worst = None
-    worst_sum = None
-    for decomposition in decompositions(q, alpha, lam, entry_cap=entry_cap):
-        total = parameter_sum(q, decomposition)
-        if worst_sum is None or total > worst_sum:
-            worst, worst_sum = decomposition, total
-    if worst_sum is not None:
-        if p_alpha < worst_sum:
-            in_s, witness_s = False, worst
-        if p_alpha <= worst_sum:
-            in_sigma, witness_sigma = False, worst
-    return SigmaMembership(
-        alpha,
-        in_s,
-        in_sigma,
-        root_class,
-        on_hyperplane,
-        p_alpha,
-        witness_s,
-        witness_sigma,
-    )
+    return _SigmaTable(q, lam, alpha, entry_cap).membership(alpha)
 
 
 def minimal_in_sigma(
@@ -202,12 +315,14 @@ def minimal_in_sigma(
 ) -> tuple[bool, DimVector | None]:
     """Whether no strictly smaller nonzero vector satisfies the strict inequalities."""
     alpha = as_dim_vector(q, alpha)
-    if not sigma_membership(q, alpha, lam, entry_cap=entry_cap).in_sigma:
+    return _minimal_in_sigma(_SigmaTable(q, lam, alpha, entry_cap), alpha)
+
+
+def _minimal_in_sigma(table: _SigmaTable, alpha: DimVector) -> tuple[bool, DimVector | None]:
+    if not table.membership(alpha).in_sigma:
         raise ValueError(f"{alpha} does not satisfy the strict inequalities")
     for beta in box_vectors(alpha):
-        if not componentwise_lt(beta, alpha):
-            continue
-        if sigma_membership(q, beta, lam, entry_cap=entry_cap).in_sigma:
+        if componentwise_lt(beta, alpha) and table.in_sigma(beta):
             return False, beta
     return True, None
 
@@ -238,7 +353,12 @@ def coadjoint_verdict(
     quotient dimension 2 - T(alpha, alpha).
     """
     alpha = as_dim_vector(q, alpha)
-    membership = sigma_membership(q, alpha, lam, entry_cap=entry_cap)
+    return _coadjoint_verdict(_SigmaTable(q, lam, alpha, entry_cap), alpha)
+
+
+def _coadjoint_verdict(table: _SigmaTable, alpha: DimVector) -> CoadjointVerdict:
+    q = table.q
+    membership = table.membership(alpha)
     if not membership.in_sigma:
         reason = membership.reason or "strict inequality fails"
         return CoadjointVerdict(alpha, False, reason, membership)
@@ -247,7 +367,7 @@ def coadjoint_verdict(
     dot = sum(a * a for a in alpha)
     dim_fiber = 1 + dot - 2 * bilinear(chi, alpha, alpha)
     dim_quotient = 2 - bilinear(t_matrix, alpha, alpha)
-    minimal, witness = minimal_in_sigma(q, alpha, lam, entry_cap=entry_cap)
+    minimal, witness = _minimal_in_sigma(table, alpha)
     if not minimal:
         return CoadjointVerdict(
             alpha,
@@ -274,12 +394,13 @@ def rep_types(
     """All semisimple types: multisets of strict members summing to alpha."""
     alpha = as_dim_vector(q, alpha)
     _check_entry_cap(alpha, entry_cap)
-    simples = [
-        beta
-        for beta in box_vectors(alpha)
-        if componentwise_leq(beta, alpha)
-        and sigma_membership(q, beta, lam, entry_cap=entry_cap).in_sigma
-    ]
+    if not any(alpha):
+        return []  # the zero vector has no types, whatever the weight
+    return _rep_types(_SigmaTable(q, lam, alpha, entry_cap), alpha)
+
+
+def _rep_types(table: _SigmaTable, alpha: DimVector) -> list[RepType]:
+    simples = [beta for beta in box_vectors(alpha) if table.in_sigma(beta)]
     simples.sort(reverse=True)
     out = []
     for multiset in _sum_multisets(simples, alpha, minimum_parts=1):
@@ -389,15 +510,21 @@ def two_alpha_nonsmooth(
     never smooth there.
     """
     alpha = as_dim_vector(q, alpha)
+    return _two_alpha_nonsmooth(_SigmaTable(q, lam, alpha, entry_cap), alpha)
+
+
+def _two_alpha_nonsmooth(table: _SigmaTable, alpha: DimVector) -> TwoAlphaCheck:
     double_alpha = tuple(2 * a for a in alpha)
-    if not sigma_membership(q, alpha, lam, entry_cap=entry_cap).in_sigma:
+    if not table.membership(alpha).in_sigma:
         return TwoAlphaCheck(False, alpha, reason=f"{alpha} fails the strict inequalities")
-    if not sigma_membership(q, double_alpha, lam, entry_cap=entry_cap).in_sigma:
+    if not componentwise_leq(double_alpha, table.box):
+        table = _SigmaTable(table.q, table.lam, double_alpha, table.entry_cap)
+    if not table.membership(double_alpha).in_sigma:
         return TwoAlphaCheck(
             False, alpha, reason=f"{double_alpha} fails the strict inequalities"
         )
     dot = sum(a * a for a in alpha)
-    t_value = bilinear(tits_form(q), alpha, alpha)
+    t_value = bilinear(tits_form(table.q), alpha, alpha)
     lhs = 4 * dot + 4 - 4 * t_value
     rhs = 4 * dot + 1 - 4 * t_value
     return TwoAlphaCheck(True, alpha, lhs, rhs, lhs == rhs)
@@ -435,14 +562,15 @@ def classify(
 ) -> ClassifyReport:
     """Run the whole classification pipeline for one (alpha, lambda) pair."""
     alpha = as_dim_vector(q, alpha)
-    lam = as_weight(q, lam)
-    root_class = classify_root(q, alpha)
-    membership = sigma_membership(q, alpha, lam, entry_cap=entry_cap)
-    verdict = coadjoint_verdict(q, alpha, lam, entry_cap=entry_cap)
-    delta_sample = tuple(delta_lambda(q, lam, alpha, entry_cap=entry_cap))
+    table = _SigmaTable(q, lam, alpha, entry_cap)
+    lam = table.lam
+    root_class = table.root_class(alpha)
+    membership = table.membership(alpha)
+    verdict = _coadjoint_verdict(table, alpha)
+    delta_sample = tuple(table.hyperplane_roots())
     zero_weight = all(l == 0 for l in lam)
     reports = []
-    for rep_type in rep_types(q, alpha, lam, entry_cap=entry_cap):
+    for rep_type in _rep_types(table, alpha):
         slice_check = None
         if zero_weight:
             slice_check = slice_smooth_check(q, rep_type, alpha, lam)
@@ -450,7 +578,7 @@ def classify(
     two_alpha = None
     if all(a % 2 == 0 for a in alpha) and any(alpha):
         half = tuple(a // 2 for a in alpha)
-        check = two_alpha_nonsmooth(q, half, lam, entry_cap=entry_cap)
+        check = _two_alpha_nonsmooth(table, half)
         if check.applies:
             two_alpha = check
     return ClassifyReport(

@@ -2,8 +2,10 @@
 
 Each oracle recomputes a library result along a different route: the
 necklace bracket by explicit cut-and-glue over occurrence pairs, root sets
-by Weyl-orbit closure instead of height descent, and necklace counts by
-rotation classes of explicitly enumerated cycles.
+by Weyl-orbit closure instead of height descent, necklace counts by
+rotation classes of explicitly enumerated cycles, and membership in the
+weak and strict sets, minimality and representation types by enumerating
+every decomposition instead of the memoised table.
 """
 from __future__ import annotations
 
@@ -14,9 +16,18 @@ from necklacekit import (
     NecklaceSum,
     NecklaceWord,
     Quiver,
+    SigmaMembership,
+    as_dim_vector,
+    as_weight,
+    classify_root,
+    decompositions,
     in_fundamental_set,
+    num_parameters,
+    parameter_sum,
     reflect,
+    weight_pairing,
 )
+from necklacekit.roots import box_vectors
 
 
 def glue_bracket(w1: NecklaceWord, w2: NecklaceWord) -> NecklaceSum:
@@ -127,3 +138,80 @@ def count_necklaces_by_rotation(q: Quiver, length: int) -> int:
 
     extend(())
     return len(cycles)
+
+
+def sigma_membership_by_enumeration(q: Quiver, alpha, lam) -> SigmaMembership:
+    """Membership by a pass over every decomposition of alpha, keeping the
+    first one with the largest p-value sum as the witness."""
+    alpha = as_dim_vector(q, alpha)
+    lam = as_weight(q, lam)
+    if all(a == 0 for a in alpha):
+        return SigmaMembership(alpha, False, False, None, True, None, reason="zero vector")
+    root_class = classify_root(q, alpha)
+    on_hyperplane = weight_pairing(lam, alpha) == 0
+    if not root_class.is_root or not on_hyperplane:
+        reason = "not a root" if not root_class.is_root else "nonzero pairing with the weight"
+        return SigmaMembership(
+            alpha, False, False, root_class, on_hyperplane, None, reason=reason
+        )
+    p_alpha = num_parameters(q, alpha)
+    in_s, in_sigma = True, True
+    witness_s = witness_sigma = None
+    worst = None
+    worst_sum = None
+    for decomposition in decompositions(q, alpha, lam):
+        total = parameter_sum(q, decomposition)
+        if worst_sum is None or total > worst_sum:
+            worst, worst_sum = decomposition, total
+    if worst_sum is not None:
+        if p_alpha < worst_sum:
+            in_s, witness_s = False, worst
+        if p_alpha <= worst_sum:
+            in_sigma, witness_sigma = False, worst
+    return SigmaMembership(
+        alpha, in_s, in_sigma, root_class, on_hyperplane, p_alpha, witness_s, witness_sigma
+    )
+
+
+def minimal_in_sigma_by_enumeration(q: Quiver, alpha, lam):
+    """The first strict member strictly below alpha in lex order, by enumeration."""
+    alpha = tuple(alpha)
+    if not sigma_membership_by_enumeration(q, alpha, lam).in_sigma:
+        raise ValueError(f"{alpha} does not satisfy the strict inequalities")
+    for beta in box_vectors(alpha):
+        if beta != alpha and sigma_membership_by_enumeration(q, beta, lam).in_sigma:
+            return False, beta
+    return True, None
+
+
+def rep_types_by_enumeration(q: Quiver, alpha, lam):
+    """Multisets of strict members summing to alpha, parts descending, larger
+    multiplicities of a part first."""
+    alpha = tuple(alpha)
+    simples = [
+        beta
+        for beta in box_vectors(alpha)
+        if sigma_membership_by_enumeration(q, beta, lam).in_sigma
+    ]
+    simples.sort(reverse=True)
+    out = []
+
+    def extend(index: int, rest: tuple[int, ...], acc: tuple) -> None:
+        if not any(rest):
+            if acc:
+                out.append(acc)
+            return
+        if index == len(simples):
+            return
+        beta = simples[index]
+        top = min(r // b for r, b in zip(rest, beta) if b)
+        for mult in range(top, 0, -1):
+            extend(
+                index + 1,
+                tuple(r - mult * b for r, b in zip(rest, beta)),
+                acc + ((mult, beta),),
+            )
+        extend(index + 1, rest, acc)
+
+    extend(0, alpha, ())
+    return out

@@ -1,0 +1,118 @@
+"""Differential tests: the memoised membership table against enumeration of
+every decomposition, witnesses included."""
+import random
+from fractions import Fraction
+
+import pytest
+
+from necklacekit import (
+    Arrow,
+    Quiver,
+    classify,
+    enumerate_positive_roots,
+    minimal_in_sigma,
+    rep_types,
+    sigma_membership,
+)
+from necklacekit.roots import ENTRY_CAP, box_vectors
+from necklacekit.strata import _SigmaTable
+
+from conftest import random_quiver
+from oracles import (
+    minimal_in_sigma_by_enumeration,
+    rep_types_by_enumeration,
+    sigma_membership_by_enumeration,
+)
+
+D4_STAR = Quiver(5, tuple(Arrow(f"a{i}", i, 5) for i in range(1, 5)))
+
+
+def nonzero_weight(rng: random.Random, alpha) -> tuple[Fraction, ...]:
+    """A weight lambda != 0 with lambda . alpha = 0 (needs two vertices)."""
+    support = [i for i, a in enumerate(alpha) if a]
+    while True:
+        lam = [Fraction(rng.randint(-3, 3)) for _ in alpha]
+        j = rng.choice(support)
+        lam[j] = -sum(l * a for i, (l, a) in enumerate(zip(lam, alpha)) if i != j) / alpha[j]
+        if any(lam):
+            return tuple(lam)
+
+
+def connected_quiver(rng: random.Random, k: int) -> Quiver:
+    """A random spanning tree on k vertices, arrows oriented at random, plus
+    up to two random arrows (loops allowed)."""
+    pairs = [(rng.randint(1, v - 1), v) for v in range(2, k + 1)]
+    pairs = [(t, s) if rng.random() < 0.5 else (s, t) for s, t in pairs]
+    pairs += [(rng.randint(1, k), rng.randint(1, k)) for _ in range(rng.randint(0, 2))]
+    return Quiver(k, tuple(Arrow(f"q{i}", s, t) for i, (s, t) in enumerate(pairs)))
+
+
+def random_cases(count: int = 64, seed: int = 2001):
+    """(quiver, alpha, lambda) on 1-4 vertices, entries of alpha at most 3,
+    each alpha at the zero weight and, from two vertices on, at a nonzero
+    weight vanishing on it.  Half the quivers are connected, and half the
+    vectors are roots, so that most verdicts come from decompositions."""
+    rng = random.Random(seed)
+    cases = []
+    for index in range(count):
+        k = 1 + index // 2 % 4
+        if index % 2:
+            q = connected_quiver(rng, k)
+        else:
+            q = random_quiver(rng, max_vertices=k, max_arrows=5)
+            k = q.vertex_count
+        roots = [vec for vec, _ in enumerate_positive_roots(q, (3,) * k)]
+        if index % 2 and roots:
+            alpha = rng.choice(roots)
+        else:
+            alpha = tuple(rng.randint(0, 3) for _ in range(k))
+        if not any(alpha):
+            alpha = (1,) * k
+        cases.append((q, alpha, (Fraction(0),) * k))
+        if k >= 2:
+            cases.append((q, alpha, nonzero_weight(rng, alpha)))
+    return cases
+
+
+CASES = random_cases()
+
+
+@pytest.mark.parametrize("q, alpha, lam", CASES)
+def test_table_matches_enumeration_on_the_box(q, alpha, lam):
+    table = _SigmaTable(q, lam, alpha, ENTRY_CAP)
+    for beta in box_vectors(alpha):
+        assert table.membership(beta) == sigma_membership_by_enumeration(q, beta, lam), beta
+    assert sigma_membership(q, alpha, lam) == sigma_membership_by_enumeration(q, alpha, lam)
+
+
+@pytest.mark.parametrize("q, alpha, lam", CASES)
+def test_minimality_and_types_match_enumeration(q, alpha, lam):
+    assert rep_types(q, alpha, lam) == rep_types_by_enumeration(q, alpha, lam)
+    if sigma_membership_by_enumeration(q, alpha, lam).in_sigma:
+        expected = minimal_in_sigma_by_enumeration(q, alpha, lam)
+        assert minimal_in_sigma(q, alpha, lam) == expected
+        assert classify(q, alpha, lam).verdict.minimal_witness == expected[1]
+    else:
+        with pytest.raises(ValueError, match="strict inequalities"):
+            minimal_in_sigma(q, alpha, lam)
+
+
+def test_cases_cover_both_weights_and_verdicts():
+    weights = {any(lam) for _, _, lam in CASES}
+    verdicts = {
+        (m.in_s, m.in_sigma, m.witness_sigma is not None)
+        for m in (sigma_membership(q, alpha, lam) for q, alpha, lam in CASES)
+    }
+    assert weights == {False, True}
+    assert {(True, True, False), (True, False, True), (False, False, True)} <= verdicts
+    assert {q.vertex_count for q, _, _ in CASES} == {1, 2, 3, 4}
+
+
+def test_d4_star_baseline_matches_enumeration():
+    alpha, lam = (2, 2, 2, 2, 4), (Fraction(0),) * 5
+    expected = sigma_membership_by_enumeration(D4_STAR, alpha, lam)
+    assert expected.witness_s is not None
+    assert sigma_membership(D4_STAR, alpha, lam) == expected
+    report = classify(D4_STAR, alpha, lam)
+    assert report.membership == expected
+    assert [t.rep_type for t in report.types] == rep_types_by_enumeration(D4_STAR, alpha, lam)

@@ -157,6 +157,36 @@ def test_cli_usage_error_exit_code(calogero_file):
     assert exc.value.code == 2
 
 
+MOMENT_ARGS = ["moment", "--alpha", "1,2", "--lambda", "-2,1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derham", "--max-length", "-1"],
+        ["derham", "--max-degree", "-1"],
+        ["karoubi", "--threads", "0"],
+        ["karoubi", "--threads", "-3"],
+        ["roots", "--box", "2,3", "--entry-cap", "0"],
+        ["roots", "--box", "2,3", "--candidate-cap", "0"],
+        ["sigma", "--alpha", "1,2", "--lambda", "-2,1", "--entry-cap", "0"],
+        ["classify", "--alpha", "1,2", "--lambda", "-2,1", "--entry-cap", "-1"],
+        MOMENT_ARGS + ["--seeds", "-2"],
+        MOMENT_ARGS + ["--seeds", "0"],
+        MOMENT_ARGS + ["--max-iter", "0"],
+        MOMENT_ARGS + ["--tol", "nan"],
+        MOMENT_ARGS + ["--tol", "inf"],
+        MOMENT_ARGS + ["--tol", "0"],
+        MOMENT_ARGS + ["--svd-tol", "-0.5"],
+    ],
+)
+def test_cli_refuses_out_of_range_numeric_flags(argv, calogero_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], calogero_file] + argv[1:])
+    assert exc.value.code == 2
+    assert "must be" in capsys.readouterr().err
+
+
 def test_cli_json_determinism(calogero_file, tmp_path):
     paths = [tmp_path / "one.json", tmp_path / "two.json"]
     for path in paths:
