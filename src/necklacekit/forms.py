@@ -10,12 +10,18 @@ if it still satisfies those constraints.
 Everything is graded by (degree, total path length) and the grading is
 preserved by the differential, products, contraction and Lie derivative,
 so each graded piece is a finite-dimensional exact-rational vector space.
+
+The graded dimension counts (omega_basis, graded_homology_dim, karoubi_dim,
+karoubi_homology_dim, in_commutator_span) do not multiply FormSums: they
+work on integer-encoded bases kept in one store per quiver instance, take
+the commutator subspace from the supercommutators of the generators e_i, a
+and da with basis elements, and eliminate over the integers.  They decode
+to FormBasisElements only for their results.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 from .linalg import RowReducer
@@ -27,7 +33,6 @@ from .paths import (
     PathSum,
     concat,
     necklaces_of_length,
-    paths_of_length,
 )
 from .quiver import DoubleQuiver, Quiver, double
 
@@ -48,15 +53,9 @@ class FormBasisElement:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tails", tuple(self.tails))
-        entries = (self.lead,) + self.tails
-        for i, p in enumerate(entries):
-            if i >= 1 and p.length < 1:
-                raise ValueError("differential slots need paths of length >= 1")
-            if i + 1 < len(entries) and p.source != entries[i + 1].target:
-                raise ValueError(
-                    f"entries {i} and {i + 1} do not match up: source {p.source} "
-                    f"vs target {entries[i + 1].target}"
-                )
+        problem = _mismatch((self.lead,) + self.tails)
+        if problem:
+            raise ValueError(problem)
 
     @property
     def degree(self) -> int:
@@ -80,13 +79,17 @@ class FormBasisElement:
         return f"Form({self})"
 
 
-def _valid_tuple(entries: tuple[Path, ...]) -> bool:
+def _mismatch(entries: tuple[Path, ...]) -> str | None:
+    """Why (p0; p1, ..., pn) is no basis element, or None when it is one."""
     for i, p in enumerate(entries):
         if i >= 1 and p.length < 1:
-            return False
+            return "differential slots need paths of length >= 1"
         if i + 1 < len(entries) and p.source != entries[i + 1].target:
-            return False
-    return True
+            return (
+                f"entries {i} and {i + 1} do not match up: source {p.source} "
+                f"vs target {entries[i + 1].target}"
+            )
+    return None
 
 
 def _mul_basis(
@@ -99,7 +102,7 @@ def _mul_basis(
         if fused is None:
             continue
         candidate = entries[:i] + (fused,) + entries[i + 2 :]
-        if _valid_tuple(candidate):
+        if _mismatch(candidate) is None:
             sign = 1 if (n - i) % 2 == 0 else -1
             yield FormBasisElement(candidate[0], candidate[1:]), sign
 
@@ -233,6 +236,30 @@ def symplectic_form(q: Quiver) -> FormSum:
 
 # ---------------------------------------------------------------------------
 # graded bases and exact dimension counts
+#
+# These run on an integer encoding kept in one store per quiver instance.
+# Arrows are numbered in sorted-label order, and a path of length >= 1 is
+# the tuple of its arrow numbers in traversal order, so encoded paths
+# compare as their label tuples do and every basis keeps the order of
+# omega_basis.  A basis element p0 dp1 ... dpn is the tuple of its encoded
+# entries, a trivial lead being the empty tuple (its vertex is the target
+# of p1); the vertex elements e_v of the (0, 0) piece, the only elements
+# without an arrow, are encoded as the vertex number v.  d sends an element
+# with a nonempty lead to ((),) + element and the others to 0.
+#
+# The commutator subspace [Ω, Ω] is spanned by the supercommutators [s, ω]
+# of the generators s = e_i, a, da with basis elements ω, by the identity
+# [xy, z] = [x, yz] + (-1)^{|x|(|y|+|z|)} [y, zx] (Cuntz-Quillen, "Algebra
+# extensions and nonsingularity", 1995).  An element is closed when its
+# path is a cycle and open otherwise.  [e_i, ω] is 0 for a closed ω and ±ω
+# for an open one, so the open elements are pivots of the row space.  The
+# products s.ω and ω.s for s = a or da are both nonzero only when ω runs
+# from target(a) to source(a), and then all their terms are closed;
+# otherwise at most one of them is nonzero and all its terms are open, so
+# the row lies in the span of the open elements.  For a vertex element e_v,
+# [s, e_v] = -[e_v, s] is already an [e_i, ω] row.  The rows left to reduce are
+# therefore [a, ω] and [da, ω] for ω from target(a) to source(a), on the
+# columns of the closed elements.
 
 
 def _check_caps(degree: int, length: int, degree_cap: int, length_cap: int) -> None:
@@ -263,55 +290,201 @@ def _positive_compositions(total: int, count: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+class _Piece:
+    """The encoded basis of one (degree, length) piece."""
+
+    __slots__ = ("basis", "index", "open_columns", "by_ends")
+
+    def __init__(self, basis: tuple, source: tuple[int, ...], target: tuple[int, ...]) -> None:
+        self.basis = basis
+        self.index = {code: i for i, code in enumerate(basis)}
+        # columns of the elements that are not closed, and the elements with
+        # arrows grouped by (source, target)
+        self.open_columns: set[int] = set()
+        self.by_ends: dict[tuple[int, int], list[tuple]] = {}
+        for i, code in enumerate(basis):
+            if type(code) is int:
+                continue
+            lead = code[0]
+            ends = (source[code[-1][0]], target[lead[-1] if lead else code[1][-1]])
+            if ends[0] != ends[1]:
+                self.open_columns.add(i)
+            self.by_ends.setdefault(ends, []).append(code)
+
+    def closed_codes(self) -> Iterator[tuple]:
+        for (s, t), codes in self.by_ends.items():
+            if s == t:
+                yield from codes
+
+
+class _FormsStore:
+    """Encoded bases and reducers of one quiver, stored on the quiver instance
+    (see _store), so they are released with it."""
+
+    def __init__(self, q: Quiver) -> None:
+        arrows = sorted(q.arrows, key=lambda a: a.label)
+        self.vertex_count = q.vertex_count
+        self.labels = tuple(a.label for a in arrows)
+        self.arrow_index = {label: i for i, label in enumerate(self.labels)}
+        self.source = tuple(a.source for a in arrows)
+        self.target = tuple(a.target for a in arrows)
+        self._leaving = {
+            v: tuple(i for i, s in enumerate(self.source) if s == v) for v in q.vertices
+        }
+        self._words: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._pieces: dict[tuple[int, int], _Piece] = {}
+        self._commutators: dict[tuple[int, int], RowReducer] = {}
+        self._d_ranks: dict[tuple[int, int], int] = {}
+        self._decoded: dict[tuple[int, int], tuple[FormBasisElement, ...]] = {}
+
+    def words(self, length: int) -> tuple[tuple[int, ...], ...]:
+        """Encoded paths of a length >= 1, in increasing order."""
+        words = self._words.get(length)
+        if words is None:
+            if length == 1:
+                words = tuple((i,) for i in range(len(self.labels)))
+            else:
+                target, leaving = self.target, self._leaving
+                words = tuple(
+                    w + (i,) for w in self.words(length - 1) for i in leaving[target[w[-1]]]
+                )
+            self._words[length] = words
+        return words
+
+    def piece(self, degree: int, length: int) -> _Piece:
+        piece = self._pieces.get((degree, length))
+        if piece is None:
+            if degree < 0 or length < 0:
+                raise ValueError("degree and length must be nonnegative")
+            if degree == 0 and length == 0:
+                basis: tuple = tuple(range(1, self.vertex_count + 1))
+            elif degree == 0:
+                basis = tuple((w,) for w in self.words(length))
+            elif length < degree:
+                basis = ()
+            else:
+                basis = tuple(
+                    code
+                    for split in _compositions(length, degree)
+                    for code in self._split_words(length, split)
+                )
+            piece = _Piece(basis, self.source, self.target)
+            self._pieces[(degree, length)] = piece
+        return piece
+
+    def _split_words(self, length: int, split: tuple[int, ...]) -> Iterator[tuple]:
+        """Each path cut into lead, tail 1, ..., tail n, the lead at its end."""
+        bounds = []
+        end = length
+        for size in split:
+            bounds.append((end - size, end))
+            end -= size
+        for w in self.words(length):
+            yield tuple(w[a:b] for a, b in bounds)
+
+    def d_rank(self, degree: int, length: int) -> int:
+        """Rank of d on the (degree, length) piece."""
+        rank = self._d_ranks.get((degree, length))
+        if rank is None:
+            index = self.piece(degree + 1, length).index
+            reducer = RowReducer()
+            for code in self.piece(degree, length).basis:
+                if type(code) is not int and code[0]:
+                    reducer.add({index[((),) + code]: 1})
+            rank = self._d_ranks[(degree, length)] = reducer.rank
+        return rank
+
+    def commutators(self, degree: int, length: int) -> RowReducer:
+        """Row space of the closed commutator rows landing in the piece."""
+        reducer = self._commutators.get((degree, length))
+        if reducer is None:
+            reducer = RowReducer()
+            if length >= 1:
+                index = self.piece(degree, length).index
+                for row in self._commutator_rows(degree, length, index):
+                    if row:
+                        reducer.add(row)
+            self._commutators[(degree, length)] = reducer
+        return reducer
+
+    def _commutator_rows(self, degree: int, length: int, index: dict) -> Iterator[dict]:
+        """[a, ω] and, in positive degree, [da, ω] for every arrow a and every
+        basis element ω from target(a) to source(a), as coordinate rows."""
+        for a, (s_a, t_a) in enumerate(zip(self.source, self.target)):
+            arrow = (a,)
+            for w in self.piece(degree, length - 1).by_ends.get((t_a, s_a), ()):
+                # a.w - w.a, where w.a fuses each adjacent pair of w, a
+                n = len(w) - 1
+                row = {index[(w[0] + arrow,) + w[1:]]: 1}
+                sign = -1
+                for i in range(n, -1, -1):
+                    if i == n:
+                        code = w[:n] + (arrow + w[n],)
+                    else:
+                        code = w[:i] + (w[i + 1] + w[i],) + w[i + 2 :] + (arrow,)
+                    _accumulate(row, index[code], sign)
+                    sign = -sign
+                yield row
+            if degree == 0:
+                continue
+            for w in self.piece(degree - 1, length - 1).by_ends.get((t_a, s_a), ()):
+                # da.w - (-1)^|w| w.da, with da.w = d(aw) - a dw
+                n = len(w) - 1
+                row = {index[((), w[0] + arrow) + w[1:]]: 1}
+                if w[0]:
+                    _accumulate(row, index[(arrow, w[0]) + w[1:]], -1)
+                _accumulate(row, index[w + (arrow,)], 1 if n % 2 else -1)
+                yield row
+
+    def decoded(self, q: Quiver, degree: int, length: int) -> tuple[FormBasisElement, ...]:
+        basis = self._decoded.get((degree, length))
+        if basis is None:
+            basis = tuple(self.decode(q, code) for code in self.piece(degree, length).basis)
+            self._decoded[(degree, length)] = basis
+        return basis
+
+    def decode(self, q: Quiver, code) -> FormBasisElement:
+        if type(code) is int:
+            return FormBasisElement(Path.trivial(q, code), ())
+        labels = self.labels
+        paths = [Path(q, tuple(labels[i] for i in entry)) if entry else None for entry in code]
+        if paths[0] is None:
+            paths[0] = Path.trivial(q, self.target[code[1][-1]])
+        return FormBasisElement(paths[0], tuple(paths[1:]))
+
+    def encode(self, elt: FormBasisElement):
+        if not elt.tails and not elt.lead.arrows:
+            return elt.lead.vertex
+        arrow_index = self.arrow_index
+        return tuple(
+            tuple(arrow_index[label] for label in p.arrows) for p in (elt.lead,) + elt.tails
+        )
+
+
+def _accumulate(row: dict[int, int], column: int, coeff: int) -> None:
+    new = row.get(column, 0) + coeff
+    if new:
+        row[column] = new
+    else:
+        del row[column]
+
+
+def _store(q: Quiver) -> _FormsStore:
+    store = q.__dict__.get("_forms_store")
+    if store is None:
+        store = _FormsStore(q)
+        object.__setattr__(q, "_forms_store", store)
+    return store
+
+
 def omega_basis(q: Quiver, degree: int, length: int) -> tuple[FormBasisElement, ...]:
-    """Deterministically ordered basis of the (degree, length) graded piece."""
-    if degree == 0:
-        return tuple(FormBasisElement(p, ()) for p in paths_of_length(q, length))
-    if length < degree:
-        return ()
-    out = []
-    for split in _compositions(length, degree):
-        for path in paths_of_length(q, length):
-            arrows = path.arrows
-            pieces: list[Path] = []
-            pos = length
-            for size in split:
-                if size == 0:
-                    # only the lead slot can be empty; it sits at the path's end
-                    pieces.append(Path.trivial(q, path.target))
-                else:
-                    pieces.append(Path(q, arrows[pos - size : pos]))
-                    pos -= size
-            out.append(FormBasisElement(pieces[0], tuple(pieces[1:])))
-    return tuple(out)
+    """Deterministically ordered basis of the (degree, length) graded piece.
 
-
-@lru_cache(maxsize=None)
-def _basis_index(q: Quiver, degree: int, length: int) -> dict[FormBasisElement, int]:
-    return {elt: i for i, elt in enumerate(omega_basis(q, degree, length))}
-
-
-def _vector_of(x: FormSum, q: Quiver, degree: int, length: int) -> dict[int, Fraction]:
-    index = _basis_index(q, degree, length)
-    vec = {}
-    for elt, coeff in x.terms():
-        if elt.degree != degree or elt.total_length != length:
-            raise ValueError("form is not homogeneous of the requested bidegree")
-        vec[index[elt]] = coeff
-    return vec
-
-
-@lru_cache(maxsize=None)
-def _d_image_reducer(q: Quiver, degree: int, length: int) -> tuple[RowReducer, int]:
-    """Row space of d applied to the (degree, length) piece, plus its rank."""
-    reducer = RowReducer()
-    for elt in omega_basis(q, degree, length):
-        image = differential(FormSum.of(elt))
-        if image.is_zero():
-            continue
-        reducer.add(_vector_of(image, q, degree + 1, length))
-    return reducer, reducer.rank
+    The elements come in the order of the splittings l0 + l1 + ... + ln of
+    the length (lead first, lexicographically), and within one splitting in
+    the label order of the underlying paths.
+    """
+    return _store(q).decoded(q, degree, length)
 
 
 def graded_homology_dim(
@@ -324,53 +497,11 @@ def graded_homology_dim(
 ) -> int:
     """Exact dimension of ker d / im d on one graded piece of the form algebra."""
     _check_caps(degree, length, degree_cap, length_cap)
-    dim_here = len(omega_basis(q, degree, length))
-    _, rank_out = _d_image_reducer(q, degree, length)
-    kernel = dim_here - rank_out
+    store = _store(q)
+    kernel = len(store.piece(degree, length).basis) - store.d_rank(degree, length)
     if degree == 0:
         return kernel
-    _, rank_in = _d_image_reducer(q, degree - 1, length)
-    return kernel - rank_in
-
-
-@lru_cache(maxsize=None)
-def _commutator_reducer(q: Quiver, degree: int, length: int) -> RowReducer:
-    """Row space of all supercommutators landing in the (degree, length) piece."""
-    reducer = RowReducer()
-    target_index = _basis_index(q, degree, length)
-    if not target_index:
-        return reducer
-
-    def vectors_of(x: FormSum, y: FormSum, sign: int):
-        comm = x * y - sign * (y * x)
-        if comm.is_zero():
-            return None
-        return _vector_of(comm, q, degree, length)
-
-    for i in range(0, degree // 2 + 1):
-        j = degree - i
-        sign = -1 if (i * j) % 2 == 1 else 1
-        for l1 in range(0, length + 1):
-            l2 = length - l1
-            xs = omega_basis(q, i, l1)
-            ys = omega_basis(q, j, l2)
-            if not xs or not ys:
-                continue
-            if i < j:
-                pairs = ((x, y) for x in xs for y in ys)
-            elif l1 < l2:
-                pairs = ((x, y) for x in xs for y in ys)
-            elif l1 > l2:
-                continue
-            else:
-                pairs = (
-                    (xs[s], ys[t]) for s in range(len(xs)) for t in range(s, len(ys))
-                )
-            for x, y in pairs:
-                vec = vectors_of(FormSum.of(x), FormSum.of(y), sign)
-                if vec:
-                    reducer.add(vec)
-    return reducer
+    return kernel - store.d_rank(degree - 1, length)
 
 
 def karoubi_dim(
@@ -387,11 +518,14 @@ def karoubi_dim(
     quotient (the non-pivot coordinates of the commutator row space).
     """
     _check_caps(degree, length, degree_cap, length_cap)
-    basis = omega_basis(q, degree, length)
-    reducer = _commutator_reducer(q, degree, length)
-    pivots = reducer.pivot_columns
-    reps = tuple(elt for idx, elt in enumerate(basis) if idx not in pivots)
-    return len(basis) - reducer.rank, reps
+    store = _store(q)
+    piece = store.piece(degree, length)
+    reducer = store.commutators(degree, length)
+    pivots = piece.open_columns | reducer.pivot_columns
+    reps = tuple(
+        store.decode(q, code) for i, code in enumerate(piece.basis) if i not in pivots
+    )
+    return len(piece.basis) - len(pivots), reps
 
 
 def karoubi_homology_dim(
@@ -402,35 +536,27 @@ def karoubi_homology_dim(
     degree_cap: int = DEGREE_CAP,
     length_cap: int = LENGTH_CAP,
 ) -> int:
-    """Homology of the induced differential on the supercommutator quotients."""
+    """Homology of the induced differential on the supercommutator quotients.
+
+    d preserves the endpoints of an element, so the d-images of the open
+    elements lie among the open elements, all of which are commutators.
+    """
     _check_caps(degree, length, degree_cap, length_cap)
-    dim_here = len(omega_basis(q, degree, length))
-    w_next = _commutator_reducer(q, degree + 1, length)
-    stacked = _copy_reducer(w_next)
+    store = _store(q)
+    here = store.piece(degree, length)
+    next_index = store.piece(degree + 1, length).index
+    stacked = store.commutators(degree + 1, length).copy()
     extra = 0
-    for elt in omega_basis(q, degree, length):
-        image = differential(FormSum.of(elt))
-        if image.is_zero():
-            continue
-        if stacked.add(_vector_of(image, q, degree + 1, length)):
+    for code in here.closed_codes():
+        if code[0] and stacked.add({next_index[((),) + code]: 1}):
             extra += 1
-    kernel_dim = dim_here - extra
-    w_here = _commutator_reducer(q, degree, length)
-    boundary = _copy_reducer(w_here)
-    image_dim = boundary.rank
+    kernel_dim = len(here.basis) - extra
+    boundary = store.commutators(degree, length).copy()
     if degree >= 1:
-        for elt in omega_basis(q, degree - 1, length):
-            image = differential(FormSum.of(elt))
-            if not image.is_zero():
-                boundary.add(_vector_of(image, q, degree, length))
-        image_dim = boundary.rank
-    return kernel_dim - image_dim
-
-
-def _copy_reducer(reducer: RowReducer) -> RowReducer:
-    clone = RowReducer()
-    clone._pivots = {col: dict(row) for col, row in reducer._pivots.items()}
-    return clone
+        for code in store.piece(degree - 1, length).closed_codes():
+            if code[0]:
+                boundary.add({here.index[((),) + code]: 1})
+    return kernel_dim - len(here.open_columns) - boundary.rank
 
 
 def in_commutator_span(
@@ -441,10 +567,16 @@ def in_commutator_span(
     length_cap: int = LENGTH_CAP,
 ) -> bool:
     """Whether every homogeneous piece of x is a sum of supercommutators."""
-    for (degree, length), piece in x.components().items():
+    store = _store(q)
+    for (degree, length), part in x.components().items():
         _check_caps(degree, length, degree_cap, length_cap)
-        reducer = _commutator_reducer(q, degree, length)
-        if not reducer.contains(_vector_of(piece, q, degree, length)):
+        piece = store.piece(degree, length)
+        row = {}
+        for elt, coeff in part.terms():
+            column = piece.index[store.encode(elt)]
+            if column not in piece.open_columns:
+                row[column] = coeff
+        if not store.commutators(degree, length).contains(row):
             return False
     return True
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Union
 
 from .quiver import DoubleQuiver, Quiver, double
@@ -466,11 +465,24 @@ def euler_derivation(dq: DoubleQuiver) -> Derivation:
     return Derivation(dq, {a.label: PathSum.of(Path.of_arrow(dq, a.label)) for a in dq.arrows})
 
 
-@lru_cache(maxsize=None)
 def paths_of_length(q: Quiver, length: int) -> tuple[Path, ...]:
-    """All paths of the given length, in deterministic label-lexicographic order."""
+    """All paths of the given length, in deterministic label-lexicographic order.
+
+    Computed once per quiver instance and length, and stored on the quiver.
+    """
     if length < 0:
         raise ValueError("length must be nonnegative")
+    stored = q.__dict__.get("_paths_of_length")
+    if stored is None:
+        stored = {}
+        object.__setattr__(q, "_paths_of_length", stored)
+    paths = stored.get(length)
+    if paths is None:
+        paths = stored[length] = _paths_of_length(q, length)
+    return paths
+
+
+def _paths_of_length(q: Quiver, length: int) -> tuple[Path, ...]:
     if length == 0:
         return tuple(Path.trivial(q, v) for v in q.vertices)
     if length == 1:

@@ -3,27 +3,36 @@
 Each oracle recomputes a library result along a different route: the
 necklace bracket by explicit cut-and-glue over occurrence pairs, root sets
 by Weyl-orbit closure instead of height descent, necklace counts by
-rotation classes of explicitly enumerated cycles, and membership in the
-weak and strict sets, minimality and representation types by enumerating
-every decomposition instead of the memoised table.
+rotation classes of explicitly enumerated cycles or by Burnside's lemma,
+membership in the weak and strict sets, minimality and representation types
+by enumerating every decomposition instead of the memoised table, and the
+graded dimensions of the form algebra from FormSum products of every pair
+of basis elements, reduced by exact Fraction elimination.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import Mapping
 
 from necklacekit import (
     DoubleQuiver,
+    FormBasisElement,
+    FormSum,
     NecklaceSum,
     NecklaceWord,
+    Path,
     Quiver,
     SigmaMembership,
     as_dim_vector,
     as_weight,
     classify_root,
     decompositions,
+    differential,
     in_fundamental_set,
     num_parameters,
     parameter_sum,
+    paths_of_length,
     reflect,
     weight_pairing,
 )
@@ -215,3 +224,212 @@ def rep_types_by_enumeration(q: Quiver, alpha, lam):
 
     extend(0, alpha, ())
     return out
+
+
+def count_necklaces_by_burnside(q: Quiver, length: int) -> int:
+    """Necklaces of a length n by Burnside's lemma over the rotations:
+    (1/n) sum over d | n of phi(n/d) tr(A^d), A the adjacency matrix."""
+    k = q.vertex_count
+    if length == 0:
+        return k
+    adjacency = [[q.arrow_count(i, j) for j in q.vertices] for i in q.vertices]
+    power = [[int(i == j) for j in range(k)] for i in range(k)]
+    traces = []
+    for _ in range(length):
+        power = [
+            [sum(power[i][m] * adjacency[m][j] for m in range(k)) for j in range(k)]
+            for i in range(k)
+        ]
+        traces.append(sum(power[i][i] for i in range(k)))
+    total = sum(
+        _totient(length // d) * traces[d - 1] for d in range(1, length + 1) if length % d == 0
+    )
+    return total // length
+
+
+def _totient(n: int) -> int:
+    return sum(1 for m in range(1, n + 1) if math.gcd(m, n) == 1)
+
+
+class FractionRowReducer:
+    """Incremental row reduction over the rationals with Fraction pivots
+    normalised to 1; pivot rows in echelon form, each pivot the least
+    column of its row."""
+
+    def __init__(self) -> None:
+        self.pivots: dict[int, dict[int, Fraction]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    @property
+    def pivot_columns(self) -> set[int]:
+        return set(self.pivots)
+
+    def copy(self) -> "FractionRowReducer":
+        clone = FractionRowReducer()
+        clone.pivots = {col: dict(row) for col, row in self.pivots.items()}
+        return clone
+
+    def reduce(self, row: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        work = {c: Fraction(v) for c, v in row.items() if v}
+        while work:
+            col = min(work)
+            pivot = self.pivots.get(col)
+            if pivot is None:
+                break
+            factor = work[col]
+            for c, v in pivot.items():
+                new = work.get(c, Fraction(0)) - factor * v
+                if new:
+                    work[c] = new
+                else:
+                    work.pop(c, None)
+        return work
+
+    def add(self, row: Mapping[int, Fraction]) -> bool:
+        reduced = self.reduce(row)
+        if not reduced:
+            return False
+        col = min(reduced)
+        lead = reduced[col]
+        self.pivots[col] = {c: v / lead for c, v in reduced.items()}
+        return True
+
+    def contains(self, row: Mapping[int, Fraction]) -> bool:
+        return not self.reduce(row)
+
+
+def _compositions(total: int, count: int):
+    """Splittings total = l0 + ... + lcount with l0 >= 0 and the others >= 1."""
+    if count == 0:
+        yield (total,)
+        return
+    for l0 in range(0, total - count + 1):
+        for rest in _positive_compositions(total - l0, count):
+            yield (l0,) + rest
+
+
+def _positive_compositions(total: int, count: int):
+    if count == 1:
+        yield (total,)
+        return
+    for first in range(1, total - count + 2):
+        for rest in _positive_compositions(total - first, count - 1):
+            yield (first,) + rest
+
+
+class AllPairsForms:
+    """Graded dimensions of one quiver's form algebra the direct way: bases
+    cut from paths_of_length, d-images from `differential`, and the
+    commutator subspace spanned by the supercommutators of every pair of
+    basis elements, multiplied as FormSums and reduced over Fractions."""
+
+    def __init__(self, q: Quiver) -> None:
+        self.q = q
+        self._bases: dict = {}
+        self._indices: dict = {}
+        self._commutators: dict = {}
+
+    def basis(self, degree: int, length: int) -> tuple[FormBasisElement, ...]:
+        key = (degree, length)
+        if key not in self._bases:
+            self._bases[key] = self._make_basis(degree, length)
+        return self._bases[key]
+
+    def _make_basis(self, degree: int, length: int) -> tuple[FormBasisElement, ...]:
+        q = self.q
+        if degree == 0:
+            return tuple(FormBasisElement(p, ()) for p in paths_of_length(q, length))
+        if length < degree:
+            return ()
+        out = []
+        for split in _compositions(length, degree):
+            for path in paths_of_length(q, length):
+                arrows = path.arrows
+                pieces = []
+                pos = length
+                for size in split:
+                    if size == 0:
+                        pieces.append(Path.trivial(q, path.target))
+                    else:
+                        pieces.append(Path(q, arrows[pos - size : pos]))
+                        pos -= size
+                out.append(FormBasisElement(pieces[0], tuple(pieces[1:])))
+        return tuple(out)
+
+    def vector(self, x: FormSum, degree: int, length: int) -> dict[int, Fraction]:
+        key = (degree, length)
+        if key not in self._indices:
+            self._indices[key] = {elt: i for i, elt in enumerate(self.basis(degree, length))}
+        index = self._indices[key]
+        return {index[elt]: coeff for elt, coeff in x.terms()}
+
+    def d_image(self, degree: int, length: int) -> FractionRowReducer:
+        reducer = FractionRowReducer()
+        for elt in self.basis(degree, length):
+            image = differential(FormSum.of(elt))
+            if not image.is_zero():
+                reducer.add(self.vector(image, degree + 1, length))
+        return reducer
+
+    def commutators(self, degree: int, length: int) -> FractionRowReducer:
+        key = (degree, length)
+        if key not in self._commutators:
+            self._commutators[key] = self._all_pairs(degree, length)
+        return self._commutators[key]
+
+    def _all_pairs(self, degree: int, length: int) -> FractionRowReducer:
+        reducer = FractionRowReducer()
+        if not self.basis(degree, length):
+            return reducer
+        for i in range(0, degree // 2 + 1):
+            j = degree - i
+            sign = -1 if (i * j) % 2 == 1 else 1
+            for l1 in range(0, length + 1):
+                l2 = length - l1
+                xs, ys = self.basis(i, l1), self.basis(j, l2)
+                if i == j and l1 > l2:
+                    continue
+                for s, x in enumerate(xs):
+                    start = s if (i, l1) == (j, l2) else 0
+                    for y in ys[start:]:
+                        fx, fy = FormSum.of(x), FormSum.of(y)
+                        comm = fx * fy - sign * (fy * fx)
+                        if not comm.is_zero():
+                            reducer.add(self.vector(comm, degree, length))
+        return reducer
+
+    def graded_homology_dim(self, degree: int, length: int) -> int:
+        kernel = len(self.basis(degree, length)) - self.d_image(degree, length).rank
+        if degree == 0:
+            return kernel
+        return kernel - self.d_image(degree - 1, length).rank
+
+    def karoubi_dim(self, degree: int, length: int):
+        basis = self.basis(degree, length)
+        reducer = self.commutators(degree, length)
+        reps = tuple(elt for i, elt in enumerate(basis) if i not in reducer.pivot_columns)
+        return len(basis) - reducer.rank, reps
+
+    def karoubi_homology_dim(self, degree: int, length: int) -> int:
+        stacked = self.commutators(degree + 1, length).copy()
+        extra = 0
+        for elt in self.basis(degree, length):
+            image = differential(FormSum.of(elt))
+            if not image.is_zero() and stacked.add(self.vector(image, degree + 1, length)):
+                extra += 1
+        boundary = self.commutators(degree, length).copy()
+        if degree >= 1:
+            for elt in self.basis(degree - 1, length):
+                image = differential(FormSum.of(elt))
+                if not image.is_zero():
+                    boundary.add(self.vector(image, degree, length))
+        return len(self.basis(degree, length)) - extra - boundary.rank
+
+    def in_commutator_span(self, x: FormSum) -> bool:
+        return all(
+            self.commutators(degree, length).contains(self.vector(piece, degree, length))
+            for (degree, length), piece in x.components().items()
+        )

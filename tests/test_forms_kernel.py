@@ -1,0 +1,191 @@
+"""Differential tests of the integer-encoded graded kernel of `forms` and of
+the fraction-free `RowReducer`, against the all-pairs route and the
+Fraction eliminator in `oracles`, and against Burnside's necklace count.
+
+The quivers are seeded random quivers on 1-3 vertices with at most 3 arrows,
+each taken as it is and doubled, at degree <= 3 and length <= 4.  The
+all-pairs oracle multiplies every pair of basis elements, which is out of
+reach on the largest pieces at length 4 (the double of two loops has a
+piece of 1536 elements).  Pieces above ORACLE_PIECE_LIMIT elements, 7 of
+the 400 here, are therefore compared only where a cheap oracle exists:
+the basis, graded homology and, in degree 0, the Burnside count.
+"""
+from __future__ import annotations
+
+import gc
+import random
+import weakref
+from fractions import Fraction
+
+import pytest
+
+from necklacekit import (
+    Arrow,
+    Quiver,
+    double,
+    graded_homology_dim,
+    in_commutator_span,
+    karoubi_dim,
+    karoubi_homology_dim,
+    omega_basis,
+    paths_of_length,
+)
+from necklacekit.linalg import RowReducer
+
+from conftest import random_form
+from oracles import AllPairsForms, FractionRowReducer, count_necklaces_by_burnside
+
+MAX_DEGREE = 3
+MAX_LENGTH = 4
+ORACLE_PIECE_LIMIT = 700
+CAPS = {"degree_cap": MAX_DEGREE, "length_cap": MAX_LENGTH}
+
+
+def _random_quivers(seed: int, count: int) -> list[Quiver]:
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        k = rng.randint(1, 3)
+        arrows = tuple(
+            Arrow(f"q{i}", rng.randint(1, k), rng.randint(1, k)) for i in range(rng.randint(0, 3))
+        )
+        out.append(Quiver(k, arrows))
+    return out
+
+
+BASES = _random_quivers(2003, 10)
+QUIVERS = [q for base in BASES for q in (base, double(base))]
+IDS = [f"{'double' if i % 2 else 'base'}{i // 2}" for i in range(len(QUIVERS))]
+
+
+def _pieces():
+    for degree in range(MAX_DEGREE + 1):
+        for length in range(MAX_LENGTH + 1):
+            yield degree, length
+
+
+def _small(oracle: AllPairsForms, *pieces) -> bool:
+    return all(len(oracle.basis(d, l)) <= ORACLE_PIECE_LIMIT for d, l in pieces)
+
+
+@pytest.mark.parametrize("q", QUIVERS, ids=IDS)
+def test_bases_and_dimensions_match_the_all_pairs_route(q):
+    oracle = AllPairsForms(q)
+    compared = 0
+    for degree, length in _pieces():
+        assert omega_basis(q, degree, length) == oracle.basis(degree, length)
+        assert graded_homology_dim(q, degree, length, **CAPS) == oracle.graded_homology_dim(
+            degree, length
+        )
+        if _small(oracle, (degree, length)):
+            assert karoubi_dim(q, degree, length, **CAPS) == oracle.karoubi_dim(degree, length)
+            compared += 1
+        if _small(oracle, (degree, length), (degree + 1, length)):
+            assert karoubi_homology_dim(q, degree, length, **CAPS) == (
+                oracle.karoubi_homology_dim(degree, length)
+            )
+    assert compared >= 12
+
+
+@pytest.mark.parametrize("q", QUIVERS, ids=IDS)
+def test_degree_zero_quotient_counts_necklaces(q):
+    for length in range(MAX_LENGTH + 1):
+        dim, reps = karoubi_dim(q, 0, length, **CAPS)
+        assert dim == len(reps) == count_necklaces_by_burnside(q, length)
+
+
+@pytest.mark.parametrize("index", range(len(QUIVERS)), ids=IDS)
+def test_commutator_span_matches_the_all_pairs_route(index):
+    q = QUIVERS[index]
+    if not q.arrows:
+        return
+    oracle = AllPairsForms(q)
+    rng = random.Random(index)
+    checked = 0
+    for _ in range(30):
+        x = random_form(rng, q, max_degree=2, max_length=2)
+        y = random_form(rng, q, max_degree=1, max_length=2)
+        if x.is_zero() or y.is_zero():
+            continue
+        (dx,), (dy,) = x.degrees(), y.degrees()
+        sign = -1 if dx * dy % 2 else 1
+        commutator = x * y - sign * (y * x)
+        for form in (x, commutator, x + commutator):
+            pieces = [key for key, _ in form.components().items()]
+            if not _small(oracle, *pieces):
+                continue
+            assert in_commutator_span(form, q, **CAPS) == oracle.in_commutator_span(form)
+            checked += 1
+        assert in_commutator_span(commutator, q, **CAPS)
+    assert checked >= 30
+
+
+@pytest.mark.parametrize("degree, length", [(-1, 2), (0, -1), (2, -3)])
+def test_omega_basis_refuses_negative_gradings(degree, length):
+    with pytest.raises(ValueError, match="nonnegative"):
+        omega_basis(QUIVERS[1], degree, length)
+
+
+def test_a_dropped_quiver_is_released_with_its_graded_data():
+    dq = double(Quiver(2, (Arrow("a", 1, 2), Arrow("b", 2, 2))))
+    karoubi_dim(dq, 1, 3)
+    karoubi_homology_dim(dq, 1, 3)
+    graded_homology_dim(dq, 2, 3)
+    omega_basis(dq, 2, 2)
+    paths_of_length(dq, 4)
+    ref = weakref.ref(dq)
+    del dq
+    gc.collect()
+    assert ref() is None
+
+
+def _random_rows(rng: random.Random, count: int, width: int) -> list[dict[int, Fraction]]:
+    rows: list[dict[int, Fraction]] = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append({})
+        elif kind < 0.2:
+            rows.append({rng.randrange(width): Fraction(0)})
+        elif kind < 0.45 and rows:
+            # a rational combination of earlier rows
+            row: dict[int, Fraction] = {}
+            for earlier in rng.sample(rows, min(len(rows), 3)):
+                scale = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                for c, v in earlier.items():
+                    row[c] = row.get(c, Fraction(0)) + scale * v
+            rows.append(row)
+        else:
+            rows.append(
+                {
+                    c: Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                    for c in rng.sample(range(width), rng.randint(1, width))
+                }
+            )
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_row_reducer_matches_fraction_elimination(seed):
+    rng = random.Random(seed)
+    width = rng.randint(1, 9)
+    rows = _random_rows(rng, rng.randint(1, 14), width)
+    fast, slow = RowReducer(), FractionRowReducer()
+    for row in rows:
+        as_ints = all(v.denominator == 1 for v in row.values())
+        entry = {c: int(v) for c, v in row.items()} if as_ints and rng.random() < 0.5 else row
+        assert fast.add(entry) == slow.add(row)
+        assert fast.rank == slow.rank
+        assert fast.pivot_columns == slow.pivot_columns
+    for probe in _random_rows(rng, 20, width) + rows:
+        assert fast.contains(probe) == slow.contains(probe)
+
+
+def test_row_reducer_copy_is_independent():
+    reducer = RowReducer()
+    reducer.add({0: 1, 2: Fraction(1, 2)})
+    clone = reducer.copy()
+    assert clone.add({1: 3, 2: -4})
+    assert clone.rank == 2 and reducer.rank == 1
+    assert clone.contains({1: Fraction(3, 7), 2: Fraction(-4, 7)})
+    assert not reducer.contains({1: 1, 2: -4})

@@ -13,7 +13,7 @@ from necklacekit import (
     parse_quiver_text,
     parse_weight,
 )
-from necklacekit.cli import main
+from necklacekit.cli import build_parser, main
 
 CALOGERO_TEXT = """\
 # the two-vertex quiver with one connecting arrow and one loop
@@ -155,6 +155,35 @@ def test_cli_usage_error_exit_code(calogero_file):
     with pytest.raises(SystemExit) as exc:
         main(["classify", calogero_file, "--lambda", "-2,1", "--alpha", "1,2", "--nope"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["karoubi", "--help"],
+        [],
+        ["no-such-command", "q.quiver"],
+        ["classify", "q.quiver", "--alpha", "1,2", "--nope"],
+        ["derham", "q.quiver", "--max-length", "x"],
+    ],
+)
+def test_cli_answers_like_a_fresh_parser(argv, capsys):
+    answers = []
+    for parse in (main, main, build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        answers.append((exc.value.code, capsys.readouterr()))
+    assert answers[0] == answers[1] == answers[2]
+
+
+def test_cli_parses_later_calls_afresh(loop_file, capsys):
+    assert main(["karoubi", loop_file, "--base", "--max-degree", "0", "--max-length", "1"]) == 0
+    capsys.readouterr()
+    # no flag of the first call carries over: the double, up to length 4
+    assert main(["karoubi", loop_file, "--max-degree", "0"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[2] for row in rows] == ["1", "2", "3", "4", "6"]
 
 
 MOMENT_ARGS = ["moment", "--alpha", "1,2", "--lambda", "-2,1"]
