@@ -34,7 +34,7 @@ from .paths import (
     concat,
     necklaces_of_length,
 )
-from .quiver import DoubleQuiver, Quiver, double
+from .quiver import Quiver, double_of
 
 DEGREE_CAP = 3
 LENGTH_CAP = 6
@@ -225,7 +225,7 @@ def lie_derivative(theta: Derivation, x: FormSum) -> FormSum:
 
 def symplectic_form(q: Quiver) -> FormSum:
     """The canonical 2-form sum_a da* da of a double quiver."""
-    dq = q if isinstance(q, DoubleQuiver) else double(q)
+    dq = double_of(q)
     total = FormSum.zero()
     for arr in dq.base_arrows:
         da = d_of_path_sum(PathSum.of(Path.of_arrow(dq, arr.label)))

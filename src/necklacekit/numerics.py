@@ -3,8 +3,24 @@
 Solves sum_a [V_a, V_a*] = lambda on representation spaces of the double
 quiver by damped Gauss-Newton least squares, then measures the Jacobian rank
 at solutions so fiber dimensions can be compared against the exact formulas.
-The target space is always the trace-zero block tuple; residuals and
-Jacobians are projected accordingly.
+The target space is always the trace-zero block tuple; residuals are
+projected onto it by subtracting the mean trace.
+
+The Jacobian is assembled in closed form.  Its rows are the vertex blocks,
+alpha_i^2 rows each, row-major; its columns are the matrix entries of the
+arrows in ``dq.arrows`` order, each arrow's entries row-major.  Varying V_a
+for a base arrow a: s -> t moves block t by H V_a* and block s by -V_a* H,
+which in this layout are the Kronecker blocks I (x) V_a*^T and
+-(V_a* (x) I); a starred arrow gives V_a (x) I and -(I (x) V_a^T) the same
+way.  Each column is the derivative of a sum of commutators: the one entry
+x it varies lands on the diagonal as +x in one block and -x in another, and
+x + (-x) is exactly 0 in floating point too.  Subtracting the mean trace
+would leave every column unchanged, bit for bit, so it is applied to the
+residual only.
+
+Dense matrices are refused above ``MAX_DENSE_ENTRIES`` entries (the
+Jacobian, sum alpha_i^2 by the representation dimension, or the Gram
+matrix, the square of that dimension) before anything is allocated.
 
 This module never feeds back into the exact classification: a failure here
 flags a numerical issue, not a verdict change.
@@ -18,25 +34,24 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .quiver import DoubleQuiver, Quiver, as_dim_vector, double, weight_pairing
+from .quiver import DoubleQuiver, Quiver, as_dim_vector, double_of, weight_pairing
 
 RepPoint = dict[str, np.ndarray]
 
-
-def _double_of(q: Quiver) -> DoubleQuiver:
-    return q if isinstance(q, DoubleQuiver) else double(q)
+# Largest dense Jacobian or Gram matrix, in complex entries (256 MiB each).
+MAX_DENSE_ENTRIES = 2**24
 
 
 def rep_dimension(q: Quiver, alpha: Sequence[int]) -> int:
     """Complex dimension of the representation space of the double quiver."""
-    dq = _double_of(q)
+    dq = double_of(q)
     alpha = as_dim_vector(dq, alpha)
     return sum(alpha[a.source - 1] * alpha[a.target - 1] for a in dq.arrows)
 
 
 def random_rep(q: Quiver, alpha: Sequence[int], seed: int) -> RepPoint:
     """Deterministic random representation: complex Gaussian entries, 1/sqrt(n) scale."""
-    dq = _double_of(q)
+    dq = double_of(q)
     alpha = as_dim_vector(dq, alpha)
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(max(1, sum(alpha)))
@@ -63,7 +78,7 @@ def _check_shapes(dq: DoubleQuiver, alpha: tuple[int, ...], point: Mapping[str, 
 
 def moment_eval(q: Quiver, alpha: Sequence[int], point: Mapping[str, np.ndarray]) -> list[np.ndarray]:
     """Vertex blocks of sum_a [V_a, V_a*]; the total trace vanishes up to rounding."""
-    dq = _double_of(q)
+    dq = double_of(q)
     alpha = as_dim_vector(dq, alpha)
     _check_shapes(dq, alpha, point)
     blocks = [np.zeros((n, n), dtype=complex) for n in alpha]
@@ -97,40 +112,59 @@ def _residual_vector(
     return np.concatenate([b.reshape(-1) for b in blocks])
 
 
+def _check_dense_size(dq: DoubleQuiver, alpha: tuple[int, ...]) -> None:
+    """Refuse an alpha whose Jacobian or Gram matrix exceeds MAX_DENSE_ENTRIES."""
+    rows = sum(n * n for n in alpha)
+    rep_dim = rep_dimension(dq, alpha)
+    if max(rows, rep_dim) * rep_dim > MAX_DENSE_ENTRIES:
+        raise ValueError(
+            f"alpha = {alpha} needs a {rows} x {rep_dim} Jacobian and a "
+            f"{rep_dim} x {rep_dim} Gram matrix; the cap is {MAX_DENSE_ENTRIES} entries each"
+        )
+
+
 def _jacobian(
     dq: DoubleQuiver, alpha: tuple[int, ...], point: Mapping[str, np.ndarray]
 ) -> np.ndarray:
-    """Complex Jacobian of the projected residual; the moment map is holomorphic."""
-    rows = sum(n * n for n in alpha)
-    order = [arr.label for arr in dq.arrows]
-    columns = []
-    for label in order:
-        arr = dq.arrow(label)
+    """Complex Jacobian of the projected residual; the moment map is holomorphic.
+
+    Rows are the vertex blocks, columns the arrows' entries (module
+    docstring).  An arrow with nt x ns matrices and partner matrix P (ns x nt)
+    contributes I_nt (x) P^T to the rows of its target and P (x) I_ns to those
+    of its source, with the signs of the commutator a a* - a* a.  Both are
+    accumulated into zeros, so every entry is 0, +-P[i, j] or, where a loop's
+    two blocks share rows, P[i, j] - P[k, l]: bit for bit what differentiating
+    one matrix entry at a time gives.  The trace projection is left out: it
+    subtracts the mean trace of a column, which is exactly 0.
+    """
+    offsets = [0]
+    for n in alpha:
+        offsets.append(offsets[-1] + n * n)
+    jac = np.zeros((offsets[-1], rep_dimension(dq, alpha)), dtype=complex)
+    column = 0
+    for arr in dq.arrows:
         nt, ns = alpha[arr.target - 1], alpha[arr.source - 1]
-        partner = dq.star(label)
-        base_label = partner if dq.is_starred(label) else label
-        base = dq.arrow(base_label)
-        for r in range(nt):
-            for c in range(ns):
-                blocks = [np.zeros((n, n), dtype=complex) for n in alpha]
-                h = np.zeros((nt, ns), dtype=complex)
-                h[r, c] = 1.0
-                if dq.is_starred(label):
-                    va = point[base_label]
-                    blocks[base.target - 1] += va @ h
-                    blocks[base.source - 1] -= h @ va
-                else:
-                    vs = point[partner]
-                    blocks[base.target - 1] += h @ vs
-                    blocks[base.source - 1] -= vs @ h
-                blocks = _project_trace(blocks, alpha)
-                if blocks:
-                    columns.append(np.concatenate([b.reshape(-1) for b in blocks]))
-                else:
-                    columns.append(np.zeros(0, dtype=complex))
-    if not columns:
-        return np.zeros((rows, 0), dtype=complex)
-    return np.stack(columns, axis=1)
+        columns = slice(column, column + nt * ns)
+        column += nt * ns
+        if not nt * ns:
+            continue
+        target = slice(offsets[arr.target - 1], offsets[arr.target])
+        source = slice(offsets[arr.source - 1], offsets[arr.source])
+        partner = point[dq.star(arr.label)]
+        # The two blocks with their identity factor split out (reshaping a
+        # slice only splits its axes, so these are views of jac):
+        # by_target[r, :, r, :] is diagonal block r of I_nt (x) P^T, and
+        # by_source[:, c, :, c] holds P inside P (x) I_ns for each c.
+        by_target = jac[target, columns].reshape(nt, nt, nt, ns)
+        by_source = jac[source, columns].reshape(ns, ns, nt, ns)
+        rt, cs = np.arange(nt), np.arange(ns)
+        if dq.is_starred(arr.label):
+            by_source[:, cs, :, cs] += partner
+            by_target[rt, :, rt, :] -= partner.T
+        else:
+            by_target[rt, :, rt, :] += partner.T
+            by_source[:, cs, :, cs] -= partner
+    return jac
 
 
 def _unpack(dq: DoubleQuiver, alpha: tuple[int, ...], flat: np.ndarray) -> RepPoint:
@@ -177,11 +211,13 @@ def solve(
     """Damped Gauss-Newton solve of the moment equation from a seeded start.
 
     Weights must pair to zero with alpha (the trace obstruction); otherwise
-    the fiber is empty and the input is rejected.  Non-convergence is
-    reported in the result, not raised.
+    the fiber is empty and the input is rejected, as is an alpha whose dense
+    matrices would exceed MAX_DENSE_ENTRIES.  Non-convergence is reported in
+    the result, not raised.
     """
-    dq = _double_of(q)
+    dq = double_of(q)
     alpha = as_dim_vector(dq, alpha)
+    _check_dense_size(dq, alpha)
     pairing = weight_pairing([Fraction(x) for x in lam], alpha)
     if pairing != 0:
         raise ValueError(f"weight pairs to {pairing} with {alpha}; the fiber is empty")
@@ -227,10 +263,12 @@ def rank_report(
 
     The fiber dimension estimate is the complex dimension of the
     representation space minus the rank; the full singular value list is
-    returned so borderline thresholding stays auditable.
+    returned so borderline thresholding stays auditable.  An alpha whose
+    dense matrices would exceed MAX_DENSE_ENTRIES is refused.
     """
-    dq = _double_of(q)
+    dq = double_of(q)
     alpha = as_dim_vector(dq, alpha)
+    _check_dense_size(dq, alpha)
     lam_values = [float(Fraction(x)) + 0j for x in lam]
     residual = _residual_vector(dq, alpha, lam_values, point)
     norm = float(np.linalg.norm(residual))

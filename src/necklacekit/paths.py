@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-from .quiver import DoubleQuiver, Quiver, double
+from .quiver import DoubleQuiver, Quiver, double_of
 
 Scalar = Union[int, Fraction]
 
@@ -349,7 +349,7 @@ def partial_derivative(w: NecklaceWord | NecklaceSum, label: str) -> PathSum:
 
 def moment_element(q: Quiver) -> PathSum:
     """The element sum_a (a a* - a* a) of the doubled path algebra."""
-    dq = q if isinstance(q, DoubleQuiver) else double(q)
+    dq = double_of(q)
     total = PathSum.zero()
     for arr in dq.base_arrows:
         a = Path.of_arrow(dq, arr.label)

@@ -161,6 +161,11 @@ def double(q: Quiver) -> DoubleQuiver:
     return DoubleQuiver(q.vertex_count, tuple(arrows), base=q)
 
 
+def double_of(q: Quiver) -> DoubleQuiver:
+    """``q`` itself if it is already a double quiver, otherwise ``double(q)``."""
+    return q if isinstance(q, DoubleQuiver) else double(q)
+
+
 def euler_form(q: Quiver) -> IntMatrix:
     """Matrix with (i, j) entry delta_ij minus the number of arrows i -> j.
 

@@ -5,15 +5,19 @@ necklace bracket by explicit cut-and-glue over occurrence pairs, root sets
 by Weyl-orbit closure instead of height descent, necklace counts by
 rotation classes of explicitly enumerated cycles or by Burnside's lemma,
 membership in the weak and strict sets, minimality and representation types
-by enumerating every decomposition instead of the memoised table, and the
+by enumerating every decomposition instead of the memoised table, the
 graded dimensions of the form algebra from FormSum products of every pair
-of basis elements, reduced by exact Fraction elimination.
+of basis elements, reduced by exact Fraction elimination, and the moment-map
+Jacobian one column at a time, each column the trace-projected image of one
+matrix unit, instead of from Kronecker blocks.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from typing import Mapping
+
+import numpy as np
 
 from necklacekit import (
     DoubleQuiver,
@@ -36,6 +40,7 @@ from necklacekit import (
     reflect,
     weight_pairing,
 )
+from necklacekit.numerics import _project_trace
 from necklacekit.roots import box_vectors
 
 
@@ -433,3 +438,39 @@ class AllPairsForms:
             self.commutators(degree, length).contains(self.vector(piece, degree, length))
             for (degree, length), piece in x.components().items()
         )
+
+
+def jacobian_by_columns(
+    dq: DoubleQuiver, alpha: tuple[int, ...], point: Mapping[str, np.ndarray]
+) -> np.ndarray:
+    """Complex Jacobian of the projected residual; the moment map is holomorphic."""
+    rows = sum(n * n for n in alpha)
+    order = [arr.label for arr in dq.arrows]
+    columns = []
+    for label in order:
+        arr = dq.arrow(label)
+        nt, ns = alpha[arr.target - 1], alpha[arr.source - 1]
+        partner = dq.star(label)
+        base_label = partner if dq.is_starred(label) else label
+        base = dq.arrow(base_label)
+        for r in range(nt):
+            for c in range(ns):
+                blocks = [np.zeros((n, n), dtype=complex) for n in alpha]
+                h = np.zeros((nt, ns), dtype=complex)
+                h[r, c] = 1.0
+                if dq.is_starred(label):
+                    va = point[base_label]
+                    blocks[base.target - 1] += va @ h
+                    blocks[base.source - 1] -= h @ va
+                else:
+                    vs = point[partner]
+                    blocks[base.target - 1] += h @ vs
+                    blocks[base.source - 1] -= vs @ h
+                blocks = _project_trace(blocks, alpha)
+                if blocks:
+                    columns.append(np.concatenate([b.reshape(-1) for b in blocks]))
+                else:
+                    columns.append(np.zeros(0, dtype=complex))
+    if not columns:
+        return np.zeros((rows, 0), dtype=complex)
+    return np.stack(columns, axis=1)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from necklacekit import (
+    Arrow,
+    Quiver,
     moment_eval,
+    numerics,
     random_rep,
     rank_report,
     rep_dimension,
@@ -99,3 +102,31 @@ def test_solver_deterministic_per_seed(calogero):
     assert first.iterations == second.iterations
     for label, matrix in first.point.items():
         assert np.array_equal(matrix, second.point[label])
+
+
+def test_oversized_alpha_is_refused_before_allocating(calogero):
+    # a 200,000 x 480,000 Jacobian and a 480,000^2 Gram matrix
+    with pytest.raises(ValueError, match="cap is 16777216 entries"):
+        solve(calogero, (200, 400), LAM_21, seed=0)
+    # refused before the point is even looked at
+    with pytest.raises(ValueError, match="cap is 16777216 entries"):
+        rank_report(calogero, (200, 400), LAM_21, {})
+
+
+@pytest.mark.parametrize(
+    "q, alpha, lam, entries",
+    [
+        # the Gram matrix is the larger: 12^2 against 5 x 12
+        (Quiver(2, (Arrow("a", 1, 2), Arrow("b", 2, 2))), (1, 2), LAM_21, 144),
+        # the Jacobian is the larger: 10 x 6 against 6^2
+        (Quiver(2, (Arrow("a", 1, 2),)), (1, 3), (Fraction(3), Fraction(-1)), 60),
+    ],
+)
+def test_size_cap_is_inclusive(q, alpha, lam, entries, monkeypatch):
+    monkeypatch.setattr(numerics, "MAX_DENSE_ENTRIES", entries)
+    solve(q, alpha, lam, seed=0, max_iter=1)
+    monkeypatch.setattr(numerics, "MAX_DENSE_ENTRIES", entries - 1)
+    with pytest.raises(ValueError, match="cap"):
+        solve(q, alpha, lam, seed=0, max_iter=1)
+    with pytest.raises(ValueError, match="cap"):
+        rank_report(q, alpha, lam, random_rep(q, alpha, 0))

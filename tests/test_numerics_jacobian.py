@@ -1,0 +1,137 @@
+"""The closed-form moment-map Jacobian against the column-by-column route.
+
+`numerics._jacobian` writes Kronecker blocks; `oracles.jacobian_by_columns`
+differentiates one matrix entry at a time and trace-projects each column.
+The two must agree byte for byte, so that solves, ranks and `moment`
+reports do not depend on which route built the Jacobian.
+"""
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from necklacekit import Arrow, Quiver, cli, double, numerics
+from oracles import jacobian_by_columns
+
+CALOGERO = Quiver(2, (Arrow("a", 1, 2), Arrow("b", 2, 2)))
+A1_TILDE = Quiver(2, (Arrow("a", 1, 2), Arrow("b", 2, 1)))
+D4_STAR = Quiver(5, tuple(Arrow(f"a{i}", i, 5) for i in range(1, 5)))
+
+
+def random_case(rng: random.Random) -> tuple:
+    """A double quiver with a loop and a parallel arrow, and an alpha with zeros."""
+    k = rng.randint(1, 4)
+    ends = [(rng.randint(1, k), rng.randint(1, k)) for _ in range(rng.randint(0, 3))]
+    loop = rng.randint(1, k)
+    ends.append((loop, loop))
+    ends.append(rng.choice(ends))
+    arrows = tuple(Arrow(f"q{i}", s, t) for i, (s, t) in enumerate(ends))
+    alpha = tuple(rng.randint(0, 4) for _ in range(k))
+    return double(Quiver(k, arrows)), alpha
+
+
+def assert_same_bytes(dq, alpha, point) -> np.ndarray:
+    fast = numerics._jacobian(dq, alpha, point)
+    slow = jacobian_by_columns(dq, alpha, point)
+    assert fast.shape == slow.shape
+    assert fast.tobytes() == slow.tobytes()
+    return slow
+
+
+def assert_column_traces_cancel(alpha, jac: np.ndarray) -> None:
+    """Every column's block traces sum to exactly 0, so its projection is the identity."""
+    offsets = np.cumsum([0] + [n * n for n in alpha])
+    for column in jac.T:
+        traces = [
+            np.trace(column[offsets[i] : offsets[i + 1]].reshape(n, n))
+            for i, n in enumerate(alpha)
+        ]
+        assert sum(traces) == 0.0
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_points_match_the_column_route(seed):
+    rng = random.Random(4000 + seed)
+    dq, alpha = random_case(rng)
+    for point_seed in range(3):
+        point = numerics.random_rep(dq, alpha, rng.randrange(2**31) + point_seed)
+        jac = assert_same_bytes(dq, alpha, point)
+        assert_column_traces_cancel(alpha, jac)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_solved_points_match_the_column_route(seed):
+    rng = random.Random(5000 + seed)
+    dq, alpha = random_case(rng)
+    lam = (Fraction(0),) * len(alpha)
+    result = numerics.solve(dq, alpha, lam, seed, max_iter=30)
+    jac = assert_same_bytes(dq, alpha, result.point)
+    assert_column_traces_cancel(alpha, jac)
+
+
+@pytest.mark.parametrize(
+    "q, alpha, lam",
+    [
+        (CALOGERO, (2, 4), (-2, 1)),
+        (A1_TILDE, (1, 1), (-1, 1)),
+        (D4_STAR, (1, 1, 1, 1, 2), (1, 1, 1, 1, -2)),
+    ],
+)
+def test_paper_cases_match_the_column_route(q, alpha, lam):
+    dq = double(q)
+    for seed in range(3):
+        result = numerics.solve(dq, alpha, lam, seed)
+        assert result.converged
+        jac = assert_same_bytes(dq, alpha, result.point)
+        assert_column_traces_cancel(alpha, jac)
+
+
+def test_empty_jacobians_match_the_column_route():
+    dq = double(CALOGERO)
+    # all of alpha zero: no rows and no columns
+    jac = assert_same_bytes(dq, (0, 0), numerics.random_rep(dq, (0, 0), 0))
+    assert jac.shape == (0, 0)
+    # alpha = (1, 0): one row, and every arrow touches the zero vertex
+    jac = assert_same_bytes(dq, (1, 0), numerics.random_rep(dq, (1, 0), 0))
+    assert jac.shape == (1, 0)
+
+
+QUIVER_TEXTS = {
+    "calogero": "vertices: 2\narrows: a 1 2, b 2 2\n",
+    "a1_tilde": "vertices: 2\narrows: a 1 2, b 2 1\n",
+    "d4_star": "vertices: 5\narrows: a 1 5, b 2 5, c 3 5, d 4 5\n",
+}
+
+
+@pytest.mark.parametrize(
+    "name, alpha, lam",
+    [
+        ("calogero", "2,4", "-2,1"),
+        ("a1_tilde", "1,1", "-1,1"),
+        ("d4_star", "1,1,1,1,2", "1,1,1,1,-2"),
+    ],
+)
+def test_moment_reports_do_not_depend_on_the_route(
+    name, alpha, lam, tmp_path, capsys, monkeypatch
+):
+    quiver_file = tmp_path / f"{name}.quiver"
+    quiver_file.write_text(QUIVER_TEXTS[name], encoding="utf-8")
+
+    def run(json_name: str) -> tuple[str, bytes]:
+        json_path = tmp_path / json_name
+        argv = ["moment", str(quiver_file), "--alpha", alpha, "--lambda", lam, "--seeds", "3"]
+        assert cli.main(argv + ["--json", str(json_path)]) == 0
+        return capsys.readouterr().out, json_path.read_bytes()
+
+    closed_form = run("closed_form.json")
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return jacobian_by_columns(*args)
+
+    monkeypatch.setattr(numerics, "_jacobian", counted)
+    by_columns = run("by_columns.json")
+    assert calls
+    assert closed_form == by_columns

@@ -216,6 +216,14 @@ def test_cli_refuses_out_of_range_numeric_flags(argv, calogero_file, capsys):
     assert "must be" in capsys.readouterr().err
 
 
+def test_cli_moment_refuses_an_oversized_alpha(calogero_file, capsys):
+    argv = ["moment", calogero_file, "--alpha", "200,400", "--lambda", "-2,1", "--seeds", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "cap is 16777216 entries" in err
+
+
 def test_cli_json_determinism(calogero_file, tmp_path):
     paths = [tmp_path / "one.json", tmp_path / "two.json"]
     for path in paths:
