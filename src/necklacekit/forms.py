@@ -31,6 +31,9 @@ from .paths import (
     NecklaceWord,
     Path,
     PathSum,
+    Scalar,
+    _add_term,
+    _format_sum,
     concat,
     necklaces_of_length,
 )
@@ -115,19 +118,13 @@ class FormSum(LinearCombination):
             return self._scaled(other)
         if not isinstance(other, FormSum):
             return NotImplemented
-        acc: dict[FormBasisElement, Fraction] = {}
+        acc: dict[FormBasisElement, Scalar] = {}
         for x, c in self._terms.items():
             for y, d in other._terms.items():
                 cd = c * d
                 for elt, sign in _mul_basis(x, y):
-                    new = acc.get(elt, Fraction(0)) + sign * cd
-                    if new:
-                        acc[elt] = new
-                    else:
-                        acc.pop(elt, None)
-        result = FormSum.__new__(FormSum)
-        result._terms = acc
-        return result
+                    _add_term(acc, elt, sign * cd)
+        return FormSum._of_terms(acc)
 
     def degrees(self) -> set[int]:
         return {elt.degree for elt in self._terms}
@@ -137,16 +134,9 @@ class FormSum(LinearCombination):
         acc: dict[tuple[int, int], dict] = {}
         for elt, coeff in self._terms.items():
             acc.setdefault((elt.degree, elt.total_length), {})[elt] = coeff
-        out = {}
-        for key, terms in acc.items():
-            piece = FormSum.__new__(FormSum)
-            piece._terms = terms
-            out[key] = piece
-        return out
+        return {key: FormSum._of_terms(terms) for key, terms in acc.items()}
 
     def __str__(self) -> str:
-        from .paths import _format_sum
-
         return _format_sum(self, str)
 
 
@@ -422,7 +412,7 @@ class _FormsStore:
                         code = w[:n] + (arrow + w[n],)
                     else:
                         code = w[:i] + (w[i + 1] + w[i],) + w[i + 2 :] + (arrow,)
-                    _accumulate(row, index[code], sign)
+                    _add_term(row, index[code], sign)
                     sign = -sign
                 yield row
             if degree == 0:
@@ -432,8 +422,8 @@ class _FormsStore:
                 n = len(w) - 1
                 row = {index[((), w[0] + arrow) + w[1:]]: 1}
                 if w[0]:
-                    _accumulate(row, index[(arrow, w[0]) + w[1:]], -1)
-                _accumulate(row, index[w + (arrow,)], 1 if n % 2 else -1)
+                    _add_term(row, index[(arrow, w[0]) + w[1:]], -1)
+                _add_term(row, index[w + (arrow,)], 1 if n % 2 else -1)
                 yield row
 
     def decoded(self, q: Quiver, degree: int, length: int) -> tuple[FormBasisElement, ...]:
@@ -459,14 +449,6 @@ class _FormsStore:
         return tuple(
             tuple(arrow_index[label] for label in p.arrows) for p in (elt.lead,) + elt.tails
         )
-
-
-def _accumulate(row: dict[int, int], column: int, coeff: int) -> None:
-    new = row.get(column, 0) + coeff
-    if new:
-        row[column] = new
-    else:
-        del row[column]
 
 
 def _store(q: Quiver) -> _FormsStore:
@@ -602,41 +584,34 @@ def reduce_to_dr1(x: FormSum) -> FormSum:
     Uses the rewriting q d(rp) = pq dr + qr dp to shorten differential slots,
     then drops the classes p da where p.a is not a cycle.
     """
-    acc: dict[FormBasisElement, Fraction] = {}
+    acc: dict[FormBasisElement, Scalar] = {}
     for elt, coeff in x.terms():
         if elt.degree != 1:
             raise ValueError("reduce_to_dr1 expects a homogeneous 1-form")
         for (p0, arrow_path), c in _dr1_terms(elt.lead, elt.tails[0]).items():
-            elt1 = FormBasisElement(p0, (arrow_path,))
-            new = acc.get(elt1, Fraction(0)) + coeff * c
-            if new:
-                acc[elt1] = new
-            else:
-                acc.pop(elt1, None)
-    result = FormSum.__new__(FormSum)
-    result._terms = acc
-    return result
+            _add_term(acc, FormBasisElement(p0, (arrow_path,)), coeff * c)
+    return FormSum._of_terms(acc)
 
 
-def _dr1_terms(p0: Path, p1: Path) -> dict[tuple[Path, Path], Fraction]:
+def _dr1_terms(p0: Path, p1: Path) -> dict[tuple[Path, Path], int]:
     q = p0.quiver
     if p1.length == 1:
         product = concat(p0, p1)
         if product is not None and product.is_cycle():
-            return {(p0, p1): Fraction(1)}
+            return {(p0, p1): 1}
         return {}
     first = Path.of_arrow(q, p1.arrows[0])
     rest = Path(q, p1.arrows[1:])
-    out: dict[tuple[Path, Path], Fraction] = {}
+    out: dict[tuple[Path, Path], int] = {}
     left = concat(first, p0)
     if left is not None:
         for key, c in _dr1_terms(left, rest).items():
-            out[key] = out.get(key, Fraction(0)) + c
+            _add_term(out, key, c)
     right = concat(p0, rest)
     if right is not None:
         for key, c in _dr1_terms(right, first).items():
-            out[key] = out.get(key, Fraction(0)) + c
-    return {k: v for k, v in out.items() if v}
+            _add_term(out, key, c)
+    return out
 
 
 def tau(theta: Derivation) -> FormSum:

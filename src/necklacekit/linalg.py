@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -96,13 +96,3 @@ class RowReducer:
 
     def contains(self, row: Mapping[int, int | Fraction]) -> bool:
         return not self.reduce(row)
-
-    def extend(self, rows: Iterable[Mapping[int, int | Fraction]]) -> None:
-        for row in rows:
-            self.add(row)
-
-
-def rank_of(rows: Iterable[Mapping[int, int | Fraction]]) -> int:
-    reducer = RowReducer()
-    reducer.extend(rows)
-    return reducer.rank

@@ -5,8 +5,9 @@ the algebra product ``p * q`` is nonzero exactly when ``source(p) ==
 target(q)`` and then traverses ``q`` first.  Text I/O writes traversal order
 with spaces (``a b a*``) and ``e<i>`` for the trivial path at vertex i.
 
-Coefficients are exact rationals throughout; there is no floating point in
-this module.
+Coefficients are exact, ``int`` or ``Fraction``: sums and products of integers
+stay ``int``, and other inputs are converted to the ``Fraction`` of their
+value; there is no floating point in this module.
 """
 from __future__ import annotations
 
@@ -37,15 +38,17 @@ class Path:
                 arr = self.quiver.arrow(label)
                 if prev is not None and prev.target != arr.source:
                     raise ValueError(
-                        f"arrows do not compose: {prev.label!r} ends at {prev.target}, "
-                        f"{arr.label!r} starts at {arr.source}"
+                        f"arrows do not compose: {prev.label!r} ends at vertex "
+                        f"{prev.target} but {arr.label!r} starts at vertex {arr.source}"
                     )
                 prev = arr
         else:
             if self.vertex is None:
                 raise ValueError("a trivial path needs a vertex")
             if not 1 <= self.vertex <= self.quiver.vertex_count:
-                raise ValueError(f"vertex {self.vertex} out of range")
+                raise ValueError(
+                    f"vertex {self.vertex} out of range 1..{self.quiver.vertex_count}"
+                )
 
     @classmethod
     def trivial(cls, q: Quiver, vertex: int) -> "Path":
@@ -96,8 +99,27 @@ def concat(p: Path, q: Path) -> Path | None:
     return Path(p.quiver, q.arrows + p.arrows)
 
 
+def _exact(coeff) -> Scalar:
+    """An int stays as it is; any other number or numeric string becomes the
+    exact Fraction of its value."""
+    return coeff if type(coeff) is int else Fraction(coeff)
+
+
+def _add_term(acc: dict, key, coeff: Scalar) -> None:
+    """acc[key] += coeff, dropping the key when the sum is 0."""
+    new = acc.get(key, 0) + coeff
+    if new:
+        acc[key] = new
+    else:
+        acc.pop(key, None)
+
+
 class LinearCombination:
-    """Shared behaviour of exact linear combinations with basis-element keys."""
+    """Shared behaviour of exact linear combinations with basis-element keys.
+
+    Coefficients are int or Fraction and never 0; inputs of any other type
+    (float, str, ...) are converted to the exact Fraction of their value.
+    """
 
     __slots__ = ("_terms",)
 
@@ -105,29 +127,31 @@ class LinearCombination:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict = {}
         for key, coeff in items:
-            coeff = Fraction(coeff)
-            if not coeff:
-                continue
-            new = acc.get(key, Fraction(0)) + coeff
-            if new:
-                acc[key] = new
-            else:
-                acc.pop(key, None)
+            _add_term(acc, key, _exact(coeff))
         self._terms = acc
 
     @classmethod
+    def _of_terms(cls, acc: dict):
+        """Wrap an accumulator whose coefficients are exact and nonzero."""
+        result = cls.__new__(cls)
+        result._terms = acc
+        return result
+
+    @classmethod
     def zero(cls):
-        return cls()
+        return cls._of_terms({})
 
     @classmethod
     def of(cls, key, coeff: Scalar = 1):
-        return cls(((key, Fraction(coeff)),))
+        coeff = _exact(coeff)
+        return cls._of_terms({key: coeff} if coeff else {})
 
     def terms(self) -> Iterator[tuple]:
         return iter(self._terms.items())
 
-    def coefficient(self, key) -> Fraction:
-        return self._terms.get(key, Fraction(0))
+    def coefficient(self, key) -> Scalar:
+        """The coefficient of a basis element, an int or a Fraction (0 if absent)."""
+        return self._terms.get(key, 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -153,19 +177,11 @@ class LinearCombination:
             return NotImplemented
         acc = dict(self._terms)
         for key, coeff in other._terms.items():
-            new = acc.get(key, Fraction(0)) + coeff
-            if new:
-                acc[key] = new
-            else:
-                acc.pop(key, None)
-        result = type(self).__new__(type(self))
-        result._terms = acc
-        return result
+            _add_term(acc, key, coeff)
+        return self._of_terms(acc)
 
     def __neg__(self):
-        result = type(self).__new__(type(self))
-        result._terms = {k: -v for k, v in self._terms.items()}
-        return result
+        return self._of_terms({k: -v for k, v in self._terms.items()})
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -173,10 +189,8 @@ class LinearCombination:
         return self + (-other)
 
     def _scaled(self, scalar: Scalar):
-        scalar = Fraction(scalar)
-        result = type(self).__new__(type(self))
-        result._terms = {} if not scalar else {k: v * scalar for k, v in self._terms.items()}
-        return result
+        scalar = _exact(scalar)
+        return self._of_terms({k: v * scalar for k, v in self._terms.items()} if scalar else {})
 
     def __rmul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
@@ -192,20 +206,13 @@ class PathSum(LinearCombination):
             return self._scaled(other)
         if not isinstance(other, PathSum):
             return NotImplemented
-        acc: dict[Path, Fraction] = {}
+        acc: dict[Path, Scalar] = {}
         for p, c in self._terms.items():
             for q, d in other._terms.items():
                 pq = concat(p, q)
-                if pq is None:
-                    continue
-                new = acc.get(pq, Fraction(0)) + c * d
-                if new:
-                    acc[pq] = new
-                else:
-                    acc.pop(pq, None)
-        result = PathSum.__new__(PathSum)
-        result._terms = acc
-        return result
+                if pq is not None:
+                    _add_term(acc, pq, c * d)
+        return PathSum._of_terms(acc)
 
     def __str__(self) -> str:
         return _format_sum(self, str)
@@ -213,7 +220,7 @@ class PathSum(LinearCombination):
 
 def unit(q: Quiver) -> PathSum:
     """The identity sum of all vertex idempotents e_1 + ... + e_k."""
-    return PathSum((Path.trivial(q, v), Fraction(1)) for v in q.vertices)
+    return PathSum((Path.trivial(q, v), 1) for v in q.vertices)
 
 
 def compose(p: Path, q: Path) -> PathSum:
@@ -235,21 +242,13 @@ class NecklaceWord:
     vertex: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arrows", tuple(self.arrows))
-        if self.arrows:
-            if self.vertex is not None:
-                raise ValueError("a necklace has either arrows or a vertex, not both")
-            path = Path(self.quiver, self.arrows)
-            if not path.is_cycle():
-                raise ValueError(
-                    f"not a closed cycle: starts at {path.source}, ends at {path.target}"
-                )
-            object.__setattr__(self, "arrows", _min_rotation(self.arrows))
-        else:
-            if self.vertex is None:
-                raise ValueError("a vertex class needs a vertex")
-            if not 1 <= self.vertex <= self.quiver.vertex_count:
-                raise ValueError(f"vertex {self.vertex} out of range")
+        path = Path(self.quiver, self.arrows, self.vertex)
+        if not path.is_cycle():
+            raise ValueError(
+                f"necklace input is not closed: starts at vertex {path.source}, "
+                f"ends at vertex {path.target}"
+            )
+        object.__setattr__(self, "arrows", _min_rotation(path.arrows) if path.arrows else ())
 
     @classmethod
     def vertex_class(cls, q: Quiver, vertex: int) -> "NecklaceWord":
@@ -291,31 +290,17 @@ class NecklaceSum(LinearCombination):
 
 
 def canonical_necklace(cycle: Path) -> NecklaceWord:
-    """Necklace class of a closed path; rejects non-closed input."""
-    if not cycle.is_cycle():
-        raise ValueError(
-            f"not a closed cycle: starts at {cycle.source}, ends at {cycle.target}"
-        )
-    if not cycle.arrows:
-        return NecklaceWord.vertex_class(cycle.quiver, cycle.vertex)  # type: ignore[arg-type]
-    return NecklaceWord(cycle.quiver, cycle.arrows)
+    """Necklace class of a closed path; NecklaceWord rejects non-closed input."""
+    return NecklaceWord(cycle.quiver, cycle.arrows, cycle.vertex)
 
 
 def project_to_necklaces(x: PathSum) -> NecklaceSum:
     """Quotient map to necklaces: cycles keep their class, open paths die."""
-    acc: dict[NecklaceWord, Fraction] = {}
+    acc: dict[NecklaceWord, Scalar] = {}
     for path, coeff in x.terms():
-        if not path.is_cycle():
-            continue
-        word = canonical_necklace(path)
-        new = acc.get(word, Fraction(0)) + coeff
-        if new:
-            acc[word] = new
-        else:
-            acc.pop(word, None)
-    result = NecklaceSum.__new__(NecklaceSum)
-    result._terms = acc
-    return result
+        if path.is_cycle():
+            _add_term(acc, canonical_necklace(path), coeff)
+    return NecklaceSum._of_terms(acc)
 
 
 def partial_derivative(w: NecklaceWord | NecklaceSum, label: str) -> PathSum:
@@ -333,7 +318,7 @@ def partial_derivative(w: NecklaceWord | NecklaceSum, label: str) -> PathSum:
     arr = w.quiver.arrow(label)
     if not w.arrows:
         return PathSum.zero()
-    acc: dict[Path, Fraction] = {}
+    acc: dict[Path, Scalar] = {}
     labels = w.arrows
     for j, lab in enumerate(labels):
         if lab != label:
@@ -343,8 +328,8 @@ def partial_derivative(w: NecklaceWord | NecklaceSum, label: str) -> PathSum:
             path = Path(w.quiver, complement)
         else:
             path = Path.trivial(w.quiver, arr.target)
-        acc[path] = acc.get(path, Fraction(0)) + 1
-    return PathSum(acc)
+        _add_term(acc, path, 1)
+    return PathSum._of_terms(acc)
 
 
 def moment_element(q: Quiver) -> PathSum:

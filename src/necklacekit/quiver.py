@@ -55,7 +55,8 @@ class Quiver:
                     )
         object.__setattr__(self, "_by_label", {a.label: a for a in self.arrows})
 
-    def _check_label(self, label: str) -> None:
+    @staticmethod
+    def _check_label(label: str) -> None:
         if not label or label.startswith("e") and label[1:].isdigit():
             raise QuiverError(f"label {label!r} collides with trivial-path syntax e<i>")
         if label.endswith(STAR):
@@ -118,23 +119,17 @@ class DoubleQuiver(Quiver):
         if self.base is None:
             raise QuiverError("DoubleQuiver requires its base quiver; use double()")
         super().__post_init__()
-        expected = []
-        for arr in self.base.arrows:
-            expected.append(arr)
-            expected.append(Arrow(arr.label + STAR, arr.target, arr.source))
-        if list(self.arrows) != expected:
+        if self.arrows != _doubled_arrows(self.base):
             raise QuiverError("arrows do not match the doubling of the base quiver")
 
-    def _check_label(self, label: str) -> None:
+    @staticmethod
+    def _check_label(label: str) -> None:
         if label.endswith(STAR):
             base_label = label[:-1]
             if not base_label or base_label.endswith(STAR):
                 raise QuiverError(f"malformed starred label {label!r}")
             return
-        Quiver._check_label(self, label)
-
-    def __hash__(self) -> int:
-        return Quiver.__hash__(self)
+        Quiver._check_label(label)
 
     def star(self, label: str) -> str:
         """Return the label of the reversed partner arrow."""
@@ -150,15 +145,18 @@ class DoubleQuiver(Quiver):
         return self.base.arrows
 
 
+def _doubled_arrows(q: Quiver) -> tuple[Arrow, ...]:
+    """Each arrow of ``q`` followed by its reversed partner labelled with a star."""
+    return tuple(
+        arr for a in q.arrows for arr in (a, Arrow(a.label + STAR, a.target, a.source))
+    )
+
+
 def double(q: Quiver) -> DoubleQuiver:
     """Adjoin to every arrow of ``q`` a reversed arrow labelled with a star."""
     if isinstance(q, DoubleQuiver):
         raise QuiverError("cannot double a quiver that is already a double")
-    arrows = []
-    for arr in q.arrows:
-        arrows.append(arr)
-        arrows.append(Arrow(arr.label + STAR, arr.target, arr.source))
-    return DoubleQuiver(q.vertex_count, tuple(arrows), base=q)
+    return DoubleQuiver(q.vertex_count, _doubled_arrows(q), base=q)
 
 
 def double_of(q: Quiver) -> DoubleQuiver:

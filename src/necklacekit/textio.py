@@ -27,7 +27,6 @@ class QuiverFormatError(QuiverError):
 
 def parse_quiver_text(text: str, source: str = "<string>") -> Quiver:
     vertices: int | None = None
-    vertices_line = 0
     arrow_specs: list[tuple[str, int, int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -46,7 +45,6 @@ def parse_quiver_text(text: str, source: str = "<string>") -> Quiver:
                 ) from None
             if vertices < 1:
                 raise QuiverFormatError(f"{source}:{lineno}: vertex count must be positive")
-            vertices_line = lineno
         elif key == "arrows":
             if vertices is None:
                 raise QuiverFormatError(f"{source}:{lineno}: arrows listed before vertices")
@@ -86,11 +84,12 @@ def parse_quiver_text(text: str, source: str = "<string>") -> Quiver:
             raise QuiverFormatError(
                 f"{source}:{lineno}: arrow {label!r} uses a vertex outside 1..{vertices}"
             )
-    try:
-        return Quiver(vertices, tuple(Arrow(l, s, t) for l, s, t, _ in arrow_specs))
-    except QuiverError as exc:
-        line = arrow_specs[0][3] if arrow_specs else vertices_line
-        raise QuiverFormatError(f"{source}:{line}: {exc}") from None
+    for label, _, _, lineno in arrow_specs:
+        try:
+            Quiver._check_label(label)
+        except QuiverError as exc:
+            raise QuiverFormatError(f"{source}:{lineno}: {exc}") from None
+    return Quiver(vertices, tuple(Arrow(l, s, t) for l, s, t, _ in arrow_specs))
 
 
 def parse_quiver_file(path: str | FilePath) -> Quiver:
@@ -99,36 +98,18 @@ def parse_quiver_file(path: str | FilePath) -> Quiver:
 
 
 def parse_path(q: Quiver, text: str) -> Path:
-    """Parse traversal-order path syntax; reports the offending endpoints."""
+    """Parse traversal-order path syntax; Path reports the offending endpoints."""
     tokens = text.split()
     if not tokens:
         raise ValueError("empty path text")
     if len(tokens) == 1 and tokens[0].startswith("e") and tokens[0][1:].isdigit():
-        vertex = int(tokens[0][1:])
-        if not 1 <= vertex <= q.vertex_count:
-            raise ValueError(f"vertex {vertex} out of range 1..{q.vertex_count}")
-        return Path.trivial(q, vertex)
-    prev = None
-    for label in tokens:
-        arrow = q.arrow(label)
-        if prev is not None and prev.target != arrow.source:
-            raise ValueError(
-                f"arrows do not compose: {prev.label!r} ends at vertex {prev.target} "
-                f"but {arrow.label!r} starts at vertex {arrow.source}"
-            )
-        prev = arrow
+        return Path.trivial(q, int(tokens[0][1:]))
     return Path(q, tuple(tokens))
 
 
 def parse_necklace(q: Quiver, text: str) -> NecklaceWord:
-    """Parse and canonicalize a necklace; open paths are rejected."""
-    path = parse_path(q, text)
-    if not path.is_cycle():
-        raise ValueError(
-            f"necklace input is not closed: starts at vertex {path.source}, "
-            f"ends at vertex {path.target}"
-        )
-    return canonical_necklace(path)
+    """Parse and canonicalize a necklace; NecklaceWord rejects open paths."""
+    return canonical_necklace(parse_path(q, text))
 
 
 def parse_dim_vector(text: str, k: int) -> tuple[int, ...]:

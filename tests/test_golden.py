@@ -1,9 +1,11 @@
-"""Byte-for-byte guard on the `derham` and `karoubi` JSON reports.
+"""Byte-for-byte guard on the `derham`, `karoubi` and `bracket` reports.
 
 The reports under ``tests/golden/`` were written by the command line for
-four quivers at ``--max-length 4``, on the double and with ``--base``.  Any
-change to a dimension, to the table layout or to schema ``necklace-kit/1``
-shows up here as a byte difference.
+four quivers at ``--max-length 4``, on the double and with ``--base``, and
+for seven necklace pairs on the Calogero and two-loop quivers (stdout as
+``.txt``, the JSON report as ``.json``).  Any change to a dimension, a
+bracket term or coefficient, to the table layout or to schema
+``necklace-kit/1`` shows up here as a byte difference.
 
 Regenerate them (only when a report is meant to change, and say so in
 CHANGES.md) with ``PYTHONPATH=src python3 tests/test_golden.py``.
@@ -27,20 +29,48 @@ CASES = [
     for command in COMMANDS
     for base in (False, True)
 ]
+# (quiver, w1, w2): coefficients other than ±1, zero brackets (equal
+# classes, disjoint arrows) and a sign from the antisymmetric part
+BRACKETS = [
+    ("calogero", "a b a*", "b* b*"),
+    ("calogero", "a a*", "a* a"),
+    ("calogero", "b b a* a", "b* b* b*"),
+    ("two_loops", "x x", "x* x*"),
+    ("two_loops", "x x", "y y"),
+    ("two_loops", "x y", "x* y*"),
+    ("two_loops", "x y x* y*", "y x"),
+]
 
 
 def report_name(name: str, command: str, base: bool) -> str:
     return f"{name}-{command}{'-base' if base else ''}.json"
 
 
+def bracket_name(index: int) -> str:
+    return f"{BRACKETS[index][0]}-bracket-{index}"
+
+
+def run(argv: list[str]) -> str:
+    """Run the command line and return its stdout."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    if code != 0:
+        raise RuntimeError(f"{argv} exited with {code}")
+    return stdout.getvalue()
+
+
 def write_report(name: str, command: str, base: bool, out: Path) -> None:
     argv = [command, str(GOLDEN / f"{name}.quiver"), "--max-length", "4", "--json", str(out)]
     if base:
         argv.append("--base")
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv)
-    if code != 0:
-        raise RuntimeError(f"{argv} exited with {code}")
+    run(argv)
+
+
+def write_bracket(index: int, out: Path) -> str:
+    name, w1, w2 = BRACKETS[index]
+    quiver = str(GOLDEN / f"{name}.quiver")
+    return run(["bracket", quiver, "--w1", w1, "--w2", w2, "--json", str(out)])
 
 
 @pytest.mark.parametrize("name, command, base", CASES)
@@ -50,6 +80,20 @@ def test_report_is_byte_identical(name, command, base, tmp_path):
     assert out.read_bytes() == (GOLDEN / report_name(name, command, base)).read_bytes()
 
 
+@pytest.mark.parametrize("index", range(len(BRACKETS)), ids=bracket_name)
+def test_bracket_is_byte_identical(index, tmp_path):
+    out = tmp_path / "report.json"
+    stdout = write_bracket(index, out)
+    golden = GOLDEN / bracket_name(index)
+    assert stdout.encode() == golden.with_suffix(".txt").read_bytes()
+    assert out.read_bytes() == golden.with_suffix(".json").read_bytes()
+
+
 if __name__ == "__main__":
     for case in CASES:
         write_report(*case, GOLDEN / report_name(*case))
+    for index in range(len(BRACKETS)):
+        golden = GOLDEN / bracket_name(index)
+        golden.with_suffix(".txt").write_bytes(
+            write_bracket(index, golden.with_suffix(".json")).encode()
+        )

@@ -1,14 +1,18 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from necklacekit import (
+    FormBasisElement,
+    FormSum,
     NecklaceSum,
     NecklaceWord,
     Path,
     PathSum,
     canonical_necklace,
     compose,
+    kontsevich_bracket,
     moment_element,
     partial_derivative,
     project_to_necklaces,
@@ -176,3 +180,54 @@ def test_moment_element(calogero, calogero_double, one_loop):
     assert moment_element(Quiver(1, ())).is_zero()
     m_loop = moment_element(one_loop)
     assert len(m_loop) == 2
+
+
+def test_coefficients_are_exact(calogero_double):
+    a = Path.of_arrow(calogero_double, "a")
+    half = PathSum.of(a, 0.5)
+    assert half.coefficient(a) == Fraction(1, 2)
+    assert type(half.coefficient(a)) is Fraction
+    word = NecklaceWord(calogero_double, ("b",))
+    third = NecklaceSum([(word, "1/3")])
+    assert third.coefficient(word) == Fraction(1, 3)
+    assert type(third.coefficient(word)) is Fraction
+    elt = FormBasisElement(a, ())
+    quarter = FormSum.of(elt, 0.25)
+    assert quarter.coefficient(elt) == Fraction(1, 4)
+    assert type(quarter.coefficient(elt)) is Fraction
+    assert (2 * half).coefficient(a) == 1
+
+
+def test_int_and_fraction_coefficients_agree(calogero_double):
+    a = Path.of_arrow(calogero_double, "a")
+    assert PathSum.of(a, Fraction(2)) == PathSum.of(a, 2)
+    assert hash(PathSum.of(a, Fraction(2))) == hash(PathSum.of(a, 2))
+    assert PathSum.of(a, Fraction(1, 2)) + PathSum.of(a, Fraction(1, 2)) == PathSum.of(a)
+
+
+def test_integer_products_stay_int(calogero_double):
+    a = Path.of_arrow(calogero_double, "a")
+    b = Path.of_arrow(calogero_double, "b")
+    product = PathSum.of(b, 3) * PathSum.of(a, 2)
+    assert all(type(c) is int for _, c in product.terms())
+    assert product.coefficient(Path(calogero_double, ("a", "b"))) == 6
+    forms = FormSum.of(FormBasisElement(b, ()), -2) * FormSum.of(FormBasisElement(a, ()), 5)
+    assert [type(c) for _, c in forms.terms()] == [int]
+    bracket = kontsevich_bracket(
+        NecklaceWord(calogero_double, ("b", "b")), NecklaceWord(calogero_double, ("b*", "b*"))
+    )
+    assert [(str(w), c) for w, c in bracket.terms()] == [("[b b*]", 4)]
+    assert all(type(c) is int for _, c in bracket.terms())
+
+
+def test_path_and_necklace_messages(calogero_double):
+    with pytest.raises(ValueError, match="'b' ends at vertex 2 but 'a' starts at vertex 1"):
+        Path(calogero_double, ("b", "a"))
+    with pytest.raises(ValueError, match=r"vertex 3 out of range 1\.\.2"):
+        Path.trivial(calogero_double, 3)
+    with pytest.raises(ValueError, match=r"vertex 3 out of range 1\.\.2"):
+        NecklaceWord.vertex_class(calogero_double, 3)
+    with pytest.raises(ValueError, match="not closed: starts at vertex 1, ends at vertex 2"):
+        NecklaceWord(calogero_double, ("a",))
+    with pytest.raises(ValueError, match="not closed: starts at vertex 1, ends at vertex 2"):
+        canonical_necklace(Path.of_arrow(calogero_double, "a"))

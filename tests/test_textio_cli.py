@@ -47,6 +47,8 @@ def test_parse_quiver_text():
 def test_parse_quiver_errors_carry_line_numbers():
     with pytest.raises(QuiverFormatError, match=":2:.*reserved star suffix"):
         parse_quiver_text("vertices: 1\narrows: a* 1 1\n")
+    with pytest.raises(QuiverFormatError, match=":3:.*reserved star suffix"):
+        parse_quiver_text("vertices: 2\narrows: a 1 2\narrows: b* 2 1\n")
     with pytest.raises(QuiverFormatError, match=":3:.*duplicate"):
         parse_quiver_text("vertices: 2\narrows: a 1 2\narrows: a 2 1\n")
     with pytest.raises(QuiverFormatError, match=":2:.*outside"):
