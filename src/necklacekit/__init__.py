@@ -100,7 +100,6 @@ from .strata import (
     TwoAlphaCheck,
     classify,
     coadjoint_verdict,
-    decompositions,
     delta_lambda,
     ext1_dim,
     local_quiver,

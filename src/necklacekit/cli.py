@@ -357,57 +357,38 @@ def cmd_bracket(q: Quiver, args) -> dict:
     return report
 
 
-def _graded_table(q: Quiver, args, value_fn) -> list[dict]:
-    return [
-        {"degree": degree, "length": length, "dim": value_fn(q, degree, length)}
+def _graded_table(q: Quiver, args, title: str, value) -> dict:
+    """The report of ``derham`` or ``karoubi``: value(quiver, degree, length,
+    caps) for every degree and length up to the caps."""
+    target = q if args.base else double(q)
+    caps = {"degree_cap": args.max_degree, "length_cap": args.max_length}
+    table = [
+        {"degree": degree, "length": length, "dim": value(target, degree, length, **caps)}
         for degree in range(0, args.max_degree + 1)
         for length in range(0, args.max_length + 1)
     ]
+    report = {
+        "schema": SCHEMA,
+        "command": args.command,
+        "quiver": _quiver_json(q),
+        "on_double": not args.base,
+        "table": table,
+    }
+    print(f"{title} (degree, length, dim):")
+    for row in table:
+        print(f"  {row['degree']:>2} {row['length']:>2} {row['dim']:>4}")
+    return report
 
 
 def cmd_derham(q: Quiver, args) -> dict:
-    target = q if args.base else double(q)
-
-    def value(quiver, degree, length):
-        return forms.graded_homology_dim(
-            quiver, degree, length, degree_cap=args.max_degree, length_cap=args.max_length
-        )
-
-    table = _graded_table(target, args, value)
-    report = {
-        "schema": SCHEMA,
-        "command": "derham",
-        "quiver": _quiver_json(q),
-        "on_double": not args.base,
-        "table": table,
-    }
-    print("graded homology dimensions (degree, length, dim):")
-    for row in table:
-        print(f"  {row['degree']:>2} {row['length']:>2} {row['dim']:>4}")
-    return report
+    return _graded_table(q, args, "graded homology dimensions", forms.graded_homology_dim)
 
 
 def cmd_karoubi(q: Quiver, args) -> dict:
-    target = q if args.base else double(q)
+    def dim(*key, **caps):
+        return forms.karoubi_dim(*key, **caps)[0]
 
-    def value(quiver, degree, length):
-        dim, _ = forms.karoubi_dim(
-            quiver, degree, length, degree_cap=args.max_degree, length_cap=args.max_length
-        )
-        return dim
-
-    table = _graded_table(target, args, value)
-    report = {
-        "schema": SCHEMA,
-        "command": "karoubi",
-        "quiver": _quiver_json(q),
-        "on_double": not args.base,
-        "table": table,
-    }
-    print("commutator-quotient dimensions (degree, length, dim):")
-    for row in table:
-        print(f"  {row['degree']:>2} {row['length']:>2} {row['dim']:>4}")
-    return report
+    return _graded_table(q, args, "commutator-quotient dimensions", dim)
 
 
 def cmd_moment(q: Quiver, args) -> dict:

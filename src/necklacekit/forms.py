@@ -10,6 +10,11 @@ if it still satisfies those constraints.
 Everything is graded by (degree, total path length) and the grading is
 preserved by the differential, products, contraction and Lie derivative,
 so each graded piece is a finite-dimensional exact-rational vector space.
+The contraction i_theta is written out term by term, the Lie derivative
+comes from Cartan's formula L_theta = d i_theta + i_theta d, and a 1-form
+is reduced to dR1 by the closed form of the cyclic Leibniz rule:
+p0 d(a_1 ... a_m) has the class sum_j [p_j da_j], p_j the rest of the
+cycle p0.p1, read from the end of a_j round to its start.
 
 The graded dimension counts (omega_basis, graded_homology_dim, karoubi_dim,
 karoubi_homology_dim, in_commutator_span) do not multiply FormSums: they
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterator
 
 from .linalg import RowReducer
@@ -33,6 +39,7 @@ from .paths import (
     PathSum,
     Scalar,
     _add_term,
+    _encoding,
     _format_sum,
     concat,
     necklaces_of_length,
@@ -165,77 +172,63 @@ def d_of_path_sum(x: PathSum) -> FormSum:
 
 
 def contract(theta: Derivation, x: FormSum) -> FormSum:
-    """The degree -1 super-derivation with i(a) = 0 and i(da) = theta(a)."""
-    total = FormSum.zero()
+    """The degree -1 super-derivation with i(a) = 0 and i(da) = theta(a).
+
+    On p0 dp1 ... dpn it is the sum over i of (-1)^(i-1) p0 dp1 ... dp(i-1)
+    theta(pi) dp(i+1) ... dpn.  Moving a path r of theta(pi) left by
+    dp.r = d(pr) - p dr fuses one adjacent pair of p0, p1, ..., p(i-1), r;
+    fusing the pair starting at pj gives the sign (-1)^j, and the pairs
+    before p(i-1) leave r in a differential slot, so they need len(r) >= 1.
+    """
+    acc: dict[FormBasisElement, Scalar] = {}
     for elt, coeff in x.terms():
-        n = elt.degree
-        for i in range(1, n + 1):
-            replaced = form_of(theta(elt.tails[i - 1]))
-            if replaced.is_zero():
-                continue
-            term = FormSum.of(FormBasisElement(elt.lead, elt.tails[: i - 1])) * replaced
-            rest = elt.tails[i:]
-            if rest:
-                suffix = FormSum.of(
-                    FormBasisElement(Path.trivial(elt.quiver, rest[0].target), rest)
-                )
-                term = term * suffix
-            sign = coeff if i % 2 == 1 else -coeff
-            total = total + sign * term
-    return total
+        entries = (elt.lead,) + elt.tails
+        for i in range(1, len(entries)):
+            rest = entries[i + 1 :]
+            for r, c in theta(entries[i]).terms():
+                head = entries[:i] + (r,)
+                for j in range(0 if r.arrows else i - 1, i):
+                    fused = head[:j] + (concat(head[j], head[j + 1]),) + head[j + 2 :] + rest
+                    _add_term(
+                        acc,
+                        FormBasisElement(fused[0], fused[1:]),
+                        coeff * c if j % 2 == 0 else -coeff * c,
+                    )
+    return FormSum._of_terms(acc)
 
 
 def lie_derivative(theta: Derivation, x: FormSum) -> FormSum:
-    """The degree-0 derivation with L(a) = theta(a) and L(da) = d theta(a)."""
-    total = FormSum.zero()
-    for elt, coeff in x.terms():
-        n = elt.degree
-        tails = elt.tails
-        lead_image = theta(elt.lead)
-        if not lead_image.is_zero():
-            term = form_of(lead_image)
-            if tails:
-                term = term * FormSum.of(
-                    FormBasisElement(Path.trivial(elt.quiver, tails[0].target), tails)
-                )
-            total = total + coeff * term
-        for i in range(1, n + 1):
-            replaced = d_of_path_sum(theta(tails[i - 1]))
-            if replaced.is_zero():
-                continue
-            term = FormSum.of(FormBasisElement(elt.lead, tails[: i - 1])) * replaced
-            rest = tails[i:]
-            if rest:
-                term = term * FormSum.of(
-                    FormBasisElement(Path.trivial(elt.quiver, rest[0].target), rest)
-                )
-            total = total + coeff * term
-    return total
+    """The degree-0 derivation with L(a) = theta(a) and L(da) = d theta(a).
+
+    Computed by Cartan's formula L = d i + i d: both sides are degree-0
+    derivations of the form algebra that agree on e_i, a and da.
+    """
+    return differential(contract(theta, x)) + contract(theta, differential(x))
 
 
 def symplectic_form(q: Quiver) -> FormSum:
-    """The canonical 2-form sum_a da* da of a double quiver."""
+    """The canonical 2-form sum_a da* da of a double quiver, built from its
+    terms: each product da* da is the basis element e_{s(a)} da* da."""
     dq = double_of(q)
-    total = FormSum.zero()
+    terms = {}
     for arr in dq.base_arrows:
-        da = d_of_path_sum(PathSum.of(Path.of_arrow(dq, arr.label)))
-        da_star = d_of_path_sum(PathSum.of(Path.of_arrow(dq, dq.star(arr.label))))
-        total = total + da_star * da
-    return total
+        tails = (Path.of_arrow(dq, dq.star(arr.label)), Path.of_arrow(dq, arr.label))
+        terms[FormBasisElement(Path.trivial(dq, arr.source), tails)] = 1
+    return FormSum._of_terms(terms)
 
 
 # ---------------------------------------------------------------------------
 # graded bases and exact dimension counts
 #
-# These run on an integer encoding kept in one store per quiver instance.
-# Arrows are numbered in sorted-label order, and a path of length >= 1 is
-# the tuple of its arrow numbers in traversal order, so encoded paths
-# compare as their label tuples do and every basis keeps the order of
-# omega_basis.  A basis element p0 dp1 ... dpn is the tuple of its encoded
-# entries, a trivial lead being the empty tuple (its vertex is the target
-# of p1); the vertex elements e_v of the (0, 0) piece, the only elements
-# without an arrow, are encoded as the vertex number v.  d sends an element
-# with a nonempty lead to ((),) + element and the others to 0.
+# These run on one store per quiver instance, over the quiver's path
+# encoding (paths._Encoding): a path of length >= 1 is the tuple of its
+# arrow numbers in traversal order, arrows numbered in sorted-label order,
+# so encoded paths compare as their label tuples do and every basis keeps
+# the order of omega_basis.  A basis element p0 dp1 ... dpn is the tuple of
+# its encoded entries, a trivial lead being the empty tuple (its vertex is
+# the target of p1); the vertex elements e_v of the (0, 0) piece, the only
+# elements without an arrow, are encoded as the vertex number v.  d sends
+# an element with a nonempty lead to ((),) + element and the others to 0.
 #
 # The commutator subspace [Ω, Ω] is spanned by the supercommutators [s, ω]
 # of the generators s = e_i, a, da with basis elements ω, by the identity
@@ -262,22 +255,15 @@ def _check_caps(degree: int, length: int, degree_cap: int, length_cap: int) -> N
         )
 
 
-def _compositions(total: int, count: int) -> Iterator[tuple[int, ...]]:
-    """Splittings total = l0 + l1 + ... + lcount with l0 >= 0 and li >= 1."""
-    if count == 0:
-        yield (total,)
-        return
-    for l0 in range(0, total - count + 1):
-        yield from ((l0,) + rest for rest in _positive_compositions(total - l0, count))
-
-
-def _positive_compositions(total: int, count: int) -> Iterator[tuple[int, ...]]:
-    if count == 1:
-        yield (total,)
-        return
-    for first in range(1, total - count + 2):
-        for rest in _positive_compositions(total - first, count - 1):
-            yield (first,) + rest
+def _cuts(length: int, degree: int) -> Iterator[list[tuple[int, int]]]:
+    """Slice bounds of lead, tail 1, ..., tail n in an encoded path of the
+    given length, the lead at its end, for every splitting length = l0 + l1
+    + ... + ln with l0 >= 0 and li >= 1, lexicographically.  The partial
+    sums l0 + ... + lk order the splittings as the splittings themselves."""
+    for l0 in range(length - degree + 1):
+        for inner in combinations(range(l0 + 1, length), degree - 1):
+            sums = (0, l0) + inner + (length,)
+            yield [(length - b, length - a) for a, b in zip(sums, sums[1:])]
 
 
 class _Piece:
@@ -312,34 +298,12 @@ class _FormsStore:
     (see _store), so they are released with it."""
 
     def __init__(self, q: Quiver) -> None:
-        arrows = sorted(q.arrows, key=lambda a: a.label)
         self.vertex_count = q.vertex_count
-        self.labels = tuple(a.label for a in arrows)
-        self.arrow_index = {label: i for i, label in enumerate(self.labels)}
-        self.source = tuple(a.source for a in arrows)
-        self.target = tuple(a.target for a in arrows)
-        self._leaving = {
-            v: tuple(i for i, s in enumerate(self.source) if s == v) for v in q.vertices
-        }
-        self._words: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self.encoding = _encoding(q)
         self._pieces: dict[tuple[int, int], _Piece] = {}
         self._commutators: dict[tuple[int, int], RowReducer] = {}
         self._d_ranks: dict[tuple[int, int], int] = {}
         self._decoded: dict[tuple[int, int], tuple[FormBasisElement, ...]] = {}
-
-    def words(self, length: int) -> tuple[tuple[int, ...], ...]:
-        """Encoded paths of a length >= 1, in increasing order."""
-        words = self._words.get(length)
-        if words is None:
-            if length == 1:
-                words = tuple((i,) for i in range(len(self.labels)))
-            else:
-                target, leaving = self.target, self._leaving
-                words = tuple(
-                    w + (i,) for w in self.words(length - 1) for i in leaving[target[w[-1]]]
-                )
-            self._words[length] = words
-        return words
 
     def piece(self, degree: int, length: int) -> _Piece:
         piece = self._pieces.get((degree, length))
@@ -349,28 +313,16 @@ class _FormsStore:
             if degree == 0 and length == 0:
                 basis: tuple = tuple(range(1, self.vertex_count + 1))
             elif degree == 0:
-                basis = tuple((w,) for w in self.words(length))
-            elif length < degree:
-                basis = ()
+                basis = tuple((w,) for w in self.encoding.words(length))
             else:
                 basis = tuple(
-                    code
-                    for split in _compositions(length, degree)
-                    for code in self._split_words(length, split)
+                    tuple(w[a:b] for a, b in bounds)
+                    for bounds in _cuts(length, degree)
+                    for w in self.encoding.words(length)
                 )
-            piece = _Piece(basis, self.source, self.target)
+            piece = _Piece(basis, self.encoding.source, self.encoding.target)
             self._pieces[(degree, length)] = piece
         return piece
-
-    def _split_words(self, length: int, split: tuple[int, ...]) -> Iterator[tuple]:
-        """Each path cut into lead, tail 1, ..., tail n, the lead at its end."""
-        bounds = []
-        end = length
-        for size in split:
-            bounds.append((end - size, end))
-            end -= size
-        for w in self.words(length):
-            yield tuple(w[a:b] for a, b in bounds)
 
     def d_rank(self, degree: int, length: int) -> int:
         """Rank of d on the (degree, length) piece."""
@@ -400,7 +352,7 @@ class _FormsStore:
     def _commutator_rows(self, degree: int, length: int, index: dict) -> Iterator[dict]:
         """[a, ω] and, in positive degree, [da, ω] for every arrow a and every
         basis element ω from target(a) to source(a), as coordinate rows."""
-        for a, (s_a, t_a) in enumerate(zip(self.source, self.target)):
+        for a, (s_a, t_a) in enumerate(zip(self.encoding.source, self.encoding.target)):
             arrow = (a,)
             for w in self.piece(degree, length - 1).by_ends.get((t_a, s_a), ()):
                 # a.w - w.a, where w.a fuses each adjacent pair of w, a
@@ -436,16 +388,15 @@ class _FormsStore:
     def decode(self, q: Quiver, code) -> FormBasisElement:
         if type(code) is int:
             return FormBasisElement(Path.trivial(q, code), ())
-        labels = self.labels
-        paths = [Path(q, tuple(labels[i] for i in entry)) if entry else None for entry in code]
+        paths = [Path(q, self.encoding.decode(entry)) if entry else None for entry in code]
         if paths[0] is None:
-            paths[0] = Path.trivial(q, self.target[code[1][-1]])
+            paths[0] = Path.trivial(q, self.encoding.target[code[1][-1]])
         return FormBasisElement(paths[0], tuple(paths[1:]))
 
     def encode(self, elt: FormBasisElement):
         if not elt.tails and not elt.lead.arrows:
             return elt.lead.vertex
-        arrow_index = self.arrow_index
+        arrow_index = self.encoding.arrow_index
         return tuple(
             tuple(arrow_index[label] for label in p.arrows) for p in (elt.lead,) + elt.tails
         )
@@ -581,37 +532,26 @@ def is_symplectic(
 def reduce_to_dr1(x: FormSum) -> FormSum:
     """Rewrite a 1-form into the quotient basis of classes p da with p.a closed.
 
-    Uses the rewriting q d(rp) = pq dr + qr dp to shorten differential slots,
-    then drops the classes p da where p.a is not a cycle.
+    By the cyclic Leibniz rule q d(rp) = pq dr + qr dp, the class of
+    p0 d(a_1 ... a_m) (arrows in traversal order) is the sum over j of
+    p_j da_j, where p_j traverses a_{j+1} ... a_m, then p0, then
+    a_1 ... a_{j-1}, and is a vertex when that is empty.  The class is 0
+    unless p0.p1 is closed, which holds exactly when each p_j.a_j is.
     """
     acc: dict[FormBasisElement, Scalar] = {}
     for elt, coeff in x.terms():
         if elt.degree != 1:
             raise ValueError("reduce_to_dr1 expects a homogeneous 1-form")
-        for (p0, arrow_path), c in _dr1_terms(elt.lead, elt.tails[0]).items():
-            _add_term(acc, FormBasisElement(p0, (arrow_path,)), coeff * c)
+        p0, (p1,) = elt.lead, elt.tails
+        if p0.target != p1.source:
+            continue
+        q, arrows = p0.quiver, p1.arrows
+        for j, label in enumerate(arrows):
+            arrow = Path.of_arrow(q, label)
+            around = arrows[j + 1 :] + p0.arrows + arrows[:j]
+            p = Path(q, around) if around else Path.trivial(q, arrow.target)
+            _add_term(acc, FormBasisElement(p, (arrow,)), coeff)
     return FormSum._of_terms(acc)
-
-
-def _dr1_terms(p0: Path, p1: Path) -> dict[tuple[Path, Path], int]:
-    q = p0.quiver
-    if p1.length == 1:
-        product = concat(p0, p1)
-        if product is not None and product.is_cycle():
-            return {(p0, p1): 1}
-        return {}
-    first = Path.of_arrow(q, p1.arrows[0])
-    rest = Path(q, p1.arrows[1:])
-    out: dict[tuple[Path, Path], int] = {}
-    left = concat(first, p0)
-    if left is not None:
-        for key, c in _dr1_terms(left, rest).items():
-            _add_term(out, key, c)
-    right = concat(p0, rest)
-    if right is not None:
-        for key, c in _dr1_terms(right, first).items():
-            _add_term(out, key, c)
-    return out
 
 
 def tau(theta: Derivation) -> FormSum:

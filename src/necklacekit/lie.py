@@ -31,13 +31,13 @@ def kontsevich_bracket(
     quiver = _common_quiver(s1, s2)
     if quiver is None:
         return NecklaceSum.zero()
-    total = PathSum.zero()
+    parts = []
     for arr in quiver.base_arrows:
         a = arr.label
         a_star = quiver.star(a)
-        total = total + partial_derivative(s1, a) * partial_derivative(s2, a_star)
-        total = total - partial_derivative(s1, a_star) * partial_derivative(s2, a)
-    return project_to_necklaces(total)
+        parts.append(partial_derivative(s1, a) * partial_derivative(s2, a_star))
+        parts.append(-(partial_derivative(s1, a_star) * partial_derivative(s2, a)))
+    return project_to_necklaces(PathSum._sum(parts))
 
 
 def _common_quiver(s1: NecklaceSum, s2: NecklaceSum) -> DoubleQuiver | None:

@@ -138,6 +138,15 @@ class LinearCombination:
         return result
 
     @classmethod
+    def _sum(cls, parts: Iterable["LinearCombination"]):
+        """The sum of combinations of this class, accumulated in one pass."""
+        acc: dict = {}
+        for part in parts:
+            for key, coeff in part._terms.items():
+                _add_term(acc, key, coeff)
+        return cls._of_terms(acc)
+
+    @classmethod
     def zero(cls):
         return cls._of_terms({})
 
@@ -273,7 +282,7 @@ class NecklaceWord:
         return f"NecklaceWord({self})"
 
 
-def _min_rotation(labels: tuple[str, ...]) -> tuple[str, ...]:
+def _min_rotation(labels: tuple) -> tuple:
     return min(labels[i:] + labels[:i] for i in range(len(labels)))
 
 
@@ -311,10 +320,7 @@ def partial_derivative(w: NecklaceWord | NecklaceSum, label: str) -> PathSum:
     all partials zero.
     """
     if isinstance(w, NecklaceSum):
-        total = PathSum.zero()
-        for word, coeff in w.terms():
-            total = total + coeff * partial_derivative(word, label)
-        return total
+        return PathSum._sum(coeff * partial_derivative(word, label) for word, coeff in w.terms())
     arr = w.quiver.arrow(label)
     if not w.arrows:
         return PathSum.zero()
@@ -335,12 +341,13 @@ def partial_derivative(w: NecklaceWord | NecklaceSum, label: str) -> PathSum:
 def moment_element(q: Quiver) -> PathSum:
     """The element sum_a (a a* - a* a) of the doubled path algebra."""
     dq = double_of(q)
-    total = PathSum.zero()
-    for arr in dq.base_arrows:
-        a = Path.of_arrow(dq, arr.label)
-        astar = Path.of_arrow(dq, dq.star(arr.label))
-        total = total + compose(a, astar) - compose(astar, a)
-    return total
+    pairs = [(arr.label, dq.star(arr.label)) for arr in dq.base_arrows]
+    # a a* traverses a* first
+    return PathSum(
+        term
+        for a, a_star in pairs
+        for term in ((Path(dq, (a_star, a)), 1), (Path(dq, (a, a_star)), -1))
+    )
 
 
 class Derivation:
@@ -378,30 +385,17 @@ class Derivation:
 
     def __call__(self, x: Path | PathSum) -> PathSum:
         if isinstance(x, Path):
-            if not x.arrows:
-                return PathSum.zero()
-            total = PathSum.zero()
-            labels = x.arrows
-            for j, lab in enumerate(labels):
-                image = self.images[lab]
-                if image.is_zero():
-                    continue
-                prefix = (
-                    PathSum.of(Path(x.quiver, labels[:j]))
-                    if j
-                    else PathSum.of(Path.trivial(x.quiver, x.source))
-                )
-                suffix = (
-                    PathSum.of(Path(x.quiver, labels[j + 1 :]))
-                    if j + 1 < len(labels)
-                    else PathSum.of(Path.trivial(x.quiver, x.target))
-                )
-                total = total + suffix * image * prefix
-            return total
-        total = PathSum.zero()
-        for path, coeff in x.terms():
-            total = total + coeff * self(path)
-        return total
+            # replace each arrow in turn by its image
+            foreign = x.quiver != self.quiver
+            terms = []
+            for j, label in enumerate(x.arrows):
+                for p, c in self.images[label].terms():
+                    if foreign:
+                        raise ValueError("paths live over different quivers")
+                    arrows = x.arrows[:j] + p.arrows + x.arrows[j + 1 :]
+                    terms.append((Path(x.quiver, arrows) if arrows else p, c))
+            return PathSum(terms)
+        return PathSum._sum(coeff * self(path) for path, coeff in x.terms())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Derivation):
@@ -450,35 +444,68 @@ def euler_derivation(dq: DoubleQuiver) -> Derivation:
     return Derivation(dq, {a.label: PathSum.of(Path.of_arrow(dq, a.label)) for a in dq.arrows})
 
 
+class _Encoding:
+    """The paths of one quiver as tuples of arrow numbers in traversal order.
+
+    Arrows are numbered in sorted-label order, so encoded paths compare as
+    their label tuples do.  Stored on the quiver instance (see _encoding),
+    so it is released with it.
+    """
+
+    def __init__(self, q: Quiver) -> None:
+        arrows = sorted(q.arrows, key=lambda a: a.label)
+        self.labels = tuple(a.label for a in arrows)
+        self.arrow_index = {label: i for i, label in enumerate(self.labels)}
+        self.source = tuple(a.source for a in arrows)
+        self.target = tuple(a.target for a in arrows)
+        self._leaving = {
+            v: tuple(i for i, s in enumerate(self.source) if s == v) for v in q.vertices
+        }
+        self._words: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self.paths: dict[int, tuple[Path, ...]] = {}
+
+    def words(self, length: int) -> tuple[tuple[int, ...], ...]:
+        """Encoded paths of a length >= 1, in increasing order."""
+        words = self._words.get(length)
+        if words is None:
+            if length == 1:
+                words = tuple((i,) for i in range(len(self.labels)))
+            else:
+                target, leaving = self.target, self._leaving
+                words = tuple(
+                    w + (i,) for w in self.words(length - 1) for i in leaving[target[w[-1]]]
+                )
+            self._words[length] = words
+        return words
+
+    def decode(self, word: tuple[int, ...]) -> tuple[str, ...]:
+        return tuple(self.labels[i] for i in word)
+
+
+def _encoding(q: Quiver) -> _Encoding:
+    encoding = q.__dict__.get("_path_encoding")
+    if encoding is None:
+        encoding = _Encoding(q)
+        object.__setattr__(q, "_path_encoding", encoding)
+    return encoding
+
+
 def paths_of_length(q: Quiver, length: int) -> tuple[Path, ...]:
     """All paths of the given length, in deterministic label-lexicographic order.
 
-    Computed once per quiver instance and length, and stored on the quiver.
+    Decoded once per quiver instance and length, and kept in its encoding.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
-    stored = q.__dict__.get("_paths_of_length")
-    if stored is None:
-        stored = {}
-        object.__setattr__(q, "_paths_of_length", stored)
-    paths = stored.get(length)
+    encoding = _encoding(q)
+    paths = encoding.paths.get(length)
     if paths is None:
-        paths = stored[length] = _paths_of_length(q, length)
+        if length == 0:
+            paths = tuple(Path.trivial(q, v) for v in q.vertices)
+        else:
+            paths = tuple(Path(q, encoding.decode(w)) for w in encoding.words(length))
+        encoding.paths[length] = paths
     return paths
-
-
-def _paths_of_length(q: Quiver, length: int) -> tuple[Path, ...]:
-    if length == 0:
-        return tuple(Path.trivial(q, v) for v in q.vertices)
-    if length == 1:
-        return tuple(Path.of_arrow(q, a.label) for a in sorted(q.arrows, key=lambda a: a.label))
-    shorter = paths_of_length(q, length - 1)
-    out = []
-    for p in shorter:
-        for arr in sorted(q.arrows, key=lambda a: a.label):
-            if arr.source == p.target:
-                out.append(Path(q, p.arrows + (arr.label,)))
-    return tuple(sorted(out, key=lambda p: p.arrows))
 
 
 def paths_between(q: Quiver, source: int, target: int, length: int) -> tuple[Path, ...]:
@@ -491,10 +518,12 @@ def necklaces_of_length(q: Quiver, length: int) -> tuple[NecklaceWord, ...]:
     """All necklace classes of the given length, deduplicated and sorted."""
     if length == 0:
         return tuple(NecklaceWord.vertex_class(q, v) for v in q.vertices)
+    encoding = _encoding(q)
+    source, target = encoding.source, encoding.target
     classes = {
-        canonical_necklace(p) for p in paths_of_length(q, length) if p.is_cycle()
+        _min_rotation(w) for w in encoding.words(length) if source[w[0]] == target[w[-1]]
     }
-    return tuple(sorted(classes, key=lambda w: w.arrows))
+    return tuple(NecklaceWord(q, encoding.decode(w)) for w in sorted(classes))
 
 
 def _format_sum(x: LinearCombination, key_str) -> str:

@@ -20,9 +20,9 @@ per call over the box 0 < beta <= alpha for a fixed (quiver, weight) pair
 decomposition of every remainder is computed once and shared by all the
 vectors of the box.  ``classify`` builds one table and runs the whole
 pipeline on it; ``two_alpha_nonsmooth`` called on its own adds a second one
-over the box of 2 alpha once alpha passes.  ``decompositions`` enumerates
-the same decompositions one by one; the library no longer uses it, and it
-stays public as the route the tests check the table against.
+over the box of 2 alpha once alpha passes.  The enumeration of every
+decomposition, the route the tests check the table against, lives in
+``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -70,30 +70,6 @@ def delta_lambda(
     lam = as_weight(q, lam)
     bound = as_dim_vector(q, bound)
     return _SigmaTable(q, lam, bound, entry_cap).hyperplane_roots()
-
-
-def decompositions(
-    q: Quiver,
-    alpha: Sequence[int],
-    lam: Sequence,
-    *,
-    entry_cap: int = ENTRY_CAP,
-) -> Iterator[Decomposition]:
-    """All ways to write alpha as a sum of at least two hyperplane roots.
-
-    Parts are drawn from the roots beta < alpha with lambda . beta = 0;
-    multisets are produced once each, by non-increasing selection over the
-    descending-lex ordering of the candidate parts.
-    """
-    alpha = as_dim_vector(q, alpha)
-    _check_entry_cap(alpha, entry_cap)
-    parts = [
-        beta
-        for beta in delta_lambda(q, lam, alpha, entry_cap=entry_cap)
-        if componentwise_lt(beta, alpha)
-    ]
-    parts.sort(reverse=True)
-    yield from _sum_multisets(parts, alpha, minimum_parts=2)
 
 
 def _sum_multisets(
@@ -158,13 +134,12 @@ _Best = tuple[int, Decomposition] | None
 class _SigmaTable:
     """Membership in the weak and strict sets for the vectors 0 < beta <= box.
 
-    The parts are the hyperplane roots of the box in descending lex order,
-    the order in which ``decompositions`` draws them.  ``_best(i, rest)``
-    is the largest p-value sum over the decompositions of ``rest`` into
-    parts[i:], with the first decomposition reaching it in the enumeration
-    order of ``_sum_multisets`` (multiplicities tried from the largest down
-    to 0, a later candidate kept only when its sum is strictly larger), so
-    the witnesses are those of a full enumeration.  A part lex above alpha
+    The parts are the hyperplane roots of the box in descending lex order.
+    ``_best(i, rest)`` is the largest p-value sum over the decompositions of
+    ``rest`` into parts[i:], with the first decomposition reaching it in the
+    enumeration order of ``_sum_multisets`` (multiplicities tried from the
+    largest down to 0, a later candidate kept only when its sum is strictly
+    larger), so the witnesses are those of a full enumeration.  A part lex above alpha
     never fits inside alpha and a part that does not fit can only be
     skipped, so the decompositions of a hyperplane root alpha are those of
     ``_best(index of alpha + 1, alpha)``; they have at least two parts,

@@ -7,9 +7,14 @@ rotation classes of explicitly enumerated cycles or by Burnside's lemma,
 membership in the weak and strict sets, minimality and representation types
 by enumerating every decomposition instead of the memoised table, the
 graded dimensions of the form algebra from FormSum products of every pair
-of basis elements, reduced by exact Fraction elimination, and the moment-map
-Jacobian one column at a time, each column the trace-projected image of one
-matrix unit, instead of from Kronecker blocks.
+of basis elements, reduced by exact Fraction elimination, derivations of
+the path algebra by path products, the contraction i_theta by FormSum
+products instead of term by term, the Lie derivative by expanding it on
+the generators of each basis element instead of by Cartan's formula, the
+reduction of 1-forms to dR1 by recursion on the differential slot instead
+of by its closed form, and the moment-map Jacobian one column at a time,
+each column the trace-projected image of one matrix unit, instead of from
+Kronecker blocks.
 """
 from __future__ import annotations
 
@@ -20,19 +25,25 @@ from typing import Mapping
 import numpy as np
 
 from necklacekit import (
+    Derivation,
     DoubleQuiver,
     FormBasisElement,
     FormSum,
     NecklaceSum,
     NecklaceWord,
     Path,
+    PathSum,
     Quiver,
     SigmaMembership,
     as_dim_vector,
     as_weight,
     classify_root,
-    decompositions,
+    componentwise_lt,
+    concat,
+    d_of_path_sum,
+    delta_lambda,
     differential,
+    form_of,
     in_fundamental_set,
     num_parameters,
     parameter_sum,
@@ -41,7 +52,8 @@ from necklacekit import (
     weight_pairing,
 )
 from necklacekit.numerics import _project_trace
-from necklacekit.roots import box_vectors
+from necklacekit.roots import ENTRY_CAP, box_vectors
+from necklacekit.strata import _sum_multisets
 
 
 def glue_bracket(w1: NecklaceWord, w2: NecklaceWord) -> NecklaceSum:
@@ -152,6 +164,25 @@ def count_necklaces_by_rotation(q: Quiver, length: int) -> int:
 
     extend(())
     return len(cycles)
+
+
+def decompositions(q: Quiver, alpha, lam, *, entry_cap: int = ENTRY_CAP):
+    """All ways to write alpha as a sum of at least two hyperplane roots.
+
+    Parts are drawn from the roots beta < alpha with lambda . beta = 0;
+    multisets are produced once each, by non-increasing selection over the
+    descending-lex ordering of the candidate parts.
+    """
+    alpha = as_dim_vector(q, alpha)
+    parts = sorted(
+        (
+            beta
+            for beta in delta_lambda(q, lam, alpha, entry_cap=entry_cap)
+            if componentwise_lt(beta, alpha)
+        ),
+        reverse=True,
+    )
+    yield from _sum_multisets(parts, alpha, minimum_parts=2)
 
 
 def sigma_membership_by_enumeration(q: Quiver, alpha, lam) -> SigmaMembership:
@@ -438,6 +469,99 @@ class AllPairsForms:
             self.commutators(degree, length).contains(self.vector(piece, degree, length))
             for (degree, length), piece in x.components().items()
         )
+
+
+def apply_derivation_by_products(theta: Derivation, x: PathSum) -> PathSum:
+    """theta(x) by the Leibniz rule as path-algebra products: arrow j of a
+    path contributes suffix . theta(a_j) . prefix."""
+    total = PathSum.zero()
+    for path, coeff in x.terms():
+        q, labels = path.quiver, path.arrows
+        for j, label in enumerate(labels):
+            prefix = Path(q, labels[:j]) if j else Path.trivial(q, path.source)
+            rest = labels[j + 1 :]
+            suffix = Path(q, rest) if rest else Path.trivial(q, path.target)
+            image = PathSum.of(suffix) * theta.of_arrow(label) * PathSum.of(prefix)
+            total = total + coeff * image
+    return total
+
+
+def contract_by_products(theta: Derivation, x: FormSum) -> FormSum:
+    """i_theta as FormSum products: slot i of p0 dp1 ... dpn contributes
+    (-1)^(i-1) (p0 dp1 ... dp(i-1)) . theta(pi) . (dp(i+1) ... dpn)."""
+    total = FormSum.zero()
+    for elt, coeff in x.terms():
+        for i in range(1, elt.degree + 1):
+            replaced = form_of(theta(elt.tails[i - 1]))
+            if replaced.is_zero():
+                continue
+            term = FormSum.of(FormBasisElement(elt.lead, elt.tails[: i - 1])) * replaced
+            rest = elt.tails[i:]
+            if rest:
+                suffix = FormSum.of(
+                    FormBasisElement(Path.trivial(elt.quiver, rest[0].target), rest)
+                )
+                term = term * suffix
+            total = total + (coeff if i % 2 == 1 else -coeff) * term
+    return total
+
+
+def lie_derivative_by_generators(theta: Derivation, x: FormSum) -> FormSum:
+    """L_theta by the Leibniz rule on p0 dp1 ... dpn: theta(p0) dp1 ... dpn
+    plus, for each slot, p0 dp1 ... d(theta(pi)) ... dpn."""
+    total = FormSum.zero()
+    for elt, coeff in x.terms():
+        tails = elt.tails
+
+        def suffix(rest: tuple[Path, ...]) -> FormSum:
+            return FormSum.of(FormBasisElement(Path.trivial(elt.quiver, rest[0].target), rest))
+
+        lead_image = theta(elt.lead)
+        if not lead_image.is_zero():
+            term = form_of(lead_image)
+            if tails:
+                term = term * suffix(tails)
+            total = total + coeff * term
+        for i in range(1, elt.degree + 1):
+            replaced = d_of_path_sum(theta(tails[i - 1]))
+            if replaced.is_zero():
+                continue
+            term = FormSum.of(FormBasisElement(elt.lead, tails[: i - 1])) * replaced
+            if tails[i:]:
+                term = term * suffix(tails[i:])
+            total = total + coeff * term
+    return total
+
+
+def reduce_to_dr1_by_recursion(x: FormSum) -> FormSum:
+    """The dR1 class of a 1-form by the rewriting q d(rp) = pq dr + qr dp,
+    which shortens the differential slot one arrow at a time, dropping the
+    classes p da where p.a is not a cycle."""
+    total = FormSum.zero()
+    for elt, coeff in x.terms():
+        if elt.degree != 1:
+            raise ValueError("reduce_to_dr1 expects a homogeneous 1-form")
+        for (p0, arrow_path), c in _dr1_by_recursion(elt.lead, elt.tails[0]).items():
+            total = total + coeff * c * FormSum.of(FormBasisElement(p0, (arrow_path,)))
+    return total
+
+
+def _dr1_by_recursion(p0: Path, p1: Path) -> dict[tuple[Path, Path], int]:
+    q = p0.quiver
+    if p1.length == 1:
+        product = concat(p0, p1)
+        if product is not None and product.is_cycle():
+            return {(p0, p1): 1}
+        return {}
+    first = Path.of_arrow(q, p1.arrows[0])
+    rest = Path(q, p1.arrows[1:])
+    out: dict[tuple[Path, Path], int] = {}
+    for lead, slot in ((concat(first, p0), rest), (concat(p0, rest), first)):
+        if lead is None:
+            continue
+        for key, c in _dr1_by_recursion(lead, slot).items():
+            out[key] = out.get(key, 0) + c
+    return out
 
 
 def jacobian_by_columns(

@@ -41,7 +41,12 @@ from necklacekit import (
 from necklacekit.roots import box_vectors
 
 from conftest import random_derivation, random_form, random_necklace
-from oracles import count_necklaces_by_rotation, glue_bracket, roots_by_orbit_closure
+from oracles import (
+    count_necklaces_by_rotation,
+    glue_bracket,
+    lie_derivative_by_generators,
+    roots_by_orbit_closure,
+)
 
 CALOGERO = Quiver(2, (Arrow("a", 1, 2), Arrow("b", 2, 2)))
 CALOGERO_D = double(CALOGERO)
@@ -179,6 +184,7 @@ def test_criterion_07_cartan_calculus():
             assert lie_derivative(theta, x) == contract(theta, differential(x)) + differential(
                 contract(theta, x)
             )
+            assert lie_derivative(theta, x) == lie_derivative_by_generators(theta, x)
             bracket = derivation_commutator(theta, gamma)
             assert contract(bracket, x) == lie_derivative(theta, contract(gamma, x)) - contract(
                 gamma, lie_derivative(theta, x)

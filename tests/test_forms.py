@@ -4,6 +4,7 @@ import pytest
 
 from necklacekit import (
     BoundExceeded,
+    Derivation,
     FormBasisElement,
     FormSum,
     NecklaceWord,
@@ -12,6 +13,7 @@ from necklacekit import (
     contract,
     d_of_path_sum,
     differential,
+    double,
     dr0_dimension,
     euler_derivation,
     form_of,
@@ -30,8 +32,20 @@ from necklacekit import (
     zero_derivation,
 )
 
-from conftest import random_derivation, random_form, random_necklace, random_path_sum
-from oracles import count_necklaces_by_rotation
+from conftest import (
+    random_derivation,
+    random_form,
+    random_fraction,
+    random_necklace,
+    random_path_sum,
+    random_quiver,
+)
+from oracles import (
+    contract_by_products,
+    count_necklaces_by_rotation,
+    lie_derivative_by_generators,
+    reduce_to_dr1_by_recursion,
+)
 
 
 def _d_arrow(dq, label):
@@ -157,6 +171,7 @@ def test_cartan_homotopy_and_operator_identities(calogero_double):
         assert lie_derivative(theta, x) == contract(theta, differential(x)) + differential(
             contract(theta, x)
         )
+        assert lie_derivative(theta, x) == lie_derivative_by_generators(theta, x)
         bracket = derivation_commutator(theta, gamma)
         lhs = lie_derivative(theta, contract(gamma, x)) - contract(
             gamma, lie_derivative(theta, x)
@@ -166,6 +181,78 @@ def test_cartan_homotopy_and_operator_identities(calogero_double):
             gamma, lie_derivative(theta, x)
         )
         assert lhs2 == lie_derivative(bracket, x)
+
+
+def _small_random_double(rng: random.Random):
+    return double(random_quiver(rng, max_vertices=3, max_arrows=3))
+
+
+def test_lie_derivative_matches_the_generator_expansion_on_random_quivers():
+    """Cartan's formula against the Leibniz expansion on e_i, a and da."""
+    rng = random.Random(30)
+    checked = 0
+    while checked < 240:
+        dq = _small_random_double(rng)
+        if not dq.arrows:
+            continue
+        theta = random_derivation(rng, dq, max_len=2)
+        for _ in range(8):
+            x = random_form(rng, dq, max_degree=3, max_length=3)
+            assert lie_derivative(theta, x) == lie_derivative_by_generators(theta, x)
+            checked += 1
+
+
+def test_contract_matches_the_product_route_on_random_quivers():
+    """i_theta term by term against FormSum products, with loops whose image
+    has a vertex term, so r of length 0 is covered."""
+    rng = random.Random(33)
+    checked = 0
+    while checked < 240:
+        dq = _small_random_double(rng)
+        if not dq.arrows:
+            continue
+        images = dict(random_derivation(rng, dq, max_len=2).images)
+        for arr in dq.arrows:
+            if arr.source == arr.target and rng.random() < 0.5:
+                vertex = PathSum.of(Path.trivial(dq, arr.source))
+                images[arr.label] = images[arr.label] + random_fraction(rng) * vertex
+        theta = Derivation(dq, images)
+        for _ in range(8):
+            x = random_form(rng, dq, max_degree=3, max_length=3)
+            assert contract(theta, x) == contract_by_products(theta, x)
+            checked += 1
+
+
+def test_reduce_to_dr1_matches_the_recursion_on_random_quivers():
+    """The closed form against the rewriting q d(rp) = pq dr + qr dp, on
+    random 1-forms with open and closed terms, cancellations included."""
+    rng = random.Random(31)
+    checked = 0
+    while checked < 240:
+        q = random_quiver(rng, max_vertices=3, max_arrows=4)
+        pools = [omega_basis(q, 1, length) for length in range(1, 5)]
+        pools = [pool for pool in pools if pool]
+        if not pools:
+            continue
+        for _ in range(8):
+            x = FormSum.zero()
+            for _ in range(rng.randint(1, 4)):
+                x = x + random_fraction(rng) * FormSum.of(rng.choice(rng.choice(pools)))
+            assert reduce_to_dr1(x) == reduce_to_dr1_by_recursion(x)
+            checked += 1
+    with pytest.raises(ValueError, match="homogeneous 1-form"):
+        reduce_to_dr1(form_unit(q))
+
+
+def test_symplectic_form_is_the_sum_of_products(calogero, a1_tilde, one_loop):
+    rng = random.Random(32)
+    quivers = [calogero, a1_tilde, one_loop] + [random_quiver(rng) for _ in range(20)]
+    for q in quivers:
+        dq = double(q)
+        expected = FormSum.zero()
+        for arr in dq.base_arrows:
+            expected = expected + _d_arrow(dq, dq.star(arr.label)) * _d_arrow(dq, arr.label)
+        assert symplectic_form(q) == expected
 
 
 def test_graded_homology(calogero_double, a1_tilde_double):

@@ -1,25 +1,34 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from necklacekit import (
+    Arrow,
+    Derivation,
     FormBasisElement,
     FormSum,
     NecklaceSum,
     NecklaceWord,
     Path,
     PathSum,
+    Quiver,
     canonical_necklace,
     compose,
+    double,
+    euler_derivation,
     kontsevich_bracket,
     moment_element,
+    necklaces_of_length,
     partial_derivative,
+    paths_of_length,
     project_to_necklaces,
     unit,
 )
 
-from conftest import random_path, random_path_sum
+from conftest import random_derivation, random_path, random_path_sum, random_quiver
+from oracles import apply_derivation_by_products
 
 
 def test_compose_with_idempotents(calogero_double):
@@ -158,6 +167,56 @@ def test_derivation_validation_and_linearity(calogero_double):
     # Leibniz on a product path: apply to a two-arrow path by hand
     ab = Path(calogero_double, ("a", "b"))
     assert euler(ab) == 2 * PathSum.of(ab)
+
+
+def test_derivation_matches_the_product_route_on_random_quivers():
+    """Arrow-by-arrow substitution against suffix . theta(a) . prefix, with
+    loops that may also map to their vertex."""
+    rng = random.Random(40)
+    checked = 0
+    while checked < 240:
+        dq = double(random_quiver(rng, max_vertices=3, max_arrows=3))
+        if not dq.arrows:
+            continue
+        images = dict(random_derivation(rng, dq, max_len=2).images)
+        for arr in dq.arrows:
+            if arr.source == arr.target and rng.random() < 0.5:
+                images[arr.label] = images[arr.label] + PathSum.of(Path.trivial(dq, arr.source))
+        theta = Derivation(dq, images)
+        for _ in range(8):
+            x = random_path_sum(rng, dq, max_len=4)
+            assert theta(x) == apply_derivation_by_products(theta, x)
+            checked += 1
+    other = double(Quiver(1, (Arrow("x", 1, 1),)))
+    theta = euler_derivation(double(Quiver(2, (Arrow("x", 1, 1),))))
+    with pytest.raises(ValueError, match="different quivers"):
+        theta(Path.of_arrow(other, "x"))
+
+
+def test_paths_and_necklaces_of_length_match_brute_force():
+    """The shared integer enumeration against every label sequence, in label
+    order, and necklaces against the least rotations of the closed ones."""
+    rng = random.Random(41)
+    for _ in range(30):
+        q = random_quiver(rng, max_vertices=3, max_arrows=4)
+        arrows = {a.label: a for a in q.arrows}
+        labels = sorted(arrows)
+        assert paths_of_length(q, 0) == tuple(Path.trivial(q, v) for v in q.vertices)
+        for length in range(1, 5):
+            sequences = [
+                seq
+                for seq in itertools.product(labels, repeat=length)
+                if all(arrows[u].target == arrows[v].source for u, v in zip(seq, seq[1:]))
+            ]
+            assert [p.arrows for p in paths_of_length(q, length)] == sequences
+            closed = {
+                min(seq[i:] + seq[:i] for i in range(length))
+                for seq in sequences
+                if arrows[seq[-1]].target == arrows[seq[0]].source
+            }
+            assert [w.arrows for w in necklaces_of_length(q, length)] == sorted(closed)
+    with pytest.raises(ValueError, match="nonnegative"):
+        paths_of_length(q, -1)
 
 
 def test_moment_element(calogero, calogero_double, one_loop):

@@ -6,7 +6,6 @@ from necklacekit import (
     Quiver,
     classify,
     coadjoint_verdict,
-    decompositions,
     delta_lambda,
     ext1_dim,
     local_quiver,
@@ -17,6 +16,8 @@ from necklacekit import (
     slice_smooth_check,
     two_alpha_nonsmooth,
 )
+
+from oracles import decompositions
 
 LAM_21 = (Fraction(-2), Fraction(1))
 LAM_31 = (Fraction(-3), Fraction(1))
