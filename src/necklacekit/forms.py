@@ -40,7 +40,6 @@ from .paths import (
     Scalar,
     _add_term,
     _encoding,
-    _format_sum,
     concat,
     necklaces_of_length,
 )
@@ -142,9 +141,6 @@ class FormSum(LinearCombination):
         for elt, coeff in self._terms.items():
             acc.setdefault((elt.degree, elt.total_length), {})[elt] = coeff
         return {key: FormSum._of_terms(terms) for key, terms in acc.items()}
-
-    def __str__(self) -> str:
-        return _format_sum(self, str)
 
 
 def form_of(x: PathSum) -> FormSum:

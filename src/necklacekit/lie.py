@@ -3,7 +3,8 @@
 Necklace words of the double quiver form a Lie algebra under the bracket
 that opens both necklaces at matching occurrences of an arrow and its
 reversed partner and reglues the complementary paths.  Vertex classes are
-central; brackets of equal words vanish.
+central; brackets of equal words vanish.  Everything here works on the
+arrow-number codes of the quiver's path encoding (see paths._Encoding).
 """
 from __future__ import annotations
 
@@ -12,14 +13,13 @@ from .paths import (
     NecklaceSum,
     NecklaceWord,
     PathSum,
-    partial_derivative,
-    project_to_necklaces,
+    _add_term,
+    _as_necklace_sum,
+    _encoding,
+    _joint_quiver,
+    _min_rotation,
 )
 from .quiver import DoubleQuiver
-
-
-def _as_sum(w: NecklaceWord | NecklaceSum) -> NecklaceSum:
-    return NecklaceSum.of(w) if isinstance(w, NecklaceWord) else w
 
 
 def kontsevich_bracket(
@@ -27,29 +27,31 @@ def kontsevich_bracket(
 ) -> NecklaceSum:
     """Necklace bracket: sum over base arrows of dw1/da dw2/da* - dw1/da* dw2/da,
     multiplied in the path algebra and projected back to necklace classes."""
-    s1, s2 = _as_sum(w1), _as_sum(w2)
-    quiver = _common_quiver(s1, s2)
+    s1, s2 = _as_necklace_sum(w1), _as_necklace_sum(w2)
+    quiver = _joint_quiver(s1.quiver, s2.quiver, "necklaces")
     if quiver is None:
         return NecklaceSum.zero()
-    parts = []
-    for arr in quiver.base_arrows:
-        a = arr.label
-        a_star = quiver.star(a)
-        parts.append(partial_derivative(s1, a) * partial_derivative(s2, a_star))
-        parts.append(-(partial_derivative(s1, a_star) * partial_derivative(s2, a)))
-    return project_to_necklaces(PathSum._sum(parts))
-
-
-def _common_quiver(s1: NecklaceSum, s2: NecklaceSum) -> DoubleQuiver | None:
-    quivers = {w.quiver for w, _ in s1.terms()} | {w.quiver for w, _ in s2.terms()}
-    if not quivers:
-        return None
-    if len(quivers) > 1:
-        raise ValueError("necklaces live over different quivers")
-    quiver = quivers.pop()
     if not isinstance(quiver, DoubleQuiver):
         raise ValueError("the necklace bracket is defined over a double quiver")
-    return quiver
+    encoding = _encoding(quiver)
+    star = encoding.star
+    opened2 = encoding.openings(s2._terms)
+    necklaces: dict = {}
+    for x, left in encoding.openings(s1._terms).items():
+        right = opened2.get(star[x], {})
+        # dw1/dx . dw2/dx*, added for a base arrow x and subtracted for a
+        # starred one; q runs from source(x) to target(x), where p starts,
+        # and p back to source(x), so every product is a closed path
+        sign = 1 if x < star[x] else -1
+        for p, c in left.items():
+            for q, d in right.items():
+                cycle = p if type(q) is int else q if type(p) is int else q + p
+                _add_term(
+                    necklaces,
+                    cycle if type(cycle) is int else _min_rotation(cycle),
+                    sign * c * d,
+                )
+    return NecklaceSum._of_terms(necklaces, quiver)
 
 
 def hamiltonian_derivation(
@@ -61,20 +63,23 @@ def hamiltonian_derivation(
     hamiltonian vector fields of necklace classes; linear combinations are
     accepted.
     """
-    s = _as_sum(w)
+    s = _as_necklace_sum(w)
     if quiver is None:
-        quivers = {word.quiver for word, _ in s.terms()}
-        if len(quivers) != 1:
+        quiver = s.quiver
+        if quiver is None:
             raise ValueError("cannot infer the quiver; pass it explicitly")
-        quiver = quivers.pop()
     if not isinstance(quiver, DoubleQuiver):
         raise ValueError("hamiltonian derivations live over a double quiver")
+    if s.quiver is not None and s.quiver != quiver:
+        raise ValueError("necklaces live over a different quiver")
+    encoding = _encoding(quiver)
+    opened = encoding.openings(s._terms)
     images: dict[str, PathSum] = {}
-    for arr in quiver.base_arrows:
-        a = arr.label
-        a_star = quiver.star(a)
-        images[a] = -1 * partial_derivative(s, a_star)
-        images[a_star] = partial_derivative(s, a)
+    for x, (label, partner) in enumerate(zip(encoding.labels, encoding.star)):
+        image = opened.get(partner, {})
+        if x < partner:
+            image = {code: -coeff for code, coeff in image.items()}
+        images[label] = PathSum._of_terms(image, quiver)
     return Derivation(quiver, images)
 
 
@@ -83,7 +88,7 @@ def derivation_commutator(theta1: Derivation, theta2: Derivation) -> Derivation:
     if theta1.quiver != theta2.quiver:
         raise ValueError("derivations live over different quivers")
     images = {
-        arr.label: theta1(theta2.of_arrow(arr.label)) - theta2(theta1.of_arrow(arr.label))
-        for arr in theta1.quiver.arrows
+        label: theta1(theta2.images[label]) - theta2(theta1.images[label])
+        for label in theta1.images
     }
     return Derivation(theta1.quiver, images)

@@ -8,6 +8,13 @@ with spaces (``a b a*``) and ``e<i>`` for the trivial path at vertex i.
 Coefficients are exact, ``int`` or ``Fraction``: sums and products of integers
 stay ``int``, and other inputs are converted to the ``Fraction`` of their
 value; there is no floating point in this module.
+
+``PathSum`` and ``NecklaceSum`` live over one quiver and key their terms by
+codes in the quiver's encoding (see _Encoding): a path or necklace with
+arrows is the tuple of its arrow numbers, a trivial path or vertex class its
+vertex.  Products, partial derivatives, the trace projection and
+derivations work on codes only; ``Path`` and ``NecklaceWord`` are the
+validated views that the constructors take and ``terms()`` hands out.
 """
 from __future__ import annotations
 
@@ -114,14 +121,25 @@ def _add_term(acc: dict, key, coeff: Scalar) -> None:
         acc.pop(key, None)
 
 
+def _joint_quiver(q1: Quiver | None, q2: Quiver | None, what: str = "terms") -> Quiver | None:
+    """The quiver of two sums' terms, None standing for a zero sum."""
+    if q1 is None or q1 is q2:
+        return q2
+    if q2 is not None and q1 != q2:
+        raise ValueError(f"{what} live over different quivers")
+    return q1
+
+
 class LinearCombination:
     """Shared behaviour of exact linear combinations with basis-element keys.
 
     Coefficients are int or Fraction and never 0; inputs of any other type
     (float, str, ...) are converted to the exact Fraction of their value.
+    ``quiver`` is the quiver of the terms of a nonzero PathSum or
+    NecklaceSum, and None for a zero sum and for a FormSum.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "quiver")
 
     def __init__(self, terms: Mapping | Iterable[tuple] = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -129,22 +147,15 @@ class LinearCombination:
         for key, coeff in items:
             _add_term(acc, key, _exact(coeff))
         self._terms = acc
+        self.quiver = None
 
     @classmethod
-    def _of_terms(cls, acc: dict):
+    def _of_terms(cls, acc: dict, quiver: Quiver | None = None):
         """Wrap an accumulator whose coefficients are exact and nonzero."""
         result = cls.__new__(cls)
         result._terms = acc
+        result.quiver = quiver if acc else None
         return result
-
-    @classmethod
-    def _sum(cls, parts: Iterable["LinearCombination"]):
-        """The sum of combinations of this class, accumulated in one pass."""
-        acc: dict = {}
-        for part in parts:
-            for key, coeff in part._terms.items():
-                _add_term(acc, key, coeff)
-        return cls._of_terms(acc)
 
     @classmethod
     def zero(cls):
@@ -152,8 +163,7 @@ class LinearCombination:
 
     @classmethod
     def of(cls, key, coeff: Scalar = 1):
-        coeff = _exact(coeff)
-        return cls._of_terms({key: coeff} if coeff else {})
+        return cls(((key, coeff),))
 
     def terms(self) -> Iterator[tuple]:
         return iter(self._terms.items())
@@ -176,21 +186,22 @@ class LinearCombination:
             return not self._terms
         if type(other) is not type(self):
             return NotImplemented
-        return self._terms == other._terms
+        return self._terms == other._terms and self.quiver == other.quiver
 
     def __hash__(self):
-        return hash((type(self).__name__, frozenset(self._terms.items())))
+        return hash((type(self).__name__, self.quiver, frozenset(self._terms.items())))
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
+        quiver = _joint_quiver(self.quiver, other.quiver)
         acc = dict(self._terms)
         for key, coeff in other._terms.items():
             _add_term(acc, key, coeff)
-        return self._of_terms(acc)
+        return self._of_terms(acc, quiver)
 
     def __neg__(self):
-        return self._of_terms({k: -v for k, v in self._terms.items()})
+        return self._of_terms({k: -v for k, v in self._terms.items()}, self.quiver)
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -199,32 +210,92 @@ class LinearCombination:
 
     def _scaled(self, scalar: Scalar):
         scalar = _exact(scalar)
-        return self._of_terms({k: v * scalar for k, v in self._terms.items()} if scalar else {})
+        terms = {k: v * scalar for k, v in self._terms.items()} if scalar else {}
+        return self._of_terms(terms, self.quiver)
 
     def __rmul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
             return self._scaled(scalar)
         return NotImplemented
 
+    def __str__(self) -> str:
+        if not self._terms:
+            return "0"
+        parts = []
+        for key, coeff in sorted(self.terms(), key=lambda kv: str(kv[0])):
+            if coeff == 1:
+                parts.append(str(key))
+            elif coeff == -1:
+                parts.append(f"-{key}")
+            else:
+                parts.append(f"{coeff} {key}")
+        return " + ".join(parts).replace("+ -", "- ")
 
-class PathSum(LinearCombination):
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class _CodedSum(LinearCombination):
+    """A combination of the paths or necklaces of one quiver, keyed by their
+    codes; ``_view`` is the class a code decodes to, Path or NecklaceWord."""
+
+    __slots__ = ()
+    _view: type
+
+    def __init__(self, terms: Mapping | Iterable[tuple] = ()) -> None:
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        quiver = None
+        for key, _ in items:
+            quiver = _joint_quiver(quiver, key.quiver)
+        if quiver is not None:
+            code = _encoding(quiver).code
+            items = [(code(key), coeff) for key, coeff in items]
+        super().__init__(items)
+        self.quiver = quiver if self._terms else None
+
+    def _decode(self, code):
+        if type(code) is int:
+            return self._view(self.quiver, (), code)
+        return self._view(self.quiver, _encoding(self.quiver).decode(code))
+
+    def terms(self) -> Iterator[tuple]:
+        return ((self._decode(code), coeff) for code, coeff in self._terms.items())
+
+    def coefficient(self, key) -> Scalar:
+        if not isinstance(key, self._view) or key.quiver != self.quiver:
+            return 0
+        return self._terms.get(_encoding(key.quiver).code(key), 0)
+
+
+class PathSum(_CodedSum):
     """Element of the path algebra: finite rational combination of paths."""
+
+    __slots__ = ()
+    _view = Path
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
         if not isinstance(other, PathSum):
             return NotImplemented
-        acc: dict[Path, Scalar] = {}
-        for p, c in self._terms.items():
-            for q, d in other._terms.items():
-                pq = concat(p, q)
-                if pq is not None:
-                    _add_term(acc, pq, c * d)
-        return PathSum._of_terms(acc)
-
-    def __str__(self) -> str:
-        return _format_sum(self, str)
+        if not self._terms or not other._terms:
+            return PathSum.zero()
+        quiver = _joint_quiver(self.quiver, other.quiver, "paths")
+        encoding = _encoding(quiver)
+        # a product q.p traverses p first and needs target(p) == source(q)
+        by_target: dict[int, list] = {}
+        for p, d in other._terms.items():
+            end = p if type(p) is int else encoding.target[p[-1]]
+            by_target.setdefault(end, []).append((p, d))
+        acc: dict = {}
+        for q, c in self._terms.items():
+            if type(q) is int:
+                for p, d in by_target.get(q, ()):
+                    _add_term(acc, p, c * d)
+            else:
+                for p, d in by_target.get(encoding.source[q[0]], ()):
+                    _add_term(acc, q if type(p) is int else p + q, c * d)
+        return PathSum._of_terms(acc, quiver)
 
 
 def unit(q: Quiver) -> PathSum:
@@ -282,20 +353,30 @@ class NecklaceWord:
         return f"NecklaceWord({self})"
 
 
-def _min_rotation(labels: tuple) -> tuple:
-    return min(labels[i:] + labels[:i] for i in range(len(labels)))
+def _min_rotation(word: tuple) -> tuple:
+    """The least rotation of a nonempty word; it starts at an occurrence of
+    the least letter, so only those rotations are compared."""
+    least = min(word)
+    start = word.index(least)
+    best = word[start:] + word[:start]
+    for i in range(start + 1, len(word)):
+        if word[i] == least:
+            rotation = word[i:] + word[:i]
+            if rotation < best:
+                best = rotation
+    return best
 
 
-class NecklaceSum(LinearCombination):
+class NecklaceSum(_CodedSum):
     """Rational combination of necklace words (an element of the trace quotient)."""
+
+    __slots__ = ()
+    _view = NecklaceWord
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
         return NotImplemented
-
-    def __str__(self) -> str:
-        return _format_sum(self, str)
 
 
 def canonical_necklace(cycle: Path) -> NecklaceWord:
@@ -305,11 +386,20 @@ def canonical_necklace(cycle: Path) -> NecklaceWord:
 
 def project_to_necklaces(x: PathSum) -> NecklaceSum:
     """Quotient map to necklaces: cycles keep their class, open paths die."""
-    acc: dict[NecklaceWord, Scalar] = {}
-    for path, coeff in x.terms():
-        if path.is_cycle():
-            _add_term(acc, canonical_necklace(path), coeff)
-    return NecklaceSum._of_terms(acc)
+    if x.quiver is None:
+        return NecklaceSum.zero()
+    encoding = _encoding(x.quiver)
+    acc: dict = {}
+    for p, c in x._terms.items():
+        if type(p) is int:
+            _add_term(acc, p, c)
+        elif encoding.source[p[0]] == encoding.target[p[-1]]:
+            _add_term(acc, _min_rotation(p), c)
+    return NecklaceSum._of_terms(acc, x.quiver)
+
+
+def _as_necklace_sum(w: NecklaceWord | NecklaceSum) -> NecklaceSum:
+    return NecklaceSum.of(w) if isinstance(w, NecklaceWord) else w
 
 
 def partial_derivative(w: NecklaceWord | NecklaceSum, label: str) -> PathSum:
@@ -319,23 +409,13 @@ def partial_derivative(w: NecklaceWord | NecklaceSum, label: str) -> PathSum:
     order from the arrow's target back to its source; vertex classes have
     all partials zero.
     """
-    if isinstance(w, NecklaceSum):
-        return PathSum._sum(coeff * partial_derivative(word, label) for word, coeff in w.terms())
-    arr = w.quiver.arrow(label)
-    if not w.arrows:
+    s = _as_necklace_sum(w)
+    if s.quiver is None:
         return PathSum.zero()
-    acc: dict[Path, Scalar] = {}
-    labels = w.arrows
-    for j, lab in enumerate(labels):
-        if lab != label:
-            continue
-        complement = labels[j + 1 :] + labels[:j]
-        if complement:
-            path = Path(w.quiver, complement)
-        else:
-            path = Path.trivial(w.quiver, arr.target)
-        _add_term(acc, path, 1)
-    return PathSum._of_terms(acc)
+    s.quiver.arrow(label)
+    encoding = _encoding(s.quiver)
+    opened = encoding.openings(s._terms).get(encoding.arrow_index[label], {})
+    return PathSum._of_terms(opened, s.quiver)
 
 
 def moment_element(q: Quiver) -> PathSum:
@@ -362,40 +442,49 @@ class Derivation:
         if not isinstance(quiver, DoubleQuiver):
             raise ValueError("derivations are defined over a double quiver")
         self.quiver = quiver
+        encoding = _encoding(quiver)
         full: dict[str, PathSum] = {}
         for arr in quiver.arrows:
             image = images.get(arr.label, PathSum.zero())
-            for path, _ in image.terms():
-                if path.quiver != quiver:
-                    raise ValueError("derivation image lives over a different quiver")
-                if path.source != arr.source or path.target != arr.target:
+            if image.quiver is not None and image.quiver != quiver:
+                raise ValueError("derivation image lives over a different quiver")
+            for code in image._terms:
+                ends = encoding.ends(code)
+                if ends != (arr.source, arr.target):
                     raise ValueError(
                         f"image of {arr.label!r} must run {arr.source}->{arr.target}, "
-                        f"got a path {path.source}->{path.target}"
+                        f"got a path {ends[0]}->{ends[1]}"
                     )
             full[arr.label] = image
         unknown = set(images) - set(full)
         if unknown:
             raise ValueError(f"unknown arrow labels in derivation: {sorted(unknown)}")
         self.images = full
+        # the images' codes by arrow number
+        self._coded = [full[label]._terms for label in encoding.labels]
 
     def of_arrow(self, label: str) -> PathSum:
         self.quiver.arrow(label)
         return self.images[label]
 
     def __call__(self, x: Path | PathSum) -> PathSum:
+        if x.quiver is not None and x.quiver != self.quiver:
+            raise ValueError("paths live over different quivers")
         if isinstance(x, Path):
-            # replace each arrow in turn by its image
-            foreign = x.quiver != self.quiver
-            terms = []
-            for j, label in enumerate(x.arrows):
-                for p, c in self.images[label].terms():
-                    if foreign:
-                        raise ValueError("paths live over different quivers")
-                    arrows = x.arrows[:j] + p.arrows + x.arrows[j + 1 :]
-                    terms.append((Path(x.quiver, arrows) if arrows else p, c))
-            return PathSum(terms)
-        return PathSum._sum(coeff * self(path) for path, coeff in x.terms())
+            x = PathSum.of(x)
+        # replace each arrow in turn by its image
+        images = self._coded
+        acc: dict = {}
+        for code, coeff in x._terms.items():
+            if type(code) is int:
+                continue
+            for j, arrow in enumerate(code):
+                for r, c in images[arrow].items():
+                    if type(r) is int:
+                        _add_term(acc, code[:j] + code[j + 1 :] or r, coeff * c)
+                    else:
+                        _add_term(acc, code[:j] + r + code[j + 1 :], coeff * c)
+        return PathSum._of_terms(acc, self.quiver)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Derivation):
@@ -445,11 +534,15 @@ def euler_derivation(dq: DoubleQuiver) -> Derivation:
 
 
 class _Encoding:
-    """The paths of one quiver as tuples of arrow numbers in traversal order.
+    """The paths of one quiver as codes: a path with arrows is the tuple of
+    its arrow numbers in traversal order, a trivial path its vertex.
 
     Arrows are numbered in sorted-label order, so encoded paths compare as
-    their label tuples do.  Stored on the quiver instance (see _encoding),
-    so it is released with it.
+    their label tuples do, and the least rotation of a code is the code of
+    the least rotation of its labels.  On a double quiver ``star`` maps each
+    arrow number to its partner's; a base label sorts before its starred
+    partner, so an arrow x is a base arrow exactly when x < star[x].
+    Stored on the quiver instance (see _encoding), so it is released with it.
     """
 
     def __init__(self, q: Quiver) -> None:
@@ -458,6 +551,11 @@ class _Encoding:
         self.arrow_index = {label: i for i, label in enumerate(self.labels)}
         self.source = tuple(a.source for a in arrows)
         self.target = tuple(a.target for a in arrows)
+        self.star = (
+            tuple(self.arrow_index[q.star(label)] for label in self.labels)
+            if isinstance(q, DoubleQuiver)
+            else None
+        )
         self._leaving = {
             v: tuple(i for i, s in enumerate(self.source) if s == v) for v in q.vertices
         }
@@ -479,7 +577,39 @@ class _Encoding:
         return words
 
     def decode(self, word: tuple[int, ...]) -> tuple[str, ...]:
-        return tuple(self.labels[i] for i in word)
+        # a tuple built from a list is allocated at its size once; one built
+        # from a generator is allocated at a guessed size and shrunk, which
+        # leaves blocks of every size behind in the interpreter's free lists
+        labels = self.labels
+        return tuple([labels[i] for i in word])
+
+    def code(self, view: Path | NecklaceWord):
+        """The code of a path, or of a necklace (its labels are already the
+        least rotation)."""
+        if not view.arrows:
+            return view.vertex
+        index = self.arrow_index
+        return tuple([index[label] for label in view.arrows])
+
+    def ends(self, code) -> tuple[int, int]:
+        """(source, target) of a path code."""
+        if type(code) is int:
+            return code, code
+        return self.source[code[0]], self.target[code[-1]]
+
+    def openings(self, terms: dict) -> dict[int, dict]:
+        """Every partial derivative of a sum of necklace codes, by arrow
+        number: opening a necklace at an occurrence of x leaves the rest of
+        the cycle, read from the end of x round to its start, or the trivial
+        path at target(x) when x was all of it."""
+        target = self.target
+        opened: dict[int, dict] = {}
+        for word, coeff in terms.items():
+            if type(word) is int:
+                continue
+            for j, x in enumerate(word):
+                _add_term(opened.setdefault(x, {}), word[j + 1 :] + word[:j] or target[x], coeff)
+        return opened
 
 
 def _encoding(q: Quiver) -> _Encoding:
@@ -525,18 +655,3 @@ def necklaces_of_length(q: Quiver, length: int) -> tuple[NecklaceWord, ...]:
     }
     return tuple(NecklaceWord(q, encoding.decode(w)) for w in sorted(classes))
 
-
-def _format_sum(x: LinearCombination, key_str) -> str:
-    if x.is_zero():
-        return "0"
-    parts = []
-    for key, coeff in sorted(x.terms(), key=lambda kv: str(kv[0])):
-        body = key_str(key)
-        if coeff == 1:
-            text = body
-        elif coeff == -1:
-            text = f"-{body}"
-        else:
-            text = f"{coeff} {body}"
-        parts.append(text)
-    return " + ".join(parts).replace("+ -", "- ")

@@ -7,7 +7,10 @@ Quiver file (one quiver per file)::
     arrows: a 1 2, b 2 2
 
 Whitespace is insignificant; ``#`` begins a comment line; the arrows line
-may be empty.  Paths are space-separated arrow labels in traversal order
+may be empty.  A file may declare at most MAX_VERTICES vertices and
+MAX_ARROWS arrows, so that no command is asked for tables whose size the
+file alone would make unbounded (``info`` builds k x k Euler and Tits
+matrices).  Paths are space-separated arrow labels in traversal order
 (``a b a*``), with ``e<i>`` for the trivial path at vertex i.  Dimension
 vectors and weights are comma-separated; weights accept exact rationals
 (``-1/2,3``).
@@ -19,6 +22,9 @@ from pathlib import Path as FilePath
 
 from .paths import NecklaceWord, Path, canonical_necklace
 from .quiver import Arrow, Quiver, QuiverError
+
+MAX_VERTICES = 64
+MAX_ARROWS = 256
 
 
 class QuiverFormatError(QuiverError):
@@ -45,6 +51,11 @@ def parse_quiver_text(text: str, source: str = "<string>") -> Quiver:
                 ) from None
             if vertices < 1:
                 raise QuiverFormatError(f"{source}:{lineno}: vertex count must be positive")
+            if vertices > MAX_VERTICES:
+                raise QuiverFormatError(
+                    f"{source}:{lineno}: vertex count {vertices} exceeds the cap of "
+                    f"{MAX_VERTICES}"
+                )
         elif key == "arrows":
             if vertices is None:
                 raise QuiverFormatError(f"{source}:{lineno}: arrows listed before vertices")
@@ -65,6 +76,10 @@ def parse_quiver_text(text: str, source: str = "<string>") -> Quiver:
                         f"{source}:{lineno}: arrow {chunk!r} has non-integer endpoints"
                     ) from None
                 arrow_specs.append((label, src, tgt, lineno))
+                if len(arrow_specs) > MAX_ARROWS:
+                    raise QuiverFormatError(
+                        f"{source}:{lineno}: arrow count exceeds the cap of {MAX_ARROWS}"
+                    )
         else:
             raise QuiverFormatError(
                 f"{source}:{lineno}: unrecognized line {line!r}; expected "

@@ -12,9 +12,11 @@ the path algebra by path products, the contraction i_theta by FormSum
 products instead of term by term, the Lie derivative by expanding it on
 the generators of each basis element instead of by Cartan's formula, the
 reduction of 1-forms to dR1 by recursion on the differential slot instead
-of by its closed form, and the moment-map Jacobian one column at a time,
+of by its closed form, the moment-map Jacobian one column at a time,
 each column the trace-projected image of one matrix unit, instead of from
-Kronecker blocks.
+Kronecker blocks, and the necklace bracket, hamiltonian fields, derivations
+and their commutators on Path and NecklaceWord dataclasses, label by label,
+instead of on arrow-number codes.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ from necklacekit import (
     Quiver,
     SigmaMembership,
     as_dim_vector,
+    canonical_necklace,
     as_weight,
     classify_root,
     componentwise_lt,
@@ -484,6 +487,86 @@ def apply_derivation_by_products(theta: Derivation, x: PathSum) -> PathSum:
             image = PathSum.of(suffix) * theta.of_arrow(label) * PathSum.of(prefix)
             total = total + coeff * image
     return total
+
+
+def _accumulate(acc: dict, key, coeff) -> None:
+    acc[key] = acc.get(key, 0) + coeff
+    if not acc[key]:
+        del acc[key]
+
+
+def _necklace_terms(w: NecklaceWord | NecklaceSum) -> list:
+    return [(w, 1)] if isinstance(w, NecklaceWord) else list(w.terms())
+
+
+def partial_derivative_by_labels(w: NecklaceWord | NecklaceSum, label: str) -> dict:
+    """d/d(label) as {Path: coefficient}: each occurrence of the label in a
+    word leaves the rest of the cycle, a trivial path when nothing is left."""
+    out: dict = {}
+    for word, coeff in _necklace_terms(w):
+        q = word.quiver
+        target = q.arrow(label).target
+        for j, lab in enumerate(word.arrows):
+            if lab == label:
+                rest = word.arrows[j + 1 :] + word.arrows[:j]
+                _accumulate(out, Path(q, rest) if rest else Path.trivial(q, target), coeff)
+    return out
+
+
+def bracket_by_dataclasses(w1, w2) -> dict:
+    """The necklace bracket as {NecklaceWord: coefficient}: products of the
+    partials by concat, cycles projected by canonical_necklace."""
+    quivers = {word.quiver for word, _ in _necklace_terms(w1) + _necklace_terms(w2)}
+    total: dict = {}
+    if not quivers:
+        return total
+    (dq,) = quivers
+    for arr in dq.base_arrows:
+        a, a_star = arr.label, dq.star(arr.label)
+        for x, y, sign in ((a, a_star, 1), (a_star, a, -1)):
+            right = partial_derivative_by_labels(w2, y)
+            for p, c in partial_derivative_by_labels(w1, x).items():
+                for r, d in right.items():
+                    path = concat(p, r)
+                    if path is not None and path.is_cycle():
+                        _accumulate(total, canonical_necklace(path), sign * c * d)
+    return total
+
+
+def hamiltonian_images_by_dataclasses(w, dq: DoubleQuiver) -> dict:
+    """{label: {Path: coefficient}} of the hamiltonian field: a goes to
+    -dw/da* and a* to dw/da."""
+    images = {}
+    for arr in dq.base_arrows:
+        a, a_star = arr.label, dq.star(arr.label)
+        images[a] = {p: -c for p, c in partial_derivative_by_labels(w, a_star).items()}
+        images[a_star] = partial_derivative_by_labels(w, a)
+    return images
+
+
+def apply_derivation_by_labels(theta: Derivation, x: Path | PathSum) -> dict:
+    """theta(x) as {Path: coefficient}, substituting each arrow label of each
+    path by the paths of its image."""
+    out: dict = {}
+    for path, coeff in [(x, 1)] if isinstance(x, Path) else x.terms():
+        if path.quiver != theta.quiver:
+            raise ValueError("paths live over different quivers")
+        for j, label in enumerate(path.arrows):
+            for p, c in theta.images[label].terms():
+                arrows = path.arrows[:j] + p.arrows + path.arrows[j + 1 :]
+                _accumulate(out, Path(path.quiver, arrows) if arrows else p, coeff * c)
+    return out
+
+
+def commutator_images_by_labels(theta1: Derivation, theta2: Derivation) -> dict:
+    """{label: {Path: coefficient}} of theta1 theta2 - theta2 theta1 on arrows."""
+    images = {}
+    for arr in theta1.quiver.arrows:
+        image = apply_derivation_by_labels(theta1, theta2.images[arr.label])
+        for p, c in apply_derivation_by_labels(theta2, theta1.images[arr.label]).items():
+            _accumulate(image, p, -c)
+        images[arr.label] = image
+    return images
 
 
 def contract_by_products(theta: Derivation, x: FormSum) -> FormSum:

@@ -14,6 +14,7 @@ from necklacekit import (
     parse_weight,
 )
 from necklacekit.cli import build_parser, main
+from necklacekit.textio import MAX_ARROWS, MAX_VERTICES
 
 CALOGERO_TEXT = """\
 # the two-vertex quiver with one connecting arrow and one loop
@@ -57,6 +58,31 @@ def test_parse_quiver_errors_carry_line_numbers():
         parse_quiver_text("# nothing here\n")
     with pytest.raises(QuiverFormatError, match=":1:"):
         parse_quiver_text("vertices: none\n")
+
+
+def test_parse_quiver_refuses_sizes_above_the_caps():
+    assert parse_quiver_text(f"vertices: {MAX_VERTICES}\n").vertex_count == MAX_VERTICES
+    for count in (MAX_VERTICES + 1, 1000000):
+        with pytest.raises(QuiverFormatError, match=f":1: vertex count {count} exceeds the cap"):
+            parse_quiver_text(f"vertices: {count}\n")
+    loops = [f"x{i} 1 1" for i in range(MAX_ARROWS + 1)]
+    accepted = parse_quiver_text("vertices: 1\narrows: " + ", ".join(loops[:-1]) + "\n")
+    assert len(accepted.arrows) == MAX_ARROWS
+    text = "vertices: 1\narrows: " + ", ".join(loops[:-1]) + "\narrows: " + loops[-1] + "\n"
+    message = f":3: arrow count exceeds the cap of {MAX_ARROWS}"
+    with pytest.raises(QuiverFormatError, match=message):
+        parse_quiver_text(text)
+
+
+@pytest.mark.parametrize("text", ["vertices: 1000000\n", f"vertices: {MAX_VERTICES + 1}\n"])
+def test_cli_refuses_an_oversized_quiver_file(text, tmp_path, capsys):
+    path = tmp_path / "huge.quiver"
+    path.write_text(text, encoding="utf-8")
+    assert main(["info", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "exceeds the cap" in captured.err
 
 
 def test_parse_path_and_necklace():
