@@ -405,6 +405,7 @@ def cmd_moment(q: Quiver, args) -> dict:
             "jacobian_rank": None,
             "fiber_dim_estimate": None,
             "singular_values": None,
+            "rank_gap": None,
         }
         if result.converged:
             rank = numerics.rank_report(
@@ -413,6 +414,7 @@ def cmd_moment(q: Quiver, args) -> dict:
             entry["jacobian_rank"] = rank.jacobian_rank
             entry["fiber_dim_estimate"] = rank.fiber_dim_estimate
             entry["singular_values"] = rank.singular_values
+            entry["rank_gap"] = rank.cut_gap
         return entry
 
     results = [run(seed) for seed in range(args.seeds)]

@@ -18,9 +18,10 @@ x + (-x) is exactly 0 in floating point too.  Subtracting the mean trace
 would leave every column unchanged, bit for bit, so it is applied to the
 residual only.
 
-Dense matrices are refused above ``MAX_DENSE_ENTRIES`` entries (the
-Jacobian, sum alpha_i^2 by the representation dimension, or the Gram
-matrix, the square of that dimension) before anything is allocated.
+Dense matrices are refused before anything is allocated when
+max(m, n) * n exceeds ``MAX_DENSE_ENTRIES``, with m = sum alpha_i^2 rows and
+n = the representation dimension.  That product bounds both the m x n
+Jacobian and the min(m, n)-square Gram matrix that ``solve`` forms.
 
 This module never feeds back into the exact classification: a failure here
 flags a numerical issue, not a verdict change.
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .quiver import DoubleQuiver, Quiver, as_dim_vector, double_of, weight_pairi
 
 RepPoint = dict[str, np.ndarray]
 
-# Largest dense Jacobian or Gram matrix, in complex entries (256 MiB each).
+# Cap on max(m, n) * n for an m x n Jacobian, in complex entries (256 MiB).
 MAX_DENSE_ENTRIES = 2**24
 
 
@@ -113,7 +114,13 @@ def _residual_vector(
 
 
 def _check_dense_size(dq: DoubleQuiver, alpha: tuple[int, ...]) -> None:
-    """Refuse an alpha whose Jacobian or Gram matrix exceeds MAX_DENSE_ENTRIES."""
+    """Refuse an alpha with max(m, n) * n > MAX_DENSE_ENTRIES for its m x n Jacobian.
+
+    The product bounds the Jacobian and the min(m, n)-square Gram matrix that
+    ``solve`` forms.  When m < n it is n * n, more than either of them, so
+    the refusal is conservative there; the message still names an n x n
+    Gram matrix.
+    """
     rows = sum(n * n for n in alpha)
     rep_dim = rep_dimension(dq, alpha)
     if max(rows, rep_dim) * rep_dim > MAX_DENSE_ENTRIES:
@@ -198,6 +205,27 @@ class RankReport:
     jacobian_rank: int
     fiber_dim_estimate: int
     singular_values: list[float]
+    # sigma_r / sigma_{r+1} at the rank cut r (inf if sigma_{r+1} is 0); None
+    # when r is 0 or every singular value is kept
+    cut_gap: float | None
+
+
+def _damped_steps(jac: np.ndarray, residual: np.ndarray) -> Callable[[float], np.ndarray]:
+    """The Levenberg-Marquardt step -(J^H J + mu I)^-1 J^H r as a function of mu.
+
+    With m rows and n columns, m <= n, the push-through identity
+    (J^H J + mu I)^-1 J^H = J^H (J J^H + mu I)^-1 gives the step from the
+    m x m system; for m > n it comes from the n x n normal equations.  The
+    Gram matrix of the smaller side is formed once, and each damping trial
+    pays only its LU solve.
+    """
+    rows, columns = jac.shape
+    jac_h = jac.conj().T
+    if rows <= columns:
+        gram, eye = jac @ jac_h, np.eye(rows)
+        return lambda damping: jac_h @ np.linalg.solve(gram + damping * eye, -residual)
+    gram, eye, rhs = jac_h @ jac, np.eye(columns), -(jac_h @ residual)
+    return lambda damping: np.linalg.solve(gram + damping * eye, rhs)
 
 
 def solve(
@@ -230,13 +258,10 @@ def solve(
     iterations = 0
     while iterations < max_iter and norm > tol:
         iterations += 1
-        jac = _jacobian(dq, alpha, _unpack(dq, alpha, flat))
-        gram = jac.conj().T @ jac
-        rhs = jac.conj().T @ residual
+        step = _damped_steps(_jacobian(dq, alpha, _unpack(dq, alpha, flat)), residual)
         accepted = False
         for _ in range(25):
-            step = np.linalg.solve(gram + damping * np.eye(gram.shape[0]), -rhs)
-            trial = flat + step
+            trial = flat + step(damping)
             trial_residual = _residual_vector(dq, alpha, lam_values, _unpack(dq, alpha, trial))
             trial_norm = float(np.linalg.norm(trial_residual))
             if trial_norm < norm:
@@ -263,8 +288,9 @@ def rank_report(
 
     The fiber dimension estimate is the complex dimension of the
     representation space minus the rank; the full singular value list is
-    returned so borderline thresholding stays auditable.  An alpha whose
-    dense matrices would exceed MAX_DENSE_ENTRIES is refused.
+    returned so borderline thresholding stays auditable, and ``cut_gap``
+    says how far apart the last kept and the first dropped value are.  An
+    alpha whose dense matrices would exceed MAX_DENSE_ENTRIES is refused.
     """
     dq = double_of(q)
     alpha = as_dim_vector(dq, alpha)
@@ -276,11 +302,14 @@ def rank_report(
         raise ValueError(f"point is not solved: residual {norm:.3e} > {residual_tol:.1e}")
     jac = _jacobian(dq, alpha, point)
     if jac.size == 0:
-        return RankReport(0, rep_dimension(dq, alpha), [])
+        return RankReport(0, rep_dimension(dq, alpha), [], None)
     singular = np.linalg.svd(jac, compute_uv=False)
     values = [float(s) for s in singular]
     if not values or values[0] == 0.0:
         rank = 0
     else:
         rank = sum(1 for s in values if s > svd_tol * values[0])
-    return RankReport(rank, rep_dimension(dq, alpha) - rank, values)
+    cut_gap = None
+    if 0 < rank < len(values):
+        cut_gap = values[rank - 1] / values[rank] if values[rank] else math.inf
+    return RankReport(rank, rep_dimension(dq, alpha) - rank, values, cut_gap)

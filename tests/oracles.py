@@ -14,9 +14,11 @@ the generators of each basis element instead of by Cartan's formula, the
 reduction of 1-forms to dR1 by recursion on the differential slot instead
 of by its closed form, the moment-map Jacobian one column at a time,
 each column the trace-projected image of one matrix unit, instead of from
-Kronecker blocks, and the necklace bracket, hamiltonian fields, derivations
+Kronecker blocks, the necklace bracket, hamiltonian fields, derivations
 and their commutators on Path and NecklaceWord dataclasses, label by label,
-instead of on arrow-number codes.
+instead of on arrow-number codes, and the damped Gauss-Newton step from the
+n x n normal equations whatever the Jacobian's shape, instead of from the
+smaller of its two Gram matrices.
 """
 from __future__ import annotations
 
@@ -681,3 +683,10 @@ def jacobian_by_columns(
     if not columns:
         return np.zeros((rows, 0), dtype=complex)
     return np.stack(columns, axis=1)
+
+
+def normal_equation_step(jac: np.ndarray, residual: np.ndarray, damping: float) -> np.ndarray:
+    """Levenberg-Marquardt step -(J^H J + mu I)^-1 J^H r from the column space."""
+    jac_h = jac.conj().T
+    gram = jac_h @ jac
+    return np.linalg.solve(gram + damping * np.eye(gram.shape[0]), -(jac_h @ residual))

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from necklacekit import (
     Arrow,
     Quiver,
+    double,
     moment_eval,
     numerics,
     random_rep,
@@ -13,6 +16,8 @@ from necklacekit import (
     rep_dimension,
     solve,
 )
+from oracles import normal_equation_step
+from test_numerics_jacobian import CALOGERO, random_case
 
 LAM_21 = (Fraction(-2), Fraction(1))
 LAM_11 = (Fraction(-1), Fraction(1))
@@ -54,6 +59,7 @@ def test_solve_trivial_support(calogero):
     report = rank_report(calogero, (1, 0), LAM_0, result.point)
     assert report.jacobian_rank == 0
     assert report.fiber_dim_estimate == 0
+    assert report.cut_gap is None
 
 
 def test_rep_dimension(calogero, a1_tilde):
@@ -130,3 +136,72 @@ def test_size_cap_is_inclusive(q, alpha, lam, entries, monkeypatch):
         solve(q, alpha, lam, seed=0, max_iter=1)
     with pytest.raises(ValueError, match="cap"):
         rank_report(q, alpha, lam, random_rep(q, alpha, 0))
+
+
+ONE_ARROW = Quiver(2, (Arrow("a", 1, 2),))
+# (quiver, alpha, Jacobian shape m x n)
+STEP_SHAPES = [
+    (CALOGERO, (2, 4), (20, 48)),
+    (ONE_ARROW, (1, 3), (10, 6)),
+    (ONE_ARROW, (2, 2), (8, 8)),
+]
+# the solver's first damping and two larger ones; far below 1e-3 both
+# systems are ill-conditioned, and the column-space one drifts further from
+# the SVD step, so agreement there says nothing about either
+DAMPINGS = (1e-3, 1.0, 1e3)
+
+
+def assert_step_matches_the_normal_equations(dq, alpha, point_seed) -> tuple[int, int]:
+    point = random_rep(dq, alpha, point_seed)
+    jac = numerics._jacobian(dq, alpha, point)
+    residual = numerics._residual_vector(dq, alpha, [0j] * len(alpha), point)
+    step = numerics._damped_steps(jac, residual)
+    for damping in DAMPINGS:
+        fast, slow = step(damping), normal_equation_step(jac, residual, damping)
+        np.testing.assert_allclose(fast, slow, rtol=1e-8)
+        if jac.shape[0] > jac.shape[1]:
+            # the taller Jacobian keeps the normal equations, bit for bit
+            assert fast.tobytes() == slow.tobytes()
+    return jac.shape
+
+
+@pytest.mark.parametrize("q, alpha, shape", STEP_SHAPES)
+def test_damped_step_matches_the_normal_equations_on_each_shape(q, alpha, shape):
+    for point_seed in range(5):
+        assert assert_step_matches_the_normal_equations(double(q), alpha, point_seed) == shape
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_damped_step_matches_the_normal_equations_on_random_quivers(seed):
+    rng = random.Random(9000 + seed)
+    dq, alpha = random_case(rng)
+    for point_seed in range(3):
+        assert_step_matches_the_normal_equations(dq, alpha, rng.randrange(2**31) + point_seed)
+
+
+@pytest.mark.parametrize("alpha", [(1, 2), (3, 6)])
+def test_rank_cut_is_far_from_ambiguous_on_calogero(calogero, alpha):
+    solved = 0
+    for seed in range(3):
+        result = solve(calogero, alpha, LAM_21, seed)
+        if not result.converged:
+            continue
+        solved += 1
+        report = rank_report(calogero, alpha, LAM_21, result.point)
+        values = report.singular_values
+        rank = report.jacobian_rank
+        assert report.cut_gap == values[rank - 1] / values[rank]
+        assert report.cut_gap > 1e10
+    assert solved
+
+
+def test_rank_cut_gap_at_rank_zero_and_at_exact_zeros():
+    q, alpha = ONE_ARROW, (1, 2)
+    # at the origin every singular value is 0 and the rank is 0
+    origin = {"a": np.zeros((2, 1), dtype=complex), "a*": np.zeros((1, 2), dtype=complex)}
+    assert rank_report(q, alpha, LAM_0, origin).cut_gap is None
+    # a solved point where the dropped values are exactly 0
+    solved = {"a": np.array([[1], [0]], dtype=complex), "a*": np.zeros((1, 2), dtype=complex)}
+    report = rank_report(q, alpha, LAM_0, solved)
+    assert report.singular_values[2:] == [0.0, 0.0]
+    assert report.jacobian_rank == 2 and report.cut_gap == math.inf

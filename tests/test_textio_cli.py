@@ -172,6 +172,17 @@ def test_cli_moment(calogero_file, capsys):
     assert "rank 4, fiber dim 8" in out
 
 
+def test_cli_moment_reports_the_rank_gap_in_json_only(calogero_file, tmp_path, capsys):
+    json_path = tmp_path / "moment.json"
+    argv = ["moment", calogero_file, "--alpha", "1,2", "--lambda", "-2,1", "--seeds", "2"]
+    assert main(argv + ["--json", str(json_path)]) == 0
+    assert "gap" not in capsys.readouterr().out
+    for entry in json.loads(json_path.read_text(encoding="utf-8"))["results"]:
+        assert entry["converged"]
+        values, rank = entry["singular_values"], entry["jacobian_rank"]
+        assert entry["rank_gap"] == values[rank - 1] / values[rank] > 1e10
+
+
 def test_cli_domain_error_exit_code(calogero_file, capsys):
     rc = main(["classify", calogero_file, "--lambda", "1,1,1", "--alpha", "1,2"])
     assert rc == 1
