@@ -1,27 +1,34 @@
 """Relative noncommutative differential forms of a path algebra.
 
-A degree-n basis element is a tuple (p0; p1, ..., pn) standing for
-p0 dp1 ... dpn, where the pi are paths, len(pi) >= 1 for i >= 1, and the
-source of each entry equals the target of the next (tensor products over
-the vertex algebra vanish otherwise).  Products are computed by fusing one
-adjacent pair at a time with alternating signs; a fused tuple survives only
-if it still satisfies those constraints.
+A degree-n basis element (FormBasisElement) p0 dp1 ... dpn is a tuple of
+paths with len(pi) >= 1 for i >= 1, the source of each entry equal to the
+target of the next (tensor products over the vertex algebra vanish
+otherwise).  Everything is graded by (degree, total path length) and the
+grading is preserved by the differential, products, contraction and Lie
+derivative, so each graded piece is a finite-dimensional exact-rational
+vector space.
 
-Everything is graded by (degree, total path length) and the grading is
-preserved by the differential, products, contraction and Lie derivative,
-so each graded piece is a finite-dimensional exact-rational vector space.
-The contraction i_theta is written out term by term, the Lie derivative
-comes from Cartan's formula L_theta = d i_theta + i_theta d, and a 1-form
-is reduced to dR1 by the closed form of the cyclic Leibniz rule:
-p0 d(a_1 ... a_m) has the class sum_j [p_j da_j], p_j the rest of the
-cycle p0.p1, read from the end of a_j round to its start.
+FormSum keys its terms by codes over the quiver's path encoding
+(paths._Encoding), as PathSum does: an element is the tuple of its entries'
+arrow-number tuples, () standing for a trivial lead (its vertex is the
+target of p1), and the vertex element e_v, the only one without an arrow,
+is the vertex number v.  Arrows are numbered in sorted-label order, so codes
+compare as label tuples do and every basis keeps the order of omega_basis.
+The whole calculus runs on codes.  A product fuses one adjacent pair of
+x0, ..., xn, y0, ..., ym at a time, with alternating signs; d sends a code
+with a nonempty lead to ((),) + code and the others to 0.  The contraction
+i_theta is written out term by term, the Lie derivative comes from Cartan's
+formula L_theta = d i_theta + i_theta d, and a 1-form is reduced to dR1 by
+the closed form of the cyclic Leibniz rule: p0 d(a_1 ... a_m) has the class
+sum_j [p_j da_j], p_j the rest of the cycle p0.p1, read from the end of a_j
+round to its start.  FormBasisElement is the validated view that the
+constructors take and terms(), str and coefficient() decode to.
 
 The graded dimension counts (omega_basis, graded_homology_dim, karoubi_dim,
-karoubi_homology_dim, in_commutator_span) do not multiply FormSums: they
-work on integer-encoded bases kept in one store per quiver instance, take
-the commutator subspace from the supercommutators of the generators e_i, a
-and da with basis elements, and eliminate over the integers.  They decode
-to FormBasisElements only for their results.
+karoubi_homology_dim, in_commutator_span) work on the same codes, with the
+bases and reducers kept in one store per quiver instance: they take the
+commutator subspace from the supercommutators of the generators e_i, a and
+da with basis elements, and eliminate over the integers.
 """
 from __future__ import annotations
 
@@ -37,10 +44,10 @@ from .paths import (
     NecklaceWord,
     Path,
     PathSum,
-    Scalar,
     _add_term,
+    _Encoding,
     _encoding,
-    concat,
+    _joint_quiver,
     necklaces_of_length,
 )
 from .quiver import Quiver, double_of
@@ -90,7 +97,10 @@ class FormBasisElement:
 
 def _mismatch(entries: tuple[Path, ...]) -> str | None:
     """Why (p0; p1, ..., pn) is no basis element, or None when it is one."""
+    quiver = entries[0].quiver
     for i, p in enumerate(entries):
+        if p.quiver is not quiver and p.quiver != quiver:
+            return "entries live over different quivers"
         if i >= 1 and p.length < 1:
             return "differential slots need paths of length >= 1"
         if i + 1 < len(entries) and p.source != entries[i + 1].target:
@@ -101,66 +111,79 @@ def _mismatch(entries: tuple[Path, ...]) -> str | None:
     return None
 
 
-def _mul_basis(
-    x: FormBasisElement, y: FormBasisElement
-) -> Iterator[tuple[FormBasisElement, int]]:
-    entries = (x.lead,) + x.tails + (y.lead,) + y.tails
-    n = x.degree
-    for i in range(n + 1):
-        fused = concat(entries[i], entries[i + 1])
-        if fused is None:
-            continue
-        candidate = entries[:i] + (fused,) + entries[i + 2 :]
-        if _mismatch(candidate) is None:
-            sign = 1 if (n - i) % 2 == 0 else -1
-            yield FormBasisElement(candidate[0], candidate[1:]), sign
-
-
 class FormSum(LinearCombination):
     """Rational combination of form basis elements, graded by (degree, length)."""
+
+    __slots__ = ()
+    _view = FormBasisElement
+
+    @staticmethod
+    def _code(elt: FormBasisElement):
+        if not elt.tails and not elt.lead.arrows:
+            return elt.lead.vertex
+        index = _encoding(elt.quiver).arrow_index
+        return tuple(tuple([index[label] for label in p.arrows]) for p in (elt.lead,) + elt.tails)
+
+    def _decode(self, code) -> FormBasisElement:
+        return _store(self.quiver).decode(self.quiver, code)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
         if not isinstance(other, FormSum):
             return NotImplemented
-        acc: dict[FormBasisElement, Scalar] = {}
+        if not self._terms or not other._terms:
+            return FormSum.zero()
+        quiver = _joint_quiver(self.quiver, other.quiver, "forms")
+        encoding = _encoding(quiver)
+        # x.y fuses one adjacent pair of x0, ..., xn, y0, ..., ym, and every
+        # fusing needs source(xn) == target(y0)
+        by_target: dict[int, list] = {}
+        for y, d in other._terms.items():
+            by_target.setdefault(_ends(encoding, y)[1], []).append((y, d))
+        acc: dict = {}
         for x, c in self._terms.items():
-            for y, d in other._terms.items():
+            for y, d in by_target.get(_ends(encoding, x)[0], ()):
                 cd = c * d
-                for elt, sign in _mul_basis(x, y):
-                    _add_term(acc, elt, sign * cd)
-        return FormSum._of_terms(acc)
+                if type(x) is int or type(y) is int:
+                    # a vertex element is a unit for the forms it matches
+                    _add_term(acc, y if type(x) is int else x, cd)
+                    continue
+                # fusing xn and y0 gives the sign +1; fusing xi and x(i+1)
+                # leaves y0 in a differential slot, so it needs arrows
+                n = len(x) - 1
+                _add_term(acc, x[:n] + (y[0] + x[n],) + y[1:], cd)
+                for i in range(n if y[0] else 0):
+                    fused = x[:i] + (x[i + 1] + x[i],) + x[i + 2 :] + y
+                    _add_term(acc, fused, cd if (n - i) % 2 == 0 else -cd)
+        return FormSum._of_terms(acc, quiver)
 
     def degrees(self) -> set[int]:
-        return {elt.degree for elt in self._terms}
+        return {0 if type(code) is int else len(code) - 1 for code in self._terms}
 
     def components(self) -> dict[tuple[int, int], "FormSum"]:
         """Split into homogeneous (degree, total length) pieces."""
         acc: dict[tuple[int, int], dict] = {}
-        for elt, coeff in self._terms.items():
-            acc.setdefault((elt.degree, elt.total_length), {})[elt] = coeff
-        return {key: FormSum._of_terms(terms) for key, terms in acc.items()}
+        for code, coeff in self._terms.items():
+            key = (0, 0) if type(code) is int else (len(code) - 1, sum(map(len, code)))
+            acc.setdefault(key, {})[code] = coeff
+        return {key: FormSum._of_terms(terms, self.quiver) for key, terms in acc.items()}
 
 
 def form_of(x: PathSum) -> FormSum:
     """Embed a path-algebra element as a degree-0 form."""
-    return FormSum((FormBasisElement(p, ()), c) for p, c in x.terms())
+    terms = {p if type(p) is int else (p,): c for p, c in x._terms.items()}
+    return FormSum._of_terms(terms, x.quiver)
 
 
 def form_unit(q: Quiver) -> FormSum:
-    return FormSum((FormBasisElement(Path.trivial(q, v), ()), 1) for v in q.vertices)
+    return FormSum._of_terms(dict.fromkeys(q.vertices, 1), q)
 
 
 def differential(x: FormSum) -> FormSum:
     """d(p0; p1, ..., pn) = (e; p0, p1, ..., pn), zero when the lead is a vertex."""
-    acc = []
-    for elt, coeff in x.terms():
-        if elt.lead.length == 0:
-            continue
-        lead = Path.trivial(elt.lead.quiver, elt.lead.target)
-        acc.append((FormBasisElement(lead, (elt.lead,) + elt.tails), coeff))
-    return FormSum(acc)
+    terms = {((),) + code: c for code, c in x._terms.items() if type(code) is not int and code[0]}
+    return FormSum._of_terms(terms, x.quiver)
 
 
 def d_of_path_sum(x: PathSum) -> FormSum:
@@ -176,21 +199,24 @@ def contract(theta: Derivation, x: FormSum) -> FormSum:
     fusing the pair starting at pj gives the sign (-1)^j, and the pairs
     before p(i-1) leave r in a differential slot, so they need len(r) >= 1.
     """
-    acc: dict[FormBasisElement, Scalar] = {}
-    for elt, coeff in x.terms():
-        entries = (elt.lead,) + elt.tails
-        for i in range(1, len(entries)):
-            rest = entries[i + 1 :]
-            for r, c in theta(entries[i]).terms():
-                head = entries[:i] + (r,)
-                for j in range(0 if r.arrows else i - 1, i):
-                    fused = head[:j] + (concat(head[j], head[j + 1]),) + head[j + 2 :] + rest
-                    _add_term(
-                        acc,
-                        FormBasisElement(fused[0], fused[1:]),
-                        coeff * c if j % 2 == 0 else -coeff * c,
-                    )
-    return FormSum._of_terms(acc)
+    if x.quiver is None:
+        return FormSum.zero()
+    quiver = _joint_quiver(theta.quiver, x.quiver, "forms")
+    acc: dict = {}
+    for code, coeff in x._terms.items():
+        if type(code) is int:
+            continue
+        for i in range(1, len(code)):
+            rest = code[i + 1 :]
+            for r, c in theta(PathSum._of_terms({code[i]: 1}, quiver))._terms.items():
+                # e_v is the entry () here; e dp1 with p1 a loop at v leaves e_v
+                trivial = type(r) is int
+                head = code[:i] + (() if trivial else r,)
+                for j in range(i - 1 if trivial else 0, i):
+                    fused = head[:j] + (head[j + 1] + head[j],) + head[j + 2 :] + rest
+                    sign = coeff * c if j % 2 == 0 else -coeff * c
+                    _add_term(acc, r if fused == ((),) else fused, sign)
+    return FormSum._of_terms(acc, quiver)
 
 
 def lie_derivative(theta: Derivation, x: FormSum) -> FormSum:
@@ -206,25 +232,15 @@ def symplectic_form(q: Quiver) -> FormSum:
     """The canonical 2-form sum_a da* da of a double quiver, built from its
     terms: each product da* da is the basis element e_{s(a)} da* da."""
     dq = double_of(q)
-    terms = {}
-    for arr in dq.base_arrows:
-        tails = (Path.of_arrow(dq, dq.star(arr.label)), Path.of_arrow(dq, arr.label))
-        terms[FormBasisElement(Path.trivial(dq, arr.source), tails)] = 1
-    return FormSum._of_terms(terms)
+    star = _encoding(dq).star
+    # arrow a is a base arrow exactly when a < star[a]
+    return FormSum._of_terms(
+        {((), (star[a],), (a,)): 1 for a in range(len(star)) if a < star[a]}, dq
+    )
 
 
 # ---------------------------------------------------------------------------
 # graded bases and exact dimension counts
-#
-# These run on one store per quiver instance, over the quiver's path
-# encoding (paths._Encoding): a path of length >= 1 is the tuple of its
-# arrow numbers in traversal order, arrows numbered in sorted-label order,
-# so encoded paths compare as their label tuples do and every basis keeps
-# the order of omega_basis.  A basis element p0 dp1 ... dpn is the tuple of
-# its encoded entries, a trivial lead being the empty tuple (its vertex is
-# the target of p1); the vertex elements e_v of the (0, 0) piece, the only
-# elements without an arrow, are encoded as the vertex number v.  d sends
-# an element with a nonempty lead to ((),) + element and the others to 0.
 #
 # The commutator subspace [Ω, Ω] is spanned by the supercommutators [s, ω]
 # of the generators s = e_i, a, da with basis elements ω, by the identity
@@ -262,12 +278,21 @@ def _cuts(length: int, degree: int) -> Iterator[list[tuple[int, int]]]:
             yield [(length - b, length - a) for a, b in zip(sums, sums[1:])]
 
 
+def _ends(encoding: _Encoding, code) -> tuple[int, int]:
+    """(source, target) of a form code: the source of its last entry and the
+    target of its lead, the target of p1 when the lead is trivial."""
+    if type(code) is int:
+        return code, code
+    lead = code[0]
+    return encoding.source[code[-1][0]], encoding.target[lead[-1] if lead else code[1][-1]]
+
+
 class _Piece:
     """The encoded basis of one (degree, length) piece."""
 
     __slots__ = ("basis", "index", "open_columns", "by_ends")
 
-    def __init__(self, basis: tuple, source: tuple[int, ...], target: tuple[int, ...]) -> None:
+    def __init__(self, basis: tuple, encoding: _Encoding) -> None:
         self.basis = basis
         self.index = {code: i for i, code in enumerate(basis)}
         # columns of the elements that are not closed, and the elements with
@@ -277,8 +302,7 @@ class _Piece:
         for i, code in enumerate(basis):
             if type(code) is int:
                 continue
-            lead = code[0]
-            ends = (source[code[-1][0]], target[lead[-1] if lead else code[1][-1]])
+            ends = _ends(encoding, code)
             if ends[0] != ends[1]:
                 self.open_columns.add(i)
             self.by_ends.setdefault(ends, []).append(code)
@@ -316,7 +340,7 @@ class _FormsStore:
                     for bounds in _cuts(length, degree)
                     for w in self.encoding.words(length)
                 )
-            piece = _Piece(basis, self.encoding.source, self.encoding.target)
+            piece = _Piece(basis, self.encoding)
             self._pieces[(degree, length)] = piece
         return piece
 
@@ -382,20 +406,11 @@ class _FormsStore:
         return basis
 
     def decode(self, q: Quiver, code) -> FormBasisElement:
-        if type(code) is int:
-            return FormBasisElement(Path.trivial(q, code), ())
-        paths = [Path(q, self.encoding.decode(entry)) if entry else None for entry in code]
-        if paths[0] is None:
-            paths[0] = Path.trivial(q, self.encoding.target[code[1][-1]])
+        # only a lead can be trivial, and its vertex is the element's target
+        vertex, decode = _ends(self.encoding, code)[1], self.encoding.decode
+        entries = ((),) if type(code) is int else code
+        paths = [Path(q, decode(e)) if e else Path.trivial(q, vertex) for e in entries]
         return FormBasisElement(paths[0], tuple(paths[1:]))
-
-    def encode(self, elt: FormBasisElement):
-        if not elt.tails and not elt.lead.arrows:
-            return elt.lead.vertex
-        arrow_index = self.encoding.arrow_index
-        return tuple(
-            tuple(arrow_index[label] for label in p.arrows) for p in (elt.lead,) + elt.tails
-        )
 
 
 def _store(q: Quiver) -> _FormsStore:
@@ -495,14 +510,14 @@ def in_commutator_span(
     degree_cap: int = DEGREE_CAP,
     length_cap: int = LENGTH_CAP,
 ) -> bool:
-    """Whether every homogeneous piece of x is a sum of supercommutators."""
-    store = _store(q)
+    """Whether every homogeneous piece of x, a form over q, is a sum of supercommutators."""
+    store = _store(_joint_quiver(q, x.quiver, "forms"))
     for (degree, length), part in x.components().items():
         _check_caps(degree, length, degree_cap, length_cap)
         piece = store.piece(degree, length)
         row = {}
-        for elt, coeff in part.terms():
-            column = piece.index[store.encode(elt)]
+        for code, coeff in part._terms.items():
+            column = piece.index[code]
             if column not in piece.open_columns:
                 row[column] = coeff
         if not store.commutators(degree, length).contains(row):
@@ -534,20 +549,20 @@ def reduce_to_dr1(x: FormSum) -> FormSum:
     a_1 ... a_{j-1}, and is a vertex when that is empty.  The class is 0
     unless p0.p1 is closed, which holds exactly when each p_j.a_j is.
     """
-    acc: dict[FormBasisElement, Scalar] = {}
-    for elt, coeff in x.terms():
-        if elt.degree != 1:
+    if x.quiver is None:
+        return FormSum.zero()
+    encoding = _encoding(x.quiver)
+    acc: dict = {}
+    for code, coeff in x._terms.items():
+        if type(code) is int or len(code) != 2:
             raise ValueError("reduce_to_dr1 expects a homogeneous 1-form")
-        p0, (p1,) = elt.lead, elt.tails
-        if p0.target != p1.source:
+        source, target = _ends(encoding, code)
+        if source != target:
             continue
-        q, arrows = p0.quiver, p1.arrows
-        for j, label in enumerate(arrows):
-            arrow = Path.of_arrow(q, label)
-            around = arrows[j + 1 :] + p0.arrows + arrows[:j]
-            p = Path(q, around) if around else Path.trivial(q, arrow.target)
-            _add_term(acc, FormBasisElement(p, (arrow,)), coeff)
-    return FormSum._of_terms(acc)
+        p0, p1 = code
+        for j in range(len(p1)):
+            _add_term(acc, (p1[j + 1 :] + p0 + p1[:j], (p1[j],)), coeff)
+    return FormSum._of_terms(acc, x.quiver)
 
 
 def tau(theta: Derivation) -> FormSum:

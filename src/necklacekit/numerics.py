@@ -92,11 +92,14 @@ def moment_eval(q: Quiver, alpha: Sequence[int], point: Mapping[str, np.ndarray]
 
 
 def _project_trace(blocks: list[np.ndarray], alpha: tuple[int, ...]) -> list[np.ndarray]:
+    """Subtract the mean trace from every diagonal, in place."""
     n_total = sum(alpha)
     if n_total == 0:
         return blocks
     mean = sum(np.trace(b) for b in blocks) / n_total
-    return [b - mean * np.eye(len(b)) for b in blocks]
+    for b in blocks:
+        b.flat[:: len(b) + 1] -= mean
+    return blocks
 
 
 def _residual_vector(
@@ -106,7 +109,8 @@ def _residual_vector(
     point: Mapping[str, np.ndarray],
 ) -> np.ndarray:
     blocks = moment_eval(dq, alpha, point)
-    blocks = [b - lam_values[i] * np.eye(alpha[i]) for i, b in enumerate(blocks)]
+    for b, lam in zip(blocks, lam_values):
+        b.flat[:: len(b) + 1] -= lam
     blocks = _project_trace(blocks, alpha)
     if not blocks:
         return np.zeros(0, dtype=complex)

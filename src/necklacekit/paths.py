@@ -9,12 +9,13 @@ Coefficients are exact, ``int`` or ``Fraction``: sums and products of integers
 stay ``int``, and other inputs are converted to the ``Fraction`` of their
 value; there is no floating point in this module.
 
-``PathSum`` and ``NecklaceSum`` live over one quiver and key their terms by
-codes in the quiver's encoding (see _Encoding): a path or necklace with
-arrows is the tuple of its arrow numbers, a trivial path or vertex class its
-vertex.  Products, partial derivatives, the trace projection and
-derivations work on codes only; ``Path`` and ``NecklaceWord`` are the
-validated views that the constructors take and ``terms()`` hands out.
+Every exact sum (``PathSum``, ``NecklaceSum`` and ``forms.FormSum``) lives
+over one quiver and keys its terms by codes in the quiver's encoding (see
+_Encoding): a path or necklace with arrows is the tuple of its arrow
+numbers, a trivial path or vertex class its vertex.  Products, partial
+derivatives, the trace projection and derivations work on codes only;
+``Path`` and ``NecklaceWord`` are the validated views that the constructors
+take and ``terms()`` hands out.
 """
 from __future__ import annotations
 
@@ -131,27 +132,32 @@ def _joint_quiver(q1: Quiver | None, q2: Quiver | None, what: str = "terms") -> 
 
 
 class LinearCombination:
-    """Shared behaviour of exact linear combinations with basis-element keys.
+    """Exact linear combination of one quiver's paths, necklaces or forms.
 
     Coefficients are int or Fraction and never 0; inputs of any other type
     (float, str, ...) are converted to the exact Fraction of their value.
-    ``quiver`` is the quiver of the terms of a nonzero PathSum or
-    NecklaceSum, and None for a zero sum and for a FormSum.
+    ``quiver`` is the quiver of the terms of a nonzero sum, None for a zero
+    sum.  Terms are keyed by codes; the hooks ``_code(key)`` and
+    ``_decode(code)`` translate between a code and its validated view, an
+    instance of the class ``_view``, and default to Path and NecklaceWord.
     """
 
     __slots__ = ("_terms", "quiver")
 
     def __init__(self, terms: Mapping | Iterable[tuple] = ()) -> None:
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        quiver = None
+        for key, _ in items:
+            quiver = _joint_quiver(quiver, key.quiver)
         acc: dict = {}
         for key, coeff in items:
-            _add_term(acc, key, _exact(coeff))
+            _add_term(acc, self._code(key), _exact(coeff))
         self._terms = acc
-        self.quiver = None
+        self.quiver = quiver if acc else None
 
     @classmethod
     def _of_terms(cls, acc: dict, quiver: Quiver | None = None):
-        """Wrap an accumulator whose coefficients are exact and nonzero."""
+        """Wrap an accumulator of codes whose coefficients are exact and nonzero."""
         result = cls.__new__(cls)
         result._terms = acc
         result.quiver = quiver if acc else None
@@ -165,12 +171,23 @@ class LinearCombination:
     def of(cls, key, coeff: Scalar = 1):
         return cls(((key, coeff),))
 
+    @staticmethod
+    def _code(view):
+        return _encoding(view.quiver).code(view)
+
+    def _decode(self, code):
+        if type(code) is int:
+            return self._view(self.quiver, (), code)
+        return self._view(self.quiver, _encoding(self.quiver).decode(code))
+
     def terms(self) -> Iterator[tuple]:
-        return iter(self._terms.items())
+        return ((self._decode(code), coeff) for code, coeff in self._terms.items())
 
     def coefficient(self, key) -> Scalar:
         """The coefficient of a basis element, an int or a Fraction (0 if absent)."""
-        return self._terms.get(key, 0)
+        if not isinstance(key, self._view) or key.quiver != self.quiver:
+            return 0
+        return self._terms.get(self._code(key), 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -235,39 +252,7 @@ class LinearCombination:
         return f"{type(self).__name__}({self})"
 
 
-class _CodedSum(LinearCombination):
-    """A combination of the paths or necklaces of one quiver, keyed by their
-    codes; ``_view`` is the class a code decodes to, Path or NecklaceWord."""
-
-    __slots__ = ()
-    _view: type
-
-    def __init__(self, terms: Mapping | Iterable[tuple] = ()) -> None:
-        items = list(terms.items() if isinstance(terms, Mapping) else terms)
-        quiver = None
-        for key, _ in items:
-            quiver = _joint_quiver(quiver, key.quiver)
-        if quiver is not None:
-            code = _encoding(quiver).code
-            items = [(code(key), coeff) for key, coeff in items]
-        super().__init__(items)
-        self.quiver = quiver if self._terms else None
-
-    def _decode(self, code):
-        if type(code) is int:
-            return self._view(self.quiver, (), code)
-        return self._view(self.quiver, _encoding(self.quiver).decode(code))
-
-    def terms(self) -> Iterator[tuple]:
-        return ((self._decode(code), coeff) for code, coeff in self._terms.items())
-
-    def coefficient(self, key) -> Scalar:
-        if not isinstance(key, self._view) or key.quiver != self.quiver:
-            return 0
-        return self._terms.get(_encoding(key.quiver).code(key), 0)
-
-
-class PathSum(_CodedSum):
+class PathSum(LinearCombination):
     """Element of the path algebra: finite rational combination of paths."""
 
     __slots__ = ()
@@ -367,7 +352,7 @@ def _min_rotation(word: tuple) -> tuple:
     return best
 
 
-class NecklaceSum(_CodedSum):
+class NecklaceSum(LinearCombination):
     """Rational combination of necklace words (an element of the trace quotient)."""
 
     __slots__ = ()

@@ -10,6 +10,7 @@ sequence used, so it can be replayed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -123,6 +124,13 @@ def box_vectors(box: Sequence[int], *, include_zero: bool = False) -> Iterator[D
             yield vec
 
 
+def _check_box_size(box: Sequence[int], cap: int) -> None:
+    """Refuse a box 0 <= alpha <= box of more than cap vectors, zero included."""
+    vectors = math.prod(b + 1 for b in box)
+    if vectors > cap:
+        raise ValueError(f"box holds {vectors} candidates, more than the cap {cap}")
+
+
 def enumerate_positive_roots(
     q: Quiver,
     box: Sequence[int],
@@ -138,11 +146,7 @@ def enumerate_positive_roots(
         raise ValueError("box entries must be nonnegative")
     if any(b > entry_cap for b in box):
         raise ValueError(f"box entry exceeds the cap {entry_cap}")
-    candidates = 1
-    for b in box:
-        candidates *= b + 1
-    if candidates > candidate_cap:
-        raise ValueError(f"box holds {candidates} candidates, more than the cap {candidate_cap}")
+    _check_box_size(box, candidate_cap)
     out = []
     for vec in box_vectors(box):
         verdict = classify_root(q, vec)

@@ -20,9 +20,10 @@ per call over the box 0 < beta <= alpha for a fixed (quiver, weight) pair
 decomposition of every remainder is computed once and shared by all the
 vectors of the box.  ``classify`` builds one table and runs the whole
 pipeline on it; ``two_alpha_nonsmooth`` called on its own adds a second one
-over the box of 2 alpha once alpha passes.  The enumeration of every
-decomposition, the route the tests check the table against, lives in
-``tests/oracles.py``.
+over the box of 2 alpha once alpha passes.  A box of more than
+``roots.CANDIDATE_CAP`` vectors is refused before its table is built.  The
+enumeration of every decomposition, the route the tests check the table
+against, lives in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -45,7 +46,14 @@ from .quiver import (
     num_parameters,
     tits_form,
 )
-from .roots import ENTRY_CAP, RootClass, box_vectors, classify_root
+from .roots import (
+    CANDIDATE_CAP,
+    ENTRY_CAP,
+    RootClass,
+    _check_box_size,
+    box_vectors,
+    classify_root,
+)
 
 Decomposition = tuple[tuple[DimVector, int], ...]
 """Multiset of (part, multiplicity) pairs, parts in descending lex order."""
@@ -150,6 +158,7 @@ class _SigmaTable:
         self.q = q
         self.lam = as_weight(q, lam)
         _check_entry_cap(box, entry_cap)
+        _check_box_size(box, CANDIDATE_CAP)
         self.box = box
         self.entry_cap = entry_cap
         scale = math.lcm(*(l.denominator for l in self.lam))

@@ -16,9 +16,10 @@ of by its closed form, the moment-map Jacobian one column at a time,
 each column the trace-projected image of one matrix unit, instead of from
 Kronecker blocks, the necklace bracket, hamiltonian fields, derivations
 and their commutators on Path and NecklaceWord dataclasses, label by label,
-instead of on arrow-number codes, and the damped Gauss-Newton step from the
-n x n normal equations whatever the Jacobian's shape, instead of from the
-smaller of its two Gram matrices.
+instead of on arrow-number codes, the product of forms by concat on
+FormBasisElement entries instead of on codes, and the damped Gauss-Newton
+step from the n x n normal equations whatever the Jacobian's shape, instead
+of from the smaller of its two Gram matrices.
 """
 from __future__ import annotations
 
@@ -56,6 +57,7 @@ from necklacekit import (
     reflect,
     weight_pairing,
 )
+from necklacekit.forms import _mismatch
 from necklacekit.numerics import _project_trace
 from necklacekit.roots import ENTRY_CAP, box_vectors
 from necklacekit.strata import _sum_multisets
@@ -569,6 +571,26 @@ def commutator_images_by_labels(theta1: Derivation, theta2: Derivation) -> dict:
             _accumulate(image, p, -c)
         images[arr.label] = image
     return images
+
+
+def multiply_by_paths(x: FormSum, y: FormSum) -> FormSum:
+    """x.y term by term on FormBasisElements: fuse each adjacent pair i of
+    x0, ..., xn, y0, ..., ym by concat, with the sign (-1)^(n-i), and keep
+    the fused tuple when it is still a basis element."""
+    out: dict = {}
+    for a, c in x.terms():
+        for b, d in y.terms():
+            entries = (a.lead,) + a.tails + (b.lead,) + b.tails
+            n = a.degree
+            for i in range(n + 1):
+                fused = concat(entries[i], entries[i + 1])
+                if fused is None:
+                    continue
+                candidate = entries[:i] + (fused,) + entries[i + 2 :]
+                if _mismatch(candidate) is None:
+                    sign = 1 if (n - i) % 2 == 0 else -1
+                    _accumulate(out, FormBasisElement(candidate[0], candidate[1:]), sign * c * d)
+    return FormSum(out)
 
 
 def contract_by_products(theta: Derivation, x: FormSum) -> FormSum:

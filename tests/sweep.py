@@ -11,6 +11,12 @@ Run from the root of a checkout::
 
     PYTHONPATH=src python3 tests/sweep.py
 
+``tests/golden/sweep.txt`` holds the output of the current code, and CI
+compares every line of a fresh run but the ``moment`` line with it (that
+line hashes LAPACK output, whose last bits may differ between CPUs).  A
+change that alters the command line's behaviour on the corpus must rewrite
+that file with the new output.
+
 The file is not collected by pytest (its name does not start with test_).
 """
 from __future__ import annotations

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from necklacekit import (
+    Arrow,
     BoundExceeded,
     Derivation,
     FormBasisElement,
@@ -10,6 +11,7 @@ from necklacekit import (
     NecklaceWord,
     Path,
     PathSum,
+    Quiver,
     contract,
     d_of_path_sum,
     differential,
@@ -19,6 +21,7 @@ from necklacekit import (
     form_of,
     form_unit,
     graded_homology_dim,
+    in_commutator_span,
     is_symplectic,
     karoubi_dim,
     karoubi_homology_dim,
@@ -379,3 +382,38 @@ def test_omega_basis_dimensions(calogero_double):
     assert len(omega_basis(calogero_double, 1, 1)) == 4
     assert len(omega_basis(calogero_double, 2, 4)) == 6 * 58
     assert len(omega_basis(calogero_double, 3, 3)) == 24
+
+
+def _cycle_form(dq, vertex):
+    """e_v d(a* a) over the double of one arrow a, the cycle a* a at v."""
+    return FormSum.of(FormBasisElement(Path.trivial(dq, vertex), (Path(dq, ("a*", "a")),)))
+
+
+def test_forms_over_two_quivers_are_refused():
+    # the cycle a* a lies at vertex 1 in q1 and at vertex 2 in q2
+    q1 = double(Quiver(2, (Arrow("a", 2, 1),)))
+    q2 = double(Quiver(2, (Arrow("a", 1, 2),)))
+    x1, x2 = _cycle_form(q1, 1), _cycle_form(q2, 2)
+    degree_zero = form_of(PathSum.of(Path(q2, ("a*", "a"))))
+    theta = euler_derivation(q1)
+    with pytest.raises(ValueError, match="different quivers"):
+        x1 + x2
+    with pytest.raises(ValueError, match="different quivers"):
+        FormSum((FormBasisElement(Path.trivial(q, 1), ()), 1) for q in (q1, q2))
+    # e2 da is a basis element over q2, whose arrow a runs 1 -> 2
+    with pytest.raises(ValueError, match="different quivers"):
+        FormBasisElement(Path.trivial(q1, 2), (Path.of_arrow(q2, "a"),))
+    with pytest.raises(ValueError, match="different quivers"):
+        x1 * x2
+    with pytest.raises(ValueError, match="different quivers"):
+        contract(theta, degree_zero)
+    with pytest.raises(ValueError, match="different quivers"):
+        contract(theta, x2)
+    with pytest.raises(ValueError, match="different quivers"):
+        lie_derivative(theta, degree_zero)
+    with pytest.raises(ValueError, match="different quivers"):
+        in_commutator_span(x2, q1)
+    # the same forms over one quiver are accepted
+    assert len(x1 + _cycle_form(q1, 1)) == 1
+    assert in_commutator_span(x1 - x1, q2)
+    assert contract(theta, x1) == form_of(PathSum.of(Path(q1, ("a*", "a")))) * 2

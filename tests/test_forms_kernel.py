@@ -1,6 +1,7 @@
 """Differential tests of the integer-encoded graded kernel of `forms` and of
 the fraction-free `RowReducer`, against the all-pairs route and the
-Fraction eliminator in `oracles`, and against Burnside's necklace count.
+Fraction eliminator in `oracles`, and against Burnside's necklace count;
+and of the coded product of forms against the product on paths.
 
 The quivers are seeded random quivers on 1-3 vertices with at most 3 arrows,
 each taken as it is and doubled, at degree <= 3 and length <= 4.  The
@@ -15,12 +16,14 @@ from __future__ import annotations
 import gc
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from necklacekit import (
     Arrow,
+    FormSum,
     Quiver,
     double,
     graded_homology_dim,
@@ -32,8 +35,13 @@ from necklacekit import (
 )
 from necklacekit.linalg import RowReducer
 
-from conftest import random_form
-from oracles import AllPairsForms, FractionRowReducer, count_necklaces_by_burnside
+from conftest import random_form, random_fraction
+from oracles import (
+    AllPairsForms,
+    FractionRowReducer,
+    count_necklaces_by_burnside,
+    multiply_by_paths,
+)
 
 MAX_DEGREE = 3
 MAX_LENGTH = 4
@@ -118,6 +126,42 @@ def test_commutator_span_matches_the_all_pairs_route(index):
             checked += 1
         assert in_commutator_span(commutator, q, **CAPS)
     assert checked >= 30
+
+
+def _source(elt):
+    """The source of an element: the source of its last entry."""
+    return (elt.tails[-1] if elt.tails else elt.lead).source
+
+
+def test_products_match_the_path_route():
+    """x.y on codes against concat on FormBasisElements, for factors of
+    degree <= 3 and length <= 3 on every quiver, mostly pairs whose ends
+    meet so that the products are not all zero."""
+    seen: Counter = Counter()
+    for index, q in enumerate(QUIVERS):
+        rng = random.Random(9000 + index)
+        pool = [elt for d, l in _pieces() if l <= 3 for elt in omega_basis(q, d, l)]
+        by_target: dict = {}
+        for elt in pool:
+            by_target.setdefault(elt.lead.target, []).append(elt)
+        for _ in range(120):
+            x = rng.choice(pool)
+            # y's first term mostly ends where x starts: x.y traverses y first
+            y = rng.choice(by_target.get(_source(x), pool) if rng.random() < 0.8 else pool)
+            others = [rng.choice(pool) for _ in range(rng.choice((0, 0, 1, 2)))]
+            x_sum = FormSum.of(x, random_fraction(rng))
+            y_sum = FormSum((elt, random_fraction(rng)) for elt in [y] + others)
+            product = x_sum * y_sum
+            assert product == multiply_by_paths(x_sum, y_sum)
+            assert y_sum * x_sum == multiply_by_paths(y_sum, x_sum)
+            meet = _source(x) == y.lead.target
+            seen["nonzero"] += not product.is_zero()
+            seen["vertex"] += meet and not x.tails and not x.lead.arrows
+            seen["trivial lead"] += meet and bool(y.tails) and not y.lead.arrows
+            # every fusing of x but the last leaves y's trivial lead in a slot
+            seen["slot"] += meet and bool(x.tails) and bool(y.tails) and not y.lead.arrows
+    assert min(seen[key] for key in ("vertex", "trivial lead", "slot")) >= 100, seen
+    assert seen["nonzero"] >= 1000, seen
 
 
 @pytest.mark.parametrize("degree, length", [(-1, 2), (0, -1), (2, -3)])

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from necklacekit import (
+    Arrow,
     Quiver,
     classify,
     coadjoint_verdict,
@@ -16,6 +17,7 @@ from necklacekit import (
     slice_smooth_check,
     two_alpha_nonsmooth,
 )
+from necklacekit.roots import CANDIDATE_CAP, _check_box_size
 
 from oracles import decompositions
 
@@ -243,3 +245,16 @@ def test_classify_report(calogero):
     for tr in report0.types:
         assert tr.slice_check is not None
         assert tr.slice_check.smooth == (sum(m * m for m, _ in tr.rep_type) == 1)
+
+
+def test_a_box_above_the_candidate_cap_is_refused_before_its_table():
+    # 13^6 = 4,826,809 box vectors, each entry within the entry cap
+    a6 = Quiver(6, tuple(Arrow(f"a{i}", i, i + 1) for i in range(1, 6)))
+    message = f"box holds 4826809 candidates, more than the cap {CANDIDATE_CAP}"
+    for check in (sigma_membership, classify, coadjoint_verdict, minimal_in_sigma, rep_types):
+        with pytest.raises(ValueError, match=message):
+            check(a6, (12,) * 6, (0,) * 6)
+    # the cap counts the zero vector: 10^6 vectors pass, 11 * 10^5 do not
+    _check_box_size((9,) * 6, CANDIDATE_CAP)
+    with pytest.raises(ValueError, match="box holds 1100000 candidates"):
+        _check_box_size((10,) + (9,) * 5, CANDIDATE_CAP)

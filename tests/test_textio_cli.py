@@ -263,6 +263,17 @@ def test_cli_moment_refuses_an_oversized_alpha(calogero_file, capsys):
     assert "cap is 16777216 entries" in err
 
 
+@pytest.mark.parametrize("command", ["sigma", "classify"])
+def test_cli_refuses_a_box_above_the_candidate_cap(command, tmp_path, capsys):
+    path = tmp_path / "a6.quiver"
+    path.write_text("vertices: 6\narrows: a 1 2, b 2 3, c 3 4, d 4 5, e 5 6\n", encoding="utf-8")
+    argv = [command, str(path), "--alpha", "12,12,12,12,12,12", "--lambda", "0,0,0,0,0,0"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: box holds 4826809 candidates, more than the cap 1000000\n"
+
+
 def test_cli_json_determinism(calogero_file, tmp_path):
     paths = [tmp_path / "one.json", tmp_path / "two.json"]
     for path in paths:
