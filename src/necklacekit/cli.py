@@ -8,10 +8,17 @@ JSON (schema ``necklace-kit/1``) via ``--json PATH``.
 Exit codes: 0 on success, 1 on a domain error (bad vectors, exceeded caps,
 unsolvable inputs), 2 on a usage error, among them a numeric flag out of
 its range.
+
+``main`` builds the parser once per process, on its first call, and parses
+every later argument list with it; ``build_parser`` returns a fresh parser
+on each call.  argparse keeps no state between parses: each makes a new
+namespace and, for help and usage messages, a new formatter sized to the
+terminal at that moment.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -142,6 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_moment.add_argument("--max-iter", type=_POSITIVE_INT, default=200)
     p_moment.add_argument("--svd-tol", type=_POSITIVE_FLOAT, default=1e-7)
     return parser
+
+
+_parser = functools.cache(build_parser)
 
 
 def _fmt_matrix(matrix) -> list[str]:
@@ -386,7 +396,7 @@ def cmd_derham(q: Quiver, args) -> dict:
 
 def cmd_karoubi(q: Quiver, args) -> dict:
     def dim(*key, **caps):
-        return forms.karoubi_dim(*key, **caps)[0]
+        return len(forms._karoubi_codes(*key, **caps))
 
     return _graded_table(q, args, "commutator-quotient dimensions", dim)
 
@@ -461,8 +471,7 @@ COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(_absorb_negative_values(argv))
+    args = _parser().parse_args(_absorb_negative_values(argv))
     try:
         quiver = parse_quiver_file(args.quiver)
         report = COMMANDS[args.command](quiver, args)

@@ -448,6 +448,18 @@ def graded_homology_dim(
     return kernel - store.d_rank(degree - 1, length)
 
 
+def _karoubi_codes(q: Quiver, degree: int, length: int, degree_cap: int, length_cap: int) -> list:
+    """Codes of the basis elements of one graded piece whose classes are a
+    basis of its supercommutator quotient: the columns that are neither open
+    nor a pivot of the commutator row space.  The command line counts them
+    without decoding."""
+    _check_caps(degree, length, degree_cap, length_cap)
+    store = _store(q)
+    piece = store.piece(degree, length)
+    pivots = piece.open_columns | store.commutators(degree, length).pivot_columns
+    return [code for i, code in enumerate(piece.basis) if i not in pivots]
+
+
 def karoubi_dim(
     q: Quiver,
     degree: int,
@@ -461,15 +473,9 @@ def karoubi_dim(
     Returns the dimension together with basis elements whose classes span the
     quotient (the non-pivot coordinates of the commutator row space).
     """
-    _check_caps(degree, length, degree_cap, length_cap)
+    codes = _karoubi_codes(q, degree, length, degree_cap, length_cap)
     store = _store(q)
-    piece = store.piece(degree, length)
-    reducer = store.commutators(degree, length)
-    pivots = piece.open_columns | reducer.pivot_columns
-    reps = tuple(
-        store.decode(q, code) for i, code in enumerate(piece.basis) if i not in pivots
-    )
-    return len(piece.basis) - len(pivots), reps
+    return len(codes), tuple(store.decode(q, code) for code in codes)
 
 
 def karoubi_homology_dim(

@@ -10,10 +10,15 @@ reach on the largest pieces at length 4 (the double of two loops has a
 piece of 1536 elements).  Pieces above ORACLE_PIECE_LIMIT elements, 7 of
 the 400 here, are therefore compared only where a cheap oracle exists:
 the basis, graded homology and, in degree 0, the Burnside count.
+
+The `karoubi` command line, which counts the quotient's representatives
+without decoding them, is compared with karoubi_dim and the all-pairs route
+on ten more seeded quivers, as they are and doubled, at length <= 3.
 """
 from __future__ import annotations
 
 import gc
+import json
 import random
 import weakref
 from collections import Counter
@@ -33,6 +38,7 @@ from necklacekit import (
     omega_basis,
     paths_of_length,
 )
+from necklacekit.cli import main
 from necklacekit.linalg import RowReducer
 
 from conftest import random_form, random_fraction
@@ -162,6 +168,37 @@ def test_products_match_the_path_route():
             seen["slot"] += meet and bool(x.tails) and bool(y.tails) and not y.lead.arrows
     assert min(seen[key] for key in ("vertex", "trivial lead", "slot")) >= 100, seen
     assert seen["nonzero"] >= 1000, seen
+
+
+CLI_BASES = _random_quivers(2012, 10)
+
+
+def _quiver_text(q: Quiver) -> str:
+    arrows = ", ".join(f"{a.label} {a.source} {a.target}" for a in q.arrows)
+    return f"vertices: {q.vertex_count}\narrows: {arrows}\n"
+
+
+@pytest.mark.parametrize("base", [True, False], ids=["base", "double"])
+@pytest.mark.parametrize("index", range(len(CLI_BASES)))
+def test_karoubi_table_matches_karoubi_dim_and_the_all_pairs_route(index, base, tmp_path, capsys):
+    """The `karoubi --json` cells, counted without decoding, against the
+    dimension karoubi_dim returns with its representatives and against the
+    all-pairs route, at degree <= 3 and length <= 3."""
+    quiver_file, report = tmp_path / "q.quiver", tmp_path / "karoubi.json"
+    quiver_file.write_text(_quiver_text(CLI_BASES[index]), encoding="utf-8")
+    argv = ["karoubi", str(quiver_file), "--max-degree", "3", "--max-length", "3"]
+    assert main(argv + ["--json", str(report)] + (["--base"] if base else [])) == 0
+    capsys.readouterr()
+    q = CLI_BASES[index] if base else double(CLI_BASES[index])
+    oracle = AllPairsForms(q)
+    table = json.loads(report.read_text(encoding="utf-8"))["table"]
+    assert [(row["degree"], row["length"]) for row in table] == [
+        (degree, length) for degree in range(4) for length in range(4)
+    ]
+    for row in table:
+        key = (row["degree"], row["length"])
+        dim, reps = karoubi_dim(q, *key, degree_cap=3, length_cap=3)
+        assert row["dim"] == dim == len(reps) == oracle.karoubi_dim(*key)[0]
 
 
 @pytest.mark.parametrize("degree, length", [(-1, 2), (0, -1), (2, -3)])

@@ -13,6 +13,7 @@ from necklacekit import (
     parse_quiver_text,
     parse_weight,
 )
+from necklacekit import cli
 from necklacekit.cli import build_parser, main
 from necklacekit.textio import MAX_ARROWS, MAX_VERTICES
 
@@ -223,6 +224,88 @@ def test_cli_parses_later_calls_afresh(loop_file, capsys):
     assert main(["karoubi", loop_file, "--max-degree", "0"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [row.split()[2] for row in rows] == ["1", "2", "3", "4", "6"]
+
+
+def _mixed_calls(calogero: str, loop: str) -> list[list[str]]:
+    """Every subcommand, each flag given in one call and left to its default
+    in the next, a help request, a usage error and a domain error."""
+    sigma = ["sigma", calogero, "--alpha", "1,2", "--lambda", "-2,1"]
+    classify = ["classify", calogero, "--alpha", "2,4", "--lambda", "-2,1"]
+    moment = ["moment", calogero, "--alpha", "1,2", "--lambda", "-2,1"]
+    tables = [
+        [command, loop, "--max-degree", "1", "--max-length", "3"]
+        for command in ("derham", "karoubi")
+    ]
+    return [
+        ["info", calogero],
+        ["roots", calogero, "--box", "2,3", "--entry-cap", "1"],
+        ["roots", calogero, "--box", "2,3"],
+        sigma + ["--entry-cap", "1"],
+        sigma,
+        classify + ["--entry-cap", "1"],
+        classify,
+        ["bracket", loop, "--w1", "x x", "--w2", "x* x*"],
+        tables[0] + ["--base"],
+        tables[0],
+        tables[1] + ["--base"],
+        tables[1],
+        tables[1] + ["--max-degree", "0", "--max-length", "1", "--base"],
+        moment + ["--seeds", "2", "--tol", "1e-6"],
+        moment,
+        classify + ["--nope"],
+        ["classify", calogero, "--alpha", "1,2", "--lambda", "1,1,1"],
+        ["sigma", "--help"],
+        sigma + ["--lambda", "0,0"],
+        ["karoubi", loop, "--max-length", "2"],
+        ["info", loop, "--threads", "2"],
+        classify + ["--lambda", "0,0"],
+    ]
+
+
+def _answers(calls: list[list[str]], out_dir, capsys) -> list[tuple]:
+    """(exit code, stdout, stderr, --json bytes) of each call, in one process."""
+    out_dir.mkdir()
+    answers = []
+    for index, argv in enumerate(calls):
+        report = out_dir / f"{index}.json"
+        try:
+            code = main(argv + ["--json", str(report)])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        answers.append((code, out, err, report.read_bytes() if report.exists() else None))
+    return answers
+
+
+def test_cached_parser_carries_no_state_between_calls(
+    calogero_file, loop_file, tmp_path, capsys, monkeypatch
+):
+    calls = _mixed_calls(calogero_file, loop_file)
+    assert len(calls) >= 20
+    assert {argv[0] for argv in calls} == set(cli.COMMANDS)
+    cached = _answers(calls, tmp_path / "cached", capsys)
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    fresh = _answers(calls, tmp_path / "fresh", capsys)
+    assert cached == fresh
+    codes = [answer[0] for answer in cached]
+    assert codes.count(0) >= 15 and 1 in codes and 2 in codes
+    assert sum(answer[3] is not None for answer in cached) >= 15
+
+
+def test_cli_help_follows_the_terminal_width(monkeypatch, capsys):
+    answers = []
+    for columns in ("50", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for parse in (main, build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(["karoubi", "--help"])
+            assert exc.value.code == 0
+            answers.append(capsys.readouterr().out)
+    narrow, narrow_fresh, wide, wide_fresh = answers
+    assert narrow == narrow_fresh
+    assert wide == wide_fresh
+    assert len(narrow.splitlines()) > len(wide.splitlines())
 
 
 MOMENT_ARGS = ["moment", "--alpha", "1,2", "--lambda", "-2,1"]
