@@ -12,6 +12,7 @@ dimension formulas by solving the moment equation numerically.
 from .forms import (
     DEGREE_CAP,
     LENGTH_CAP,
+    PIECE_CAP,
     BoundExceeded,
     FormBasisElement,
     FormSum,
@@ -24,6 +25,7 @@ from .forms import (
     graded_homology_dim,
     in_commutator_span,
     is_symplectic,
+    karoubi_count,
     karoubi_dim,
     karoubi_homology_dim,
     lie_derivative,

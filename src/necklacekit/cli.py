@@ -395,10 +395,7 @@ def cmd_derham(q: Quiver, args) -> dict:
 
 
 def cmd_karoubi(q: Quiver, args) -> dict:
-    def dim(*key, **caps):
-        return len(forms._karoubi_codes(*key, **caps))
-
-    return _graded_table(q, args, "commutator-quotient dimensions", dim)
+    return _graded_table(q, args, "commutator-quotient dimensions", forms.karoubi_count)
 
 
 def cmd_moment(q: Quiver, args) -> dict:
@@ -469,6 +466,45 @@ COMMANDS = {
 }
 
 
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value in (math.inf, -math.inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+_encode_string = json.encoder.encode_basestring_ascii
+_SCALAR_TEXT = {
+    str: _encode_string,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for the types a report holds: dicts
+    with str keys, lists, tuples, str, int, float, bool and None.  The
+    standard library encodes with ``indent`` in pure Python."""
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        items = [f"{inner}{_encode_string(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if type(value) in (list, tuple):
+        if not value:
+            return "[]"
+        items = [inner + _json_text(v, inner) for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser().parse_args(_absorb_negative_values(argv))
@@ -477,8 +513,7 @@ def main(argv: list[str] | None = None) -> int:
         report = COMMANDS[args.command](quiver, args)
         if args.json:
             with open(args.json, "w", encoding="utf-8") as handle:
-                json.dump(report, handle, indent=2)
-                handle.write("\n")
+                handle.write(_json_text(report) + "\n")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

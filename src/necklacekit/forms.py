@@ -24,17 +24,33 @@ sum_j [p_j da_j], p_j the rest of the cycle p0.p1, read from the end of a_j
 round to its start.  FormBasisElement is the validated view that the
 constructors take and terms(), str and coefficient() decode to.
 
-The graded dimension counts (omega_basis, graded_homology_dim, karoubi_dim,
-karoubi_homology_dim, in_commutator_span) work on the same codes, with the
-bases and reducers kept in one store per quiver instance: they take the
-commutator subspace from the supercommutators of the generators e_i, a and
-da with basis elements, and eliminate over the integers.
+The graded tables are counts (Cuntz-Quillen, "Algebra extensions and
+nonsingularity", 1995: Omega^1 of a path algebra over its vertex algebra is
+free on the arrows).  With A the adjacency matrix of the quiver and P_L the
+entry sum of A^L (the number of paths of length L, the vertex count at
+L = 0), the (n, L) piece has C(L, n) P_L elements, and d maps the C(L-1, n)
+P_L codes with a nonempty lead injectively to codes, so graded_homology_dim
+is C(L, n) P_L - C(L-1, n) P_L - C(L-1, n-1) P_L (vertex count at (0, 0)).
+The supercommutator quotient at L >= 1 counts cyclic words of L arrows with
+n marked arrows under rotation with the Koszul sign (Burnside's lemma):
+
+    karoubi_count = (1/L) sum_{r<L} [m | n] tr(A^d) C(d, n/m) (-1)^(k(n-k)),
+
+d = gcd(r, L), m = L/d, k = (r/d)(n/m); at L = 0 it is the vertex count in
+degree 0 and 0 in every other degree.  The traces and entry sums are kept in
+one store per quiver instance, with the bases and reducers of the routes
+that need representatives (omega_basis, karoubi_dim, karoubi_homology_dim,
+in_commutator_span): those take the commutator subspace from the
+supercommutators of the generators e_i, a and da with basis elements, and
+eliminate over the integers.  A piece above PIECE_CAP elements is refused
+before it is built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb, gcd
 from typing import Iterator
 
 from .linalg import RowReducer
@@ -54,6 +70,9 @@ from .quiver import Quiver, double_of
 
 DEGREE_CAP = 3
 LENGTH_CAP = 6
+# the most elements a graded piece may have to be built; a piece takes
+# about 1 KB per element with its index and commutator rows
+PIECE_CAP = 100_000
 
 
 class BoundExceeded(ValueError):
@@ -314,22 +333,44 @@ class _Piece:
 
 
 class _FormsStore:
-    """Encoded bases and reducers of one quiver, stored on the quiver instance
-    (see _store), so they are released with it."""
+    """Path counts, encoded bases and reducers of one quiver, stored on the
+    quiver instance (see _store), so they are released with it."""
 
     def __init__(self, q: Quiver) -> None:
         self.vertex_count = q.vertex_count
         self.encoding = _encoding(q)
+        # A^L for the largest L counted so far, and tr(A^L) and the entry
+        # sum of A^L for every L up to it, A the adjacency matrix
+        self._power = [[int(i == j) for j in range(q.vertex_count)] for i in range(q.vertex_count)]
+        self._traces = [q.vertex_count]
+        self._sums = [q.vertex_count]
         self._pieces: dict[tuple[int, int], _Piece] = {}
         self._commutators: dict[tuple[int, int], RowReducer] = {}
-        self._d_ranks: dict[tuple[int, int], int] = {}
         self._decoded: dict[tuple[int, int], tuple[FormBasisElement, ...]] = {}
+
+    def walks(self, length: int) -> tuple[int, int]:
+        """(closed paths, paths) of a length: tr(A^L) and the entry sum of A^L."""
+        while len(self._sums) <= length:
+            power = [[0] * self.vertex_count for _ in self._power]
+            for s, t in zip(self.encoding.source, self.encoding.target):
+                for row, new in zip(self._power, power):
+                    new[t - 1] += row[s - 1]
+            self._power = power
+            self._traces.append(sum(row[i] for i, row in enumerate(power)))
+            self._sums.append(sum(map(sum, power)))
+        return self._traces[length], self._sums[length]
 
     def piece(self, degree: int, length: int) -> _Piece:
         piece = self._pieces.get((degree, length))
         if piece is None:
             if degree < 0 or length < 0:
                 raise ValueError("degree and length must be nonnegative")
+            size = comb(length, degree) * self.walks(length)[1]
+            if size > PIECE_CAP:
+                raise BoundExceeded(
+                    f"graded piece (degree={degree}, length={length}) has {size} elements, "
+                    f"above the cap of {PIECE_CAP}"
+                )
             if degree == 0 and length == 0:
                 basis: tuple = tuple(range(1, self.vertex_count + 1))
             elif degree == 0:
@@ -343,18 +384,6 @@ class _FormsStore:
             piece = _Piece(basis, self.encoding)
             self._pieces[(degree, length)] = piece
         return piece
-
-    def d_rank(self, degree: int, length: int) -> int:
-        """Rank of d on the (degree, length) piece."""
-        rank = self._d_ranks.get((degree, length))
-        if rank is None:
-            index = self.piece(degree + 1, length).index
-            reducer = RowReducer()
-            for code in self.piece(degree, length).basis:
-                if type(code) is not int and code[0]:
-                    reducer.add({index[((),) + code]: 1})
-            rank = self._d_ranks[(degree, length)] = reducer.rank
-        return rank
 
     def commutators(self, degree: int, length: int) -> RowReducer:
         """Row space of the closed commutator rows landing in the piece."""
@@ -439,25 +468,48 @@ def graded_homology_dim(
     degree_cap: int = DEGREE_CAP,
     length_cap: int = LENGTH_CAP,
 ) -> int:
-    """Exact dimension of ker d / im d on one graded piece of the form algebra."""
+    """Exact dimension of ker d / im d on one graded piece of the form algebra.
+
+    Counted: the piece has C(L, n) P elements, P the number of paths of
+    length L, and d sends the C(L-1, n) P codes with a nonempty lead to
+    distinct codes and the others to 0.
+    """
     _check_caps(degree, length, degree_cap, length_cap)
-    store = _store(q)
-    kernel = len(store.piece(degree, length).basis) - store.d_rank(degree, length)
-    if degree == 0:
-        return kernel
-    return kernel - store.d_rank(degree - 1, length)
+    paths = _store(q).walks(length)[1]
+    size = comb(length, degree) * paths
+    if length == 0:
+        return size
+    boundaries = comb(length - 1, degree - 1) * paths if degree else 0
+    return size - comb(length - 1, degree) * paths - boundaries
 
 
-def _karoubi_codes(q: Quiver, degree: int, length: int, degree_cap: int, length_cap: int) -> list:
-    """Codes of the basis elements of one graded piece whose classes are a
-    basis of its supercommutator quotient: the columns that are neither open
-    nor a pivot of the commutator row space.  The command line counts them
-    without decoding."""
+def karoubi_count(
+    q: Quiver,
+    degree: int,
+    length: int,
+    *,
+    degree_cap: int = DEGREE_CAP,
+    length_cap: int = LENGTH_CAP,
+) -> int:
+    """Dimension of the supercommutator quotient on one graded piece, counted
+    as cyclic words of L arrows with n marked ones under signed rotation:
+    (1/L) sum_{r<L} [m | n] tr(A^d) C(d, n/m) (-1)^(k(n-k)), with d = gcd(r, L),
+    m = L/d and k = (r/d)(n/m).  karoubi_dim finds the same number by row
+    reduction, with representatives."""
     _check_caps(degree, length, degree_cap, length_cap)
+    if length == 0:
+        return q.vertex_count if degree == 0 else 0
     store = _store(q)
-    piece = store.piece(degree, length)
-    pivots = piece.open_columns | store.commutators(degree, length).pivot_columns
-    return [code for i, code in enumerate(piece.basis) if i not in pivots]
+    total = 0
+    for r in range(length):
+        d = gcd(r, length)
+        m = length // d
+        if degree % m:
+            continue
+        k = r // d * (degree // m)
+        term = store.walks(d)[0] * comb(d, degree // m)
+        total += -term if k * (degree - k) % 2 else term
+    return total // length
 
 
 def karoubi_dim(
@@ -471,11 +523,15 @@ def karoubi_dim(
     """Dimension of the supercommutator quotient on one graded piece.
 
     Returns the dimension together with basis elements whose classes span the
-    quotient (the non-pivot coordinates of the commutator row space).
+    quotient: the elements that are neither open nor a pivot column of the
+    commutator row space.
     """
-    codes = _karoubi_codes(q, degree, length, degree_cap, length_cap)
+    _check_caps(degree, length, degree_cap, length_cap)
     store = _store(q)
-    return len(codes), tuple(store.decode(q, code) for code in codes)
+    piece = store.piece(degree, length)
+    pivots = piece.open_columns | store.commutators(degree, length).pivot_columns
+    reps = tuple(store.decode(q, code) for i, code in enumerate(piece.basis) if i not in pivots)
+    return len(reps), reps
 
 
 def karoubi_homology_dim(

@@ -75,12 +75,16 @@ def hamiltonian_derivation(
     encoding = _encoding(quiver)
     opened = encoding.openings(s._terms)
     images: dict[str, PathSum] = {}
-    for x, (label, partner) in enumerate(zip(encoding.labels, encoding.star)):
+    for arr in quiver.arrows:
+        x = encoding.arrow_index[arr.label]
+        partner = encoding.star[x]
         image = opened.get(partner, {})
         if x < partner:
             image = {code: -coeff for code, coeff in image.items()}
-        images[label] = PathSum._of_terms(image, quiver)
-    return Derivation(quiver, images)
+        images[arr.label] = PathSum._of_terms(image, quiver)
+    # opening a necklace at the partner of x leaves a path from source(x) to
+    # target(x), so the images need no endpoint check
+    return Derivation._of_images(quiver, images)
 
 
 def derivation_commutator(theta1: Derivation, theta2: Derivation) -> Derivation:
@@ -91,4 +95,5 @@ def derivation_commutator(theta1: Derivation, theta2: Derivation) -> Derivation:
         label: theta1(theta2.images[label]) - theta2(theta1.images[label])
         for label in theta1.images
     }
-    return Derivation(theta1.quiver, images)
+    # derivations fix vertices, so they keep the endpoints of every path
+    return Derivation._of_images(theta1.quiver, images)

@@ -444,9 +444,22 @@ class Derivation:
         unknown = set(images) - set(full)
         if unknown:
             raise ValueError(f"unknown arrow labels in derivation: {sorted(unknown)}")
-        self.images = full
+        self._set(quiver, full)
+
+    @classmethod
+    def _of_images(cls, quiver: DoubleQuiver, images: dict[str, PathSum]) -> "Derivation":
+        """A derivation from images already known to be valid: one per arrow
+        of the quiver, keyed in its arrow order, each running from the
+        arrow's source to its target."""
+        result = cls.__new__(cls)
+        result._set(quiver, images)
+        return result
+
+    def _set(self, quiver: DoubleQuiver, images: dict[str, PathSum]) -> None:
+        self.quiver = quiver
+        self.images = images
         # the images' codes by arrow number
-        self._coded = [full[label]._terms for label in encoding.labels]
+        self._coded = [images[label]._terms for label in _encoding(quiver).labels]
 
     def of_arrow(self, label: str) -> PathSum:
         self.quiver.arrow(label)
@@ -481,20 +494,20 @@ class Derivation:
             return NotImplemented
         if self.quiver != other.quiver:
             raise ValueError("derivations live over different quivers")
-        return Derivation(
+        return Derivation._of_images(
             self.quiver,
             {lab: self.images[lab] + other.images[lab] for lab in self.images},
         )
 
     def __neg__(self) -> "Derivation":
-        return Derivation(self.quiver, {lab: -img for lab, img in self.images.items()})
+        return Derivation._of_images(self.quiver, {lab: -img for lab, img in self.images.items()})
 
     def __sub__(self, other: "Derivation") -> "Derivation":
         return self + (-other)
 
     def __rmul__(self, scalar) -> "Derivation":
         if isinstance(scalar, (int, Fraction)):
-            return Derivation(
+            return Derivation._of_images(
                 self.quiver, {lab: scalar * img for lab, img in self.images.items()}
             )
         return NotImplemented

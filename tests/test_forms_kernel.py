@@ -11,28 +11,40 @@ piece of 1536 elements).  Pieces above ORACLE_PIECE_LIMIT elements, 7 of
 the 400 here, are therefore compared only where a cheap oracle exists:
 the basis, graded homology and, in degree 0, the Burnside count.
 
-The `karoubi` command line, which counts the quotient's representatives
-without decoding them, is compared with karoubi_dim and the all-pairs route
-on ten more seeded quivers, as they are and doubled, at length <= 3.
+The counted cells, graded_homology_dim and karoubi_count (traces and entry
+sums of adjacency powers), are compared with the all-pairs route and with
+karoubi_dim's row reduction on twelve more seeded quivers, as they are and
+doubled, at degree <= 3 and length <= 5, on every piece of at most
+COUNT_PIECE_LIMIT elements.  The `karoubi` command line, which prints the
+counts, is compared with karoubi_dim and the all-pairs route on ten more
+seeded quivers, as they are and doubled, at length <= 3.
 """
 from __future__ import annotations
 
 import gc
 import json
+import pathlib
 import random
+import time
 import weakref
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from necklacekit import (
+    PIECE_CAP,
     Arrow,
+    BoundExceeded,
+    FormBasisElement,
     FormSum,
+    Path,
     Quiver,
     double,
     graded_homology_dim,
     in_commutator_span,
+    karoubi_count,
     karoubi_dim,
     karoubi_homology_dim,
     omega_basis,
@@ -170,6 +182,68 @@ def test_products_match_the_path_route():
     assert seen["nonzero"] >= 1000, seen
 
 
+COUNT_BASES = _random_quivers(2027, 12)
+COUNT_LENGTH = 5
+COUNT_PIECE_LIMIT = 1500
+
+
+@pytest.mark.parametrize("base", [True, False], ids=["base", "double"])
+@pytest.mark.parametrize("index", range(len(COUNT_BASES)))
+def test_counted_cells_match_row_reduction(index, base):
+    q = COUNT_BASES[index] if base else double(COUNT_BASES[index])
+    oracle = AllPairsForms(q)
+    caps = {"degree_cap": MAX_DEGREE, "length_cap": COUNT_LENGTH}
+    compared = 0
+    for degree in range(MAX_DEGREE + 1):
+        for length in range(COUNT_LENGTH + 1):
+            size = comb(length, degree) * len(paths_of_length(q, length))
+            if degree and size > COUNT_PIECE_LIMIT:
+                continue
+            assert graded_homology_dim(q, degree, length, **caps) == (
+                oracle.graded_homology_dim(degree, length)
+            )
+            assert karoubi_count(q, degree, length, **caps) == (
+                karoubi_dim(q, degree, length, **caps)[0]
+            )
+            compared += 1
+    # 32 of the cells compared over all 24 quivers are nonempty pieces of
+    # degree >= 1 at length 5; each quiver has at most 6 pieces above the limit
+    assert compared >= 18
+
+
+def test_the_three_loop_karoubi_table_is_counted(tmp_path, capsys):
+    """`karoubi --max-length 6` on one vertex with three loops, whose (3, 6)
+    piece on the double has 933,120 elements, above PIECE_CAP."""
+    quiver_file = pathlib.Path(__file__).parent / "golden" / "wide" / "three_loops.quiver"
+    report = tmp_path / "karoubi.json"
+    start = time.perf_counter()
+    argv = ["karoubi", str(quiver_file), "--max-length", "6", "--json", str(report)]
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 1.0
+    capsys.readouterr()
+    table = json.loads(report.read_text(encoding="utf-8"))["table"]
+    assert {(row["degree"], row["length"]): row["dim"] for row in table}[(3, 6)] == 155544
+
+
+def test_pieces_above_the_cap_are_refused_before_they_are_built():
+    dq = double(Quiver(1, tuple(Arrow(label, 1, 1) for label in "xyz")))
+    x = Path.of_arrow(dq, "x")
+    form = FormSum.of(FormBasisElement(Path(dq, ("x",) * 3), (x, x, x)))
+    refused = [
+        lambda: karoubi_dim(dq, 3, 6),
+        lambda: omega_basis(dq, 3, 6),
+        lambda: karoubi_homology_dim(dq, 2, 6),
+        lambda: in_commutator_span(form, dq),
+    ]
+    for call in refused:
+        with pytest.raises(BoundExceeded, match=f"elements, above the cap of {PIECE_CAP}$"):
+            call()
+    with pytest.raises(BoundExceeded, match="^graded piece \\(degree=3, length=6\\) has 933120 "):
+        karoubi_dim(dq, 3, 6)
+    assert not [key for key in dq._forms_store._pieces if key[1] == 6]
+    assert karoubi_count(dq, 3, 6) == 155544
+
+
 CLI_BASES = _random_quivers(2012, 10)
 
 
@@ -181,9 +255,9 @@ def _quiver_text(q: Quiver) -> str:
 @pytest.mark.parametrize("base", [True, False], ids=["base", "double"])
 @pytest.mark.parametrize("index", range(len(CLI_BASES)))
 def test_karoubi_table_matches_karoubi_dim_and_the_all_pairs_route(index, base, tmp_path, capsys):
-    """The `karoubi --json` cells, counted without decoding, against the
-    dimension karoubi_dim returns with its representatives and against the
-    all-pairs route, at degree <= 3 and length <= 3."""
+    """The `karoubi --json` cells, counted from adjacency-power traces,
+    against the dimension karoubi_dim returns with its representatives and
+    against the all-pairs route, at degree <= 3 and length <= 3."""
     quiver_file, report = tmp_path / "q.quiver", tmp_path / "karoubi.json"
     quiver_file.write_text(_quiver_text(CLI_BASES[index]), encoding="utf-8")
     argv = ["karoubi", str(quiver_file), "--max-degree", "3", "--max-length", "3"]

@@ -17,6 +17,7 @@ import pytest
 
 from necklacekit import (
     Arrow,
+    Derivation,
     NecklaceSum,
     NecklaceWord,
     Path,
@@ -165,6 +166,39 @@ def test_derivations_refuse_paths_of_another_quiver():
     with pytest.raises(ValueError, match="paths live over different quivers"):
         euler(PathSum.of(Path.trivial(other, 2)))
     assert euler(PathSum.zero()).is_zero()
+
+
+def test_the_public_derivation_constructor_keeps_every_check():
+    """Derivations built from checked ones skip the endpoint check; the
+    public constructor refuses each kind of bad input with its message."""
+    dq = double(Quiver(2, (Arrow("a", 1, 2), Arrow("b", 2, 2))))
+    other = double(Quiver(2, (Arrow("a", 1, 2),)))
+    a, b = PathSum.of(Path.of_arrow(dq, "a")), PathSum.of(Path.of_arrow(dq, "b"))
+    refusals = [
+        (Quiver(1, (Arrow("x", 1, 1),)), {}, "derivations are defined over a double quiver"),
+        (dq, {"a": PathSum.of(Path.of_arrow(other, "a"))},
+         "derivation image lives over a different quiver"),
+        (dq, {"a": b}, "image of 'a' must run 1->2, got a path 2->2"),
+        (dq, {"a*": a}, "image of 'a\\*' must run 2->1, got a path 1->2"),
+        (dq, {"zz": a, "yy": b}, "unknown arrow labels in derivation: \\['yy', 'zz'\\]"),
+    ]
+    for quiver, images, message in refusals:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Derivation(quiver, images)
+    u = NecklaceWord(dq, ("a", "b", "a*"))
+    v = NecklaceWord(dq, ("b", "b*", "b"))
+    built = [
+        hamiltonian_derivation(u),
+        derivation_commutator(hamiltonian_derivation(u), hamiltonian_derivation(v)),
+        euler_derivation(dq) + hamiltonian_derivation(v),
+        -hamiltonian_derivation(v),
+        Fraction(3, 2) * hamiltonian_derivation(u),
+    ]
+    for theta in built:
+        checked = Derivation(dq, theta.images)
+        assert checked == theta
+        assert list(theta.images) == list(checked.images) == [arr.label for arr in dq.arrows]
+        assert theta._coded == checked._coded
 
 
 def test_sums_have_a_repr():

@@ -1,6 +1,8 @@
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -428,3 +430,46 @@ def test_cli_entry_point_subprocess(calogero_file):
     )
     assert proc.returncode == 0
     assert "tits form" in proc.stdout
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(GOLDEN.glob("**/*.json")), ids=lambda path: path.name
+)
+def test_json_writer_matches_json_dumps_on_the_golden_reports(path):
+    report = json.loads(path.read_text(encoding="utf-8"))
+    assert cli._json_text(report) == json.dumps(report, indent=2)
+    assert (cli._json_text(report) + "\n").encode() == path.read_bytes()
+
+
+def test_json_writer_matches_json_dumps_on_the_sweep_corpus(monkeypatch, tmp_path):
+    """Every report the sweep of tests/sweep.py writes, and the values the
+    reports never hold but json writes in its own way."""
+    import sweep
+
+    reports = []
+
+    def recording(command):
+        def run(q, args):
+            report = command(q, args)
+            reports.append(report)
+            return report
+
+        return run
+
+    for name, command in list(cli.COMMANDS.items()):
+        monkeypatch.setitem(cli.COMMANDS, name, recording(command))
+    monkeypatch.chdir(tmp_path)
+    sweep.sweep()
+    assert {report["command"] for report in reports} == set(cli.COMMANDS)
+    for report in reports:
+        assert cli._json_text(report) == json.dumps(report, indent=2)
+    odd = {
+        "": [math.inf, -math.inf, math.nan, -0.0, 1e-300, 2**70, True, None],
+        "\u00e9\n\"": [[], {}, (1, "x"), [[{}]], {"a": []}],
+    }
+    assert cli._json_text(odd) == json.dumps(odd, indent=2)
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        cli._json_text({"x": {1}})
