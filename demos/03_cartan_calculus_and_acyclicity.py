@@ -1,9 +1,11 @@
 """Relative differential forms: Cartan calculus and exact dimension tables.
 
 Forms relative to the vertex algebra have basis p0 dp1 ... dpn with the
-entries matching head to tail.  The Euler derivation grades everything by
-total path length, each graded piece is finite dimensional, and homology
-and commutator-quotient dimensions come out of exact rational row reduction.
+entries matching head to tail.  The Euler derivation E grades everything by
+total path length and each graded piece is finite dimensional.  Since
+L_E = d i_E + i_E d is L times the identity in length L, the complex is
+acyclic in positive length (the noncommutative Poincare lemma), and
+commutator-quotient representatives come out of exact row reduction.
 """
 from necklacekit import (
     Arrow,
@@ -47,7 +49,7 @@ from necklacekit import FormSum
 x = FormSum.of(elt)
 print("\nL_E on", elt, "->", lie_derivative(euler, x))
 
-# Homology of d vanishes in positive degree, piece by piece; the only
+# Homology of d vanishes in positive length, piece by piece; the only
 # surviving class is the vertex algebra at bidegree (0, 0):
 print("\nhomology dimensions (degree x length):")
 for degree in range(0, 3):

@@ -24,26 +24,25 @@ sum_j [p_j da_j], p_j the rest of the cycle p0.p1, read from the end of a_j
 round to its start.  FormBasisElement is the validated view that the
 constructors take and terms(), str and coefficient() decode to.
 
-The graded tables are counts (Cuntz-Quillen, "Algebra extensions and
-nonsingularity", 1995: Omega^1 of a path algebra over its vertex algebra is
-free on the arrows).  With A the adjacency matrix of the quiver and P_L the
-entry sum of A^L (the number of paths of length L, the vertex count at
-L = 0), the (n, L) piece has C(L, n) P_L elements, and d maps the C(L-1, n)
-P_L codes with a nonempty lead injectively to codes, so graded_homology_dim
-is C(L, n) P_L - C(L-1, n) P_L - C(L-1, n-1) P_L (vertex count at (0, 0)).
-The supercommutator quotient at L >= 1 counts cyclic words of L arrows with
-n marked arrows under rotation with the Koszul sign (Burnside's lemma):
+Both homology tables come from the noncommutative Poincare lemma (Ginzburg,
+"Non-commutative symplectic geometry, quiver varieties, and operads", 2001;
+Cuntz-Quillen, "Algebra extensions and nonsingularity", 1995): the Euler
+derivation E, E(a) = a, has L_E = d i_E + i_E d = L id on forms of total
+length L, and the identity descends to the supercommutator quotient, so both
+complexes are acyclic in length L >= 1, with the vertex count at (0, 0).
+The quotient is counted.  With A the adjacency matrix, at L >= 1 it counts
+cyclic words of L arrows with n marked arrows under rotation with the
+Koszul sign (Burnside's lemma):
 
     karoubi_count = (1/L) sum_{r<L} [m | n] tr(A^d) C(d, n/m) (-1)^(k(n-k)),
 
 d = gcd(r, L), m = L/d, k = (r/d)(n/m); at L = 0 it is the vertex count in
 degree 0 and 0 in every other degree.  The traces and entry sums are kept in
 one store per quiver instance, with the bases and reducers of the routes
-that need representatives (omega_basis, karoubi_dim, karoubi_homology_dim,
-in_commutator_span): those take the commutator subspace from the
-supercommutators of the generators e_i, a and da with basis elements, and
-eliminate over the integers.  A piece above PIECE_CAP elements is refused
-before it is built.
+that need representatives (omega_basis, karoubi_dim, in_commutator_span):
+those take the commutator subspace from the supercommutators of the
+generators e_i, a and da with basis elements, and eliminate over the
+integers.  A piece above PIECE_CAP elements is refused before it is built.
 """
 from __future__ import annotations
 
@@ -326,11 +325,6 @@ class _Piece:
                 self.open_columns.add(i)
             self.by_ends.setdefault(ends, []).append(code)
 
-    def closed_codes(self) -> Iterator[tuple]:
-        for (s, t), codes in self.by_ends.items():
-            if s == t:
-                yield from codes
-
 
 class _FormsStore:
     """Path counts, encoded bases and reducers of one quiver, stored on the
@@ -470,17 +464,12 @@ def graded_homology_dim(
 ) -> int:
     """Exact dimension of ker d / im d on one graded piece of the form algebra.
 
-    Counted: the piece has C(L, n) P elements, P the number of paths of
-    length L, and d sends the C(L-1, n) P codes with a nonempty lead to
-    distinct codes and the others to 0.
+    The vertex count at (0, 0), where d is 0, and 0 elsewhere: the Euler
+    derivation E has L_E = d i_E + i_E d = L id on forms of length L, so
+    i_E / L contracts the complex in every length L >= 1.
     """
     _check_caps(degree, length, degree_cap, length_cap)
-    paths = _store(q).walks(length)[1]
-    size = comb(length, degree) * paths
-    if length == 0:
-        return size
-    boundaries = comb(length - 1, degree - 1) * paths if degree else 0
-    return size - comb(length - 1, degree) * paths - boundaries
+    return q.vertex_count if degree == length == 0 else 0
 
 
 def karoubi_count(
@@ -544,25 +533,13 @@ def karoubi_homology_dim(
 ) -> int:
     """Homology of the induced differential on the supercommutator quotients.
 
-    d preserves the endpoints of an element, so the d-images of the open
-    elements lie among the open elements, all of which are commutators.
+    The vertex count at (0, 0) and 0 elsewhere: the Euler derivation E has
+    L_E = d i_E + i_E d = L id on forms of length L, and the identity
+    descends to the quotient, as the super-derivations d and i_E preserve
+    the supercommutators.
     """
     _check_caps(degree, length, degree_cap, length_cap)
-    store = _store(q)
-    here = store.piece(degree, length)
-    next_index = store.piece(degree + 1, length).index
-    stacked = store.commutators(degree + 1, length).copy()
-    extra = 0
-    for code in here.closed_codes():
-        if code[0] and stacked.add({next_index[((),) + code]: 1}):
-            extra += 1
-    kernel_dim = len(here.basis) - extra
-    boundary = store.commutators(degree, length).copy()
-    if degree >= 1:
-        for code in store.piece(degree - 1, length).closed_codes():
-            if code[0]:
-                boundary.add({here.index[((),) + code]: 1})
-    return kernel_dim - len(here.open_columns) - boundary.rank
+    return q.vertex_count if degree == length == 0 else 0
 
 
 def in_commutator_span(

@@ -53,13 +53,6 @@ class RowReducer:
     def pivot_columns(self) -> set[int]:
         return set(self._pivots)
 
-    def copy(self) -> "RowReducer":
-        """An independent reducer with the same rows; pivot rows are never
-        changed after insertion, so they are shared."""
-        clone = RowReducer()
-        clone._pivots = dict(self._pivots)
-        return clone
-
     def reduce(self, row: Mapping[int, int | Fraction]) -> dict[int, int]:
         """Eliminate all known pivots from the primitive integer multiple of
         ``row``; the result is empty exactly when ``row`` lies in the span."""

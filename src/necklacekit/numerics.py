@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .quiver import DoubleQuiver, Quiver, as_dim_vector, double_of, weight_pairing
+from .quiver import DoubleQuiver, Quiver, as_dim_vector, as_weight, double_of, weight_pairing
 
 RepPoint = dict[str, np.ndarray]
 
@@ -250,10 +249,11 @@ def solve(
     dq = double_of(q)
     alpha = as_dim_vector(dq, alpha)
     _check_dense_size(dq, alpha)
-    pairing = weight_pairing([Fraction(x) for x in lam], alpha)
+    lam = as_weight(dq, lam)
+    pairing = weight_pairing(lam, alpha)
     if pairing != 0:
         raise ValueError(f"weight pairs to {pairing} with {alpha}; the fiber is empty")
-    lam_values = [float(Fraction(x)) + 0j for x in lam]
+    lam_values = [float(x) + 0j for x in lam]
     point = random_rep(dq, alpha, seed)
     flat = _pack(dq, point)
     damping = 1e-3
@@ -299,7 +299,7 @@ def rank_report(
     dq = double_of(q)
     alpha = as_dim_vector(dq, alpha)
     _check_dense_size(dq, alpha)
-    lam_values = [float(Fraction(x)) + 0j for x in lam]
+    lam_values = [float(x) + 0j for x in as_weight(dq, lam)]
     residual = _residual_vector(dq, alpha, lam_values, point)
     norm = float(np.linalg.norm(residual))
     if norm > residual_tol:

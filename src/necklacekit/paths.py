@@ -637,6 +637,9 @@ def paths_of_length(q: Quiver, length: int) -> tuple[Path, ...]:
 
 
 def paths_between(q: Quiver, source: int, target: int, length: int) -> tuple[Path, ...]:
+    for v in (source, target):
+        if not 1 <= v <= q.vertex_count:
+            raise ValueError(f"vertex {v} out of range 1..{q.vertex_count}")
     return tuple(
         p for p in paths_of_length(q, length) if p.source == source and p.target == target
     )

@@ -58,6 +58,12 @@ def random_quiver(rng: random.Random, max_vertices=5, max_arrows=10) -> Quiver:
     return Quiver(k, arrows)
 
 
+def small_random_quivers(seed: int, count: int) -> list[Quiver]:
+    """Seeded random quivers on 1-3 vertices with at most 3 arrows."""
+    rng = random.Random(seed)
+    return [random_quiver(rng, max_vertices=3, max_arrows=3) for _ in range(count)]
+
+
 def random_fraction(rng: random.Random) -> Fraction:
     value = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     return value if value else Fraction(1)

@@ -49,6 +49,7 @@ from oracles import (
     lie_derivative_by_generators,
     reduce_to_dr1_by_recursion,
 )
+from test_forms_kernel import BASES
 
 
 def _d_arrow(dq, label):
@@ -152,14 +153,22 @@ def test_contract_euler_on_symplectic_form(calogero, calogero_double):
     assert reduced == expected_reduced
 
 
-def test_lie_derivative_euler_grades_by_length(calogero_double):
+@pytest.mark.parametrize(
+    "dq",
+    [None] + [double(q) for q in BASES],
+    ids=["calogero"] + [f"double{i}" for i in range(len(BASES))],
+)
+def test_lie_derivative_euler_grades_by_length(dq, calogero_double):
+    """L_E x = L x on forms of length L, the homotopy that makes both
+    homology tables the Poincare lemma's constants."""
+    dq = calogero_double if dq is None else dq
     rng = random.Random(25)
-    euler = euler_derivation(calogero_double)
+    euler = euler_derivation(dq)
     for _ in range(100):
-        x = random_form(rng, calogero_double, max_terms=1)
+        x = random_form(rng, dq, max_terms=1)
         (elt, coeff), = list(x.terms())
         assert lie_derivative(euler, x) == elt.total_length * x
-    e_form = form_of(PathSum.of(Path.trivial(calogero_double, 1)))
+    e_form = form_of(PathSum.of(Path.trivial(dq, 1)))
     assert lie_derivative(euler, e_form).is_zero()
 
 

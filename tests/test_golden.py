@@ -3,11 +3,11 @@
 The reports under ``tests/golden/`` were written by the command line for
 four quivers at ``--max-length 4``, on the double and with ``--base``, and
 for seven necklace pairs on the Calogero and two-loop quivers (stdout as
-``.txt``, the JSON report as ``.json``).  ``wide/`` holds the ``karoubi``
-report of one vertex with three loops at ``--max-length 6``; it lives in a
-subdirectory so that the sweep of ``tests/sweep.py``, which runs on every
-``golden/*.quiver``, does not take it up.  Any change to a dimension, a
-bracket term or coefficient, to the table layout or to schema
+``.txt``, the JSON report as ``.json``).  ``wide/`` holds the ``derham`` and
+``karoubi`` reports of one vertex with three loops at ``--max-length 6``;
+they live in a subdirectory so that the sweep of ``tests/sweep.py``, which
+runs on every ``golden/*.quiver``, does not take them up.  Any change to a
+dimension, a bracket term or coefficient, to the table layout or to schema
 ``necklace-kit/1`` shows up here as a byte difference.
 
 Regenerate them (only when a report is meant to change, and say so in
@@ -70,10 +70,10 @@ def write_report(name: str, command: str, base: bool, out: Path) -> None:
     run(argv)
 
 
-def write_wide_report(out: Path) -> None:
-    """The `karoubi` table of one vertex with three loops at length <= 6,
-    which only the count reaches."""
-    run(["karoubi", str(GOLDEN / "wide" / "three_loops.quiver"), "--max-length", "6",
+def write_wide_report(command: str, out: Path) -> None:
+    """The `derham` or `karoubi` table of one vertex with three loops at
+    length <= 6, whose largest pieces row reduction cannot reach."""
+    run([command, str(GOLDEN / "wide" / "three_loops.quiver"), "--max-length", "6",
          "--json", str(out)])
 
 
@@ -90,10 +90,11 @@ def test_report_is_byte_identical(name, command, base, tmp_path):
     assert out.read_bytes() == (GOLDEN / report_name(name, command, base)).read_bytes()
 
 
-def test_wide_karoubi_report_is_byte_identical(tmp_path):
+@pytest.mark.parametrize("command", COMMANDS)
+def test_wide_report_is_byte_identical(command, tmp_path):
     out = tmp_path / "report.json"
-    write_wide_report(out)
-    assert out.read_bytes() == (GOLDEN / "wide" / "three_loops-karoubi.json").read_bytes()
+    write_wide_report(command, out)
+    assert out.read_bytes() == (GOLDEN / "wide" / f"three_loops-{command}.json").read_bytes()
 
 
 @pytest.mark.parametrize("index", range(len(BRACKETS)), ids=bracket_name)
@@ -108,7 +109,8 @@ def test_bracket_is_byte_identical(index, tmp_path):
 if __name__ == "__main__":
     for case in CASES:
         write_report(*case, GOLDEN / report_name(*case))
-    write_wide_report(GOLDEN / "wide" / "three_loops-karoubi.json")
+    for command in COMMANDS:
+        write_wide_report(command, GOLDEN / "wide" / f"three_loops-{command}.json")
     for index in range(len(BRACKETS)):
         golden = GOLDEN / bracket_name(index)
         golden.with_suffix(".txt").write_bytes(

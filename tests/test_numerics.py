@@ -101,6 +101,17 @@ def test_rank_report_rejects_unsolved(calogero):
         rank_report(calogero, (1, 2), LAM_21, point)
 
 
+@pytest.mark.parametrize("lam", [(0,), (0, 0, 5), ()], ids=["short", "long", "empty"])
+def test_weights_of_the_wrong_length_are_refused(calogero, lam):
+    zero = {label: np.zeros_like(m) for label, m in random_rep(calogero, (1, 2), 0).items()}
+    assert rank_report(calogero, (1, 2), (0, 0), zero).jacobian_rank == 0
+    message = f"^weight has length {len(lam)}, expected 2$"
+    with pytest.raises(ValueError, match=message):
+        rank_report(calogero, (1, 2), lam, zero)
+    with pytest.raises(ValueError, match=message):
+        solve(calogero, (1, 2), lam, seed=0)
+
+
 def test_solver_deterministic_per_seed(calogero):
     first = solve(calogero, (1, 2), LAM_21, seed=4)
     second = solve(calogero, (1, 2), LAM_21, seed=4)

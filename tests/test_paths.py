@@ -22,6 +22,7 @@ from necklacekit import (
     moment_element,
     necklaces_of_length,
     partial_derivative,
+    paths_between,
     paths_of_length,
     project_to_necklaces,
     unit,
@@ -290,3 +291,6 @@ def test_path_and_necklace_messages(calogero_double):
         NecklaceWord(calogero_double, ("a",))
     with pytest.raises(ValueError, match="not closed: starts at vertex 1, ends at vertex 2"):
         canonical_necklace(Path.of_arrow(calogero_double, "a"))
+    for source, target, bad in ((99, 1, 99), (0, -3, 0), (1, 3, 3)):
+        with pytest.raises(ValueError, match=rf"^vertex {bad} out of range 1\.\.2$"):
+            paths_between(calogero_double, source, target, 1)
