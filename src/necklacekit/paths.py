@@ -647,6 +647,8 @@ def paths_between(q: Quiver, source: int, target: int, length: int) -> tuple[Pat
 
 def necklaces_of_length(q: Quiver, length: int) -> tuple[NecklaceWord, ...]:
     """All necklace classes of the given length, deduplicated and sorted."""
+    if length < 0:
+        raise ValueError("length must be nonnegative")
     if length == 0:
         return tuple(NecklaceWord.vertex_class(q, v) for v in q.vertices)
     encoding = _encoding(q)

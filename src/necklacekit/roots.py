@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .quiver import DimVector, Quiver, support_connected, tits_form
+from .quiver import DimVector, Quiver, as_dim_vector, support_connected, tits_form
 
 ENTRY_CAP = 12
 CANDIDATE_CAP = 10**6
@@ -53,11 +53,14 @@ class RootClass:
 
 def reflect(q: Quiver, vertex: int, alpha: Sequence[int]) -> tuple[int, ...]:
     """Simple reflection at a loop-free vertex: alpha - T(alpha, e_i) e_i."""
+    if not 1 <= vertex <= q.vertex_count:
+        raise ValueError(f"vertex {vertex} out of range 1..{q.vertex_count}")
+    alpha = tuple(alpha)
+    if len(alpha) != q.vertex_count:
+        raise ValueError("dimension vector length does not match the quiver")
     if not q.is_loop_free(vertex):
         raise ValueError(f"vertex {vertex} carries a loop; its reflection is undefined")
-    alpha = tuple(alpha)
-    t_matrix = tits_form(q)
-    pairing = sum(t_matrix[vertex - 1][j] * alpha[j] for j in range(q.vertex_count))
+    pairing = sum(t * a for t, a in zip(tits_form(q)[vertex - 1], alpha))
     return tuple(
         a - pairing if i == vertex - 1 else a for i, a in enumerate(alpha)
     )
@@ -84,11 +87,13 @@ def classify_root(q: Quiver, alpha: Sequence[int]) -> RootClass:
 
     At each step pick the least loop-free vertex with positive pairing and
     reflect there; the coordinate sum strictly decreases, so this terminates.
+    When there is none, the vector lies in the fundamental region exactly
+    when every pairing is nonpositive and its support is connected.
     """
-    current = tuple(int(a) for a in alpha)
+    current = [int(a) for a in alpha]
     if len(current) != q.vertex_count:
         raise ValueError("dimension vector length does not match the quiver")
-    if all(a == 0 for a in current):
+    if not any(current):
         raise ValueError("the zero vector is not classified")
     t_matrix = tits_form(q)
     loop_free = [q.is_loop_free(v) for v in q.vertices]
@@ -96,31 +101,23 @@ def classify_root(q: Quiver, alpha: Sequence[int]) -> RootClass:
     while True:
         if any(a < 0 for a in current):
             return RootClass(NOT_ROOT, tuple(sequence), None)
-        if sum(current) == 1:
-            vertex = current.index(1) + 1
-            if loop_free[vertex - 1]:
-                return RootClass(REAL, tuple(sequence), current)
-        if in_fundamental_set(q, current):
-            return RootClass(IMAGINARY, tuple(sequence), current)
-        descent = None
-        for i in range(q.vertex_count):
-            if not loop_free[i]:
-                continue
-            pairing = sum(t_matrix[i][j] * current[j] for j in range(q.vertex_count))
-            if pairing > 0:
-                descent = i + 1
-                break
+        if sum(current) == 1 and loop_free[current.index(1)]:
+            return RootClass(REAL, tuple(sequence), tuple(current))
+        pairings = [sum(t * a for t, a in zip(row, current)) for row in t_matrix]
+        descent = next((i for i, p in enumerate(pairings) if p > 0 and loop_free[i]), None)
         if descent is None:
+            if max(pairings) <= 0 and support_connected(q, current):
+                return RootClass(IMAGINARY, tuple(sequence), tuple(current))
             return RootClass(NOT_ROOT, tuple(sequence), None)
-        current = reflect(q, descent, current)
-        sequence.append(descent)
+        current[descent] -= pairings[descent]
+        sequence.append(descent + 1)
 
 
-def box_vectors(box: Sequence[int], *, include_zero: bool = False) -> Iterator[DimVector]:
-    """Lexicographic traversal of the lattice box 0 <= alpha <= box."""
+def box_vectors(box: Sequence[int]) -> Iterator[DimVector]:
+    """Lexicographic traversal of the nonzero vectors of the box 0 <= alpha <= box."""
     ranges = [range(0, b + 1) for b in box]
     for vec in itertools.product(*ranges):
-        if include_zero or any(vec):
+        if any(vec):
             yield vec
 
 
@@ -131,6 +128,16 @@ def _check_box_size(box: Sequence[int], cap: int) -> None:
         raise ValueError(f"box holds {vectors} candidates, more than the cap {cap}")
 
 
+def _check_box(q: Quiver, box: Sequence[int], entry_cap: int, candidate_cap: int) -> DimVector:
+    """The box as a dimension vector of q, refused when an entry exceeds
+    entry_cap or it holds more than candidate_cap vectors."""
+    box = as_dim_vector(q, box)
+    if any(b > entry_cap for b in box):
+        raise ValueError(f"dimension vector {box} exceeds the entry cap {entry_cap}")
+    _check_box_size(box, candidate_cap)
+    return box
+
+
 def enumerate_positive_roots(
     q: Quiver,
     box: Sequence[int],
@@ -139,14 +146,7 @@ def enumerate_positive_roots(
     candidate_cap: int = CANDIDATE_CAP,
 ) -> list[tuple[DimVector, RootClass]]:
     """All roots 0 < alpha <= box, with their classifications, in lex order."""
-    box = tuple(int(b) for b in box)
-    if len(box) != q.vertex_count:
-        raise ValueError("box length does not match the quiver")
-    if any(b < 0 for b in box):
-        raise ValueError("box entries must be nonnegative")
-    if any(b > entry_cap for b in box):
-        raise ValueError(f"box entry exceeds the cap {entry_cap}")
-    _check_box_size(box, candidate_cap)
+    box = _check_box(q, box, entry_cap, candidate_cap)
     out = []
     for vec in box_vectors(box):
         verdict = classify_root(q, vec)

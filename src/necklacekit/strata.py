@@ -16,14 +16,17 @@ Membership conventions:
 
 Every public function answers membership questions from one memoised table
 per call over the box 0 < beta <= alpha for a fixed (quiver, weight) pair
-(``_SigmaTable``): each box vector is classified at most once, and the best
-decomposition of every remainder is computed once and shared by all the
-vectors of the box.  ``classify`` builds one table and runs the whole
-pipeline on it; ``two_alpha_nonsmooth`` called on its own adds a second one
-over the box of 2 alpha once alpha passes.  A box of more than
-``roots.CANDIDATE_CAP`` vectors is refused before its table is built.  The
-enumeration of every decomposition, the route the tests check the table
-against, lives in ``tests/oracles.py``.
+(``_SigmaTable``): the box is walked once, to list its hyperplane roots,
+and minimality and the representation types read that list; each box
+vector is classified at most once, and the best decomposition of every
+remainder is computed once and shared by all the vectors of the box.
+``classify`` builds one table and runs the whole pipeline on it;
+``two_alpha_nonsmooth`` called on its own adds a second one over the box of
+2 alpha once alpha passes.  A box with an entry above the entry cap or of
+more than ``roots.CANDIDATE_CAP`` vectors is refused before its table is
+built, by the check ``roots`` uses for its boxes.  The enumeration of every
+decomposition, the route the tests check the table against, lives in
+``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -46,25 +49,13 @@ from .quiver import (
     num_parameters,
     tits_form,
 )
-from .roots import (
-    CANDIDATE_CAP,
-    ENTRY_CAP,
-    RootClass,
-    _check_box_size,
-    box_vectors,
-    classify_root,
-)
+from .roots import CANDIDATE_CAP, ENTRY_CAP, RootClass, _check_box, box_vectors, classify_root
 
 Decomposition = tuple[tuple[DimVector, int], ...]
 """Multiset of (part, multiplicity) pairs, parts in descending lex order."""
 
 RepType = tuple[tuple[int, DimVector], ...]
 """Semisimple type: (multiplicity, dimension vector) pairs, parts descending."""
-
-
-def _check_entry_cap(alpha: Sequence[int], entry_cap: int) -> None:
-    if any(a > entry_cap for a in alpha):
-        raise ValueError(f"dimension vector {tuple(alpha)} exceeds the entry cap {entry_cap}")
 
 
 def delta_lambda(
@@ -99,8 +90,6 @@ def _sum_multisets(
         for mult in range(top, -1, -1):
             if mult:
                 rest = tuple(remaining[i] - mult * beta[i] for i in range(k))
-                if any(r < 0 for r in rest):
-                    continue
                 acc.append((beta, mult))
                 yield from rec(idx + 1, rest, count + mult, acc)
                 acc.pop()
@@ -142,7 +131,8 @@ _Best = tuple[int, Decomposition] | None
 class _SigmaTable:
     """Membership in the weak and strict sets for the vectors 0 < beta <= box.
 
-    The parts are the hyperplane roots of the box in descending lex order.
+    The parts are the hyperplane roots of the box in descending lex order,
+    from the only walk of the box; minimality and types take them as candidates.
     ``_best(i, rest)`` is the largest p-value sum over the decompositions of
     ``rest`` into parts[i:], with the first decomposition reaching it in the
     enumeration order of ``_sum_multisets`` (multiplicities tried from the
@@ -157,9 +147,7 @@ class _SigmaTable:
     def __init__(self, q: Quiver, lam: Sequence, box: DimVector, entry_cap: int) -> None:
         self.q = q
         self.lam = as_weight(q, lam)
-        _check_entry_cap(box, entry_cap)
-        _check_box_size(box, CANDIDATE_CAP)
-        self.box = box
+        self.box = _check_box(q, box, entry_cap, CANDIDATE_CAP)
         self.entry_cap = entry_cap
         scale = math.lcm(*(l.denominator for l in self.lam))
         self._scaled_lam = tuple(int(l * scale) for l in self.lam)
@@ -202,10 +190,6 @@ class _SigmaTable:
         if found is None:
             found = self._memberships[alpha] = self._membership(alpha)
         return found
-
-    def in_sigma(self, alpha: DimVector) -> bool:
-        """Strict membership; a vector off the hyperplane is not classified."""
-        return self.on_hyperplane(alpha) and self.membership(alpha).in_sigma
 
     def _membership(self, alpha: DimVector) -> SigmaMembership:
         if not any(alpha):
@@ -305,8 +289,8 @@ def minimal_in_sigma(
 def _minimal_in_sigma(table: _SigmaTable, alpha: DimVector) -> tuple[bool, DimVector | None]:
     if not table.membership(alpha).in_sigma:
         raise ValueError(f"{alpha} does not satisfy the strict inequalities")
-    for beta in box_vectors(alpha):
-        if componentwise_lt(beta, alpha) and table.in_sigma(beta):
+    for beta in table.hyperplane_roots():
+        if componentwise_lt(beta, alpha) and table.membership(beta).in_sigma:
             return False, beta
     return True, None
 
@@ -377,15 +361,14 @@ def rep_types(
 ) -> list[RepType]:
     """All semisimple types: multisets of strict members summing to alpha."""
     alpha = as_dim_vector(q, alpha)
-    _check_entry_cap(alpha, entry_cap)
     if not any(alpha):
         return []  # the zero vector has no types, whatever the weight
     return _rep_types(_SigmaTable(q, lam, alpha, entry_cap), alpha)
 
 
 def _rep_types(table: _SigmaTable, alpha: DimVector) -> list[RepType]:
-    simples = [beta for beta in box_vectors(alpha) if table.in_sigma(beta)]
-    simples.sort(reverse=True)
+    fits = (beta for beta in table.parts() if componentwise_leq(beta, alpha))
+    simples = [beta for beta in fits if table.membership(beta).in_sigma]
     out = []
     for multiset in _sum_multisets(simples, alpha, minimum_parts=1):
         out.append(tuple((mult, beta) for beta, mult in multiset))

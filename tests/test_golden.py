@@ -1,14 +1,18 @@
-"""Byte-for-byte guard on the `derham`, `karoubi` and `bracket` reports.
+"""Byte-for-byte guard on the `derham`, `karoubi`, `bracket`, `roots`,
+`sigma` and `classify` reports.
 
 The reports under ``tests/golden/`` were written by the command line for
-four quivers at ``--max-length 4``, on the double and with ``--base``, and
-for seven necklace pairs on the Calogero and two-loop quivers (stdout as
-``.txt``, the JSON report as ``.json``).  ``wide/`` holds the ``derham`` and
-``karoubi`` reports of one vertex with three loops at ``--max-length 6``;
-they live in a subdirectory so that the sweep of ``tests/sweep.py``, which
-runs on every ``golden/*.quiver``, does not take them up.  Any change to a
-dimension, a bracket term or coefficient, to the table layout or to schema
-``necklace-kit/1`` shows up here as a byte difference.
+four quivers at ``--max-length 4``, on the double and with ``--base``, for
+seven necklace pairs on the Calogero and two-loop quivers, and for six
+root and classification requests on the Calogero and A~1 quivers (stdout
+as ``.txt``, the JSON report as ``.json``).  ``wide/`` holds the ``derham``
+and ``karoubi`` reports of one vertex with three loops at
+``--max-length 6`` and the ``classify`` report of the A_12 path at
+alpha = (1, ..., 1), lambda = 0; they live in a subdirectory so that the
+sweep of ``tests/sweep.py``, which runs on every ``golden/*.quiver``, does
+not take them up.  Any change to a dimension, a bracket term or
+coefficient, a root, a verdict or witness, to the table layout or to
+schema ``necklace-kit/1`` shows up here as a byte difference.
 
 Regenerate them (only when a report is meant to change, and say so in
 CHANGES.md) with ``PYTHONPATH=src python3 tests/test_golden.py``.
@@ -43,6 +47,24 @@ BRACKETS = [
     ("two_loops", "x y", "x* y*"),
     ("two_loops", "x y x* y*", "y x"),
 ]
+# (quiver, command, flags): a root in Sigma_lambda at a nonzero weight with
+# a smaller member and a doubled simple, a root at lambda = 0 that fails the
+# strict inequality with a witness, and the roots of two boxes with their
+# reflection sequences
+VERDICTS = [
+    ("calogero", "classify", "--alpha 2,4 --lambda -2,1"),
+    ("calogero", "classify", "--alpha 1,2 --lambda 0,0"),
+    ("calogero", "sigma", "--alpha 2,4 --lambda -2,1"),
+    ("calogero", "sigma", "--alpha 1,2 --lambda 0,0"),
+    ("calogero", "roots", "--box 3,4"),
+    ("a1_tilde", "roots", "--box 3,3"),
+]
+# command: (quiver under wide/, flags)
+WIDE = {
+    "derham": ("three_loops", "--max-length 6"),
+    "karoubi": ("three_loops", "--max-length 6"),
+    "classify": ("a12_path", "--alpha " + ",".join("1" * 12) + " --lambda " + ",".join("0" * 12)),
+}
 
 
 def report_name(name: str, command: str, base: bool) -> str:
@@ -70,17 +92,33 @@ def write_report(name: str, command: str, base: bool, out: Path) -> None:
     run(argv)
 
 
+def wide_name(command: str) -> str:
+    return f"{WIDE[command][0]}-{command}.json"
+
+
 def write_wide_report(command: str, out: Path) -> None:
     """The `derham` or `karoubi` table of one vertex with three loops at
-    length <= 6, whose largest pieces row reduction cannot reach."""
-    run([command, str(GOLDEN / "wide" / "three_loops.quiver"), "--max-length", "6",
-         "--json", str(out)])
+    length <= 6, whose largest pieces row reduction cannot reach, or the
+    `classify` report of a box of 4,095 vectors holding 78 roots."""
+    name, flags = WIDE[command]
+    run([command, str(GOLDEN / "wide" / f"{name}.quiver"), *flags.split(), "--json", str(out)])
 
 
 def write_bracket(index: int, out: Path) -> str:
     name, w1, w2 = BRACKETS[index]
     quiver = str(GOLDEN / f"{name}.quiver")
     return run(["bracket", quiver, "--w1", w1, "--w2", w2, "--json", str(out)])
+
+
+def verdict_name(index: int) -> str:
+    name, command, _ = VERDICTS[index]
+    return f"{name}-{command}-{index}"
+
+
+def write_verdict(index: int, out: Path) -> str:
+    name, command, flags = VERDICTS[index]
+    quiver = str(GOLDEN / f"{name}.quiver")
+    return run([command, quiver, *flags.split(), "--json", str(out)])
 
 
 @pytest.mark.parametrize("name, command, base", CASES)
@@ -90,11 +128,11 @@ def test_report_is_byte_identical(name, command, base, tmp_path):
     assert out.read_bytes() == (GOLDEN / report_name(name, command, base)).read_bytes()
 
 
-@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("command", WIDE)
 def test_wide_report_is_byte_identical(command, tmp_path):
     out = tmp_path / "report.json"
     write_wide_report(command, out)
-    assert out.read_bytes() == (GOLDEN / "wide" / f"three_loops-{command}.json").read_bytes()
+    assert out.read_bytes() == (GOLDEN / "wide" / wide_name(command)).read_bytes()
 
 
 @pytest.mark.parametrize("index", range(len(BRACKETS)), ids=bracket_name)
@@ -106,13 +144,27 @@ def test_bracket_is_byte_identical(index, tmp_path):
     assert out.read_bytes() == golden.with_suffix(".json").read_bytes()
 
 
+@pytest.mark.parametrize("index", range(len(VERDICTS)), ids=verdict_name)
+def test_verdict_is_byte_identical(index, tmp_path):
+    out = tmp_path / "report.json"
+    stdout = write_verdict(index, out)
+    golden = GOLDEN / verdict_name(index)
+    assert stdout.encode() == golden.with_suffix(".txt").read_bytes()
+    assert out.read_bytes() == golden.with_suffix(".json").read_bytes()
+
+
 if __name__ == "__main__":
     for case in CASES:
         write_report(*case, GOLDEN / report_name(*case))
-    for command in COMMANDS:
-        write_wide_report(command, GOLDEN / "wide" / f"three_loops-{command}.json")
+    for command in WIDE:
+        write_wide_report(command, GOLDEN / "wide" / wide_name(command))
     for index in range(len(BRACKETS)):
         golden = GOLDEN / bracket_name(index)
         golden.with_suffix(".txt").write_bytes(
             write_bracket(index, golden.with_suffix(".json")).encode()
+        )
+    for index in range(len(VERDICTS)):
+        golden = GOLDEN / verdict_name(index)
+        golden.with_suffix(".txt").write_bytes(
+            write_verdict(index, golden.with_suffix(".json")).encode()
         )

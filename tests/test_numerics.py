@@ -60,6 +60,11 @@ def test_solve_trivial_support(calogero):
     assert report.jacobian_rank == 0
     assert report.fiber_dim_estimate == 0
     assert report.cut_gap is None
+    # no arrows, so nothing can move: all damping trials of the first
+    # iteration fail, and the solve stops and reports, rather than raises
+    result = solve(Quiver(2, ()), (1, 1), (Fraction(1), Fraction(-1)), seed=0)
+    assert not result.converged and result.iterations == 1
+    assert result.residual_norm == math.sqrt(2)
 
 
 def test_rep_dimension(calogero, a1_tilde):

@@ -17,6 +17,7 @@ from necklacekit import (
     canonical_necklace,
     compose,
     double,
+    dr0_dimension,
     euler_derivation,
     kontsevich_bracket,
     moment_element,
@@ -216,8 +217,9 @@ def test_paths_and_necklaces_of_length_match_brute_force():
                 if arrows[seq[-1]].target == arrows[seq[0]].source
             }
             assert [w.arrows for w in necklaces_of_length(q, length)] == sorted(closed)
-    with pytest.raises(ValueError, match="nonnegative"):
-        paths_of_length(q, -1)
+    for count, length in ((paths_of_length, -1), (necklaces_of_length, -1), (dr0_dimension, -2)):
+        with pytest.raises(ValueError, match="length must be nonnegative"):
+            count(q, length)
 
 
 def test_moment_element(calogero, calogero_double, one_loop):

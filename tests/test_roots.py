@@ -3,6 +3,8 @@ import random
 import pytest
 
 from necklacekit import (
+    Arrow,
+    Quiver,
     bilinear,
     classify_root,
     enumerate_positive_roots,
@@ -13,7 +15,14 @@ from necklacekit import (
     tits_form,
 )
 
+from conftest import random_quiver
 from oracles import roots_by_orbit_closure
+
+# seeded quivers on 1-4 vertices with at most 6 arrows, about half of them looped
+_rng = random.Random(42)
+ORACLE_QUIVERS = {
+    f"random{i}": random_quiver(_rng, max_vertices=4, max_arrows=6) for i in range(40)
+}
 
 
 def test_reflect_examples(calogero):
@@ -25,6 +34,16 @@ def test_reflect_examples(calogero):
 def test_reflect_rejects_loop_vertex(calogero):
     with pytest.raises(ValueError):
         reflect(calogero, 2, (1, 1))
+
+
+def test_reflect_rejects_bad_vertices_and_lengths():
+    q = Quiver(2, (Arrow("a", 1, 2),))
+    for vertex in (0, -1, 3):
+        with pytest.raises(ValueError, match=f"vertex {vertex} out of range 1..2"):
+            reflect(q, vertex, (1, 1))
+    for alpha in ((1,), (1, 1, 1)):
+        with pytest.raises(ValueError, match="length does not match the quiver"):
+            reflect(q, 1, alpha)
 
 
 def test_reflect_involution_and_form_preservation(a1_tilde, calogero):
@@ -115,18 +134,22 @@ def test_enumerated_roots_propertywise(calogero, a1_tilde, one_loop):
                 assert value <= 0
 
 
-def test_agreement_with_orbit_closure_oracle(calogero, a1_tilde):
-    for q in (calogero, a1_tilde):
+@pytest.mark.parametrize("name", ["calogero", "a1_tilde", *ORACLE_QUIVERS])
+def test_agreement_with_orbit_closure_oracle(name, request):
+    if name in ORACLE_QUIVERS:
+        q = ORACLE_QUIVERS[name]
+        box = (3,) * q.vertex_count
+    else:
+        q = request.getfixturevalue(name)
         box = (3, 4)
-        oracle = roots_by_orbit_closure(q, box)
-        mine = {
-            vec: verdict.kind for vec, verdict in enumerate_positive_roots(q, box)
-        }
-        assert mine == oracle
+    found = enumerate_positive_roots(q, box)
+    assert {vec: verdict.kind for vec, verdict in found} == roots_by_orbit_closure(q, box)
+    for vec, verdict in found:
+        assert verdict.replay(q) == vec
 
 
 def test_box_caps(calogero):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"dimension vector \(13, 1\) exceeds the entry cap 12"):
         enumerate_positive_roots(calogero, (13, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="box holds 169 candidates, more than the cap 100"):
         enumerate_positive_roots(calogero, (12, 12), candidate_cap=100)
