@@ -18,10 +18,11 @@ x + (-x) is exactly 0 in floating point too.  Subtracting the mean trace
 would leave every column unchanged, bit for bit, so it is applied to the
 residual only.
 
-Dense matrices are refused before anything is allocated when
-max(m, n) * n exceeds ``MAX_DENSE_ENTRIES``, with m = sum alpha_i^2 rows and
-n = the representation dimension.  That product bounds both the m x n
-Jacobian and the min(m, n)-square Gram matrix that ``solve`` forms.
+Dense matrices are refused before anything is allocated when m * n
+exceeds ``MAX_DENSE_ENTRIES``, with m = sum alpha_i^2 rows and n = the
+representation dimension.  The m x n Jacobian is the largest matrix either
+entry point allocates; the min(m, n)-square Gram matrix that ``solve``
+forms is no larger.
 
 This module never feeds back into the exact classification: a failure here
 flags a numerical issue, not a verdict change.
@@ -38,7 +39,7 @@ from .quiver import DoubleQuiver, Quiver, as_dim_vector, as_weight, double_of, w
 
 RepPoint = dict[str, np.ndarray]
 
-# Cap on max(m, n) * n for an m x n Jacobian, in complex entries (256 MiB).
+# Cap on m * n for an m x n Jacobian, in complex entries (256 MiB).
 MAX_DENSE_ENTRIES = 2**24
 
 
@@ -117,19 +118,16 @@ def _residual_vector(
 
 
 def _check_dense_size(dq: DoubleQuiver, alpha: tuple[int, ...]) -> None:
-    """Refuse an alpha with max(m, n) * n > MAX_DENSE_ENTRIES for its m x n Jacobian.
-
-    The product bounds the Jacobian and the min(m, n)-square Gram matrix that
-    ``solve`` forms.  When m < n it is n * n, more than either of them, so
-    the refusal is conservative there; the message still names an n x n
-    Gram matrix.
-    """
+    """Refuse an alpha with m * n > MAX_DENSE_ENTRIES for its m x n Jacobian,
+    the largest matrix allocated; the Gram matrix ``solve`` forms is
+    min(m, n)-square."""
     rows = sum(n * n for n in alpha)
     rep_dim = rep_dimension(dq, alpha)
-    if max(rows, rep_dim) * rep_dim > MAX_DENSE_ENTRIES:
+    if rows * rep_dim > MAX_DENSE_ENTRIES:
+        side = min(rows, rep_dim)
         raise ValueError(
             f"alpha = {alpha} needs a {rows} x {rep_dim} Jacobian and a "
-            f"{rep_dim} x {rep_dim} Gram matrix; the cap is {MAX_DENSE_ENTRIES} entries each"
+            f"{side} x {side} Gram matrix; the cap is {MAX_DENSE_ENTRIES} entries each"
         )
 
 

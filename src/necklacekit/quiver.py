@@ -193,6 +193,18 @@ def tits_form(q: Quiver) -> IntMatrix:
     return t_matrix
 
 
+def loop_free_flags(q: Quiver) -> tuple[bool, ...]:
+    """Whether each vertex 1..k carries no loop, indexed from 0.
+
+    Computed once per quiver instance and stored on it, like its hash.
+    """
+    flags = q.__dict__.get("_loop_free")
+    if flags is None:
+        flags = tuple(q.is_loop_free(v) for v in q.vertices)
+        object.__setattr__(q, "_loop_free", flags)
+    return flags
+
+
 def bilinear(matrix: Sequence[Sequence], alpha: Sequence, beta: Sequence):
     """Evaluate sum_ij M_ij alpha_i beta_j; exact for int/Fraction inputs."""
     k = len(matrix)

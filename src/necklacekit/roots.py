@@ -6,15 +6,27 @@ unit vector at a loop-free vertex, imaginary when a chain lands in the
 fundamental region (connected support, nonpositive pairing with every unit
 vector), and not a root otherwise.  Every verdict carries the reflection
 sequence used, so it can be replayed.
+
+The roots of a box are grown from its unit vectors rather than filtered
+out of it, so their cost follows the roots, not the box: every candidate
+is a root plus one unit vector, and is classified by one descent step onto
+a vector of the box already classified.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from operator import mul
+from typing import Sequence
 
-from .quiver import DimVector, Quiver, as_dim_vector, support_connected, tits_form
+from .quiver import (
+    DimVector,
+    Quiver,
+    as_dim_vector,
+    loop_free_flags,
+    support_connected,
+    tits_form,
+)
 
 ENTRY_CAP = 12
 CANDIDATE_CAP = 10**6
@@ -90,35 +102,94 @@ def classify_root(q: Quiver, alpha: Sequence[int]) -> RootClass:
     When there is none, the vector lies in the fundamental region exactly
     when every pairing is nonpositive and its support is connected.
     """
-    current = [int(a) for a in alpha]
-    if len(current) != q.vertex_count:
+    vec = tuple(int(a) for a in alpha)
+    if len(vec) != q.vertex_count:
         raise ValueError("dimension vector length does not match the quiver")
-    if not any(current):
+    if any(a < 0 for a in vec):
+        return RootClass(NOT_ROOT)
+    return _classify_in_box(q, vec, {})
+
+
+def _classify_in_box(
+    q: Quiver, vec: DimVector, classes: dict[DimVector, RootClass]
+) -> RootClass:
+    """``classify_root`` of a vector with nonnegative entries, one descent
+    step per vector not yet in ``classes``.
+
+    A descent step lowers one coordinate, so it lands on a vector with a
+    negative entry (not a root) or on a nonzero vector of the same box 0 <=
+    beta <= vec.  That vector's class, looked up in ``classes`` or found the
+    same way, gives vec its kind and terminal, and vec's reflections are the
+    step's vertex followed by that vector's reflections.  Every vector of the
+    descent is entered in ``classes``.
+    """
+    found = classes.get(vec)
+    if found is not None:
+        return found
+    if not any(vec):
         raise ValueError("the zero vector is not classified")
     t_matrix = tits_form(q)
-    loop_free = [q.is_loop_free(v) for v in q.vertices]
-    sequence: list[int] = []
+    loop_free = loop_free_flags(q)
+    steps: list[tuple[DimVector, int]] = []
+    current = vec
     while True:
-        if any(a < 0 for a in current):
-            return RootClass(NOT_ROOT, tuple(sequence), None)
         if sum(current) == 1 and loop_free[current.index(1)]:
-            return RootClass(REAL, tuple(sequence), tuple(current))
-        pairings = [sum(t * a for t, a in zip(row, current)) for row in t_matrix]
+            found = RootClass(REAL, (), current)
+            break
+        pairings = [sum(map(mul, row, current)) for row in t_matrix]
         descent = next((i for i, p in enumerate(pairings) if p > 0 and loop_free[i]), None)
         if descent is None:
             if max(pairings) <= 0 and support_connected(q, current):
-                return RootClass(IMAGINARY, tuple(sequence), tuple(current))
-            return RootClass(NOT_ROOT, tuple(sequence), None)
-        current[descent] -= pairings[descent]
-        sequence.append(descent + 1)
+                found = RootClass(IMAGINARY, (), current)
+            else:
+                found = RootClass(NOT_ROOT)
+            break
+        lowered = current[descent] - pairings[descent]
+        if lowered < 0:
+            found = RootClass(NOT_ROOT, (descent + 1,))
+            break
+        steps.append((current, descent + 1))
+        current = current[:descent] + (lowered,) + current[descent + 1 :]
+        found = classes.get(current)
+        if found is not None:
+            break
+    classes[current] = found
+    for lowered_from, vertex in reversed(steps):
+        found = RootClass(found.kind, (vertex,) + found.reflections, found.terminal)
+        classes[lowered_from] = found
+    return found
 
 
-def box_vectors(box: Sequence[int]) -> Iterator[DimVector]:
-    """Lexicographic traversal of the nonzero vectors of the box 0 <= alpha <= box."""
-    ranges = [range(0, b + 1) for b in box]
-    for vec in itertools.product(*ranges):
-        if any(vec):
-            yield vec
+def _grow_roots(
+    q: Quiver, box: DimVector, classes: dict[DimVector, RootClass]
+) -> list[DimVector]:
+    """The roots 0 < alpha <= box in lex order, classified into ``classes``.
+
+    They are grown from the unit vectors of the box: every root found adds
+    one unit vector at a time, within the box, and a candidate is kept when
+    it is a root.  This finds every root by the root-string property (a
+    positive root other than a unit vector minus some unit vector is a
+    positive root; Kac 1980), which for looped vertices is checked against
+    the box filter by the tests, not proved here.
+    """
+    k = len(box)
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k) if box[i]]
+    seen = set(units)
+    pending = list(units)
+    found = []
+    while pending:
+        vec = pending.pop()
+        if not _classify_in_box(q, vec, classes).is_root:
+            continue
+        found.append(vec)
+        for i in range(k):
+            if vec[i] < box[i]:
+                grown = vec[:i] + (vec[i] + 1,) + vec[i + 1 :]
+                if grown not in seen:
+                    seen.add(grown)
+                    pending.append(grown)
+    found.sort()
+    return found
 
 
 def _check_box_size(box: Sequence[int], cap: int) -> None:
@@ -145,11 +216,8 @@ def enumerate_positive_roots(
     entry_cap: int = ENTRY_CAP,
     candidate_cap: int = CANDIDATE_CAP,
 ) -> list[tuple[DimVector, RootClass]]:
-    """All roots 0 < alpha <= box, with their classifications, in lex order."""
+    """All roots 0 < alpha <= box, with their classifications, in lex order,
+    grown from the unit vectors of the box (``_grow_roots``)."""
     box = _check_box(q, box, entry_cap, candidate_cap)
-    out = []
-    for vec in box_vectors(box):
-        verdict = classify_root(q, vec)
-        if verdict.is_root:
-            out.append((vec, verdict))
-    return out
+    classes: dict[DimVector, RootClass] = {}
+    return [(vec, classes[vec]) for vec in _grow_roots(q, box, classes)]

@@ -16,24 +16,35 @@ Membership conventions:
 
 Every public function answers membership questions from one memoised table
 per call over the box 0 < beta <= alpha for a fixed (quiver, weight) pair
-(``_SigmaTable``): the box is walked once, to list its hyperplane roots,
-and minimality and the representation types read that list; each box
-vector is classified at most once, and the best decomposition of every
-remainder is computed once and shared by all the vectors of the box.
+(``_SigmaTable``), whose work grows with the roots of the box and the
+strict members among them, not with the box:
+
+* the roots are grown from the unit vectors of the box, and a vector is
+  classified by one descent step onto a smaller vector whose class the
+  table already holds; minimality and the representation types read the
+  list of hyperplane roots;
+* the largest p-value sum over the decompositions of each remainder is
+  computed once, over the strict members that cover its first nonzero
+  coordinate only, which loses nothing (see ``_SigmaTable``);
+* a witness is built only for a vector whose membership is reported, by a
+  descent in enumeration order that those sums prune; minimality, types
+  and the doubled-simple check ask the strict verdict alone.
+
 ``classify`` builds one table and runs the whole pipeline on it;
 ``two_alpha_nonsmooth`` called on its own adds a second one over the box of
 2 alpha once alpha passes.  A box with an entry above the entry cap or of
 more than ``roots.CANDIDATE_CAP`` vectors is refused before its table is
 built, by the check ``roots`` uses for its boxes.  The enumeration of every
-decomposition, the route the tests check the table against, lives in
+decomposition and the column recurrence over every hyperplane root that
+the table replaced, the routes the tests check it against, live in
 ``tests/oracles.py``.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from operator import le, sub
+from typing import Callable, Iterator, Sequence
 
 from .quiver import (
     Arrow,
@@ -49,7 +60,14 @@ from .quiver import (
     num_parameters,
     tits_form,
 )
-from .roots import CANDIDATE_CAP, ENTRY_CAP, RootClass, _check_box, box_vectors, classify_root
+from .roots import (
+    CANDIDATE_CAP,
+    ENTRY_CAP,
+    RootClass,
+    _check_box,
+    _classify_in_box,
+    _grow_roots,
+)
 
 Decomposition = tuple[tuple[DimVector, int], ...]
 """Multiset of (part, multiplicity) pairs, parts in descending lex order."""
@@ -72,29 +90,43 @@ def delta_lambda(
 
 
 def _sum_multisets(
-    parts: list[DimVector], target: DimVector, *, minimum_parts: int
+    parts: list[DimVector],
+    target: DimVector,
+    *,
+    minimum_parts: int,
+    bound: Callable[[DimVector, list], bool] | None = None,
 ) -> Iterator[tuple[tuple[DimVector, int], ...]]:
+    """The multisets of parts summing to target with at least minimum_parts
+    parts, the parts in descending lex order: each part's multiplicities
+    are tried from the largest down to 0, in the order of the parts.
+
+    In that order the first nonzero coordinate of a part never moves left,
+    so once it passes the first nonzero coordinate of what is left to cover,
+    no later part covers that coordinate and the branch is dropped.  A
+    branch is also dropped when ``bound(rest, chosen)``, given what is left
+    and the (part, multiplicity) pairs chosen so far, is False.
+    """
     k = len(target)
 
-    def rec(idx: int, remaining: tuple[int, ...], count: int, acc: list):
-        if all(r == 0 for r in remaining):
+    def rec(start: int, remaining: tuple[int, ...], count: int, acc: list):
+        lead = next((i for i, r in enumerate(remaining) if r), None)
+        if lead is None:
             if count >= minimum_parts:
                 yield tuple(acc)
             return
-        if idx >= len(parts):
-            return
-        beta = parts[idx]
-        top = min(
-            (remaining[i] // beta[i] for i in range(k) if beta[i] > 0), default=0
-        )
-        for mult in range(top, -1, -1):
-            if mult:
+        for index in range(start, len(parts)):
+            beta = parts[index]
+            if not any(beta[: lead + 1]):
+                return
+            top = min(
+                (remaining[i] // beta[i] for i in range(k) if beta[i] > 0), default=0
+            )
+            for mult in range(top, 0, -1):
                 rest = tuple(remaining[i] - mult * beta[i] for i in range(k))
                 acc.append((beta, mult))
-                yield from rec(idx + 1, rest, count + mult, acc)
+                if bound is None or bound(rest, acc):
+                    yield from rec(index + 1, rest, count + mult, acc)
                 acc.pop()
-            else:
-                yield from rec(idx + 1, remaining, count, acc)
 
     yield from rec(0, target, 0, [])
 
@@ -124,24 +156,23 @@ class SigmaMembership:
     reason: str = ""
 
 
-_Best = tuple[int, Decomposition] | None
-"""Largest p-value sum over some decompositions, with the first one reaching it."""
-
-
 class _SigmaTable:
     """Membership in the weak and strict sets for the vectors 0 < beta <= box.
 
-    The parts are the hyperplane roots of the box in descending lex order,
-    from the only walk of the box; minimality and types take them as candidates.
-    ``_best(i, rest)`` is the largest p-value sum over the decompositions of
-    ``rest`` into parts[i:], with the first decomposition reaching it in the
-    enumeration order of ``_sum_multisets`` (multiplicities tried from the
-    largest down to 0, a later candidate kept only when its sum is strictly
-    larger), so the witnesses are those of a full enumeration.  A part lex above alpha
-    never fits inside alpha and a part that does not fit can only be
-    skipped, so the decompositions of a hyperplane root alpha are those of
-    ``_best(index of alpha + 1, alpha)``; they have at least two parts,
-    since alpha is not among them.  Everything is computed on first use.
+    The hyperplane roots come from the roots of the box grown from its unit
+    vectors (``roots._grow_roots``), and a vector's root class from one
+    descent step on the classes already found.  ``_split(rest)`` is the
+    largest p-value sum over the decompositions of rest into two or more
+    hyperplane roots.  It is taken over the strict members only, each time
+    over those that cover the first nonzero coordinate of rest, with
+    ``_full`` of what is left: a hyperplane root outside the strict set has
+    a decomposition whose p-values sum to at least its own, so putting one
+    in its place never lowers a sum (Crawley-Boevey 2001).  ``_full(rest)``
+    also allows rest itself as a single part.  A witness, the first
+    decomposition reaching the largest sum in the enumeration order of
+    ``_sum_multisets`` over every hyperplane root below alpha, is built only
+    by ``membership``; ``in_sigma`` gives the strict verdict without one.
+    Everything is computed on first use.
     """
 
     def __init__(self, q: Quiver, lam: Sequence, box: DimVector, entry_cap: int) -> None:
@@ -153,37 +184,93 @@ class _SigmaTable:
         self._scaled_lam = tuple(int(l * scale) for l in self.lam)
         self._root_classes: dict[DimVector, RootClass] = {}
         self._memberships: dict[DimVector, SigmaMembership] = {}
-        self._parts: list[DimVector] | None = None
-        self._part_p: list[int] = []
-        self._part_index: dict[DimVector, int] = {}
-        self._columns: dict[DimVector, tuple[list[int], list[_Best]]] = {}
+        self._roots: list[DimVector] | None = None
+        self._p: dict[DimVector, int] = {}
+        self._by_lead: list[list[DimVector]] = []
+        self._splits: dict[DimVector, int | None] = {}
 
     def on_hyperplane(self, vec: DimVector) -> bool:
         return sum(l * v for l, v in zip(self._scaled_lam, vec)) == 0
 
     def root_class(self, vec: DimVector) -> RootClass:
-        found = self._root_classes.get(vec)
-        if found is None:
-            found = self._root_classes[vec] = classify_root(self.q, vec)
-        return found
-
-    def parts(self) -> list[DimVector]:
-        """The hyperplane roots of the box, descending lex."""
-        if self._parts is None:
-            self._parts = [
-                vec
-                for vec in box_vectors(self.box)
-                if self.on_hyperplane(vec) and self.root_class(vec).is_root
-            ]
-            self._parts.reverse()
-            chi = euler_form(self.q)
-            self._part_p = [1 - bilinear(chi, beta, beta) for beta in self._parts]
-            self._part_index = {beta: i for i, beta in enumerate(self._parts)}
-        return self._parts
+        return _classify_in_box(self.q, vec, self._root_classes)
 
     def hyperplane_roots(self) -> list[DimVector]:
         """The hyperplane roots of the box, ascending lex."""
-        return self.parts()[::-1]
+        if self._roots is None:
+            grown = _grow_roots(self.q, self.box, self._root_classes)
+            self._roots = [vec for vec in grown if self.on_hyperplane(vec)]
+            self._p = {beta: num_parameters(self.q, beta) for beta in self._roots}
+            self._by_lead = [[] for _ in self.box]
+            for beta in self._roots:
+                self._by_lead[_lead(beta)].append(beta)
+        return self._roots
+
+    def parts(self) -> list[DimVector]:
+        """The hyperplane roots of the box, descending lex."""
+        return self.hyperplane_roots()[::-1]
+
+    def in_sigma(self, vec: DimVector) -> bool:
+        """Whether vec satisfies the strict inequalities."""
+        self.hyperplane_roots()
+        p_vec = self._p.get(vec)
+        if p_vec is None:
+            return False
+        worst = self._split(vec)
+        return worst is None or p_vec > worst
+
+    def _split(self, rest: DimVector) -> int | None:
+        """The largest p-value sum over the decompositions of rest into two
+        or more hyperplane roots, None when there is none.
+
+        Every value it needs is of a smaller vector: a part's own split,
+        which decides whether it is a strict member, and ``_full`` of what
+        the part leaves.  They are evaluated from an explicit stack, so a
+        box of any height needs no deep recursion.
+        """
+        splits, p = self._splits, self._p
+        if rest in splits:
+            return splits[rest]
+        stack = [[rest, 0, None]]
+        while stack:
+            frame = stack[-1]
+            vec, start, best = frame
+            group = self._by_lead[_lead(vec)]
+            for index in range(start, len(group)):
+                beta = group[index]
+                if beta == vec or not all(map(le, beta, vec)):
+                    continue
+                if beta not in splits:
+                    needed = beta
+                elif splits[beta] is None or p[beta] > splits[beta]:  # a strict member
+                    left = tuple(map(sub, vec, beta))
+                    if any(left) and left not in splits:
+                        needed = left
+                    else:
+                        total = self._full(left)
+                        if total is not None and (best is None or total + p[beta] > best):
+                            best = total + p[beta]
+                        continue
+                else:
+                    continue
+                frame[1:] = index, best
+                stack.append([needed, 0, None])
+                break
+            else:
+                splits[vec] = best
+                stack.pop()
+        return splits[rest]
+
+    def _full(self, rest: DimVector) -> int | None:
+        """The largest p-value sum over the decompositions of rest into
+        hyperplane roots, one part allowed; None when there is none."""
+        if not any(rest):
+            return 0
+        best = self._split(rest)
+        p_rest = self._p.get(rest)
+        if p_rest is not None and (best is None or p_rest > best):
+            return p_rest
+        return best
 
     def membership(self, alpha: DimVector) -> SigmaMembership:
         found = self._memberships.get(alpha)
@@ -201,18 +288,16 @@ class _SigmaTable:
             return SigmaMembership(
                 alpha, False, False, root_class, on_hyperplane, None, reason=reason
             )
-        self.parts()  # builds the part list with its p-values and index
-        index = self._part_index[alpha]
-        p_alpha = self._part_p[index]
+        self.hyperplane_roots()
+        p_alpha = self._p[alpha]
         in_s, in_sigma = True, True
         witness_s = witness_sigma = None
-        worst = self._best(index + 1, alpha)
-        if worst is not None:
-            worst_sum, decomposition = worst
-            if p_alpha < worst_sum:
+        worst = self._split(alpha)
+        if worst is not None and p_alpha <= worst:
+            decomposition = self._witness(alpha, worst)
+            in_sigma, witness_sigma = False, decomposition
+            if p_alpha < worst:
                 in_s, witness_s = False, decomposition
-            if p_alpha <= worst_sum:
-                in_sigma, witness_sigma = False, decomposition
         return SigmaMembership(
             alpha,
             in_s,
@@ -224,42 +309,26 @@ class _SigmaTable:
             witness_sigma,
         )
 
-    def _best(self, start: int, rest: DimVector) -> _Best:
-        if not any(rest):
-            return 0, ()
-        fits, column = self._column(rest)
-        return column[bisect_left(fits, start)]
+    def _witness(self, alpha: DimVector, worst: int) -> Decomposition:
+        """The first decomposition of alpha that reaches the sum worst, in the
+        order of ``_sum_multisets`` over the hyperplane roots below alpha.
 
-    def _column(self, rest: DimVector) -> tuple[list[int], list[_Best]]:
-        """The indices of the parts that fit inside rest, ascending, and
-        ``_best`` of rest from each of them on (one entry more: None, as
-        nothing is left to cover rest)."""
-        found = self._columns.get(rest)
-        if found is not None:
-            return found
-        parts, part_p = self._parts, self._part_p
-        fits = [
-            i for i, beta in enumerate(parts) if all(b <= r for b, r in zip(beta, rest))
-        ]
-        column: list[_Best] = [None] * (len(fits) + 1)
-        for m in range(len(fits) - 1, -1, -1):
-            i = fits[m]
-            beta = parts[i]
-            top = min(r // b for r, b in zip(rest, beta) if b)
-            best = None
-            for mult in range(top, 0, -1):
-                sub = self._best(i + 1, tuple(r - mult * b for r, b in zip(rest, beta)))
-                if sub is None:
-                    continue
-                total = sub[0] + mult * part_p[i]
-                if best is None or total > best[0]:
-                    best = (total, ((beta, mult),) + sub[1])
-            skip = column[m + 1]
-            if skip is not None and (best is None or skip[0] > best[0]):
-                best = skip
-            column[m] = best
-        found = self._columns[rest] = (fits, column)
-        return found
+        A branch is dropped once its sum plus ``_full`` of what is left falls
+        below worst, so the first decomposition completed has sum worst, and
+        none before it in the order has."""
+        parts = [beta for beta in self.parts() if componentwise_lt(beta, alpha)]
+
+        def reaches(rest: DimVector, chosen: list) -> bool:
+            best = self._full(rest)
+            total = sum(mult * self._p[beta] for beta, mult in chosen)
+            return best is not None and total + best >= worst
+
+        return next(_sum_multisets(parts, alpha, minimum_parts=2, bound=reaches))
+
+
+def _lead(vec: DimVector) -> int:
+    """The index of the first nonzero coordinate."""
+    return next(i for i, v in enumerate(vec) if v)
 
 
 def sigma_membership(
@@ -287,10 +356,10 @@ def minimal_in_sigma(
 
 
 def _minimal_in_sigma(table: _SigmaTable, alpha: DimVector) -> tuple[bool, DimVector | None]:
-    if not table.membership(alpha).in_sigma:
+    if not table.in_sigma(alpha):
         raise ValueError(f"{alpha} does not satisfy the strict inequalities")
     for beta in table.hyperplane_roots():
-        if componentwise_lt(beta, alpha) and table.membership(beta).in_sigma:
+        if componentwise_lt(beta, alpha) and table.in_sigma(beta):
             return False, beta
     return True, None
 
@@ -361,6 +430,7 @@ def rep_types(
 ) -> list[RepType]:
     """All semisimple types: multisets of strict members summing to alpha."""
     alpha = as_dim_vector(q, alpha)
+    lam = as_weight(q, lam)
     if not any(alpha):
         return []  # the zero vector has no types, whatever the weight
     return _rep_types(_SigmaTable(q, lam, alpha, entry_cap), alpha)
@@ -368,7 +438,7 @@ def rep_types(
 
 def _rep_types(table: _SigmaTable, alpha: DimVector) -> list[RepType]:
     fits = (beta for beta in table.parts() if componentwise_leq(beta, alpha))
-    simples = [beta for beta in fits if table.membership(beta).in_sigma]
+    simples = [beta for beta in fits if table.in_sigma(beta)]
     out = []
     for multiset in _sum_multisets(simples, alpha, minimum_parts=1):
         out.append(tuple((mult, beta) for beta, mult in multiset))
@@ -482,11 +552,11 @@ def two_alpha_nonsmooth(
 
 def _two_alpha_nonsmooth(table: _SigmaTable, alpha: DimVector) -> TwoAlphaCheck:
     double_alpha = tuple(2 * a for a in alpha)
-    if not table.membership(alpha).in_sigma:
+    if not table.in_sigma(alpha):
         return TwoAlphaCheck(False, alpha, reason=f"{alpha} fails the strict inequalities")
     if not componentwise_leq(double_alpha, table.box):
         table = _SigmaTable(table.q, table.lam, double_alpha, table.entry_cap)
-    if not table.membership(double_alpha).in_sigma:
+    if not table.in_sigma(double_alpha):
         return TwoAlphaCheck(
             False, alpha, reason=f"{double_alpha} fails the strict inequalities"
         )
@@ -529,8 +599,11 @@ def classify(
 ) -> ClassifyReport:
     """Run the whole classification pipeline for one (alpha, lambda) pair."""
     alpha = as_dim_vector(q, alpha)
-    table = _SigmaTable(q, lam, alpha, entry_cap)
-    lam = table.lam
+    return _classify(_SigmaTable(q, lam, alpha, entry_cap), alpha)
+
+
+def _classify(table: _SigmaTable, alpha: DimVector) -> ClassifyReport:
+    q, lam = table.q, table.lam
     root_class = table.root_class(alpha)
     membership = table.membership(alpha)
     verdict = _coadjoint_verdict(table, alpha)

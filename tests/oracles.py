@@ -4,8 +4,11 @@ Each oracle recomputes a library result along a different route: the
 necklace bracket by explicit cut-and-glue over occurrence pairs, root sets
 by Weyl-orbit closure instead of height descent, necklace counts by
 rotation classes of explicitly enumerated cycles or by Burnside's lemma,
-membership in the weak and strict sets, minimality and representation types
-by enumerating every decomposition instead of the memoised table, the
+root sets with their classes by classifying every vector of a box instead
+of growing the roots from the unit vectors, membership in the weak and
+strict sets, minimality and representation types by enumerating every
+decomposition, and by the column recurrence over every hyperplane root
+that the library used before, instead of best sums over the strict members, the
 graded dimensions of the form algebra from FormSum products of every pair
 of basis elements, reduced by exact Fraction elimination, derivations of
 the path algebra by path products, the contraction i_theta by FormSum
@@ -23,9 +26,11 @@ of from the smaller of its two Gram matrices.
 """
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -41,14 +46,15 @@ from necklacekit import (
     Quiver,
     SigmaMembership,
     as_dim_vector,
+    bilinear,
     canonical_necklace,
     as_weight,
     classify_root,
     componentwise_lt,
     concat,
     d_of_path_sum,
-    delta_lambda,
     differential,
+    euler_form,
     form_of,
     in_fundamental_set,
     num_parameters,
@@ -59,8 +65,9 @@ from necklacekit import (
 )
 from necklacekit.forms import _mismatch
 from necklacekit.numerics import _project_trace
-from necklacekit.roots import ENTRY_CAP, box_vectors
-from necklacekit.strata import _sum_multisets
+from necklacekit.quiver import DimVector
+from necklacekit.roots import CANDIDATE_CAP, ENTRY_CAP, RootClass, _check_box
+from necklacekit.strata import Decomposition, _sum_multisets
 
 
 def glue_bracket(w1: NecklaceWord, w2: NecklaceWord) -> NecklaceSum:
@@ -153,6 +160,25 @@ def roots_by_orbit_closure(
     return verdicts
 
 
+def box_vectors(box: Sequence[int]) -> Iterator[DimVector]:
+    """Lexicographic traversal of the nonzero vectors of the box 0 <= alpha <= box."""
+    ranges = [range(0, b + 1) for b in box]
+    for vec in itertools.product(*ranges):
+        if any(vec):
+            yield vec
+
+
+def roots_by_box_filter(q: Quiver, box) -> list[tuple[DimVector, RootClass]]:
+    """The roots 0 < alpha <= box with their classes, by classifying every
+    vector of the box on its own, in lex order."""
+    out = []
+    for vec in box_vectors(box):
+        verdict = classify_root(q, vec)
+        if verdict.is_root:
+            out.append((vec, verdict))
+    return out
+
+
 def count_necklaces_by_rotation(q: Quiver, length: int) -> int:
     """Count cyclic words of closed paths directly from rotation classes."""
     if length == 0:
@@ -181,14 +207,13 @@ def decompositions(q: Quiver, alpha, lam, *, entry_cap: int = ENTRY_CAP):
     descending-lex ordering of the candidate parts.
     """
     alpha = as_dim_vector(q, alpha)
-    parts = sorted(
-        (
-            beta
-            for beta in delta_lambda(q, lam, alpha, entry_cap=entry_cap)
-            if componentwise_lt(beta, alpha)
-        ),
-        reverse=True,
-    )
+    lam = as_weight(q, lam)
+    _check_box(q, alpha, entry_cap, CANDIDATE_CAP)
+    parts = [
+        beta
+        for beta, _ in reversed(roots_by_box_filter(q, alpha))
+        if componentwise_lt(beta, alpha) and weight_pairing(lam, beta) == 0
+    ]
     yield from _sum_multisets(parts, alpha, minimum_parts=2)
 
 
@@ -267,6 +292,151 @@ def rep_types_by_enumeration(q: Quiver, alpha, lam):
 
     extend(0, alpha, ())
     return out
+
+
+_Best = tuple[int, Decomposition] | None
+"""Largest p-value sum over some decompositions, with the first one reaching it."""
+
+
+class ColumnSigmaTable:
+    """Membership in the weak and strict sets for the vectors 0 < beta <= box,
+    by a column recurrence over every hyperplane root: the table the library
+    used before its roots were grown and its best sums taken over the strict
+    members only.  It has the interface of ``strata._SigmaTable``, so
+    ``strata._classify`` runs the whole pipeline on it.
+
+    The parts are the hyperplane roots of the box in descending lex order,
+    from a walk of every box vector.  ``_best(i, rest)`` is the largest
+    p-value sum over the decompositions of ``rest`` into parts[i:], with the
+    first decomposition reaching it in the enumeration order of
+    ``_sum_multisets`` (multiplicities tried from the largest down to 0, a
+    later candidate kept only when its sum is strictly larger), so the
+    witnesses are those of a full enumeration.  A part lex above alpha
+    never fits inside alpha and a part that does not fit can only be
+    skipped, so the decompositions of a hyperplane root alpha are those of
+    ``_best(index of alpha + 1, alpha)``; they have at least two parts,
+    since alpha is not among them.  Everything is computed on first use.
+    """
+
+    def __init__(self, q: Quiver, lam: Sequence, box: DimVector, entry_cap: int) -> None:
+        self.q = q
+        self.lam = as_weight(q, lam)
+        self.box = _check_box(q, box, entry_cap, CANDIDATE_CAP)
+        self.entry_cap = entry_cap
+        scale = math.lcm(*(l.denominator for l in self.lam))
+        self._scaled_lam = tuple(int(l * scale) for l in self.lam)
+        self._root_classes: dict[DimVector, RootClass] = {}
+        self._memberships: dict[DimVector, SigmaMembership] = {}
+        self._parts: list[DimVector] | None = None
+        self._part_p: list[int] = []
+        self._part_index: dict[DimVector, int] = {}
+        self._columns: dict[DimVector, tuple[list[int], list[_Best]]] = {}
+
+    def on_hyperplane(self, vec: DimVector) -> bool:
+        return sum(l * v for l, v in zip(self._scaled_lam, vec)) == 0
+
+    def root_class(self, vec: DimVector) -> RootClass:
+        found = self._root_classes.get(vec)
+        if found is None:
+            found = self._root_classes[vec] = classify_root(self.q, vec)
+        return found
+
+    def parts(self) -> list[DimVector]:
+        """The hyperplane roots of the box, descending lex."""
+        if self._parts is None:
+            self._parts = [
+                vec
+                for vec in box_vectors(self.box)
+                if self.on_hyperplane(vec) and self.root_class(vec).is_root
+            ]
+            self._parts.reverse()
+            chi = euler_form(self.q)
+            self._part_p = [1 - bilinear(chi, beta, beta) for beta in self._parts]
+            self._part_index = {beta: i for i, beta in enumerate(self._parts)}
+        return self._parts
+
+    def hyperplane_roots(self) -> list[DimVector]:
+        """The hyperplane roots of the box, ascending lex."""
+        return self.parts()[::-1]
+
+    def in_sigma(self, vec: DimVector) -> bool:
+        return self.membership(vec).in_sigma
+
+    def membership(self, alpha: DimVector) -> SigmaMembership:
+        found = self._memberships.get(alpha)
+        if found is None:
+            found = self._memberships[alpha] = self._membership(alpha)
+        return found
+
+    def _membership(self, alpha: DimVector) -> SigmaMembership:
+        if not any(alpha):
+            return SigmaMembership(alpha, False, False, None, True, None, reason="zero vector")
+        root_class = self.root_class(alpha)
+        on_hyperplane = self.on_hyperplane(alpha)
+        if not root_class.is_root or not on_hyperplane:
+            reason = "not a root" if not root_class.is_root else "nonzero pairing with the weight"
+            return SigmaMembership(
+                alpha, False, False, root_class, on_hyperplane, None, reason=reason
+            )
+        self.parts()  # builds the part list with its p-values and index
+        index = self._part_index[alpha]
+        p_alpha = self._part_p[index]
+        in_s, in_sigma = True, True
+        witness_s = witness_sigma = None
+        worst = self._best(index + 1, alpha)
+        if worst is not None:
+            worst_sum, decomposition = worst
+            if p_alpha < worst_sum:
+                in_s, witness_s = False, decomposition
+            if p_alpha <= worst_sum:
+                in_sigma, witness_sigma = False, decomposition
+        return SigmaMembership(
+            alpha,
+            in_s,
+            in_sigma,
+            root_class,
+            on_hyperplane,
+            p_alpha,
+            witness_s,
+            witness_sigma,
+        )
+
+    def _best(self, start: int, rest: DimVector) -> _Best:
+        if not any(rest):
+            return 0, ()
+        fits, column = self._column(rest)
+        return column[bisect_left(fits, start)]
+
+    def _column(self, rest: DimVector) -> tuple[list[int], list[_Best]]:
+        """The indices of the parts that fit inside rest, ascending, and
+        ``_best`` of rest from each of them on (one entry more: None, as
+        nothing is left to cover rest)."""
+        found = self._columns.get(rest)
+        if found is not None:
+            return found
+        parts, part_p = self._parts, self._part_p
+        fits = [
+            i for i, beta in enumerate(parts) if all(b <= r for b, r in zip(beta, rest))
+        ]
+        column: list[_Best] = [None] * (len(fits) + 1)
+        for m in range(len(fits) - 1, -1, -1):
+            i = fits[m]
+            beta = parts[i]
+            top = min(r // b for r, b in zip(rest, beta) if b)
+            best = None
+            for mult in range(top, 0, -1):
+                sub = self._best(i + 1, tuple(r - mult * b for r, b in zip(rest, beta)))
+                if sub is None:
+                    continue
+                total = sub[0] + mult * part_p[i]
+                if best is None or total > best[0]:
+                    best = (total, ((beta, mult),) + sub[1])
+            skip = column[m + 1]
+            if skip is not None and (best is None or skip[0] > best[0]):
+                best = skip
+            column[m] = best
+        found = self._columns[rest] = (fits, column)
+        return found
 
 
 def count_necklaces_by_burnside(q: Quiver, length: int) -> int:

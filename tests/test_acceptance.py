@@ -38,10 +38,10 @@ from necklacekit import (
     tits_form,
     two_alpha_nonsmooth,
 )
-from necklacekit.roots import box_vectors
 
 from conftest import random_derivation, random_form, random_necklace
 from oracles import (
+    box_vectors,
     count_necklaces_by_rotation,
     glue_bracket,
     lie_derivative_by_generators,

@@ -7,8 +7,10 @@ seven necklace pairs on the Calogero and two-loop quivers, and for six
 root and classification requests on the Calogero and A~1 quivers (stdout
 as ``.txt``, the JSON report as ``.json``).  ``wide/`` holds the ``derham``
 and ``karoubi`` reports of one vertex with three loops at
-``--max-length 6`` and the ``classify`` report of the A_12 path at
-alpha = (1, ..., 1), lambda = 0; they live in a subdirectory so that the
+``--max-length 6``, the ``classify`` report of the A_12 path at
+alpha = (1, ..., 1), lambda = 0, and the ``classify`` and ``roots`` reports
+of the A_17 path at alpha = (1, ..., 1) (written by the box-walking code
+that preceded root growth); they live in a subdirectory so that the
 sweep of ``tests/sweep.py``, which runs on every ``golden/*.quiver``, does
 not take them up.  Any change to a dimension, a bracket term or
 coefficient, a root, a verdict or witness, to the table layout or to
@@ -59,11 +61,17 @@ VERDICTS = [
     ("calogero", "roots", "--box 3,4"),
     ("a1_tilde", "roots", "--box 3,3"),
 ]
-# command: (quiver under wide/, flags)
+# case: (quiver under wide/, command, flags)
 WIDE = {
-    "derham": ("three_loops", "--max-length 6"),
-    "karoubi": ("three_loops", "--max-length 6"),
-    "classify": ("a12_path", "--alpha " + ",".join("1" * 12) + " --lambda " + ",".join("0" * 12)),
+    "derham": ("three_loops", "derham", "--max-length 6"),
+    "karoubi": ("three_loops", "karoubi", "--max-length 6"),
+    "classify": (
+        "a12_path", "classify", "--alpha " + ",".join("1" * 12) + " --lambda " + ",".join("0" * 12)
+    ),
+    "a17-classify": (
+        "a17_path", "classify", "--alpha " + ",".join("1" * 17) + " --lambda " + ",".join("0" * 17)
+    ),
+    "a17-roots": ("a17_path", "roots", "--box " + ",".join("1" * 17)),
 }
 
 
@@ -92,15 +100,17 @@ def write_report(name: str, command: str, base: bool, out: Path) -> None:
     run(argv)
 
 
-def wide_name(command: str) -> str:
-    return f"{WIDE[command][0]}-{command}.json"
+def wide_name(case: str) -> str:
+    return f"{WIDE[case][0]}-{WIDE[case][1]}.json"
 
 
-def write_wide_report(command: str, out: Path) -> None:
+def write_wide_report(case: str, out: Path) -> None:
     """The `derham` or `karoubi` table of one vertex with three loops at
-    length <= 6, whose largest pieces row reduction cannot reach, or the
-    `classify` report of a box of 4,095 vectors holding 78 roots."""
-    name, flags = WIDE[command]
+    length <= 6, whose largest pieces row reduction cannot reach, the
+    `classify` report of a box of 4,095 vectors holding 78 roots, or the
+    `classify` and `roots` reports of a box of 131,071 vectors holding 153
+    roots."""
+    name, command, flags = WIDE[case]
     run([command, str(GOLDEN / "wide" / f"{name}.quiver"), *flags.split(), "--json", str(out)])
 
 
@@ -128,11 +138,11 @@ def test_report_is_byte_identical(name, command, base, tmp_path):
     assert out.read_bytes() == (GOLDEN / report_name(name, command, base)).read_bytes()
 
 
-@pytest.mark.parametrize("command", WIDE)
-def test_wide_report_is_byte_identical(command, tmp_path):
+@pytest.mark.parametrize("case", WIDE)
+def test_wide_report_is_byte_identical(case, tmp_path):
     out = tmp_path / "report.json"
-    write_wide_report(command, out)
-    assert out.read_bytes() == (GOLDEN / "wide" / wide_name(command)).read_bytes()
+    write_wide_report(case, out)
+    assert out.read_bytes() == (GOLDEN / "wide" / wide_name(case)).read_bytes()
 
 
 @pytest.mark.parametrize("index", range(len(BRACKETS)), ids=bracket_name)
@@ -156,8 +166,8 @@ def test_verdict_is_byte_identical(index, tmp_path):
 if __name__ == "__main__":
     for case in CASES:
         write_report(*case, GOLDEN / report_name(*case))
-    for command in WIDE:
-        write_wide_report(command, GOLDEN / "wide" / wide_name(command))
+    for case in WIDE:
+        write_wide_report(case, GOLDEN / "wide" / wide_name(case))
     for index in range(len(BRACKETS)):
         golden = GOLDEN / bracket_name(index)
         golden.with_suffix(".txt").write_bytes(

@@ -127,7 +127,7 @@ def test_solver_deterministic_per_seed(calogero):
 
 
 def test_oversized_alpha_is_refused_before_allocating(calogero):
-    # a 200,000 x 480,000 Jacobian and a 480,000^2 Gram matrix
+    # a 200,000 x 480,000 Jacobian and a 200,000^2 Gram matrix
     with pytest.raises(ValueError, match="cap is 16777216 entries"):
         solve(calogero, (200, 400), LAM_21, seed=0)
     # refused before the point is even looked at
@@ -138,9 +138,10 @@ def test_oversized_alpha_is_refused_before_allocating(calogero):
 @pytest.mark.parametrize(
     "q, alpha, lam, entries",
     [
-        # the Gram matrix is the larger: 12^2 against 5 x 12
-        (Quiver(2, (Arrow("a", 1, 2), Arrow("b", 2, 2))), (1, 2), LAM_21, 144),
-        # the Jacobian is the larger: 10 x 6 against 6^2
+        # a 5 x 12 Jacobian, more rep_dim columns than rows: 60 entries, and
+        # the Gram matrix solve forms is 5 x 5
+        (Quiver(2, (Arrow("a", 1, 2), Arrow("b", 2, 2))), (1, 2), LAM_21, 60),
+        # a 10 x 6 Jacobian, more rows than columns: 60 entries, Gram 6 x 6
         (Quiver(2, (Arrow("a", 1, 2),)), (1, 3), (Fraction(3), Fraction(-1)), 60),
     ],
 )
@@ -148,9 +149,12 @@ def test_size_cap_is_inclusive(q, alpha, lam, entries, monkeypatch):
     monkeypatch.setattr(numerics, "MAX_DENSE_ENTRIES", entries)
     solve(q, alpha, lam, seed=0, max_iter=1)
     monkeypatch.setattr(numerics, "MAX_DENSE_ENTRIES", entries - 1)
-    with pytest.raises(ValueError, match="cap"):
+    rows = sum(a * a for a in alpha)
+    side = min(rows, entries // rows)
+    message = f"{rows} x {entries // rows} Jacobian and a {side} x {side} Gram matrix; the cap"
+    with pytest.raises(ValueError, match=message):
         solve(q, alpha, lam, seed=0, max_iter=1)
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(ValueError, match=message):
         rank_report(q, alpha, lam, random_rep(q, alpha, 0))
 
 

@@ -16,13 +16,21 @@ from necklacekit import (
 )
 
 from conftest import random_quiver
-from oracles import roots_by_orbit_closure
+from oracles import roots_by_box_filter, roots_by_orbit_closure
 
 # seeded quivers on 1-4 vertices with at most 6 arrows, about half of them looped
 _rng = random.Random(42)
 ORACLE_QUIVERS = {
     f"random{i}": random_quiver(_rng, max_vertices=4, max_arrows=6) for i in range(40)
 }
+
+# seeded quivers on 1-4 vertices with up to 7 arrows, loops and parallel
+# arrows among them, each with a box of entries 1-4
+_rng = random.Random(2024)
+GROWTH_CASES = [
+    (q, tuple(_rng.randint(1, 4) for _ in q.vertices))
+    for q in (random_quiver(_rng, max_vertices=4, max_arrows=7) for _ in range(240))
+]
 
 
 def test_reflect_examples(calogero):
@@ -153,3 +161,15 @@ def test_box_caps(calogero):
         enumerate_positive_roots(calogero, (13, 1))
     with pytest.raises(ValueError, match="box holds 169 candidates, more than the cap 100"):
         enumerate_positive_roots(calogero, (12, 12), candidate_cap=100)
+
+
+def test_grown_roots_match_the_box_filter():
+    # growth from the unit vectors rests on the root-string property, which
+    # for looped vertices is checked here, on every root's full class
+    looped = parallel = 0
+    for q, box in GROWTH_CASES:
+        assert enumerate_positive_roots(q, box) == roots_by_box_filter(q, box), (q, box)
+        looped += any(not q.is_loop_free(v) for v in q.vertices)
+        ends = [(a.source, a.target) for a in q.arrows]
+        parallel += len(set(ends)) < len(ends)
+    assert looped >= 100 and parallel >= 50

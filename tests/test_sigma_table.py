@@ -1,5 +1,6 @@
 """Differential tests: the memoised membership table against enumeration of
-every decomposition, witnesses included."""
+every decomposition, and against the column recurrence over every
+hyperplane root on boxes too wide to enumerate, witnesses included."""
 import random
 from fractions import Fraction
 
@@ -14,11 +15,13 @@ from necklacekit import (
     rep_types,
     sigma_membership,
 )
-from necklacekit.roots import ENTRY_CAP, box_vectors
-from necklacekit.strata import _SigmaTable
+from necklacekit.roots import ENTRY_CAP
+from necklacekit.strata import _classify, _minimal_in_sigma, _rep_types, _SigmaTable
 
 from conftest import random_quiver
 from oracles import (
+    ColumnSigmaTable,
+    box_vectors,
     minimal_in_sigma_by_enumeration,
     rep_types_by_enumeration,
     sigma_membership_by_enumeration,
@@ -116,3 +119,53 @@ def test_d4_star_baseline_matches_enumeration():
     report = classify(D4_STAR, alpha, lam)
     assert report.membership == expected
     assert [t.rep_type for t in report.types] == rep_types_by_enumeration(D4_STAR, alpha, lam)
+
+
+def wide_cases(count: int = 40, seed: int = 2002):
+    """(quiver, alpha, lambda) with alpha among the largest roots of a box of
+    2-4 vertices, entries up to 8, 5 or 3, at the zero weight and at a
+    nonzero weight vanishing on alpha.  Loops and parallel arrows make most
+    of these boxes rich in imaginary roots and decompositions."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        k = rng.choice((2, 3, 4))
+        q = connected_quiver(rng, k)
+        box = tuple(rng.randint(2, (8, 5, 3)[k - 2]) for _ in range(k))
+        roots = sorted((vec for vec, _ in enumerate_positive_roots(q, box)), key=sum)
+        alpha = rng.choice(roots[-3:])
+        if sum(alpha) < 4:
+            continue
+        cases.append((q, alpha, (Fraction(0),) * k))
+        cases.append((q, alpha, nonzero_weight(rng, alpha)))
+    return cases
+
+
+WIDE_CASES = wide_cases()
+
+
+@pytest.mark.parametrize("q, alpha, lam", WIDE_CASES)
+def test_table_matches_the_column_recurrence_on_wide_boxes(q, alpha, lam):
+    table = _SigmaTable(q, lam, alpha, ENTRY_CAP)
+    columns = ColumnSigmaTable(q, lam, alpha, ENTRY_CAP)
+    assert table.hyperplane_roots() == columns.hyperplane_roots()
+    # strict verdicts first, as minimality and types ask them: no witnesses
+    for beta in box_vectors(alpha):
+        assert table.in_sigma(beta) == columns.membership(beta).in_sigma, beta
+    if columns.membership(alpha).in_sigma:
+        assert _minimal_in_sigma(table, alpha) == _minimal_in_sigma(columns, alpha)
+    assert _rep_types(table, alpha) == _rep_types(columns, alpha)
+    # then every verdict with its p-value and witnesses, on a fresh table
+    fresh = _SigmaTable(q, lam, alpha, ENTRY_CAP)
+    for beta in box_vectors(alpha):
+        assert fresh.membership(beta) == columns.membership(beta), beta
+    assert classify(q, alpha, lam) == _classify(ColumnSigmaTable(q, lam, alpha, ENTRY_CAP), alpha)
+
+
+def test_wide_cases_are_wide_and_decided_by_decompositions():
+    weights = {any(lam) for _, _, lam in WIDE_CASES}
+    assert weights == {False, True}
+    memberships = [sigma_membership(q, alpha, lam) for q, alpha, lam in WIDE_CASES]
+    assert sum(m.witness_sigma is not None for m in memberships) >= 10
+    assert sum(m.in_sigma for m in memberships) >= 10
+    assert max(sum(alpha) for _, alpha, _ in WIDE_CASES) >= 8

@@ -19,7 +19,7 @@ from necklacekit import (
 )
 from necklacekit.roots import CANDIDATE_CAP, _check_box_size
 
-from oracles import decompositions
+from oracles import box_vectors, decompositions
 
 LAM_21 = (Fraction(-2), Fraction(1))
 LAM_31 = (Fraction(-3), Fraction(1))
@@ -89,8 +89,6 @@ def test_strict_implies_weak(calogero, a1_tilde):
         (calogero, LAM_21, (3, 6)),
         (a1_tilde, LAM_0, (2, 2)),
     ):
-        from necklacekit.roots import box_vectors
-
         for vec in box_vectors(box):
             m = sigma_membership(q, vec, lam)
             if m.in_sigma:
@@ -124,8 +122,6 @@ def test_sigma_lambda_lines(calogero):
     for m, n in ((1, 2), (1, 3), (2, 5)):
         lam = (Fraction(-n), Fraction(1) * m)
         box = (3 * m, 3 * n)
-        from necklacekit.roots import box_vectors
-
         members = [
             vec
             for vec in box_vectors(box)
@@ -179,8 +175,6 @@ def test_slice_smooth_checks(calogero, a1_tilde):
 
 def test_smooth_iff_single_multiplicity_one(calogero, a1_tilde):
     for q, alpha_box in ((calogero, (2, 4)), (a1_tilde, (2, 2))):
-        from necklacekit.roots import box_vectors
-
         for alpha in box_vectors(alpha_box):
             for rep_type in rep_types(q, alpha, LAM_0):
                 check = slice_smooth_check(q, rep_type, alpha, LAM_0)
@@ -215,8 +209,6 @@ def test_two_alpha_difference_always_three(calogero):
 def test_membership_stable_under_box_enlargement(calogero):
     # parts of a decomposition are bounded by alpha, so recomputing the
     # hyperplane roots in a larger box must not change any verdict
-    from necklacekit.roots import box_vectors
-
     for alpha in box_vectors((2, 4)):
         m = sigma_membership(calogero, alpha, LAM_0)
         wide = [
@@ -258,3 +250,31 @@ def test_a_box_above_the_candidate_cap_is_refused_before_its_table():
     _check_box_size((9,) * 6, CANDIDATE_CAP)
     with pytest.raises(ValueError, match="box holds 1100000 candidates"):
         _check_box_size((10,) + (9,) * 5, CANDIDATE_CAP)
+
+
+@pytest.mark.parametrize("lam", [(0,), (0, 0, 5), ()], ids=["short", "long", "empty"])
+def test_weights_of_the_wrong_length_are_refused(calogero, lam):
+    message = f"^weight has length {len(lam)}, expected 2$"
+    for check in (
+        sigma_membership,
+        classify,
+        coadjoint_verdict,
+        minimal_in_sigma,
+        rep_types,
+        two_alpha_nonsmooth,
+    ):
+        for alpha in ((1, 2), (0, 0)):
+            with pytest.raises(ValueError, match=message):
+                check(calogero, alpha, lam)
+    with pytest.raises(ValueError, match=message):
+        delta_lambda(calogero, lam, (1, 2))
+
+
+def test_a_tall_box_needs_no_deep_recursion(one_loop):
+    # one vertex with a loop: every n is a root with p(n) = 1, so the best
+    # decomposition of n is n copies of 1, found through a chain of n best
+    # sums; evaluated by recursion, the chain would pass the interpreter's
+    # recursion limit
+    m = sigma_membership(one_loop, (600,), (0,), entry_cap=600)
+    assert (m.in_s, m.in_sigma, m.p_alpha) == (False, False, 1)
+    assert m.witness_s == (((1,), 600),)
