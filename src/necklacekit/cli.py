@@ -415,8 +415,11 @@ def cmd_moment(q: Quiver, args) -> dict:
             "rank_gap": None,
         }
         if result.converged:
+            # 10 * tol overflows to inf for tol above max / 10, which
+            # rank_report refuses as a tolerance
+            residual_tol = min(args.tol * 10, sys.float_info.max)
             rank = numerics.rank_report(
-                q, alpha, lam, result.point, svd_tol=args.svd_tol, residual_tol=args.tol * 10
+                q, alpha, lam, result.point, svd_tol=args.svd_tol, residual_tol=residual_tol
             )
             entry["jacobian_rank"] = rank.jacobian_rank
             entry["fiber_dim_estimate"] = rank.fiber_dim_estimate

@@ -6,13 +6,27 @@ at solutions so fiber dimensions can be compared against the exact formulas.
 The target space is always the trace-zero block tuple; residuals are
 projected onto it by subtracting the mean trace.
 
-The Jacobian is assembled in closed form.  Its rows are the vertex blocks,
-alpha_i^2 rows each, row-major; its columns are the matrix entries of the
-arrows in ``dq.arrows`` order, each arrow's entries row-major.  Varying V_a
-for a base arrow a: s -> t moves block t by H V_a* and block s by -V_a* H,
-which in this layout are the Kronecker blocks I (x) V_a*^T and
--(V_a* (x) I); a starred arrow gives V_a (x) I and -(I (x) V_a^T) the same
-way.  Each column is the derivative of a sum of commutators: the one entry
+``solve`` and ``rank_report`` work on the flat point vector: the matrices of
+the arrows in ``dq.arrows`` order, each row-major.  Its index layout for one
+(double quiver, alpha) is the plan (``_Plan``): the row offsets of the vertex
+blocks, each base arrow's slices into the flat vector, and two index arrays
+that place every Jacobian entry.  A plan is built once and kept in a single
+slot on the double quiver, ``(alpha, plan)``; ``double_of`` keeps the double
+on its base quiver, so every iteration of a solve, the rank check after it
+and later solves at the same alpha share one plan, and another alpha
+replaces it.  Shapes are checked once, when a point is packed.
+
+The Jacobian's rows are the vertex blocks, alpha_i^2 rows each, row-major;
+its columns are the entries of the flat vector.  Varying V_a for a base
+arrow a: s -> t moves block t by H V_a* and block s by -V_a* H, which in
+this layout are the Kronecker blocks I (x) V_a*^T and -(V_a* (x) I); a
+starred arrow gives V_a (x) I and -(I (x) V_a^T) the same way.  So every
+entry is 0 or +- an entry of the partner matrix, which sits in the flat
+vector, and J is one scatter: the plan's plus entries are copied from the
+flat vector, then its minus entries are subtracted.  Plus and minus entries
+meet only where a loop's two blocks share rows, and there the entry comes
+out as (0 + a) - b, bit for bit what accumulating the Kronecker blocks
+gives.  Each column is the derivative of a sum of commutators: the one entry
 x it varies lands on the diagonal as +x in one block and -x in another, and
 x + (-x) is exactly 0 in floating point too.  Subtracting the mean trace
 would leave every column unchanged, bit for bit, so it is applied to the
@@ -91,38 +105,15 @@ def moment_eval(q: Quiver, alpha: Sequence[int], point: Mapping[str, np.ndarray]
     return blocks
 
 
-def _project_trace(blocks: list[np.ndarray], alpha: tuple[int, ...]) -> list[np.ndarray]:
-    """Subtract the mean trace from every diagonal, in place."""
-    n_total = sum(alpha)
-    if n_total == 0:
-        return blocks
-    mean = sum(np.trace(b) for b in blocks) / n_total
-    for b in blocks:
-        b.flat[:: len(b) + 1] -= mean
-    return blocks
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _residual_vector(
-    dq: DoubleQuiver,
-    alpha: tuple[int, ...],
-    lam_values: list[complex],
-    point: Mapping[str, np.ndarray],
-) -> np.ndarray:
-    blocks = moment_eval(dq, alpha, point)
-    for b, lam in zip(blocks, lam_values):
-        b.flat[:: len(b) + 1] -= lam
-    blocks = _project_trace(blocks, alpha)
-    if not blocks:
-        return np.zeros(0, dtype=complex)
-    return np.concatenate([b.reshape(-1) for b in blocks])
-
-
-def _check_dense_size(dq: DoubleQuiver, alpha: tuple[int, ...]) -> None:
+def _check_dense_size(alpha: tuple[int, ...], rows: int, rep_dim: int) -> None:
     """Refuse an alpha with m * n > MAX_DENSE_ENTRIES for its m x n Jacobian,
     the largest matrix allocated; the Gram matrix ``solve`` forms is
     min(m, n)-square."""
-    rows = sum(n * n for n in alpha)
-    rep_dim = rep_dimension(dq, alpha)
     if rows * rep_dim > MAX_DENSE_ENTRIES:
         side = min(rows, rep_dim)
         raise ValueError(
@@ -131,65 +122,151 @@ def _check_dense_size(dq: DoubleQuiver, alpha: tuple[int, ...]) -> None:
         )
 
 
-def _jacobian(
-    dq: DoubleQuiver, alpha: tuple[int, ...], point: Mapping[str, np.ndarray]
-) -> np.ndarray:
+class _Plan:
+    """Index layout of the moment map of one double quiver at one alpha.
+
+    ``arrows`` holds (label, slice of the flat vector, matrix shape) for the
+    arrows in ``dq.arrows`` order.  ``products`` holds, for each base arrow
+    with nonzero matrices, the row slices of its target and source blocks and
+    the slices and shapes of V_a and V_a*.  ``traces`` slices out each vertex
+    block's diagonal, ``diagonal`` lists all diagonal rows.  J.flat[plus_pos]
+    is flat[plus_src] and J.flat[minus_pos] is reduced by flat[minus_src].
+    """
+
+    __slots__ = (
+        "alpha", "rows", "columns", "arrows", "products", "traces", "diagonal",
+        "plus_pos", "plus_src", "minus_pos", "minus_src",
+    )
+
+    def __init__(self, dq: DoubleQuiver, alpha: tuple[int, ...]) -> None:
+        self.alpha = alpha
+        offsets = [0]
+        for n in alpha:
+            offsets.append(offsets[-1] + n * n)
+        self.rows = offsets[-1]
+        arrows, start = [], 0
+        for arr in dq.arrows:
+            shape = (alpha[arr.target - 1], alpha[arr.source - 1])
+            arrows.append((arr.label, slice(start, start + shape[0] * shape[1]), shape))
+            start += shape[0] * shape[1]
+        self.arrows = tuple(arrows)
+        self.columns = start
+        blocks = [slice(offsets[v], offsets[v + 1]) for v in range(len(alpha))]
+        self.traces = tuple(
+            slice(offsets[v], offsets[v + 1], n + 1) for v, n in enumerate(alpha)
+        )
+        self.diagonal = np.concatenate(
+            [np.arange(offsets[v], offsets[v + 1], n + 1) for v, n in enumerate(alpha)]
+        )
+        # dq.arrows alternates each base arrow and its starred partner
+        self.products = tuple(
+            (blocks[arr.target - 1], blocks[arr.source - 1], a_slice, a_shape, s_slice, s_shape)
+            for arr, (_, a_slice, a_shape), (_, s_slice, s_shape) in zip(
+                dq.base_arrows, arrows[0::2], arrows[1::2]
+            )
+            if a_slice.stop > a_slice.start
+        )
+        plus, minus = [], []
+        for index, arr in enumerate(dq.arrows):
+            # varying this arrow's entry (r, c) moves its target block by
+            # (r, j) <- P[c, j] and its source block by (i, c) <- P[i, r], P
+            # the partner; a base arrow adds the first and subtracts the
+            # second, a starred arrow the other way round
+            own, partner = arrows[index][1].start, arrows[index ^ 1][1].start
+            n_t, n_s = alpha[arr.target - 1], alpha[arr.source - 1]
+            t, s = offsets[arr.target - 1], offsets[arr.source - 1]
+            r, j, c = np.indices((n_t, n_t, n_s))
+            by_target = (
+                (t + r * n_t + j) * self.columns + own + r * n_s + c,
+                partner + c * n_t + j,
+            )
+            i, c, r = np.indices((n_s, n_s, n_t))
+            by_source = (
+                (s + i * n_s + c) * self.columns + own + r * n_s + c,
+                partner + i * n_t + r,
+            )
+            starred = index % 2
+            plus.append(by_source if starred else by_target)
+            minus.append(by_target if starred else by_source)
+        self.plus_pos, self.plus_src = _joined(plus)
+        self.minus_pos, self.minus_src = _joined(minus)
+
+
+def _joined(pieces: list) -> tuple[np.ndarray, np.ndarray]:
+    """The pieces' positions in J.flat and indices into the flat vector."""
+    if not pieces:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    return (
+        np.concatenate([pos.ravel() for pos, _ in pieces]),
+        np.concatenate([src.ravel() for _, src in pieces]),
+    )
+
+
+def _plan(dq: DoubleQuiver, alpha: tuple[int, ...]) -> _Plan:
+    """The plan for (dq, alpha), from the slot on dq or built into it, once
+    the dense-size cap has passed."""
+    slot = dq.__dict__.get("_moment_plan")
+    if slot is not None and slot[0] == alpha:
+        _check_dense_size(alpha, slot[1].rows, slot[1].columns)
+        return slot[1]
+    _check_dense_size(alpha, sum(n * n for n in alpha), rep_dimension(dq, alpha))
+    plan = _Plan(dq, alpha)
+    object.__setattr__(dq, "_moment_plan", (alpha, plan))
+    return plan
+
+
+def _pack(plan: _Plan, point: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The flat vector of a point whose shapes have been checked."""
+    if not plan.arrows:
+        return np.zeros(0, dtype=complex)
+    flat = np.concatenate(
+        [np.asarray(point[label], dtype=complex).reshape(-1) for label, _, _ in plan.arrows]
+    )
+    # -0.0 becomes 0.0, so a copied Jacobian entry has the sign of 0 + x
+    flat += 0.0
+    return flat
+
+
+def _unpack(plan: _Plan, flat: np.ndarray) -> RepPoint:
+    return {label: flat[part].reshape(shape) for label, part, shape in plan.arrows}
+
+
+def _lam_diagonal(lam: Sequence, alpha: tuple[int, ...]) -> np.ndarray:
+    """Each vertex's weight, once per diagonal row of its block."""
+    return np.repeat(np.array([float(x) + 0j for x in lam], dtype=complex), alpha)
+
+
+def _residual(plan: _Plan, flat: np.ndarray, lam_diagonal: np.ndarray) -> np.ndarray:
+    """The flat trace-zero projection of sum_a [V_a, V_a*] - lambda.
+
+    Accumulates the products in ``moment_eval``'s order, then subtracts
+    lambda and the mean trace on the diagonal, so its bits are those of the
+    per-block route.
+    """
+    out = np.zeros(plan.rows, dtype=complex)
+    for target, source, a_part, a_shape, s_part, s_shape in plan.products:
+        va = flat[a_part].reshape(a_shape)
+        vs = flat[s_part].reshape(s_shape)
+        out[target] += (va @ vs).reshape(-1)
+        out[source] -= (vs @ va).reshape(-1)
+    if plan.rows:
+        out[plan.diagonal] -= lam_diagonal
+        # summed as np.trace sums each block's diagonal
+        out[plan.diagonal] -= sum(out[d].sum() for d in plan.traces) / sum(plan.alpha)
+    return out
+
+
+def _jacobian(plan: _Plan, flat: np.ndarray) -> np.ndarray:
     """Complex Jacobian of the projected residual; the moment map is holomorphic.
 
-    Rows are the vertex blocks, columns the arrows' entries (module
-    docstring).  An arrow with nt x ns matrices and partner matrix P (ns x nt)
-    contributes I_nt (x) P^T to the rows of its target and P (x) I_ns to those
-    of its source, with the signs of the commutator a a* - a* a.  Both are
-    accumulated into zeros, so every entry is 0, +-P[i, j] or, where a loop's
-    two blocks share rows, P[i, j] - P[k, l]: bit for bit what differentiating
-    one matrix entry at a time gives.  The trace projection is left out: it
-    subtracts the mean trace of a column, which is exactly 0.
+    One scatter of partner entries (module docstring): all plus entries
+    are written before any minus entry is subtracted.  The trace projection
+    is left out: it subtracts the mean trace of a column, which is exactly 0.
     """
-    offsets = [0]
-    for n in alpha:
-        offsets.append(offsets[-1] + n * n)
-    jac = np.zeros((offsets[-1], rep_dimension(dq, alpha)), dtype=complex)
-    column = 0
-    for arr in dq.arrows:
-        nt, ns = alpha[arr.target - 1], alpha[arr.source - 1]
-        columns = slice(column, column + nt * ns)
-        column += nt * ns
-        if not nt * ns:
-            continue
-        target = slice(offsets[arr.target - 1], offsets[arr.target])
-        source = slice(offsets[arr.source - 1], offsets[arr.source])
-        partner = point[dq.star(arr.label)]
-        # The two blocks with their identity factor split out (reshaping a
-        # slice only splits its axes, so these are views of jac):
-        # by_target[r, :, r, :] is diagonal block r of I_nt (x) P^T, and
-        # by_source[:, c, :, c] holds P inside P (x) I_ns for each c.
-        by_target = jac[target, columns].reshape(nt, nt, nt, ns)
-        by_source = jac[source, columns].reshape(ns, ns, nt, ns)
-        rt, cs = np.arange(nt), np.arange(ns)
-        if dq.is_starred(arr.label):
-            by_source[:, cs, :, cs] += partner
-            by_target[rt, :, rt, :] -= partner.T
-        else:
-            by_target[rt, :, rt, :] += partner.T
-            by_source[:, cs, :, cs] -= partner
-    return jac
-
-
-def _unpack(dq: DoubleQuiver, alpha: tuple[int, ...], flat: np.ndarray) -> RepPoint:
-    point: RepPoint = {}
-    offset = 0
-    for arr in dq.arrows:
-        nt, ns = alpha[arr.target - 1], alpha[arr.source - 1]
-        point[arr.label] = flat[offset : offset + nt * ns].reshape((nt, ns))
-        offset += nt * ns
-    return point
-
-
-def _pack(dq: DoubleQuiver, point: Mapping[str, np.ndarray]) -> np.ndarray:
-    pieces = [np.asarray(point[arr.label], dtype=complex).reshape(-1) for arr in dq.arrows]
-    if not pieces:
-        return np.zeros(0, dtype=complex)
-    return np.concatenate(pieces)
+    jac = np.zeros(plan.rows * plan.columns, dtype=complex)
+    jac[plan.plus_pos] = flat[plan.plus_src]
+    jac[plan.minus_pos] -= flat[plan.minus_src]
+    return jac.reshape(plan.rows, plan.columns)
 
 
 @dataclass
@@ -229,6 +306,22 @@ def _damped_steps(jac: np.ndarray, residual: np.ndarray) -> Callable[[float], np
     return lambda damping: np.linalg.solve(gram + damping * eye, rhs)
 
 
+def _rank_of(jac: np.ndarray, rep_dim: int, svd_tol: float) -> RankReport:
+    """The rank report of a Jacobian: singular values above svd_tol * sigma_1."""
+    if jac.size == 0:
+        return RankReport(0, rep_dim, [], None)
+    singular = np.linalg.svd(jac, compute_uv=False)
+    values = [float(s) for s in singular]
+    if not values or values[0] == 0.0:
+        rank = 0
+    else:
+        rank = sum(1 for s in values if s > svd_tol * values[0])
+    cut_gap = None
+    if 0 < rank < len(values):
+        cut_gap = values[rank - 1] / values[rank] if values[rank] else math.inf
+    return RankReport(rank, rep_dim - rank, values, cut_gap)
+
+
 def solve(
     q: Quiver,
     alpha: Sequence[int],
@@ -241,30 +334,33 @@ def solve(
 
     Weights must pair to zero with alpha (the trace obstruction); otherwise
     the fiber is empty and the input is rejected, as is an alpha whose dense
-    matrices would exceed MAX_DENSE_ENTRIES.  Non-convergence is reported in
-    the result, not raised.
+    matrices would exceed MAX_DENSE_ENTRIES, a tol that is not finite and
+    positive and a max_iter that is not an int >= 1.  Non-convergence is
+    reported in the result, not raised.
     """
+    _check_positive("tol", tol)
+    if not isinstance(max_iter, int) or max_iter < 1:
+        raise ValueError(f"max_iter must be an int >= 1, got {max_iter!r}")
     dq = double_of(q)
     alpha = as_dim_vector(dq, alpha)
-    _check_dense_size(dq, alpha)
+    plan = _plan(dq, alpha)
     lam = as_weight(dq, lam)
     pairing = weight_pairing(lam, alpha)
     if pairing != 0:
         raise ValueError(f"weight pairs to {pairing} with {alpha}; the fiber is empty")
-    lam_values = [float(x) + 0j for x in lam]
-    point = random_rep(dq, alpha, seed)
-    flat = _pack(dq, point)
+    lam_diagonal = _lam_diagonal(lam, alpha)
+    flat = _pack(plan, random_rep(dq, alpha, seed))
     damping = 1e-3
-    residual = _residual_vector(dq, alpha, lam_values, _unpack(dq, alpha, flat))
+    residual = _residual(plan, flat, lam_diagonal)
     norm = float(np.linalg.norm(residual))
     iterations = 0
     while iterations < max_iter and norm > tol:
         iterations += 1
-        step = _damped_steps(_jacobian(dq, alpha, _unpack(dq, alpha, flat)), residual)
+        step = _damped_steps(_jacobian(plan, flat), residual)
         accepted = False
         for _ in range(25):
             trial = flat + step(damping)
-            trial_residual = _residual_vector(dq, alpha, lam_values, _unpack(dq, alpha, trial))
+            trial_residual = _residual(plan, trial, lam_diagonal)
             trial_norm = float(np.linalg.norm(trial_residual))
             if trial_norm < norm:
                 flat, residual, norm = trial, trial_residual, trial_norm
@@ -275,7 +371,7 @@ def solve(
         if not accepted:
             break
     converged = norm <= tol
-    return MomentSolveResult(_unpack(dq, alpha, flat), norm, converged, iterations, seed)
+    return MomentSolveResult(_unpack(plan, flat), norm, converged, iterations, seed)
 
 
 def rank_report(
@@ -292,26 +388,18 @@ def rank_report(
     representation space minus the rank; the full singular value list is
     returned so borderline thresholding stays auditable, and ``cut_gap``
     says how far apart the last kept and the first dropped value are.  An
-    alpha whose dense matrices would exceed MAX_DENSE_ENTRIES is refused.
+    alpha whose dense matrices would exceed MAX_DENSE_ENTRIES is refused, as
+    are tolerances that are not finite and positive.
     """
+    _check_positive("svd_tol", svd_tol)
+    _check_positive("residual_tol", residual_tol)
     dq = double_of(q)
     alpha = as_dim_vector(dq, alpha)
-    _check_dense_size(dq, alpha)
-    lam_values = [float(x) + 0j for x in as_weight(dq, lam)]
-    residual = _residual_vector(dq, alpha, lam_values, point)
-    norm = float(np.linalg.norm(residual))
+    plan = _plan(dq, alpha)
+    lam_diagonal = _lam_diagonal(as_weight(dq, lam), alpha)
+    _check_shapes(dq, alpha, point)
+    flat = _pack(plan, point)
+    norm = float(np.linalg.norm(_residual(plan, flat, lam_diagonal)))
     if norm > residual_tol:
         raise ValueError(f"point is not solved: residual {norm:.3e} > {residual_tol:.1e}")
-    jac = _jacobian(dq, alpha, point)
-    if jac.size == 0:
-        return RankReport(0, rep_dimension(dq, alpha), [], None)
-    singular = np.linalg.svd(jac, compute_uv=False)
-    values = [float(s) for s in singular]
-    if not values or values[0] == 0.0:
-        rank = 0
-    else:
-        rank = sum(1 for s in values if s > svd_tol * values[0])
-    cut_gap = None
-    if 0 < rank < len(values):
-        cut_gap = values[rank - 1] / values[rank] if values[rank] else math.inf
-    return RankReport(rank, rep_dimension(dq, alpha) - rank, values, cut_gap)
+    return _rank_of(_jacobian(plan, flat), plan.columns, svd_tol)

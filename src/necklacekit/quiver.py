@@ -160,8 +160,18 @@ def double(q: Quiver) -> DoubleQuiver:
 
 
 def double_of(q: Quiver) -> DoubleQuiver:
-    """``q`` itself if it is already a double quiver, otherwise ``double(q)``."""
-    return q if isinstance(q, DoubleQuiver) else double(q)
+    """``q`` itself if it is already a double quiver, otherwise ``double(q)``.
+
+    The double of a base quiver is built once per instance and stored on it,
+    like its Euler form; ``double`` always builds a fresh one.
+    """
+    if isinstance(q, DoubleQuiver):
+        return q
+    dq = q.__dict__.get("_double")
+    if dq is None:
+        dq = double(q)
+        object.__setattr__(q, "_double", dq)
+    return dq
 
 
 def euler_form(q: Quiver) -> IntMatrix:

@@ -22,7 +22,10 @@ and their commutators on Path and NecklaceWord dataclasses, label by label,
 instead of on arrow-number codes, the product of forms by concat on
 FormBasisElement entries instead of on codes, and the damped Gauss-Newton
 step from the n x n normal equations whatever the Jacobian's shape, instead
-of from the smaller of its two Gram matrices.
+of from the smaller of its two Gram matrices, and the moment solve and rank
+check with a point dict unpacked from the flat vector at every evaluation,
+each arrow's Jacobian blocks accumulated in a loop over the arrows, instead
+of on the flat vector through a precomputed index plan.
 """
 from __future__ import annotations
 
@@ -64,8 +67,16 @@ from necklacekit import (
     weight_pairing,
 )
 from necklacekit.forms import _mismatch
-from necklacekit.numerics import _project_trace
-from necklacekit.quiver import DimVector
+from necklacekit.numerics import (
+    MomentSolveResult,
+    RankReport,
+    _damped_steps,
+    _rank_of,
+    moment_eval,
+    random_rep,
+    rep_dimension,
+)
+from necklacekit.quiver import DimVector, double_of
 from necklacekit.roots import CANDIDATE_CAP, ENTRY_CAP, RootClass, _check_box
 from necklacekit.strata import Decomposition, _sum_multisets
 
@@ -882,3 +893,132 @@ def normal_equation_step(jac: np.ndarray, residual: np.ndarray, damping: float) 
     jac_h = jac.conj().T
     gram = jac_h @ jac
     return np.linalg.solve(gram + damping * np.eye(gram.shape[0]), -(jac_h @ residual))
+
+
+def _project_trace(blocks: list[np.ndarray], alpha: tuple[int, ...]) -> list[np.ndarray]:
+    """Subtract the mean trace from every diagonal, in place."""
+    n_total = sum(alpha)
+    if n_total == 0:
+        return blocks
+    mean = sum(np.trace(b) for b in blocks) / n_total
+    for b in blocks:
+        b.flat[:: len(b) + 1] -= mean
+    return blocks
+
+
+def residual_by_blocks(
+    dq: DoubleQuiver,
+    alpha: tuple[int, ...],
+    lam_values: list[complex],
+    point: Mapping[str, np.ndarray],
+) -> np.ndarray:
+    """The projected residual from moment_eval's vertex blocks."""
+    blocks = moment_eval(dq, alpha, point)
+    for b, lam in zip(blocks, lam_values):
+        b.flat[:: len(b) + 1] -= lam
+    blocks = _project_trace(blocks, alpha)
+    if not blocks:
+        return np.zeros(0, dtype=complex)
+    return np.concatenate([b.reshape(-1) for b in blocks])
+
+
+def jacobian_by_arrows(
+    dq: DoubleQuiver, alpha: tuple[int, ...], point: Mapping[str, np.ndarray]
+) -> np.ndarray:
+    """The Jacobian with each arrow's Kronecker blocks accumulated in turn.
+
+    An arrow with nt x ns matrices and partner matrix P (ns x nt)
+    contributes I_nt (x) P^T to the rows of its target and P (x) I_ns to those
+    of its source, with the signs of the commutator a a* - a* a.
+    """
+    offsets = [0]
+    for n in alpha:
+        offsets.append(offsets[-1] + n * n)
+    jac = np.zeros((offsets[-1], rep_dimension(dq, alpha)), dtype=complex)
+    column = 0
+    for arr in dq.arrows:
+        nt, ns = alpha[arr.target - 1], alpha[arr.source - 1]
+        columns = slice(column, column + nt * ns)
+        column += nt * ns
+        if not nt * ns:
+            continue
+        target = slice(offsets[arr.target - 1], offsets[arr.target])
+        source = slice(offsets[arr.source - 1], offsets[arr.source])
+        partner = point[dq.star(arr.label)]
+        # views of jac: by_target[r, :, r, :] is diagonal block r of
+        # I_nt (x) P^T, and by_source[:, c, :, c] holds P inside P (x) I_ns
+        by_target = jac[target, columns].reshape(nt, nt, nt, ns)
+        by_source = jac[source, columns].reshape(ns, ns, nt, ns)
+        rt, cs = np.arange(nt), np.arange(ns)
+        if dq.is_starred(arr.label):
+            by_source[:, cs, :, cs] += partner
+            by_target[rt, :, rt, :] -= partner.T
+        else:
+            by_target[rt, :, rt, :] += partner.T
+            by_source[:, cs, :, cs] -= partner
+    return jac
+
+
+def _unpack(dq: DoubleQuiver, alpha: tuple[int, ...], flat: np.ndarray) -> dict:
+    point = {}
+    offset = 0
+    for arr in dq.arrows:
+        nt, ns = alpha[arr.target - 1], alpha[arr.source - 1]
+        point[arr.label] = flat[offset : offset + nt * ns].reshape((nt, ns))
+        offset += nt * ns
+    return point
+
+
+def _pack(dq: DoubleQuiver, point: Mapping[str, np.ndarray]) -> np.ndarray:
+    pieces = [np.asarray(point[arr.label], dtype=complex).reshape(-1) for arr in dq.arrows]
+    if not pieces:
+        return np.zeros(0, dtype=complex)
+    return np.concatenate(pieces)
+
+
+def solve_by_arrows(
+    q: Quiver, alpha, lam, seed: int, tol: float = 1e-10, max_iter: int = 200
+) -> MomentSolveResult:
+    """numerics.solve with the point unpacked into a dict at every evaluation
+    and the Jacobian from jacobian_by_arrows."""
+    dq = double_of(q)
+    alpha = as_dim_vector(dq, alpha)
+    lam = as_weight(dq, lam)
+    if weight_pairing(lam, alpha) != 0:
+        raise ValueError("the fiber is empty")
+    lam_values = [float(x) + 0j for x in lam]
+    flat = _pack(dq, random_rep(dq, alpha, seed))
+    damping = 1e-3
+    residual = residual_by_blocks(dq, alpha, lam_values, _unpack(dq, alpha, flat))
+    norm = float(np.linalg.norm(residual))
+    iterations = 0
+    while iterations < max_iter and norm > tol:
+        iterations += 1
+        step = _damped_steps(jacobian_by_arrows(dq, alpha, _unpack(dq, alpha, flat)), residual)
+        accepted = False
+        for _ in range(25):
+            trial = flat + step(damping)
+            trial_residual = residual_by_blocks(dq, alpha, lam_values, _unpack(dq, alpha, trial))
+            trial_norm = float(np.linalg.norm(trial_residual))
+            if trial_norm < norm:
+                flat, residual, norm = trial, trial_residual, trial_norm
+                damping = max(damping / 3.0, 1e-14)
+                accepted = True
+                break
+            damping = min(damping * 10.0, 1e10)
+        if not accepted:
+            break
+    return MomentSolveResult(_unpack(dq, alpha, flat), norm, norm <= tol, iterations, seed)
+
+
+def rank_report_by_arrows(
+    q: Quiver, alpha, lam, point, svd_tol: float = 1e-7, residual_tol: float = 1e-8
+) -> RankReport:
+    """numerics.rank_report on the point dict, Jacobian from jacobian_by_arrows."""
+    dq = double_of(q)
+    alpha = as_dim_vector(dq, alpha)
+    lam_values = [float(x) + 0j for x in as_weight(dq, lam)]
+    norm = float(np.linalg.norm(residual_by_blocks(dq, alpha, lam_values, point)))
+    if norm > residual_tol:
+        raise ValueError(f"point is not solved: residual {norm:.3e} > {residual_tol:.1e}")
+    return _rank_of(jacobian_by_arrows(dq, alpha, point), rep_dimension(dq, alpha), svd_tol)

@@ -16,6 +16,7 @@ from necklacekit import (
     rep_dimension,
     solve,
 )
+from necklacekit.quiver import double_of
 from oracles import normal_equation_step
 from test_numerics_jacobian import CALOGERO, random_case
 
@@ -172,9 +173,10 @@ DAMPINGS = (1e-3, 1.0, 1e3)
 
 
 def assert_step_matches_the_normal_equations(dq, alpha, point_seed) -> tuple[int, int]:
-    point = random_rep(dq, alpha, point_seed)
-    jac = numerics._jacobian(dq, alpha, point)
-    residual = numerics._residual_vector(dq, alpha, [0j] * len(alpha), point)
+    plan = numerics._plan(dq, alpha)
+    flat = numerics._pack(plan, random_rep(dq, alpha, point_seed))
+    jac = numerics._jacobian(plan, flat)
+    residual = numerics._residual(plan, flat, np.zeros(sum(alpha), dtype=complex))
     step = numerics._damped_steps(jac, residual)
     for damping in DAMPINGS:
         fast, slow = step(damping), normal_equation_step(jac, residual, damping)
@@ -225,3 +227,72 @@ def test_rank_cut_gap_at_rank_zero_and_at_exact_zeros():
     report = rank_report(q, alpha, LAM_0, solved)
     assert report.singular_values[2:] == [0.0, 0.0]
     assert report.jacobian_rank == 2 and report.cut_gap == math.inf
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda q: solve(q, (1, 2), LAM_21, seed=0, tol=math.nan), "tol must be finite"),
+        (lambda q: solve(q, (1, 2), LAM_21, seed=0, tol=math.inf), "tol must be finite"),
+        (lambda q: solve(q, (1, 2), LAM_21, seed=0, tol=0.0), "tol must be finite"),
+        (lambda q: solve(q, (1, 2), LAM_21, seed=0, max_iter=-3), "max_iter must be an int"),
+        (lambda q: solve(q, (1, 2), LAM_21, seed=0, max_iter=0), "max_iter must be an int"),
+        (lambda q: solve(q, (1, 2), LAM_21, seed=0, max_iter=2.5), "max_iter must be an int"),
+    ],
+    ids=["tol-nan", "tol-inf", "tol-zero", "max-iter-negative", "max-iter-zero", "max-iter-float"],
+)
+def test_solve_refuses_bad_tolerances(calogero, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(calogero)
+
+
+@pytest.mark.parametrize(
+    "keyword, value",
+    [("svd_tol", -1.0), ("svd_tol", math.nan), ("residual_tol", math.nan),
+     ("residual_tol", -1e-8), ("residual_tol", math.inf)],
+)
+def test_rank_report_refuses_bad_tolerances(calogero, keyword, value):
+    result = solve(calogero, (1, 2), LAM_21, seed=0)
+    assert result.converged
+    # svd_tol = -1 would keep the exact-zero trace direction (rank 5), and
+    # svd_tol = nan would keep nothing (rank 0); the rank here is 4
+    assert rank_report(calogero, (1, 2), LAM_21, result.point).jacobian_rank == 4
+    with pytest.raises(ValueError, match=f"{keyword} must be finite and positive"):
+        rank_report(calogero, (1, 2), LAM_21, result.point, **{keyword: value})
+
+
+def test_rank_report_refuses_a_transposed_matrix(calogero):
+    point = solve(calogero, (1, 2), LAM_21, seed=0).point
+    point["a"] = point["a"].T.copy()
+    with pytest.raises(ValueError, match=r"matrix for 'a' has shape \(1, 2\), expected \(2, 1\)"):
+        rank_report(calogero, (1, 2), LAM_21, point)
+
+
+def solve_bytes(q, alpha, lam, seed) -> tuple:
+    result = solve(q, alpha, lam, seed)
+    report = rank_report(q, alpha, lam, result.point)
+    point = b"".join(matrix.tobytes() for matrix in result.point.values())
+    return result.residual_norm, result.iterations, point, report.singular_values
+
+
+def test_a_second_alpha_replaces_the_plan_and_results_do_not_change():
+    def fresh():
+        return Quiver(2, (Arrow("a", 1, 2), Arrow("b", 2, 2)))
+
+    q = fresh()
+    cases = [((1, 2), LAM_21), ((2, 4), LAM_21), ((1, 2), LAM_21)]
+    for alpha, lam in cases:
+        assert solve_bytes(q, alpha, lam, 3) == solve_bytes(fresh(), alpha, lam, 3)
+        # one slot on the double, holding the plan of the last alpha
+        slots = [value for value in vars(double_of(q)).values() if isinstance(value, tuple)
+                 and len(value) == 2 and isinstance(value[1], numerics._Plan)]
+        assert len(slots) == 1 and slots[0][0] == alpha
+        assert numerics._plan(double_of(q), alpha) is slots[0][1]
+
+
+def test_double_of_keeps_one_double_and_double_builds_a_fresh_one(calogero):
+    assert double_of(calogero) is double_of(calogero)
+    assert double_of(double_of(calogero)) is double_of(calogero)
+    assert double(calogero) is not double(calogero)
+    assert double(calogero) is not double_of(calogero)
+    assert double(calogero) == double_of(calogero)

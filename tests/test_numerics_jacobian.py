@@ -1,9 +1,11 @@
-"""The closed-form moment-map Jacobian against the column-by-column route.
+"""The moment-map Jacobian of the index plan against two independent routes.
 
-`numerics._jacobian` writes Kronecker blocks; `oracles.jacobian_by_columns`
-differentiates one matrix entry at a time and trace-projects each column.
-The two must agree byte for byte, so that solves, ranks and `moment`
-reports do not depend on which route built the Jacobian.
+`numerics._jacobian` scatters partner entries through the plan;
+`oracles.jacobian_by_arrows` accumulates each arrow's Kronecker blocks, and
+`oracles.jacobian_by_columns` differentiates one matrix entry at a time and
+trace-projects each column.  All three must agree byte for byte, so that
+solves, ranks and `moment` reports do not depend on which route built the
+Jacobian.
 """
 import random
 from fractions import Fraction
@@ -11,8 +13,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from necklacekit import Arrow, Quiver, cli, double, numerics
-from oracles import jacobian_by_columns
+from necklacekit import Arrow, Quiver, cli, double, numerics, parse_quiver_text
+from oracles import (
+    jacobian_by_arrows,
+    jacobian_by_columns,
+    rank_report_by_arrows,
+    solve_by_arrows,
+)
 
 CALOGERO = Quiver(2, (Arrow("a", 1, 2), Arrow("b", 2, 2)))
 A1_TILDE = Quiver(2, (Arrow("a", 1, 2), Arrow("b", 2, 1)))
@@ -31,12 +38,17 @@ def random_case(rng: random.Random) -> tuple:
     return double(Quiver(k, arrows)), alpha
 
 
+def plan_jacobian(dq, alpha, point) -> np.ndarray:
+    plan = numerics._plan(dq, alpha)
+    return numerics._jacobian(plan, numerics._pack(plan, point))
+
+
 def assert_same_bytes(dq, alpha, point) -> np.ndarray:
-    fast = numerics._jacobian(dq, alpha, point)
-    slow = jacobian_by_columns(dq, alpha, point)
-    assert fast.shape == slow.shape
-    assert fast.tobytes() == slow.tobytes()
-    return slow
+    fast = plan_jacobian(dq, alpha, point)
+    for slow in (jacobian_by_arrows(dq, alpha, point), jacobian_by_columns(dq, alpha, point)):
+        assert fast.shape == slow.shape
+        assert fast.tobytes() == slow.tobytes()
+    return fast
 
 
 def assert_column_traces_cancel(alpha, jac: np.ndarray) -> None:
@@ -97,6 +109,55 @@ def test_empty_jacobians_match_the_column_route():
     assert jac.shape == (1, 0)
 
 
+def assert_same_solve_and_rank(q, alpha, lam, seed, **solve_options) -> None:
+    """solve and rank_report against the per-arrow oracle, bit for bit."""
+    fast = numerics.solve(q, alpha, lam, seed, **solve_options)
+    slow = solve_by_arrows(q, alpha, lam, seed, **solve_options)
+    assert (fast.residual_norm, fast.iterations, fast.converged) == (
+        slow.residual_norm, slow.iterations, slow.converged
+    )
+    assert list(fast.point) == list(slow.point)
+    for label, matrix in fast.point.items():
+        assert matrix.tobytes() == slow.point[label].tobytes()
+    # the rank check at wherever the solve stopped, solved or not
+    residual_tol = max(1e-8, 2 * fast.residual_norm)
+    fast_rank = numerics.rank_report(q, alpha, lam, fast.point, residual_tol=residual_tol)
+    slow_rank = rank_report_by_arrows(q, alpha, lam, slow.point, residual_tol=residual_tol)
+    assert fast_rank == slow_rank
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_solves_and_ranks_match_the_per_arrow_route(seed):
+    rng = random.Random(4000 + seed)
+    dq, alpha = random_case(rng)
+    assert_same_solve_and_rank(dq, alpha, (0,) * len(alpha), seed, max_iter=30)
+
+
+@pytest.mark.parametrize(
+    "q, alpha, lam",
+    [
+        (CALOGERO, (1, 2), (-2, 1)),
+        (CALOGERO, (2, 4), (-2, 1)),
+        # vertex blocks of 5 and 10 rows, traces summed over 10 entries
+        (CALOGERO, (5, 10), (-2, 1)),
+        (A1_TILDE, (1, 1), (-1, 1)),
+        (D4_STAR, (1, 1, 1, 1, 2), (1, 1, 1, 1, -2)),
+        # more rows than columns
+        (Quiver(2, (Arrow("a", 1, 2),)), (1, 3), (3, -1)),
+    ],
+)
+def test_paper_solves_and_ranks_match_the_per_arrow_route(q, alpha, lam):
+    for seed in range(3):
+        assert_same_solve_and_rank(q, alpha, lam, seed)
+
+
+def test_negative_zero_entries_give_the_accumulated_jacobian():
+    dq = double(Quiver(1, (Arrow("x", 1, 1),)))
+    point = {"x": np.array([[-0.0, 1.0], [2.0, -0.0]], dtype=complex),
+             "x*": np.array([[1.0, -0.0], [complex(-0.0, -0.0), 3.0]])}
+    assert_same_bytes(dq, (2,), point)
+
+
 QUIVER_TEXTS = {
     "calogero": "vertices: 2\narrows: a 1 2, b 2 2\n",
     "a1_tilde": "vertices: 2\narrows: a 1 2, b 2 1\n",
@@ -126,12 +187,16 @@ def test_moment_reports_do_not_depend_on_the_route(
 
     closed_form = run("closed_form.json")
     calls = []
+    dq = double(parse_quiver_text(QUIVER_TEXTS[name]))
 
-    def counted(*args):
+    def counted(plan, flat):
         calls.append(1)
-        return jacobian_by_columns(*args)
+        return jacobian_by_columns(dq, plan.alpha, numerics._unpack(plan, flat))
 
     monkeypatch.setattr(numerics, "_jacobian", counted)
     by_columns = run("by_columns.json")
     assert calls
     assert closed_form == by_columns
+    monkeypatch.setattr(numerics, "solve", solve_by_arrows)
+    monkeypatch.setattr(numerics, "rank_report", rank_report_by_arrows)
+    assert run("by_arrows.json") == closed_form

@@ -175,6 +175,14 @@ def test_cli_moment(calogero_file, capsys):
     assert "rank 4, fiber dim 8" in out
 
 
+def test_cli_moment_accepts_the_largest_tolerances(calogero_file, capsys):
+    # 10 * tol, the rank check's residual tolerance, overflows to inf here
+    argv = ["moment", calogero_file, "--alpha", "1,2", "--lambda", "-2,1", "--seeds", "1"]
+    assert main(argv + ["--tol", "1e308", "--svd-tol", "1e308"]) == 0
+    out = capsys.readouterr().out
+    assert "converged in 0 iterations" in out and "rank 0, fiber dim 12" in out
+
+
 def test_cli_moment_reports_the_rank_gap_in_json_only(calogero_file, tmp_path, capsys):
     json_path = tmp_path / "moment.json"
     argv = ["moment", calogero_file, "--alpha", "1,2", "--lambda", "-2,1", "--seeds", "2"]
