@@ -14,6 +14,13 @@ every later argument list with it; ``build_parser`` returns a fresh parser
 on each call.  argparse keeps no state between parses: each makes a new
 namespace and, for help and usage messages, a new formatter sized to the
 terminal at that moment.
+
+Only ``quiver`` and ``textio`` are imported with this module.  Each command
+imports the layer it runs when it runs (``roots``, ``strata``, ``lie``,
+``forms`` or ``numerics``), so a process loads numpy only for ``moment``.
+The cap flags leave their default out of the parser; ``main`` reads it from
+the layer module after parsing (``_LAYER_DEFAULTS``), so building the parser
+imports no layer either.
 """
 from __future__ import annotations
 
@@ -23,8 +30,8 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import forms, lie, numerics, roots, strata
 from .quiver import Quiver, double, euler_form, tits_form
 from .textio import (
     parse_dim_vector,
@@ -33,9 +40,25 @@ from .textio import (
     parse_weight,
 )
 
+if TYPE_CHECKING:
+    from .strata import SigmaMembership
+
 SCHEMA = "necklace-kit/1"
 
 VALUE_FLAGS = {"--lambda", "--alpha", "--box", "--w1", "--w2"}
+
+# destination -> (layer module, name) of the cap that is a flag's default
+_LAYER_DEFAULTS = {
+    "entry_cap": ("roots", "ENTRY_CAP"),
+    "candidate_cap": ("roots", "CANDIDATE_CAP"),
+    "max_degree": ("forms", "DEGREE_CAP"),
+}
+
+
+def _starts_negative(text: str) -> bool:
+    """A minus sign, then a digit or a point and a digit: "-2,1", "-.5,0.25"."""
+    rest = text[2:] if text.startswith("-.") else text[1:]
+    return text.startswith("-") and rest[:1].isdigit()
 
 
 def _absorb_negative_values(argv: list[str]) -> list[str]:
@@ -45,13 +68,7 @@ def _absorb_negative_values(argv: list[str]) -> list[str]:
     i = 0
     while i < len(argv):
         token = argv[i]
-        if (
-            token in VALUE_FLAGS
-            and i + 1 < len(argv)
-            and argv[i + 1].startswith("-")
-            and len(argv[i + 1]) > 1
-            and argv[i + 1][1].isdigit()
-        ):
+        if token in VALUE_FLAGS and i + 1 < len(argv) and _starts_negative(argv[i + 1]):
             out.append(f"{token}={argv[i + 1]}")
             i += 2
         else:
@@ -106,20 +123,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_roots = sub.add_parser("roots", help="enumerate positive roots in a box")
     common(p_roots)
     p_roots.add_argument("--box", required=True, help="comma-separated box bound, e.g. 2,3")
-    p_roots.add_argument("--entry-cap", type=_POSITIVE_INT, default=roots.ENTRY_CAP)
-    p_roots.add_argument("--candidate-cap", type=_POSITIVE_INT, default=roots.CANDIDATE_CAP)
+    p_roots.add_argument("--entry-cap", type=_POSITIVE_INT, default=None)
+    p_roots.add_argument("--candidate-cap", type=_POSITIVE_INT, default=None)
 
     p_sigma = sub.add_parser("sigma", help="membership in the flatness/simple sets")
     common(p_sigma)
     p_sigma.add_argument("--alpha", required=True, help="dimension vector, e.g. 1,2")
     p_sigma.add_argument("--lambda", dest="lam", required=True, help="weight, e.g. -2,1")
-    p_sigma.add_argument("--entry-cap", type=_POSITIVE_INT, default=roots.ENTRY_CAP)
+    p_sigma.add_argument("--entry-cap", type=_POSITIVE_INT, default=None)
 
     p_classify = sub.add_parser("classify", help="full coadjoint-orbit classification")
     common(p_classify)
     p_classify.add_argument("--alpha", required=True)
     p_classify.add_argument("--lambda", dest="lam", required=True)
-    p_classify.add_argument("--entry-cap", type=_POSITIVE_INT, default=roots.ENTRY_CAP)
+    p_classify.add_argument("--entry-cap", type=_POSITIVE_INT, default=None)
 
     p_bracket = sub.add_parser("bracket", help="necklace bracket of two words")
     common(p_bracket)
@@ -128,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_derham = sub.add_parser("derham", help="graded homology dimensions of the form algebra")
     common(p_derham)
-    p_derham.add_argument("--max-degree", type=_NONNEGATIVE_INT, default=forms.DEGREE_CAP)
+    p_derham.add_argument("--max-degree", type=_NONNEGATIVE_INT, default=None)
     p_derham.add_argument("--max-length", type=_NONNEGATIVE_INT, default=4)
     p_derham.add_argument(
         "--base", action="store_true", help="work on the base quiver instead of its double"
@@ -136,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_karoubi = sub.add_parser("karoubi", help="graded dimensions of the commutator quotients")
     common(p_karoubi)
-    p_karoubi.add_argument("--max-degree", type=_NONNEGATIVE_INT, default=forms.DEGREE_CAP)
+    p_karoubi.add_argument("--max-degree", type=_NONNEGATIVE_INT, default=None)
     p_karoubi.add_argument("--max-length", type=_NONNEGATIVE_INT, default=4)
     p_karoubi.add_argument("--base", action="store_true")
 
@@ -174,7 +191,7 @@ def _decomposition_json(decomposition):
     return [{"beta": _vec(beta), "multiplicity": mult} for beta, mult in decomposition]
 
 
-def _membership_json(m: strata.SigmaMembership) -> dict:
+def _membership_json(m: SigmaMembership) -> dict:
     return {
         "alpha": _vec(m.alpha),
         "in_S": m.in_s,
@@ -218,6 +235,8 @@ def cmd_info(q: Quiver, args) -> dict:
 
 
 def cmd_roots(q: Quiver, args) -> dict:
+    from . import roots
+
     box = parse_dim_vector(args.box, q.vertex_count)
     found = roots.enumerate_positive_roots(
         q, box, entry_cap=args.entry_cap, candidate_cap=args.candidate_cap
@@ -246,6 +265,8 @@ def cmd_roots(q: Quiver, args) -> dict:
 
 
 def cmd_sigma(q: Quiver, args) -> dict:
+    from . import strata
+
     alpha = parse_dim_vector(args.alpha, q.vertex_count)
     lam = parse_weight(args.lam, q.vertex_count)
     membership = strata.sigma_membership(q, alpha, lam, entry_cap=args.entry_cap)
@@ -272,6 +293,8 @@ def cmd_sigma(q: Quiver, args) -> dict:
 
 
 def cmd_classify(q: Quiver, args) -> dict:
+    from . import strata
+
     alpha = parse_dim_vector(args.alpha, q.vertex_count)
     lam = parse_weight(args.lam, q.vertex_count)
     result = strata.classify(q, alpha, lam, entry_cap=args.entry_cap)
@@ -350,6 +373,8 @@ def cmd_classify(q: Quiver, args) -> dict:
 
 
 def cmd_bracket(q: Quiver, args) -> dict:
+    from . import lie
+
     dq = double(q)
     w1 = parse_necklace(dq, args.w1)
     w2 = parse_necklace(dq, args.w2)
@@ -391,14 +416,20 @@ def _graded_table(q: Quiver, args, title: str, value) -> dict:
 
 
 def cmd_derham(q: Quiver, args) -> dict:
+    from . import forms
+
     return _graded_table(q, args, "graded homology dimensions", forms.graded_homology_dim)
 
 
 def cmd_karoubi(q: Quiver, args) -> dict:
+    from . import forms
+
     return _graded_table(q, args, "commutator-quotient dimensions", forms.karoubi_count)
 
 
 def cmd_moment(q: Quiver, args) -> dict:
+    from . import numerics
+
     alpha = parse_dim_vector(args.alpha, q.vertex_count)
     lam = parse_weight(args.lam, q.vertex_count)
 
@@ -511,6 +542,12 @@ def _json_text(value, indent: str = "") -> str:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser().parse_args(_absorb_negative_values(argv))
+    for dest, (module, name) in _LAYER_DEFAULTS.items():
+        if dest in vars(args) and getattr(args, dest) is None:
+            # __import__, which -X importtime logs, unlike importlib.import_module
+            layer = f"{__package__}.{module}"
+            __import__(layer)
+            setattr(args, dest, getattr(sys.modules[layer], name))
     try:
         quiver = parse_quiver_file(args.quiver)
         report = COMMANDS[args.command](quiver, args)

@@ -166,39 +166,60 @@ class _Plan:
             )
             if a_slice.stop > a_slice.start
         )
-        plus, minus = [], []
-        for index, arr in enumerate(dq.arrows):
-            # varying this arrow's entry (r, c) moves its target block by
-            # (r, j) <- P[c, j] and its source block by (i, c) <- P[i, r], P
-            # the partner; a base arrow adds the first and subtracts the
-            # second, a starred arrow the other way round
-            own, partner = arrows[index][1].start, arrows[index ^ 1][1].start
-            n_t, n_s = alpha[arr.target - 1], alpha[arr.source - 1]
-            t, s = offsets[arr.target - 1], offsets[arr.source - 1]
-            r, j, c = np.indices((n_t, n_t, n_s))
-            by_target = (
-                (t + r * n_t + j) * self.columns + own + r * n_s + c,
-                partner + c * n_t + j,
-            )
-            i, c, r = np.indices((n_s, n_s, n_t))
-            by_source = (
-                (s + i * n_s + c) * self.columns + own + r * n_s + c,
-                partner + i * n_t + r,
-            )
-            starred = index % 2
-            plus.append(by_source if starred else by_target)
-            minus.append(by_target if starred else by_source)
-        self.plus_pos, self.plus_src = _joined(plus)
-        self.minus_pos, self.minus_src = _joined(minus)
+        # varying an arrow's entry (r, c) moves its target block by
+        # (r, j) <- P[c, j] and its source block by (i, c) <- P[i, r], P the
+        # partner; a base arrow adds the first and subtracts the second, a
+        # starred arrow the other way round.  One row per arrow: the sizes
+        # and first rows of its target and source blocks, and the starts of
+        # its and its partner's matrices in the flat vector.
+        ends = np.array(
+            [
+                (alpha[arr.target - 1], alpha[arr.source - 1], offsets[arr.target - 1],
+                 offsets[arr.source - 1], arrows[index][1].start, arrows[index ^ 1][1].start)
+                for index, arr in enumerate(dq.arrows)
+            ],
+            dtype=np.intp,
+        ).reshape(-1, 6)
+        base = np.arange(len(ends)) % 2 == 0
+        self.plus_pos, self.plus_src = _entries(base, ends, start)
+        self.minus_pos, self.minus_src = _entries(~base, ends, start)
 
 
-def _joined(pieces: list) -> tuple[np.ndarray, np.ndarray]:
-    """The pieces' positions in J.flat and indices into the flat vector."""
-    if not pieces:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+def _entries(
+    by_target: np.ndarray, ends: np.ndarray, columns: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The positions in J.flat and the indices into the flat vector of one
+    move per arrow, in arrow order: its target block's where ``by_target``,
+    else its source block's.
+
+    ``ends`` holds a row per arrow: the sizes n_t, n_s and first rows t, s of
+    its target and source blocks, and the starts of its and its partner's
+    matrices.  A move into a block of size N, the other end of size M, has
+    N * N * M entries in C order over (a, b, d): (r, j, c) above for a target
+    move, (i, c, r) for a source move.  The entry lands in row a * N + b of
+    the block; with u = a * M + d and w = d * N + b, its column is own + u and
+    its source partner + w for a target move, and the other way round for a
+    source move.  The entries of one row differ only in d, so everything but
+    d is computed once per row.
+    """
+    n_t, n_s, t, s, own, partner = ends.T
+    n, m = np.where(by_target, n_t, n_s), np.where(by_target, n_s, n_t)
+    first = np.where(by_target, t, s)
+    squares = n * n
+    row = np.arange(squares.sum()) - np.repeat(np.cumsum(squares) - squares, squares)
+    n, m, first, own, partner, by_target = (
+        np.repeat(x, squares) for x in (n, m, first, own, partner, by_target)
+    )
+    a, b = np.divmod(row, n)
+    # u and w at d = 0, and their steps in d
+    u, w = a * m, b
+    position = (first + row) * columns + own + np.where(by_target, u, w)
+    source = partner + np.where(by_target, w, u)
+    position_step, source_step = np.where(by_target, 1, n), np.where(by_target, n, 1)
+    d = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
     return (
-        np.concatenate([pos.ravel() for pos, _ in pieces]),
-        np.concatenate([src.ravel() for _, src in pieces]),
+        np.repeat(position, m) + d * np.repeat(position_step, m),
+        np.repeat(source, m) + d * np.repeat(source_step, m),
     )
 
 

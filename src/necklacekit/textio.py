@@ -14,14 +14,20 @@ matrices).  Paths are space-separated arrow labels in traversal order
 (``a b a*``), with ``e<i>`` for the trivial path at vertex i.  Dimension
 vectors and weights are comma-separated; weights accept exact rationals
 (``-1/2,3``).
+
+``paths`` is imported by the two parsers that build paths, not with this
+module: of the CLI's commands only ``bracket`` needs it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from pathlib import Path as FilePath
+from typing import TYPE_CHECKING
 
-from .paths import NecklaceWord, Path, canonical_necklace
 from .quiver import Arrow, Quiver, QuiverError
+
+if TYPE_CHECKING:
+    from .paths import NecklaceWord, Path
 
 MAX_VERTICES = 64
 MAX_ARROWS = 256
@@ -114,6 +120,8 @@ def parse_quiver_file(path: str | FilePath) -> Quiver:
 
 def parse_path(q: Quiver, text: str) -> Path:
     """Parse traversal-order path syntax; Path reports the offending endpoints."""
+    from .paths import Path
+
     tokens = text.split()
     if not tokens:
         raise ValueError("empty path text")
@@ -124,6 +132,8 @@ def parse_path(q: Quiver, text: str) -> Path:
 
 def parse_necklace(q: Quiver, text: str) -> NecklaceWord:
     """Parse and canonicalize a necklace; NecklaceWord rejects open paths."""
+    from .paths import canonical_necklace
+
     return canonical_necklace(parse_path(q, text))
 
 

@@ -1022,3 +1022,51 @@ def rank_report_by_arrows(
     if norm > residual_tol:
         raise ValueError(f"point is not solved: residual {norm:.3e} > {residual_tol:.1e}")
     return _rank_of(jacobian_by_arrows(dq, alpha, point), rep_dimension(dq, alpha), svd_tol)
+
+
+def plan_indices_by_arrows(
+    dq: DoubleQuiver, alpha: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The plan's (plus_pos, plus_src, minus_pos, minus_src), built one arrow
+    at a time from ``np.indices`` grids of its two moves.
+
+    Varying an arrow's entry (r, c) moves its target block by
+    (r, j) <- P[c, j] and its source block by (i, c) <- P[i, r], P the
+    partner; a base arrow adds the first and subtracts the second, a starred
+    arrow the other way round.
+    """
+    offsets = [0]
+    for n in alpha:
+        offsets.append(offsets[-1] + n * n)
+    starts = [0]
+    for arr in dq.arrows:
+        starts.append(starts[-1] + alpha[arr.target - 1] * alpha[arr.source - 1])
+    columns = starts[-1]
+    plus, minus = [], []
+    for index, arr in enumerate(dq.arrows):
+        own, partner = starts[index], starts[index ^ 1]
+        n_t, n_s = alpha[arr.target - 1], alpha[arr.source - 1]
+        t, s = offsets[arr.target - 1], offsets[arr.source - 1]
+        r, j, c = np.indices((n_t, n_t, n_s))
+        by_target = (
+            (t + r * n_t + j) * columns + own + r * n_s + c,
+            partner + c * n_t + j,
+        )
+        i, c, r = np.indices((n_s, n_s, n_t))
+        by_source = (
+            (s + i * n_s + c) * columns + own + r * n_s + c,
+            partner + i * n_t + r,
+        )
+        starred = index % 2
+        plus.append(by_source if starred else by_target)
+        minus.append(by_target if starred else by_source)
+
+    def joined(pieces: list) -> tuple[np.ndarray, np.ndarray]:
+        if not pieces:
+            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        return (
+            np.concatenate([pos.ravel() for pos, _ in pieces]),
+            np.concatenate([src.ravel() for _, src in pieces]),
+        )
+
+    return (*joined(plus), *joined(minus))

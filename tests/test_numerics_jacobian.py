@@ -5,7 +5,8 @@
 `oracles.jacobian_by_columns` differentiates one matrix entry at a time and
 trace-projects each column.  All three must agree byte for byte, so that
 solves, ranks and `moment` reports do not depend on which route built the
-Jacobian.
+Jacobian.  The plan's index arrays, built for all arrows at once, must equal
+those of `oracles.plan_indices_by_arrows`, built one arrow at a time.
 """
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from necklacekit import Arrow, Quiver, cli, double, numerics, parse_quiver_text
 from oracles import (
     jacobian_by_arrows,
     jacobian_by_columns,
+    plan_indices_by_arrows,
     rank_report_by_arrows,
     solve_by_arrows,
 )
@@ -133,22 +135,67 @@ def test_random_solves_and_ranks_match_the_per_arrow_route(seed):
     assert_same_solve_and_rank(dq, alpha, (0,) * len(alpha), seed, max_iter=30)
 
 
-@pytest.mark.parametrize(
-    "q, alpha, lam",
-    [
-        (CALOGERO, (1, 2), (-2, 1)),
-        (CALOGERO, (2, 4), (-2, 1)),
-        # vertex blocks of 5 and 10 rows, traces summed over 10 entries
-        (CALOGERO, (5, 10), (-2, 1)),
-        (A1_TILDE, (1, 1), (-1, 1)),
-        (D4_STAR, (1, 1, 1, 1, 2), (1, 1, 1, 1, -2)),
-        # more rows than columns
-        (Quiver(2, (Arrow("a", 1, 2),)), (1, 3), (3, -1)),
-    ],
-)
+PAPER_CASES = [
+    (CALOGERO, (1, 2), (-2, 1)),
+    (CALOGERO, (2, 4), (-2, 1)),
+    # vertex blocks of 5 and 10 rows, traces summed over 10 entries
+    (CALOGERO, (5, 10), (-2, 1)),
+    (A1_TILDE, (1, 1), (-1, 1)),
+    (D4_STAR, (1, 1, 1, 1, 2), (1, 1, 1, 1, -2)),
+    # more rows than columns
+    (Quiver(2, (Arrow("a", 1, 2),)), (1, 3), (3, -1)),
+]
+
+
+@pytest.mark.parametrize("q, alpha, lam", PAPER_CASES)
 def test_paper_solves_and_ranks_match_the_per_arrow_route(q, alpha, lam):
     for seed in range(3):
         assert_same_solve_and_rank(q, alpha, lam, seed)
+
+
+PLAN_INDICES = ("plus_pos", "plus_src", "minus_pos", "minus_src")
+
+
+def assert_plan_matches_the_per_arrow_route(dq, alpha) -> None:
+    plan = numerics._Plan(dq, alpha)
+    for name, expected in zip(PLAN_INDICES, plan_indices_by_arrows(dq, alpha)):
+        actual = getattr(plan, name)
+        assert actual.dtype == expected.dtype, name
+        assert np.array_equal(actual, expected), name
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_plans_match_the_per_arrow_route(seed):
+    rng = random.Random(6000 + seed)
+    assert_plan_matches_the_per_arrow_route(*random_case(rng))
+
+
+def test_plans_without_arrows_or_entries_match_the_per_arrow_route():
+    assert_plan_matches_the_per_arrow_route(double(Quiver(2, ())), (1, 2))
+    assert_plan_matches_the_per_arrow_route(double(CALOGERO), (0, 0))
+    assert_plan_matches_the_per_arrow_route(double(CALOGERO), (1, 0))
+
+
+def solve_and_rank(q, alpha, lam, seed) -> tuple:
+    """Everything solve and rank_report return, with the point as bytes."""
+    result = numerics.solve(q, alpha, lam, seed)
+    rank = numerics.rank_report(
+        q, alpha, lam, result.point, residual_tol=max(1e-8, 2 * result.residual_norm)
+    )
+    point = [(label, matrix.tobytes()) for label, matrix in result.point.items()]
+    return result.residual_norm, result.iterations, result.converged, point, rank
+
+
+@pytest.mark.parametrize("q, alpha, lam", PAPER_CASES)
+def test_paper_plans_match_the_per_arrow_route(q, alpha, lam):
+    dq = double(q)
+    assert_plan_matches_the_per_arrow_route(dq, alpha)
+    built = [solve_and_rank(dq, alpha, lam, seed) for seed in range(3)]
+    # the same solves on a plan holding the per-arrow route's index arrays
+    plan = numerics._plan(dq, alpha)
+    for name, indices in zip(PLAN_INDICES, plan_indices_by_arrows(dq, alpha)):
+        setattr(plan, name, indices)
+    assert [solve_and_rank(dq, alpha, lam, seed) for seed in range(3)] == built
 
 
 def test_negative_zero_entries_give_the_accumulated_jacobian():

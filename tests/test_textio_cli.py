@@ -210,6 +210,32 @@ def test_cli_usage_error_exit_code(calogero_file):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["sigma", "--alpha", "1,2"],
+        ["classify", "--alpha", "1,2"],
+        ["moment", "--alpha", "1,2", "--seeds", "2"],
+    ],
+)
+def test_a_weight_starting_with_minus_point_needs_no_equals_sign(
+    argv, calogero_file, tmp_path, capsys
+):
+    answers = []
+    for index, weight in enumerate([["--lambda", "-.5,0.25"], ["--lambda=-.5,0.25"]]):
+        report = tmp_path / f"{index}.json"
+        assert main([argv[0], calogero_file, *argv[1:], *weight, "--json", str(report)]) == 0
+        answers.append((capsys.readouterr(), report.read_bytes()))
+    assert answers[0] == answers[1]
+    assert "lambda = (-.5,0.25)" in answers[0][0].out
+
+
+@pytest.mark.parametrize("value", ["-", "-.", "-x", "-.x", "--", "-..5"])
+def test_values_that_do_not_start_like_a_negative_number_stay_apart(value):
+    argv = ["sigma", "q.quiver", "--lambda", value]
+    assert cli._absorb_negative_values(argv) == argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["--help"],
         ["karoubi", "--help"],
         [],
