@@ -71,7 +71,11 @@ from necklacekit.numerics import (
     MomentSolveResult,
     RankReport,
     _damped_steps,
+    _gram_of,
+    _kronecker_steps,
+    _plan,
     _rank_of,
+    _uses_kronecker,
     moment_eval,
     random_rep,
     rep_dimension,
@@ -980,9 +984,12 @@ def solve_by_arrows(
     q: Quiver, alpha, lam, seed: int, tol: float = 1e-10, max_iter: int = 200
 ) -> MomentSolveResult:
     """numerics.solve with the point unpacked into a dict at every evaluation
-    and the Jacobian from jacobian_by_arrows."""
+    and, where solve builds a Jacobian, the Jacobian from jacobian_by_arrows;
+    where it steps without one, the step is solve's own."""
     dq = double_of(q)
     alpha = as_dim_vector(dq, alpha)
+    plan = _plan(dq, alpha)
+    gram_at = _gram_of(plan) if _uses_kronecker(plan) else None
     lam = as_weight(dq, lam)
     if weight_pairing(lam, alpha) != 0:
         raise ValueError("the fiber is empty")
@@ -994,7 +1001,10 @@ def solve_by_arrows(
     iterations = 0
     while iterations < max_iter and norm > tol:
         iterations += 1
-        step = _damped_steps(jacobian_by_arrows(dq, alpha, _unpack(dq, alpha, flat)), residual)
+        if gram_at is None:
+            step = _damped_steps(jacobian_by_arrows(dq, alpha, _unpack(dq, alpha, flat)), residual)
+        else:
+            step = _kronecker_steps(plan, gram_at(flat), flat, residual)
         accepted = False
         for _ in range(25):
             trial = flat + step(damping)

@@ -18,7 +18,7 @@ from necklacekit import (
 )
 from necklacekit.quiver import double_of
 from oracles import normal_equation_step
-from test_numerics_jacobian import CALOGERO, random_case
+from test_numerics_jacobian import CALOGERO, D4_STAR, random_case
 
 LAM_21 = (Fraction(-2), Fraction(1))
 LAM_11 = (Fraction(-1), Fraction(1))
@@ -199,6 +199,81 @@ def test_damped_step_matches_the_normal_equations_on_random_quivers(seed):
     dq, alpha = random_case(rng)
     for point_seed in range(3):
         assert_step_matches_the_normal_equations(dq, alpha, rng.randrange(2**31) + point_seed)
+
+
+def assert_kronecker_route_matches_the_jacobian(dq, alpha, point_seed) -> None:
+    """The Kronecker Gram against J J^H and the J-free J^H y against the
+    product with J, each within 1e-12 of its largest entry.  Where J J^H is
+    exactly 0 (a loop at a vertex of dimension 1 is all the quiver has) the
+    Kronecker terms still cancel only up to rounding of |x|^2, so the scale
+    is at least that."""
+    plan = numerics._plan(dq, alpha)
+    flat = numerics._pack(plan, random_rep(dq, alpha, point_seed))
+    jac = numerics._jacobian(plan, flat)
+    gram = numerics._gram_of(plan)(flat)
+    expected = jac @ jac.conj().T
+    largest = max(np.abs(expected).max(initial=0), np.abs(flat).max(initial=0) ** 2)
+    assert np.abs(gram - expected).max(initial=0) <= 1e-12 * largest
+    rng = np.random.default_rng(point_seed)
+    y = rng.standard_normal(plan.rows) + 1j * rng.standard_normal(plan.rows)
+    adjoint = numerics._adjoint(plan, flat, y)
+    expected = jac.conj().T @ y
+    largest = max(
+        np.abs(expected).max(initial=0), np.abs(flat).max(initial=0) * np.abs(y).max(initial=0)
+    )
+    assert np.abs(adjoint - expected).max(initial=0) <= 1e-12 * largest
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kronecker_gram_and_adjoint_match_the_jacobian_on_random_quivers(seed):
+    rng = random.Random(11000 + seed)
+    dq, alpha = random_case(rng)
+    for point_seed in range(3):
+        assert_kronecker_route_matches_the_jacobian(dq, alpha, rng.randrange(2**31) + point_seed)
+
+
+@pytest.mark.parametrize(
+    "q, alpha",
+    [(CALOGERO, (4, 8)), (CALOGERO, (5, 10)), (CALOGERO, (10, 20)), (D4_STAR, (4, 4, 4, 4, 8))],
+)
+def test_kronecker_gram_and_adjoint_match_the_jacobian_on_paper_cases(q, alpha):
+    for point_seed in range(2):
+        assert_kronecker_route_matches_the_jacobian(double(q), alpha, point_seed)
+
+
+def solves_and_ranks(alpha, threshold, monkeypatch) -> list:
+    monkeypatch.setattr(numerics, "KRONECKER_MIN_ROWS", threshold)
+    results = []
+    for seed in range(100):
+        result = solve(CALOGERO, alpha, LAM_21, seed)
+        report = rank_report(
+            CALOGERO, alpha, LAM_21, result.point, residual_tol=max(1e-8, 2 * result.residual_norm)
+        )
+        results.append((result, report))
+    return results
+
+
+@pytest.mark.parametrize("alpha", [(4, 8), (5, 10)])
+def test_both_routes_give_the_same_solves_and_ranks(alpha, monkeypatch):
+    plan = numerics._plan(double_of(CALOGERO), alpha)
+    rows = sum(a * a for a in alpha)
+    dense = solves_and_ranks(alpha, rows + 1, monkeypatch)
+    assert not numerics._uses_kronecker(plan)
+    kronecker = solves_and_ranks(alpha, rows, monkeypatch)
+    assert numerics._uses_kronecker(plan)
+    for (d, d_rank), (k, k_rank) in zip(dense, kronecker):
+        assert (d.converged, d.iterations) == (k.converged, k.iterations)
+        assert (d_rank.jacobian_rank, d_rank.fiber_dim_estimate) == (
+            k_rank.jacobian_rank, k_rank.fiber_dim_estimate
+        )
+        for label, matrix in d.point.items():
+            assert np.abs(matrix - k.point[label]).max() <= 1e-12
+
+
+def test_more_rows_than_columns_keep_the_normal_equations(monkeypatch):
+    monkeypatch.setattr(numerics, "KRONECKER_MIN_ROWS", 1)
+    assert not numerics._uses_kronecker(numerics._plan(double(ONE_ARROW), (1, 3)))
+    assert numerics._uses_kronecker(numerics._plan(double(ONE_ARROW), (2, 2)))
 
 
 @pytest.mark.parametrize("alpha", [(1, 2), (3, 6)])
