@@ -5,7 +5,8 @@ entries matching head to tail.  The Euler derivation E grades everything by
 total path length and each graded piece is finite dimensional.  Since
 L_E = d i_E + i_E d is L times the identity in length L, the complex is
 acyclic in positive length (the noncommutative Poincare lemma), and
-commutator-quotient representatives come out of exact row reduction.
+commutator-quotient representatives are read off least rotations of
+signed cyclic words.
 """
 from necklacekit import (
     Arrow,

@@ -58,7 +58,7 @@ _EXPORTS = {
         "QuiverFormatError", "parse_dim_vector", "parse_necklace", "parse_path",
         "parse_quiver_file", "parse_quiver_text", "parse_weight",
     ),
-    # a layer module with no name of its own here: the forms layer's row reducer
+    # exact row reduction: no name of its own and no library caller; bench/tracer.py wraps it
     "linalg": (),
 }
 

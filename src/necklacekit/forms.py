@@ -30,29 +30,38 @@ Cuntz-Quillen, "Algebra extensions and nonsingularity", 1995): the Euler
 derivation E, E(a) = a, has L_E = d i_E + i_E d = L id on forms of total
 length L, and the identity descends to the supercommutator quotient, so both
 complexes are acyclic in length L >= 1, with the vertex count at (0, 0).
-The quotient is counted.  With A the adjacency matrix, at L >= 1 it counts
-cyclic words of L arrows with n marked arrows under rotation with the
-Koszul sign (Burnside's lemma):
+
+The supercommutator quotient Omega/[Omega, Omega] has one representation,
+the normal-form map phi onto signed cyclic words (Kontsevich, "Formal
+(non)commutative symplectic geometry", 1993).  Omega is free on the letters
+a and da, so a closed code expands into letter words in traversal order
+pn, ..., p1, p0, one term per choice of a marked letter in each p_i with
+i >= 1 (d(xy) = dx y + x dy).  phi sends each word to its least rotation,
+letters compared as (arrow, mark) with marked above unmarked; rotating off a
+prefix that holds k of the n marks gives the sign (-1)^(k(n-k)), and a word
+whose least rotation is reached with both signs is 0.  An open code w from
+s to t is [e_t, w], so phi sends it to 0; a vertex element e_v, alone in the
+(0, 0) piece that no commutator reaches, is its own key.  ker phi is the
+commutator span, so in_commutator_span is "phi(x) = 0" and builds no piece.
+With A the adjacency matrix, at L >= 1 the nonzero orbits are counted by
+Burnside's lemma:
 
     karoubi_count = (1/L) sum_{r<L} [m | n] tr(A^d) C(d, n/m) (-1)^(k(n-k)),
 
 d = gcd(r, L), m = L/d, k = (r/d)(n/m); at L = 0 it is the vertex count in
-degree 0 and 0 in every other degree.  The traces and entry sums are kept in
-one store per quiver instance, with the bases and reducers of the routes
-that need representatives (omega_basis, karoubi_dim, in_commutator_span):
-those take the commutator subspace from the supercommutators of the
-generators e_i, a and da with basis elements, and eliminate over the
-integers.  A piece above PIECE_CAP elements is refused before it is built.
+degree 0 and 0 in every other degree.  karoubi_dim lists one basis element
+per nonzero orbit, read off the orbit's least rotation.  The traces and
+entry sums are kept in one store per quiver instance, with the bases of
+omega_basis; it and karoubi_dim refuse a piece above PIECE_CAP elements.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, product
 from math import comb, gcd
 from typing import Iterator
 
-from .linalg import RowReducer
 from .paths import (
     Derivation,
     LinearCombination,
@@ -69,8 +78,7 @@ from .quiver import Quiver, double_of
 
 DEGREE_CAP = 3
 LENGTH_CAP = 6
-# the most elements a graded piece may have to be built; a piece takes
-# about 1 KB per element with its index and commutator rows
+# the most elements a graded piece may have to be built or walked
 PIECE_CAP = 100_000
 
 
@@ -258,21 +266,7 @@ def symplectic_form(q: Quiver) -> FormSum:
 
 
 # ---------------------------------------------------------------------------
-# graded bases and exact dimension counts
-#
-# The commutator subspace [Ω, Ω] is spanned by the supercommutators [s, ω]
-# of the generators s = e_i, a, da with basis elements ω, by the identity
-# [xy, z] = [x, yz] + (-1)^{|x|(|y|+|z|)} [y, zx] (Cuntz-Quillen, "Algebra
-# extensions and nonsingularity", 1995).  An element is closed when its
-# path is a cycle and open otherwise.  [e_i, ω] is 0 for a closed ω and ±ω
-# for an open one, so the open elements are pivots of the row space.  The
-# products s.ω and ω.s for s = a or da are both nonzero only when ω runs
-# from target(a) to source(a), and then all their terms are closed;
-# otherwise at most one of them is nonzero and all its terms are open, so
-# the row lies in the span of the open elements.  For a vertex element e_v,
-# [s, e_v] = -[e_v, s] is already an [e_i, ω] row.  The rows left to reduce are
-# therefore [a, ω] and [da, ω] for ω from target(a) to source(a), on the
-# columns of the closed elements.
+# graded bases and the commutator quotient as signed cyclic words
 
 
 def _check_caps(degree: int, length: int, degree_cap: int, length_cap: int) -> None:
@@ -305,30 +299,68 @@ def _ends(encoding: _Encoding, code) -> tuple[int, int]:
     return encoding.source[code[-1][0]], encoding.target[lead[-1] if lead else code[1][-1]]
 
 
-class _Piece:
-    """The encoded basis of one (degree, length) piece."""
+def _least_rotation(letters: tuple[int, ...], marks: int) -> tuple[tuple[int, ...], int]:
+    """The least rotation of a word of letters 2a + mark (so a marked letter
+    sorts just above its unmarked arrow) and the sign of reaching it, 0 when
+    it is reached with both signs.  Rotating off a prefix that holds k of
+    the marks gives the sign (-1)^(k(marks - k))."""
+    best, sign, k = letters, 1, 0
+    for r in range(1, len(letters)):
+        k += letters[r - 1] & 1
+        rotated = letters[r:] + letters[:r]
+        if rotated <= best:
+            s = -1 if k * (marks - k) % 2 else 1
+            if rotated < best:
+                best, sign = rotated, s
+            elif s != sign:
+                sign = 0
+    return best, sign
 
-    __slots__ = ("basis", "index", "open_columns", "by_ends")
 
-    def __init__(self, basis: tuple, encoding: _Encoding) -> None:
-        self.basis = basis
-        self.index = {code: i for i, code in enumerate(basis)}
-        # columns of the elements that are not closed, and the elements with
-        # arrows grouped by (source, target)
-        self.open_columns: set[int] = set()
-        self.by_ends: dict[tuple[int, int], list[tuple]] = {}
-        for i, code in enumerate(basis):
-            if type(code) is int:
+def _cyclic_words(encoding: _Encoding, terms: dict) -> dict:
+    """phi of a sum of form codes (see the module docstring): signed least
+    rotations of marked letter words, keyed by the letters 2a + mark."""
+    acc: dict = {}
+    for code, coeff in terms.items():
+        if type(code) is int:
+            _add_term(acc, code, coeff)
+            continue
+        source, target = _ends(encoding, code)
+        if source != target:
+            continue
+        word = [2 * a for p in reversed(code) for a in p]
+        ends = list(accumulate(map(len, code[:0:-1])))
+        for marked in product(*map(range, [0] + ends[:-1], ends)):
+            letters = tuple(c + (i in marked) for i, c in enumerate(word))
+            key, sign = _least_rotation(letters, len(ends))
+            if sign:
+                _add_term(acc, key, coeff if sign > 0 else -coeff)
+    return acc
+
+
+def _representatives(encoding: _Encoding, degree: int, length: int) -> list[tuple]:
+    """karoubi_dim's representatives at length >= 1, one code per nonzero
+    orbit read off its least rotation, in omega_basis order."""
+    reps = []
+    for w in encoding.words(length):
+        if encoding.source[w[0]] != encoding.target[w[-1]]:
+            continue
+        unmarked = [2 * a for a in w]
+        for marks in combinations(range(length), degree):
+            letters = tuple(c + (i in marks) for i, c in enumerate(unmarked))
+            if _least_rotation(letters, degree) != (letters, 1):
                 continue
-            ends = _ends(encoding, code)
-            if ends[0] != ends[1]:
-                self.open_columns.add(i)
-            self.by_ends.setdefault(ends, []).append(code)
+            cuts = marks + (length,)
+            tails = [w[a:b] for a, b in zip(cuts, cuts[1:])]
+            reps.append((w[: cuts[0]],) + tuple(reversed(tails)))
+    # omega_basis orders by the entry lengths, then by the traversal word
+    reps.sort(key=lambda code: (tuple(map(len, code)), sum(reversed(code), ())))
+    return reps
 
 
 class _FormsStore:
-    """Path counts, encoded bases and reducers of one quiver, stored on the
-    quiver instance (see _store), so they are released with it."""
+    """Path counts and encoded bases of one quiver, stored on the quiver
+    instance (see _store), so they are released with it."""
 
     def __init__(self, q: Quiver) -> None:
         self.vertex_count = q.vertex_count
@@ -338,8 +370,7 @@ class _FormsStore:
         self._power = [[int(i == j) for j in range(q.vertex_count)] for i in range(q.vertex_count)]
         self._traces = [q.vertex_count]
         self._sums = [q.vertex_count]
-        self._pieces: dict[tuple[int, int], _Piece] = {}
-        self._commutators: dict[tuple[int, int], RowReducer] = {}
+        self._pieces: dict[tuple[int, int], tuple] = {}
         self._decoded: dict[tuple[int, int], tuple[FormBasisElement, ...]] = {}
 
     def walks(self, length: int) -> tuple[int, int]:
@@ -354,19 +385,24 @@ class _FormsStore:
             self._sums.append(sum(map(sum, power)))
         return self._traces[length], self._sums[length]
 
-    def piece(self, degree: int, length: int) -> _Piece:
-        piece = self._pieces.get((degree, length))
-        if piece is None:
-            if degree < 0 or length < 0:
-                raise ValueError("degree and length must be nonnegative")
-            size = comb(length, degree) * self.walks(length)[1]
-            if size > PIECE_CAP:
-                raise BoundExceeded(
-                    f"graded piece (degree={degree}, length={length}) has {size} elements, "
-                    f"above the cap of {PIECE_CAP}"
-                )
+    def check_size(self, degree: int, length: int) -> None:
+        """Refuse a piece of more than PIECE_CAP elements."""
+        if degree < 0 or length < 0:
+            raise ValueError("degree and length must be nonnegative")
+        size = comb(length, degree) * self.walks(length)[1]
+        if size > PIECE_CAP:
+            raise BoundExceeded(
+                f"graded piece (degree={degree}, length={length}) has {size} elements, "
+                f"above the cap of {PIECE_CAP}"
+            )
+
+    def piece(self, degree: int, length: int) -> tuple:
+        """The encoded basis of one (degree, length) piece."""
+        basis = self._pieces.get((degree, length))
+        if basis is None:
+            self.check_size(degree, length)
             if degree == 0 and length == 0:
-                basis: tuple = tuple(range(1, self.vertex_count + 1))
+                basis = tuple(range(1, self.vertex_count + 1))
             elif degree == 0:
                 basis = tuple((w,) for w in self.encoding.words(length))
             else:
@@ -375,56 +411,13 @@ class _FormsStore:
                     for bounds in _cuts(length, degree)
                     for w in self.encoding.words(length)
                 )
-            piece = _Piece(basis, self.encoding)
-            self._pieces[(degree, length)] = piece
-        return piece
-
-    def commutators(self, degree: int, length: int) -> RowReducer:
-        """Row space of the closed commutator rows landing in the piece."""
-        reducer = self._commutators.get((degree, length))
-        if reducer is None:
-            reducer = RowReducer()
-            if length >= 1:
-                index = self.piece(degree, length).index
-                for row in self._commutator_rows(degree, length, index):
-                    if row:
-                        reducer.add(row)
-            self._commutators[(degree, length)] = reducer
-        return reducer
-
-    def _commutator_rows(self, degree: int, length: int, index: dict) -> Iterator[dict]:
-        """[a, ω] and, in positive degree, [da, ω] for every arrow a and every
-        basis element ω from target(a) to source(a), as coordinate rows."""
-        for a, (s_a, t_a) in enumerate(zip(self.encoding.source, self.encoding.target)):
-            arrow = (a,)
-            for w in self.piece(degree, length - 1).by_ends.get((t_a, s_a), ()):
-                # a.w - w.a, where w.a fuses each adjacent pair of w, a
-                n = len(w) - 1
-                row = {index[(w[0] + arrow,) + w[1:]]: 1}
-                sign = -1
-                for i in range(n, -1, -1):
-                    if i == n:
-                        code = w[:n] + (arrow + w[n],)
-                    else:
-                        code = w[:i] + (w[i + 1] + w[i],) + w[i + 2 :] + (arrow,)
-                    _add_term(row, index[code], sign)
-                    sign = -sign
-                yield row
-            if degree == 0:
-                continue
-            for w in self.piece(degree - 1, length - 1).by_ends.get((t_a, s_a), ()):
-                # da.w - (-1)^|w| w.da, with da.w = d(aw) - a dw
-                n = len(w) - 1
-                row = {index[((), w[0] + arrow) + w[1:]]: 1}
-                if w[0]:
-                    _add_term(row, index[(arrow, w[0]) + w[1:]], -1)
-                _add_term(row, index[w + (arrow,)], 1 if n % 2 else -1)
-                yield row
+            self._pieces[(degree, length)] = basis
+        return basis
 
     def decoded(self, q: Quiver, degree: int, length: int) -> tuple[FormBasisElement, ...]:
         basis = self._decoded.get((degree, length))
         if basis is None:
-            basis = tuple(self.decode(q, code) for code in self.piece(degree, length).basis)
+            basis = tuple(self.decode(q, code) for code in self.piece(degree, length))
             self._decoded[(degree, length)] = basis
         return basis
 
@@ -480,11 +473,12 @@ def karoubi_count(
     degree_cap: int = DEGREE_CAP,
     length_cap: int = LENGTH_CAP,
 ) -> int:
-    """Dimension of the supercommutator quotient on one graded piece, counted
-    as cyclic words of L arrows with n marked ones under signed rotation:
+    """Dimension of the supercommutator quotient on one graded piece: the
+    number of nonzero orbits of phi, cyclic words of L arrows with n marked
+    ones under signed rotation, by Burnside's lemma:
     (1/L) sum_{r<L} [m | n] tr(A^d) C(d, n/m) (-1)^(k(n-k)), with d = gcd(r, L),
-    m = L/d and k = (r/d)(n/m).  karoubi_dim finds the same number by row
-    reduction, with representatives."""
+    m = L/d and k = (r/d)(n/m): rotation by r fixes the words made of m
+    copies of a block of d letters with n/m marks, with the sign of k marks."""
     _check_caps(degree, length, degree_cap, length_cap)
     if length == 0:
         return q.vertex_count if degree == 0 else 0
@@ -509,18 +503,27 @@ def karoubi_dim(
     degree_cap: int = DEGREE_CAP,
     length_cap: int = LENGTH_CAP,
 ) -> tuple[int, tuple[FormBasisElement, ...]]:
-    """Dimension of the supercommutator quotient on one graded piece.
+    """Dimension of the supercommutator quotient on one graded piece, with
+    one basis element per nonzero orbit of phi, in omega_basis order.
 
-    Returns the dimension together with basis elements whose classes span the
-    quotient: the elements that are neither open nor a pivot column of the
-    commutator row space.
+    For an orbit with least rotation w, p0 is the letters of w before its
+    first mark, and each p_i runs from one mark up to the letter before the
+    next mark, so that the traversal word pn ... p1 p0 is a rotation of w;
+    in degree 0 the representative is the necklace w, and at length 0 the
+    vertex elements.  The representatives are independent in the quotient:
+    the term of phi(rep_w) with every mark on the first letter of its p_i
+    rotates to w, so it is +-e_w.  Every other term moves some marks later
+    within their segments, and read in the rotation that gives w, it first
+    differs from w where a mark moved away, with (a, 0) in place of (a, 1);
+    so that word, and its least rotation, lies below w.  phi(rep_w) is
+    therefore +-e_w plus words below w, the images are triangular, and as
+    many representatives as karoubi_count are a basis of the quotient.
     """
     _check_caps(degree, length, degree_cap, length_cap)
     store = _store(q)
-    piece = store.piece(degree, length)
-    pivots = piece.open_columns | store.commutators(degree, length).pivot_columns
-    reps = tuple(store.decode(q, code) for i, code in enumerate(piece.basis) if i not in pivots)
-    return len(reps), reps
+    store.check_size(degree, length)
+    codes = _representatives(store.encoding, degree, length) if length else store.piece(degree, 0)
+    return len(codes), tuple(store.decode(q, code) for code in codes)
 
 
 def karoubi_homology_dim(
@@ -549,19 +552,12 @@ def in_commutator_span(
     degree_cap: int = DEGREE_CAP,
     length_cap: int = LENGTH_CAP,
 ) -> bool:
-    """Whether every homogeneous piece of x, a form over q, is a sum of supercommutators."""
-    store = _store(_joint_quiver(q, x.quiver, "forms"))
-    for (degree, length), part in x.components().items():
+    """Whether every homogeneous piece of x, a form over q, is a sum of
+    supercommutators: whether phi(x) is 0.  It builds no graded piece."""
+    quiver = _joint_quiver(q, x.quiver, "forms")
+    for degree, length in x.components():
         _check_caps(degree, length, degree_cap, length_cap)
-        piece = store.piece(degree, length)
-        row = {}
-        for code, coeff in part._terms.items():
-            column = piece.index[code]
-            if column not in piece.open_columns:
-                row[column] = coeff
-        if not store.commutators(degree, length).contains(row):
-            return False
-    return True
+    return not _cyclic_words(_encoding(quiver), x._terms)
 
 
 def is_symplectic(

@@ -10,7 +10,10 @@ strict sets, minimality and representation types by enumerating every
 decomposition, and by the column recurrence over every hyperplane root
 that the library used before, instead of best sums over the strict members, the
 graded dimensions of the form algebra from FormSum products of every pair
-of basis elements, reduced by exact Fraction elimination, derivations of
+of basis elements, reduced by exact Fraction elimination, the commutator
+quotient's dimensions and membership from the integer rows [a, w] and
+[da, w] of the generators, reduced by linalg.RowReducer, instead of from
+signed cyclic words, derivations of
 the path algebra by path products, the contraction i_theta by FormSum
 products instead of term by term, the Lie derivative by expanding it on
 the generators of each basis element instead of by Cartan's formula, the
@@ -66,7 +69,8 @@ from necklacekit import (
     reflect,
     weight_pairing,
 )
-from necklacekit.forms import _mismatch
+from necklacekit.forms import _ends, _mismatch, _store
+from necklacekit.linalg import RowReducer
 from necklacekit.numerics import (
     MomentSolveResult,
     RankReport,
@@ -80,6 +84,7 @@ from necklacekit.numerics import (
     random_rep,
     rep_dimension,
 )
+from necklacekit.paths import _add_term, _encoding
 from necklacekit.quiver import DimVector, double_of
 from necklacekit.roots import CANDIDATE_CAP, ENTRY_CAP, RootClass, _check_box
 from necklacekit.strata import Decomposition, _sum_multisets
@@ -661,6 +666,119 @@ class AllPairsForms:
             self.commutators(degree, length).contains(self.vector(piece, degree, length))
             for (degree, length), piece in x.components().items()
         )
+
+
+class CommutatorRows:
+    """The commutator subspace of one quiver's form algebra from the rows
+    [a, w] and [da, w] of the generators, reduced over the integers.
+
+    [xy, z] = [x, yz] + (-1)^{|x|(|y|+|z|)} [y, zx] (Cuntz-Quillen, "Algebra
+    extensions and nonsingularity", 1995), so the supercommutators [s, w] of
+    the generators s = e_i, a, da with basis elements w span [Omega, Omega].
+    [e_i, w] is 0 for a closed w and +-w for an open one, so the open
+    elements are pivots of the span.  The products s.w and w.s for s = a or
+    da are both nonzero only when w runs from target(a) to source(a), and
+    then all their terms are closed; otherwise at most one of them is
+    nonzero and all its terms are open.  For a vertex element e_v,
+    [s, e_v] = -[e_v, s] is an [e_i, w] row.  The rows left to reduce are
+    therefore [a, w] and [da, w] for w from target(a) to source(a), on the
+    columns of the closed elements.  Bases are the library's encoded pieces.
+    """
+
+    def __init__(self, q: Quiver) -> None:
+        self.encoding = _encoding(q)
+        self._store = _store(q)
+        self._by_ends: dict = {}
+        self._indices: dict = {}
+        self._reducers: dict = {}
+
+    def by_ends(self, degree: int, length: int) -> dict:
+        """The elements with arrows of a piece, grouped by (source, target)."""
+        key = (degree, length)
+        if key not in self._by_ends:
+            groups: dict = {}
+            for code in self._store.piece(degree, length):
+                if type(code) is not int:
+                    groups.setdefault(_ends(self.encoding, code), []).append(code)
+            self._by_ends[key] = groups
+        return self._by_ends[key]
+
+    def rows(self, degree: int, length: int) -> Iterator[dict]:
+        """[a, w] and, in positive degree, [da, w] for every arrow a and every
+        basis element w from target(a) to source(a), as rows keyed by code."""
+        encoding = self.encoding
+        for a, (s_a, t_a) in enumerate(zip(encoding.source, encoding.target)):
+            arrow = (a,)
+            for w in self.by_ends(degree, length - 1).get((t_a, s_a), ()):
+                # a.w - w.a, where w.a fuses each adjacent pair of w, a
+                n = len(w) - 1
+                row = {(w[0] + arrow,) + w[1:]: 1}
+                sign = -1
+                for i in range(n, -1, -1):
+                    if i == n:
+                        code = w[:n] + (arrow + w[n],)
+                    else:
+                        code = w[:i] + (w[i + 1] + w[i],) + w[i + 2 :] + (arrow,)
+                    _add_term(row, code, sign)
+                    sign = -sign
+                yield row
+            if degree == 0:
+                continue
+            for w in self.by_ends(degree - 1, length - 1).get((t_a, s_a), ()):
+                # da.w - (-1)^|w| w.da, with da.w = d(aw) - a dw
+                n = len(w) - 1
+                row = {((), w[0] + arrow) + w[1:]: 1}
+                if w[0]:
+                    _add_term(row, (arrow, w[0]) + w[1:], -1)
+                _add_term(row, w + (arrow,), 1 if n % 2 else -1)
+                yield row
+
+    def _closed(self, code) -> bool:
+        source, target = _ends(self.encoding, code)
+        return source == target
+
+    def _columns(self, degree: int, length: int, terms: Mapping) -> dict:
+        """The closed terms of a sum of codes as a row over the piece's
+        basis; the open ones are in the span."""
+        key = (degree, length)
+        if key not in self._indices:
+            basis = self._store.piece(degree, length)
+            self._indices[key] = {code: i for i, code in enumerate(basis)}
+        index = self._indices[key]
+        return {index[code]: coeff for code, coeff in terms.items() if self._closed(code)}
+
+    def _reduced(self, degree: int, length: int) -> RowReducer:
+        reducer = RowReducer()
+        if length >= 1:
+            for row in self.rows(degree, length):
+                reducer.add(self._columns(degree, length, row))
+        return reducer
+
+    def reducer(self, degree: int, length: int) -> RowReducer:
+        """Row space of the closed commutator rows landing in the piece."""
+        key = (degree, length)
+        if key not in self._reducers:
+            self._reducers[key] = self._reduced(degree, length)
+        return self._reducers[key]
+
+    def dim(self, degree: int, length: int) -> int:
+        """The closed elements of the piece less the rank of the rows."""
+        closed = sum(map(self._closed, self._store.piece(degree, length)))
+        return closed - self.reducer(degree, length).rank
+
+    def in_commutator_span(self, x: FormSum) -> bool:
+        return all(
+            self.reducer(degree, length).contains(self._columns(degree, length, part._terms))
+            for (degree, length), part in x.components().items()
+        )
+
+    def independent(self, reps: Sequence[FormBasisElement], degree: int, length: int) -> bool:
+        """Whether the classes of basis elements are independent in the quotient."""
+        reducer = self._reduced(degree, length)
+        rank = reducer.rank
+        for elt in reps:
+            reducer.add(self._columns(degree, length, FormSum.of(elt)._terms))
+        return reducer.rank == rank + len(reps)
 
 
 def apply_derivation_by_products(theta: Derivation, x: PathSum) -> PathSum:

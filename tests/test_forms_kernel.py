@@ -1,6 +1,7 @@
-"""Differential tests of the integer-encoded graded kernel of `forms` and of
-the fraction-free `RowReducer`, against the all-pairs route and the
-Fraction eliminator in `oracles`, and against Burnside's necklace count;
+"""Differential tests of the integer-encoded graded kernel of `forms`, of the
+commutator quotient as signed cyclic words and of the fraction-free
+`RowReducer`, against the all-pairs route, the integer commutator rows and
+the Fraction eliminator in `oracles`, and against Burnside's necklace count;
 and of the coded product of forms against the product on paths.
 
 The quivers are seeded random quivers on 1-3 vertices with at most 3 arrows,
@@ -9,11 +10,22 @@ all-pairs oracle multiplies every pair of basis elements, which is out of
 reach on the largest pieces at length 4 (the double of two loops has a
 piece of 1536 elements).  Pieces above ORACLE_PIECE_LIMIT elements, 7 of
 the 400 here, are therefore compared only where a cheap oracle exists:
-the basis, graded homology and, in degree 0, the Burnside count.
+the basis, graded homology and, in degree 0, the Burnside count.  The
+quotient's representatives are compared by their number and by their
+independence modulo the all-pairs commutator span, not one by one: they are
+read off least rotations, not off the pivots of a row reduction.
+
+karoubi_dim and in_commutator_span, which read the quotient off the signed
+cyclic words, are compared with the integer commutator rows of the
+generators (`oracles.CommutatorRows`) and with the all-pairs route on ten
+more seeded quivers, as they are and doubled, at degree <= 3 and length
+<= 5: dimensions against karoubi_count and the rows, representatives by
+their independence modulo the rows, membership on random forms and
+supercommutators.  Pieces above SPAN_PIECE_LIMIT elements are skipped.
 
 The constant cells of graded_homology_dim (the noncommutative Poincare
 lemma) and the counted ones of karoubi_count (traces of adjacency powers)
-are compared with the all-pairs route and with karoubi_dim's row reduction
+are compared with the all-pairs route and with the integer commutator rows
 on twelve more seeded quivers, as they are and doubled, at degree <= 3 and
 length <= 5, on every piece of at most COUNT_PIECE_LIMIT elements.  The
 `karoubi` command line, which prints the counts, is compared with
@@ -40,16 +52,21 @@ from necklacekit import (
     BoundExceeded,
     FormBasisElement,
     FormSum,
+    NecklaceWord,
     Path,
     Quiver,
     double,
     graded_homology_dim,
+    hamiltonian_derivation,
     in_commutator_span,
+    is_symplectic,
     karoubi_count,
     karoubi_dim,
     karoubi_homology_dim,
+    lie_derivative,
     omega_basis,
     paths_of_length,
+    symplectic_form,
 )
 from necklacekit.cli import main
 from necklacekit.linalg import RowReducer
@@ -57,6 +74,7 @@ from necklacekit.linalg import RowReducer
 from conftest import random_form, random_fraction, small_random_quivers
 from oracles import (
     AllPairsForms,
+    CommutatorRows,
     FractionRowReducer,
     count_necklaces_by_burnside,
     multiply_by_paths,
@@ -83,6 +101,12 @@ def _small(oracle: AllPairsForms, *pieces) -> bool:
     return all(len(oracle.basis(d, l)) <= ORACLE_PIECE_LIMIT for d, l in pieces)
 
 
+def _independent(oracle: AllPairsForms, reps, degree: int, length: int) -> bool:
+    """Whether basis elements are independent modulo the all-pairs span."""
+    span = oracle.commutators(degree, length).copy()
+    return all(span.add(oracle.vector(FormSum.of(r), degree, length)) for r in reps)
+
+
 @pytest.mark.parametrize("q", QUIVERS, ids=IDS)
 def test_bases_and_dimensions_match_the_all_pairs_route(q):
     oracle = AllPairsForms(q)
@@ -93,7 +117,9 @@ def test_bases_and_dimensions_match_the_all_pairs_route(q):
             degree, length
         )
         if _small(oracle, (degree, length)):
-            assert karoubi_dim(q, degree, length, **CAPS) == oracle.karoubi_dim(degree, length)
+            dim, reps = karoubi_dim(q, degree, length, **CAPS)
+            assert dim == len(reps) == oracle.karoubi_dim(degree, length)[0]
+            assert _independent(oracle, reps, degree, length)
             compared += 1
         if _small(oracle, (degree, length), (degree + 1, length)):
             assert karoubi_homology_dim(q, degree, length, **CAPS) == (
@@ -180,7 +206,7 @@ COUNT_PIECE_LIMIT = 1500
 @pytest.mark.parametrize("index", range(len(COUNT_BASES)))
 def test_counted_cells_match_row_reduction(index, base):
     q = COUNT_BASES[index] if base else double(COUNT_BASES[index])
-    oracle = AllPairsForms(q)
+    oracle, rows = AllPairsForms(q), CommutatorRows(q)
     caps = {"degree_cap": MAX_DEGREE, "length_cap": COUNT_LENGTH}
     compared = 0
     for degree in range(MAX_DEGREE + 1):
@@ -193,11 +219,68 @@ def test_counted_cells_match_row_reduction(index, base):
             )
             assert karoubi_count(q, degree, length, **caps) == (
                 karoubi_dim(q, degree, length, **caps)[0]
-            )
+            ) == rows.dim(degree, length)
             compared += 1
     # 32 of the cells compared over all 24 quivers are nonempty pieces of
     # degree >= 1 at length 5; each quiver has at most 6 pieces above the limit
     assert compared >= 18
+
+
+SPAN_BASES = small_random_quivers(2041, 10)
+SPAN_LENGTH = 5
+SPAN_PIECE_LIMIT = 3000
+
+
+def _span_pieces(q: Quiver):
+    for degree in range(MAX_DEGREE + 1):
+        for length in range(SPAN_LENGTH + 1):
+            if comb(length, degree) * len(paths_of_length(q, length)) <= SPAN_PIECE_LIMIT:
+                yield degree, length
+
+
+@pytest.mark.parametrize("base", [True, False], ids=["base", "double"])
+@pytest.mark.parametrize("index", range(len(SPAN_BASES)))
+def test_quotient_from_cyclic_words_matches_the_commutator_rows(index, base):
+    """karoubi_dim's dimension against karoubi_count and both oracles, its
+    representatives in omega_basis order and independent modulo both
+    commutator spans, and in_commutator_span against both oracles on random
+    forms, supercommutators and sums of the two."""
+    q = SPAN_BASES[index] if base else double(SPAN_BASES[index])
+    rows, all_pairs = CommutatorRows(q), AllPairsForms(q)
+    caps = {"degree_cap": MAX_DEGREE, "length_cap": SPAN_LENGTH}
+    pieces = list(_span_pieces(q))
+    for degree, length in pieces:
+        dim, reps = karoubi_dim(q, degree, length, **caps)
+        assert dim == len(reps) == karoubi_count(q, degree, length, **caps)
+        assert dim == rows.dim(degree, length)
+        assert rows.independent(reps, degree, length)
+        position = {elt: i for i, elt in enumerate(omega_basis(q, degree, length))}
+        assert [position[r] for r in reps] == sorted(position[r] for r in reps)
+        if _small(all_pairs, (degree, length)):
+            assert dim == all_pairs.karoubi_dim(degree, length)[0]
+            assert _independent(all_pairs, reps, degree, length)
+    if not q.arrows:
+        return
+    rng = random.Random(index)
+    verdicts: Counter = Counter()
+    for _ in range(40):
+        x = random_form(rng, q, max_degree=2, max_length=3)
+        y = random_form(rng, q, max_degree=1, max_length=2)
+        if x.is_zero() or y.is_zero():
+            continue
+        (dx,), (dy,) = x.degrees(), y.degrees()
+        commutator = x * y - (-1 if dx * dy % 2 else 1) * (y * x)
+        for form in (x, commutator, x + commutator, x * y + commutator):
+            keys = list(form.components())
+            if form.is_zero() or not set(keys) <= set(pieces):
+                continue
+            verdict = in_commutator_span(form, q, **caps)
+            assert verdict == rows.in_commutator_span(form)
+            if _small(all_pairs, *keys):
+                assert verdict == all_pairs.in_commutator_span(form)
+            verdicts[verdict] += 1
+        assert in_commutator_span(commutator, q, **caps)
+    assert verdicts[True] >= 5 and verdicts[False] >= 20, verdicts
 
 
 def test_the_three_loop_karoubi_table_is_counted(tmp_path, capsys):
@@ -214,25 +297,48 @@ def test_the_three_loop_karoubi_table_is_counted(tmp_path, capsys):
     assert {(row["degree"], row["length"]): row["dim"] for row in table}[(3, 6)] == 155544
 
 
+def _element(dq, lead: str, *tails: str) -> FormSum:
+    """lead d(tail) ... as a form, each path given by its labels."""
+
+    def path(labels):
+        return Path(dq, tuple(labels.split())) if labels else Path.trivial(dq, 1)
+
+    return FormSum.of(FormBasisElement(path(lead), tuple(map(path, tails))))
+
+
 def test_pieces_above_the_cap_are_refused_before_they_are_built():
     dq = double(Quiver(1, tuple(Arrow(label, 1, 1) for label in "xyz")))
-    x = Path.of_arrow(dq, "x")
-    form = FormSum.of(FormBasisElement(Path(dq, ("x",) * 3), (x, x, x)))
-    refused = [
-        lambda: karoubi_dim(dq, 3, 6),
-        lambda: omega_basis(dq, 3, 6),
-        lambda: in_commutator_span(form, dq),
-    ]
-    for call in refused:
+    for call in (lambda: karoubi_dim(dq, 3, 6), lambda: omega_basis(dq, 3, 6)):
         with pytest.raises(BoundExceeded, match=f"elements, above the cap of {PIECE_CAP}$"):
             call()
     with pytest.raises(BoundExceeded, match="^graded piece \\(degree=3, length=6\\) has 933120 "):
         karoubi_dim(dq, 3, 6)
+    # membership reads the signed cyclic words and needs no piece
+    assert not in_commutator_span(_element(dq, "x x x", "x", "x", "x"), dq)
+    x, y = _element(dq, "x y", "z"), _element(dq, "y*", "x*", "z")
+    commutator = x * y - y * x
+    assert set(commutator.components()) == {(3, 6)}
+    assert not commutator.is_zero()
+    assert in_commutator_span(commutator, dq)
+    assert not in_commutator_span(commutator + _element(dq, "x x x", "x", "x", "x"), dq)
     # the homology is the Poincare lemma's constant, which needs no piece
     for homology in (karoubi_homology_dim, graded_homology_dim):
         assert (homology(dq, 2, 6), homology(dq, 3, 6), homology(dq, 0, 0)) == (0, 0, 1)
     assert not [key for key in dq._forms_store._pieces if key[1] == 6]
     assert karoubi_count(dq, 3, 6) == 155544
+
+
+def test_hamiltonian_fields_of_length_six_necklaces_are_symplectic():
+    """L_theta omega of a length-6 necklace on the three-loop double lands in
+    the (2, 6) piece of 699,840 elements, above PIECE_CAP."""
+    dq = double(Quiver(1, tuple(Arrow(label, 1, 1) for label in "xyz")))
+    for labels in ("x x* y y* z z*", "x x y x* z* z*", "x y z x* y* z*"):
+        theta = hamiltonian_derivation(NecklaceWord(dq, tuple(labels.split())))
+        lw = lie_derivative(theta, symplectic_form(dq))
+        assert set(lw.components()) == {(2, 6)} and not lw.is_zero()
+        assert is_symplectic(theta)
+    assert comb(6, 2) * len(paths_of_length(dq, 6)) == 699840 > PIECE_CAP
+    assert "_forms_store" not in dq.__dict__
 
 
 CLI_BASES = small_random_quivers(2012, 10)

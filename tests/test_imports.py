@@ -147,6 +147,13 @@ def test_classify_loads_no_path_form_lie_or_numerics_layer():
     assert not {"paths", "forms", "linalg", "lie", "numerics"} & set(layers)
 
 
+@pytest.mark.parametrize("command", ["karoubi", "derham"])
+def test_forms_and_its_commands_load_no_row_reducer(command):
+    assert "linalg" not in loaded_after("import necklacekit.forms")["layers"]
+    layers = run_command(COMMANDS[command])["layers"]
+    assert "forms" in layers and "linalg" not in layers
+
+
 def test_moment_loads_no_path_form_or_root_layer():
     loaded = run_command(COMMANDS["moment"])
     assert loaded["numpy"] and "numerics" in loaded["layers"]
