@@ -18,9 +18,8 @@ terminal at that moment.
 Only ``quiver`` and ``textio`` are imported with this module.  Each command
 imports the layer it runs when it runs (``roots``, ``strata``, ``lie``,
 ``forms`` or ``numerics``), so a process loads numpy only for ``moment``.
-The cap flags leave their default out of the parser; ``main`` reads it from
-the layer module after parsing (``_LAYER_DEFAULTS``), so building the parser
-imports no layer either.
+The parser imports no layer either: ``--entry-cap`` and ``--candidate-cap``
+default to None, and the command reads the cap from its layer then.
 """
 from __future__ import annotations
 
@@ -46,13 +45,6 @@ if TYPE_CHECKING:
 SCHEMA = "necklace-kit/1"
 
 VALUE_FLAGS = {"--lambda", "--alpha", "--box", "--w1", "--w2"}
-
-# destination -> (layer module, name) of the cap that is a flag's default
-_LAYER_DEFAULTS = {
-    "entry_cap": ("roots", "ENTRY_CAP"),
-    "candidate_cap": ("roots", "CANDIDATE_CAP"),
-    "max_degree": ("forms", "DEGREE_CAP"),
-}
 
 
 def _starts_negative(text: str) -> bool:
@@ -143,19 +135,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_bracket.add_argument("--w1", required=True, help='first necklace, e.g. "x x"')
     p_bracket.add_argument("--w2", required=True, help='second necklace, e.g. "x* x*"')
 
-    p_derham = sub.add_parser("derham", help="graded homology dimensions of the form algebra")
-    common(p_derham)
-    p_derham.add_argument("--max-degree", type=_NONNEGATIVE_INT, default=None)
-    p_derham.add_argument("--max-length", type=_NONNEGATIVE_INT, default=4)
-    p_derham.add_argument(
-        "--base", action="store_true", help="work on the base quiver instead of its double"
-    )
+    def graded(name: str, summary: str, base_help: str | None = None) -> None:
+        """derham and karoubi: the table's bounds and the --base switch."""
+        p = sub.add_parser(name, help=summary)
+        common(p)
+        p.add_argument("--max-degree", type=_NONNEGATIVE_INT, default=3)
+        p.add_argument("--max-length", type=_NONNEGATIVE_INT, default=4)
+        p.add_argument("--base", action="store_true", help=base_help)
 
-    p_karoubi = sub.add_parser("karoubi", help="graded dimensions of the commutator quotients")
-    common(p_karoubi)
-    p_karoubi.add_argument("--max-degree", type=_NONNEGATIVE_INT, default=None)
-    p_karoubi.add_argument("--max-length", type=_NONNEGATIVE_INT, default=4)
-    p_karoubi.add_argument("--base", action="store_true")
+    graded(
+        "derham",
+        "graded homology dimensions of the form algebra",
+        "work on the base quiver instead of its double",
+    )
+    graded("karoubi", "graded dimensions of the commutator quotients")
 
     p_moment = sub.add_parser("moment", help="numerical moment-map solves and ranks")
     common(p_moment)
@@ -239,7 +232,10 @@ def cmd_roots(q: Quiver, args) -> dict:
 
     box = parse_dim_vector(args.box, q.vertex_count)
     found = roots.enumerate_positive_roots(
-        q, box, entry_cap=args.entry_cap, candidate_cap=args.candidate_cap
+        q,
+        box,
+        entry_cap=args.entry_cap or roots.ENTRY_CAP,
+        candidate_cap=args.candidate_cap or roots.CANDIDATE_CAP,
     )
     report = {
         "schema": SCHEMA,
@@ -269,7 +265,9 @@ def cmd_sigma(q: Quiver, args) -> dict:
 
     alpha = parse_dim_vector(args.alpha, q.vertex_count)
     lam = parse_weight(args.lam, q.vertex_count)
-    membership = strata.sigma_membership(q, alpha, lam, entry_cap=args.entry_cap)
+    membership = strata.sigma_membership(
+        q, alpha, lam, entry_cap=args.entry_cap or strata.ENTRY_CAP
+    )
     report = {
         "schema": SCHEMA,
         "command": "sigma",
@@ -297,7 +295,7 @@ def cmd_classify(q: Quiver, args) -> dict:
 
     alpha = parse_dim_vector(args.alpha, q.vertex_count)
     lam = parse_weight(args.lam, q.vertex_count)
-    result = strata.classify(q, alpha, lam, entry_cap=args.entry_cap)
+    result = strata.classify(q, alpha, lam, entry_cap=args.entry_cap or strata.ENTRY_CAP)
     types_json = []
     for tr in result.types:
         types_json.append(
@@ -393,12 +391,11 @@ def cmd_bracket(q: Quiver, args) -> dict:
 
 
 def _graded_table(q: Quiver, args, title: str, value) -> dict:
-    """The report of ``derham`` or ``karoubi``: value(quiver, degree, length,
-    caps) for every degree and length up to the caps."""
+    """The report of ``derham`` or ``karoubi``: value(quiver, degree, length)
+    for every degree and length up to ``--max-degree`` and ``--max-length``."""
     target = q if args.base else double(q)
-    caps = {"degree_cap": args.max_degree, "length_cap": args.max_length}
     table = [
-        {"degree": degree, "length": length, "dim": value(target, degree, length, **caps)}
+        {"degree": degree, "length": length, "dim": value(target, degree, length)}
         for degree in range(0, args.max_degree + 1)
         for length in range(0, args.max_length + 1)
     ]
@@ -542,12 +539,6 @@ def _json_text(value, indent: str = "") -> str:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser().parse_args(_absorb_negative_values(argv))
-    for dest, (module, name) in _LAYER_DEFAULTS.items():
-        if dest in vars(args) and getattr(args, dest) is None:
-            # __import__, which -X importtime logs, unlike importlib.import_module
-            layer = f"{__package__}.{module}"
-            __import__(layer)
-            setattr(args, dest, getattr(sys.modules[layer], name))
     try:
         quiver = parse_quiver_file(args.quiver)
         report = COMMANDS[args.command](quiver, args)

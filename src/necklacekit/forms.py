@@ -52,7 +52,9 @@ d = gcd(r, L), m = L/d, k = (r/d)(n/m); at L = 0 it is the vertex count in
 degree 0 and 0 in every other degree.  karoubi_dim lists one basis element
 per nonzero orbit, read off the orbit's least rotation.  The traces and
 entry sums are kept in one store per quiver instance, with the bases of
-omega_basis; it and karoubi_dim refuse a piece above PIECE_CAP elements.
+omega_basis.  The only refusal is on work: omega_basis and karoubi_dim,
+which build or walk a piece, refuse one above PIECE_CAP elements, and no
+other function refuses a nonnegative degree or length.
 """
 from __future__ import annotations
 
@@ -74,16 +76,14 @@ from .paths import (
     _joint_quiver,
     necklaces_of_length,
 )
-from .quiver import Quiver, double_of
+from .quiver import Quiver, _per_instance, double_of
 
-DEGREE_CAP = 3
-LENGTH_CAP = 6
 # the most elements a graded piece may have to be built or walked
 PIECE_CAP = 100_000
 
 
 class BoundExceeded(ValueError):
-    """A graded computation was requested beyond the configured caps."""
+    """A graded piece was requested with more than PIECE_CAP elements."""
 
 
 @dataclass(frozen=True)
@@ -269,14 +269,9 @@ def symplectic_form(q: Quiver) -> FormSum:
 # graded bases and the commutator quotient as signed cyclic words
 
 
-def _check_caps(degree: int, length: int, degree_cap: int, length_cap: int) -> None:
+def _check_grading(degree: int, length: int) -> None:
     if degree < 0 or length < 0:
         raise ValueError("degree and length must be nonnegative")
-    if degree > degree_cap or length > length_cap:
-        raise BoundExceeded(
-            f"graded piece (degree={degree}, length={length}) exceeds caps "
-            f"(degree<={degree_cap}, length<={length_cap}); raise the caps explicitly"
-        )
 
 
 def _cuts(length: int, degree: int) -> Iterator[list[tuple[int, int]]]:
@@ -387,8 +382,7 @@ class _FormsStore:
 
     def check_size(self, degree: int, length: int) -> None:
         """Refuse a piece of more than PIECE_CAP elements."""
-        if degree < 0 or length < 0:
-            raise ValueError("degree and length must be nonnegative")
+        _check_grading(degree, length)
         size = comb(length, degree) * self.walks(length)[1]
         if size > PIECE_CAP:
             raise BoundExceeded(
@@ -429,12 +423,9 @@ class _FormsStore:
         return FormBasisElement(paths[0], tuple(paths[1:]))
 
 
+@_per_instance("_forms_store")
 def _store(q: Quiver) -> _FormsStore:
-    store = q.__dict__.get("_forms_store")
-    if store is None:
-        store = _FormsStore(q)
-        object.__setattr__(q, "_forms_store", store)
-    return store
+    return _FormsStore(q)
 
 
 def omega_basis(q: Quiver, degree: int, length: int) -> tuple[FormBasisElement, ...]:
@@ -447,39 +438,25 @@ def omega_basis(q: Quiver, degree: int, length: int) -> tuple[FormBasisElement, 
     return _store(q).decoded(q, degree, length)
 
 
-def graded_homology_dim(
-    q: Quiver,
-    degree: int,
-    length: int,
-    *,
-    degree_cap: int = DEGREE_CAP,
-    length_cap: int = LENGTH_CAP,
-) -> int:
+def graded_homology_dim(q: Quiver, degree: int, length: int) -> int:
     """Exact dimension of ker d / im d on one graded piece of the form algebra.
 
     The vertex count at (0, 0), where d is 0, and 0 elsewhere: the Euler
     derivation E has L_E = d i_E + i_E d = L id on forms of length L, so
     i_E / L contracts the complex in every length L >= 1.
     """
-    _check_caps(degree, length, degree_cap, length_cap)
+    _check_grading(degree, length)
     return q.vertex_count if degree == length == 0 else 0
 
 
-def karoubi_count(
-    q: Quiver,
-    degree: int,
-    length: int,
-    *,
-    degree_cap: int = DEGREE_CAP,
-    length_cap: int = LENGTH_CAP,
-) -> int:
+def karoubi_count(q: Quiver, degree: int, length: int) -> int:
     """Dimension of the supercommutator quotient on one graded piece: the
     number of nonzero orbits of phi, cyclic words of L arrows with n marked
     ones under signed rotation, by Burnside's lemma:
     (1/L) sum_{r<L} [m | n] tr(A^d) C(d, n/m) (-1)^(k(n-k)), with d = gcd(r, L),
     m = L/d and k = (r/d)(n/m): rotation by r fixes the words made of m
     copies of a block of d letters with n/m marks, with the sign of k marks."""
-    _check_caps(degree, length, degree_cap, length_cap)
+    _check_grading(degree, length)
     if length == 0:
         return q.vertex_count if degree == 0 else 0
     store = _store(q)
@@ -495,14 +472,7 @@ def karoubi_count(
     return total // length
 
 
-def karoubi_dim(
-    q: Quiver,
-    degree: int,
-    length: int,
-    *,
-    degree_cap: int = DEGREE_CAP,
-    length_cap: int = LENGTH_CAP,
-) -> tuple[int, tuple[FormBasisElement, ...]]:
+def karoubi_dim(q: Quiver, degree: int, length: int) -> tuple[int, tuple[FormBasisElement, ...]]:
     """Dimension of the supercommutator quotient on one graded piece, with
     one basis element per nonzero orbit of phi, in omega_basis order.
 
@@ -519,21 +489,13 @@ def karoubi_dim(
     therefore +-e_w plus words below w, the images are triangular, and as
     many representatives as karoubi_count are a basis of the quotient.
     """
-    _check_caps(degree, length, degree_cap, length_cap)
     store = _store(q)
     store.check_size(degree, length)
     codes = _representatives(store.encoding, degree, length) if length else store.piece(degree, 0)
     return len(codes), tuple(store.decode(q, code) for code in codes)
 
 
-def karoubi_homology_dim(
-    q: Quiver,
-    degree: int,
-    length: int,
-    *,
-    degree_cap: int = DEGREE_CAP,
-    length_cap: int = LENGTH_CAP,
-) -> int:
+def karoubi_homology_dim(q: Quiver, degree: int, length: int) -> int:
     """Homology of the induced differential on the supercommutator quotients.
 
     The vertex count at (0, 0) and 0 elsewhere: the Euler derivation E has
@@ -541,34 +503,21 @@ def karoubi_homology_dim(
     descends to the quotient, as the super-derivations d and i_E preserve
     the supercommutators.
     """
-    _check_caps(degree, length, degree_cap, length_cap)
+    _check_grading(degree, length)
     return q.vertex_count if degree == length == 0 else 0
 
 
-def in_commutator_span(
-    x: FormSum,
-    q: Quiver,
-    *,
-    degree_cap: int = DEGREE_CAP,
-    length_cap: int = LENGTH_CAP,
-) -> bool:
+def in_commutator_span(x: FormSum, q: Quiver) -> bool:
     """Whether every homogeneous piece of x, a form over q, is a sum of
     supercommutators: whether phi(x) is 0.  It builds no graded piece."""
     quiver = _joint_quiver(q, x.quiver, "forms")
-    for degree, length in x.components():
-        _check_caps(degree, length, degree_cap, length_cap)
     return not _cyclic_words(_encoding(quiver), x._terms)
 
 
-def is_symplectic(
-    theta: Derivation,
-    *,
-    degree_cap: int = DEGREE_CAP,
-    length_cap: int = LENGTH_CAP,
-) -> bool:
+def is_symplectic(theta: Derivation) -> bool:
     """Whether the Lie derivative of the canonical 2-form vanishes in the quotient."""
     lw = lie_derivative(theta, symplectic_form(theta.quiver))
-    return in_commutator_span(lw, theta.quiver, degree_cap=degree_cap, length_cap=length_cap)
+    return in_commutator_span(lw, theta.quiver)
 
 
 # ---------------------------------------------------------------------------

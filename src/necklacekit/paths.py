@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-from .quiver import DoubleQuiver, Quiver, double_of
+from .quiver import DoubleQuiver, Quiver, _per_instance, double_of
 
 Scalar = Union[int, Fraction]
 
@@ -610,12 +610,9 @@ class _Encoding:
         return opened
 
 
+@_per_instance("_path_encoding")
 def _encoding(q: Quiver) -> _Encoding:
-    encoding = q.__dict__.get("_path_encoding")
-    if encoding is None:
-        encoding = _Encoding(q)
-        object.__setattr__(q, "_path_encoding", encoding)
-    return encoding
+    return _Encoding(q)
 
 
 def paths_of_length(q: Quiver, length: int) -> tuple[Path, ...]:

@@ -6,15 +6,17 @@ quiver, so user labels may not end in it.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 STAR = "*"
 
 IntMatrix = tuple[tuple[int, ...], ...]
 DimVector = tuple[int, ...]
 Weight = tuple[Fraction, ...]
+T = TypeVar("T")
 
 
 class QuiverError(ValueError):
@@ -159,60 +161,69 @@ def double(q: Quiver) -> DoubleQuiver:
     return DoubleQuiver(q.vertex_count, _doubled_arrows(q), base=q)
 
 
+def _per_instance(slot: str) -> Callable[[Callable[[Quiver], T]], Callable[[Quiver], T]]:
+    """Decorator for a function of one quiver: its value is built on the
+    first call for each quiver instance and stored on that instance under
+    ``slot``, like its hash, so it is released with the instance."""
+
+    def decorate(build: Callable[[Quiver], T]) -> Callable[[Quiver], T]:
+        @functools.wraps(build)
+        def stored(q: Quiver) -> T:
+            value = q.__dict__.get(slot)
+            if value is None:
+                value = build(q)
+                object.__setattr__(q, slot, value)
+            return value
+
+        return stored
+
+    return decorate
+
+
 def double_of(q: Quiver) -> DoubleQuiver:
     """``q`` itself if it is already a double quiver, otherwise ``double(q)``.
 
     The double of a base quiver is built once per instance and stored on it,
     like its Euler form; ``double`` always builds a fresh one.
     """
-    if isinstance(q, DoubleQuiver):
-        return q
-    dq = q.__dict__.get("_double")
-    if dq is None:
-        dq = double(q)
-        object.__setattr__(q, "_double", dq)
-    return dq
+    return q if isinstance(q, DoubleQuiver) else _double_of_base(q)
 
 
+@_per_instance("_double")
+def _double_of_base(q: Quiver) -> DoubleQuiver:
+    return double(q)
+
+
+@_per_instance("_euler_form")
 def euler_form(q: Quiver) -> IntMatrix:
     """Matrix with (i, j) entry delta_ij minus the number of arrows i -> j.
 
     Computed once per quiver instance and stored on it, like its hash.
     """
-    chi = q.__dict__.get("_euler_form")
-    if chi is None:
-        chi = tuple(
-            tuple((1 if i == j else 0) - q.arrow_count(i, j) for j in q.vertices)
-            for i in q.vertices
-        )
-        object.__setattr__(q, "_euler_form", chi)
-    return chi
+    return tuple(
+        tuple((1 if i == j else 0) - q.arrow_count(i, j) for j in q.vertices)
+        for i in q.vertices
+    )
 
 
+@_per_instance("_tits_form")
 def tits_form(q: Quiver) -> IntMatrix:
     """Symmetrization of the Euler form: euler_form(q) plus its transpose.
 
     Computed once per quiver instance and stored on it, like its hash.
     """
-    t_matrix = q.__dict__.get("_tits_form")
-    if t_matrix is None:
-        chi = euler_form(q)
-        k = q.vertex_count
-        t_matrix = tuple(tuple(chi[i][j] + chi[j][i] for j in range(k)) for i in range(k))
-        object.__setattr__(q, "_tits_form", t_matrix)
-    return t_matrix
+    chi = euler_form(q)
+    k = q.vertex_count
+    return tuple(tuple(chi[i][j] + chi[j][i] for j in range(k)) for i in range(k))
 
 
+@_per_instance("_loop_free")
 def loop_free_flags(q: Quiver) -> tuple[bool, ...]:
     """Whether each vertex 1..k carries no loop, indexed from 0.
 
     Computed once per quiver instance and stored on it, like its hash.
     """
-    flags = q.__dict__.get("_loop_free")
-    if flags is None:
-        flags = tuple(q.is_loop_free(v) for v in q.vertices)
-        object.__setattr__(q, "_loop_free", flags)
-    return flags
+    return tuple(q.is_loop_free(v) for v in q.vertices)
 
 
 def bilinear(matrix: Sequence[Sequence], alpha: Sequence, beta: Sequence):

@@ -200,10 +200,10 @@ def test_criterion_08_acyclicity_desk_scale():
             assert graded_homology_dim(dq, 0, 0) == 2
             for degree in range(1, 4):
                 for length in range(1, 5):
-                    assert graded_homology_dim(dq, degree, length, length_cap=6) == 0
+                    assert graded_homology_dim(dq, degree, length) == 0
         for dq in (CALOGERO_D, A1_D, LOOP_D):
             for length in range(0, 5):
-                dim, _ = karoubi_dim(dq, 0, length, length_cap=6)
+                dim, _ = karoubi_dim(dq, 0, length)
                 assert dim == dr0_dimension(dq, length)
                 assert dim == count_necklaces_by_rotation(dq, length)
         dim_loop, _ = karoubi_dim(LOOP_D, 0, 2)

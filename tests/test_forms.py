@@ -1,8 +1,10 @@
 import random
+from math import comb
 
 import pytest
 
 from necklacekit import (
+    PIECE_CAP,
     Arrow,
     BoundExceeded,
     Derivation,
@@ -23,12 +25,14 @@ from necklacekit import (
     graded_homology_dim,
     in_commutator_span,
     is_symplectic,
+    karoubi_count,
     karoubi_dim,
     karoubi_homology_dim,
     lie_derivative,
     necklace_differential,
     omega_basis,
     partial_derivative,
+    paths_of_length,
     reduce_to_dr1,
     symplectic_form,
     tau,
@@ -274,14 +278,62 @@ def test_graded_homology(calogero_double, a1_tilde_double):
             assert graded_homology_dim(dq, 0, length) == 0
         for degree in range(1, 4):
             for length in range(1, 5):
-                assert graded_homology_dim(dq, degree, length, length_cap=6) == 0
+                assert graded_homology_dim(dq, degree, length) == 0
 
 
-def test_graded_bounds_error(calogero_double):
-    with pytest.raises(BoundExceeded):
-        graded_homology_dim(calogero_double, 5, 1)
-    with pytest.raises(BoundExceeded):
-        karoubi_dim(calogero_double, 1, 9)
+def _piece_size(q, degree: int, length: int) -> int:
+    return comb(length, degree) * len(paths_of_length(q, length))
+
+
+def _doubles_with_a_small_4_8_piece(seed: int, count: int) -> list:
+    """The first doubles of seeded random quivers whose (4, 8) piece is
+    small enough for karoubi_dim and has closed paths, so that it is nonzero
+    in the quotient: a closed path with its last four letters marked has no
+    rotational symmetry, so its orbit is nonzero."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        dq = _small_random_double(rng)
+        closed = any(p.source == p.target for p in paths_of_length(dq, 8))
+        if closed and _piece_size(dq, 4, 8) <= PIECE_CAP:
+            found.append(dq)
+    return found
+
+
+@pytest.mark.parametrize(
+    "dq",
+    [None] + _doubles_with_a_small_4_8_piece(19, 2),
+    ids=["calogero", "random0", "random1"],
+)
+def test_graded_calls_answer_at_any_degree_and_length(dq, calogero_double):
+    """The graded functions answer at every degree and length; only
+    karoubi_dim and omega_basis refuse, on pieces above PIECE_CAP."""
+    dq = calogero_double if dq is None else dq
+    for degree in range(6):
+        for length in range(10):
+            if _piece_size(dq, degree, length) <= PIECE_CAP:
+                dim, reps = karoubi_dim(dq, degree, length)
+                assert karoubi_count(dq, degree, length) == dim == len(reps)
+    assert graded_homology_dim(dq, 5, 1) == 0
+    # a supercommutator of two (2, 4) forms lies in the (4, 8) piece
+    rng = random.Random(34)
+    pool = omega_basis(dq, 2, 4)
+    commutator = FormSum.zero()
+    while commutator.is_zero():
+        x, y = (FormSum.of(rng.choice(pool), random_fraction(rng)) for _ in range(2))
+        commutator = x * y - y * x
+    assert set(commutator.components()) == {(4, 8)}
+    assert in_commutator_span(commutator, dq)
+    if _piece_size(dq, 4, 8) > PIECE_CAP:
+        # the Calogero double's (4, 8) piece has 137,900 elements
+        with pytest.raises(BoundExceeded):
+            karoubi_dim(dq, 4, 8)
+        return
+    dim, reps = karoubi_dim(dq, 4, 8)
+    assert dim == len(reps) > 0
+    for rep in reps:
+        assert not in_commutator_span(FormSum.of(rep), dq)
+        assert not in_commutator_span(FormSum.of(rep) + commutator, dq)
 
 
 def test_karoubi_degree_zero_counts_necklaces(one_loop_double, calogero_double):
@@ -289,7 +341,7 @@ def test_karoubi_degree_zero_counts_necklaces(one_loop_double, calogero_double):
     assert dim == 3
     for dq in (one_loop_double, calogero_double):
         for length in range(0, 5):
-            dim, reps = karoubi_dim(dq, 0, length, length_cap=6)
+            dim, reps = karoubi_dim(dq, 0, length)
             assert dim == dr0_dimension(dq, length)
             assert dim == count_necklaces_by_rotation(dq, length)
             assert len(reps) == dim
@@ -306,7 +358,7 @@ def test_karoubi_complex_acyclic(calogero_double, a1_tilde_double):
     for dq in (calogero_double, a1_tilde_double):
         for degree in range(1, 4):
             for length in range(1, 5):
-                assert karoubi_homology_dim(dq, degree, length, length_cap=6) == 0
+                assert karoubi_homology_dim(dq, degree, length) == 0
 
 
 def test_karoubi_degree_zero_homology_is_vertex_algebra(calogero_double):
@@ -355,7 +407,7 @@ def test_hamiltonian_derivations_are_symplectic(one_loop_double, calogero_double
     for dq in (one_loop_double, calogero_double):
         for _ in range(10):
             word = random_necklace(rng, dq, max_len=4)
-            assert is_symplectic(hamiltonian_derivation(word), length_cap=6)
+            assert is_symplectic(hamiltonian_derivation(word))
 
 
 def test_differential_matches_partials_in_dr1(calogero_double, one_loop_double):

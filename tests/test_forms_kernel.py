@@ -83,7 +83,6 @@ from oracles import (
 MAX_DEGREE = 3
 MAX_LENGTH = 4
 ORACLE_PIECE_LIMIT = 700
-CAPS = {"degree_cap": MAX_DEGREE, "length_cap": MAX_LENGTH}
 
 
 BASES = small_random_quivers(2003, 10)
@@ -113,16 +112,16 @@ def test_bases_and_dimensions_match_the_all_pairs_route(q):
     compared = 0
     for degree, length in _pieces():
         assert omega_basis(q, degree, length) == oracle.basis(degree, length)
-        assert graded_homology_dim(q, degree, length, **CAPS) == oracle.graded_homology_dim(
+        assert graded_homology_dim(q, degree, length) == oracle.graded_homology_dim(
             degree, length
         )
         if _small(oracle, (degree, length)):
-            dim, reps = karoubi_dim(q, degree, length, **CAPS)
+            dim, reps = karoubi_dim(q, degree, length)
             assert dim == len(reps) == oracle.karoubi_dim(degree, length)[0]
             assert _independent(oracle, reps, degree, length)
             compared += 1
         if _small(oracle, (degree, length), (degree + 1, length)):
-            assert karoubi_homology_dim(q, degree, length, **CAPS) == (
+            assert karoubi_homology_dim(q, degree, length) == (
                 oracle.karoubi_homology_dim(degree, length)
             )
     assert compared >= 12
@@ -131,7 +130,7 @@ def test_bases_and_dimensions_match_the_all_pairs_route(q):
 @pytest.mark.parametrize("q", QUIVERS, ids=IDS)
 def test_degree_zero_quotient_counts_necklaces(q):
     for length in range(MAX_LENGTH + 1):
-        dim, reps = karoubi_dim(q, 0, length, **CAPS)
+        dim, reps = karoubi_dim(q, 0, length)
         assert dim == len(reps) == count_necklaces_by_burnside(q, length)
 
 
@@ -155,9 +154,9 @@ def test_commutator_span_matches_the_all_pairs_route(index):
             pieces = [key for key, _ in form.components().items()]
             if not _small(oracle, *pieces):
                 continue
-            assert in_commutator_span(form, q, **CAPS) == oracle.in_commutator_span(form)
+            assert in_commutator_span(form, q) == oracle.in_commutator_span(form)
             checked += 1
-        assert in_commutator_span(commutator, q, **CAPS)
+        assert in_commutator_span(commutator, q)
     assert checked >= 30
 
 
@@ -207,18 +206,17 @@ COUNT_PIECE_LIMIT = 1500
 def test_counted_cells_match_row_reduction(index, base):
     q = COUNT_BASES[index] if base else double(COUNT_BASES[index])
     oracle, rows = AllPairsForms(q), CommutatorRows(q)
-    caps = {"degree_cap": MAX_DEGREE, "length_cap": COUNT_LENGTH}
     compared = 0
     for degree in range(MAX_DEGREE + 1):
         for length in range(COUNT_LENGTH + 1):
             size = comb(length, degree) * len(paths_of_length(q, length))
             if degree and size > COUNT_PIECE_LIMIT:
                 continue
-            assert graded_homology_dim(q, degree, length, **caps) == (
+            assert graded_homology_dim(q, degree, length) == (
                 oracle.graded_homology_dim(degree, length)
             )
-            assert karoubi_count(q, degree, length, **caps) == (
-                karoubi_dim(q, degree, length, **caps)[0]
+            assert karoubi_count(q, degree, length) == (
+                karoubi_dim(q, degree, length)[0]
             ) == rows.dim(degree, length)
             compared += 1
     # 32 of the cells compared over all 24 quivers are nonempty pieces of
@@ -247,11 +245,10 @@ def test_quotient_from_cyclic_words_matches_the_commutator_rows(index, base):
     forms, supercommutators and sums of the two."""
     q = SPAN_BASES[index] if base else double(SPAN_BASES[index])
     rows, all_pairs = CommutatorRows(q), AllPairsForms(q)
-    caps = {"degree_cap": MAX_DEGREE, "length_cap": SPAN_LENGTH}
     pieces = list(_span_pieces(q))
     for degree, length in pieces:
-        dim, reps = karoubi_dim(q, degree, length, **caps)
-        assert dim == len(reps) == karoubi_count(q, degree, length, **caps)
+        dim, reps = karoubi_dim(q, degree, length)
+        assert dim == len(reps) == karoubi_count(q, degree, length)
         assert dim == rows.dim(degree, length)
         assert rows.independent(reps, degree, length)
         position = {elt: i for i, elt in enumerate(omega_basis(q, degree, length))}
@@ -274,12 +271,12 @@ def test_quotient_from_cyclic_words_matches_the_commutator_rows(index, base):
             keys = list(form.components())
             if form.is_zero() or not set(keys) <= set(pieces):
                 continue
-            verdict = in_commutator_span(form, q, **caps)
+            verdict = in_commutator_span(form, q)
             assert verdict == rows.in_commutator_span(form)
             if _small(all_pairs, *keys):
                 assert verdict == all_pairs.in_commutator_span(form)
             verdicts[verdict] += 1
-        assert in_commutator_span(commutator, q, **caps)
+        assert in_commutator_span(commutator, q)
     assert verdicts[True] >= 5 and verdicts[False] >= 20, verdicts
 
 
@@ -368,14 +365,30 @@ def test_karoubi_table_matches_karoubi_dim_and_the_all_pairs_route(index, base, 
     ]
     for row in table:
         key = (row["degree"], row["length"])
-        dim, reps = karoubi_dim(q, *key, degree_cap=3, length_cap=3)
+        dim, reps = karoubi_dim(q, *key)
         assert row["dim"] == dim == len(reps) == oracle.karoubi_dim(*key)[0]
 
 
-@pytest.mark.parametrize("degree, length", [(-1, 2), (0, -1), (2, -3)])
-def test_omega_basis_refuses_negative_gradings(degree, length):
+GRADED_ENTRY_POINTS = (
+    omega_basis, karoubi_dim, karoubi_count, graded_homology_dim, karoubi_homology_dim
+)
+NEGATIVE_GRADINGS = [(-1, 2), (0, -1), (2, -3)]
+
+
+@pytest.mark.parametrize(
+    "entry, degree, length",
+    [(entry, *grading) for entry in GRADED_ENTRY_POINTS for grading in NEGATIVE_GRADINGS],
+    # omega_basis's cases are named by the grading alone, the others by entry point too
+    ids=[
+        ("" if entry is omega_basis else f"{entry.__name__}-") + f"{degree}-{length}"
+        for entry in GRADED_ENTRY_POINTS
+        for degree, length in NEGATIVE_GRADINGS
+    ],
+)
+def test_omega_basis_refuses_negative_gradings(entry, degree, length):
+    """Every graded entry point refuses a negative degree or length."""
     with pytest.raises(ValueError, match="nonnegative"):
-        omega_basis(QUIVERS[1], degree, length)
+        entry(QUIVERS[1], degree, length)
 
 
 def test_a_dropped_quiver_is_released_with_its_graded_data():
