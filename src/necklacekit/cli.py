@@ -5,9 +5,9 @@ Eight subcommands: ``info``, ``roots``, ``sigma``, ``classify``, ``bracket``,
 prints a human-readable report, and optionally writes the same numbers as
 JSON (schema ``necklace-kit/1``) via ``--json PATH``.
 
-Exit codes: 0 on success, 1 on a domain error (bad vectors, exceeded caps,
-unsolvable inputs), 2 on a usage error, among them a numeric flag out of
-its range.
+Exit codes: 0 on success, 1 on a domain error (bad vectors, a call over
+its size or work budget, unsolvable inputs), 2 on a usage error, among them
+a numeric flag out of its range.
 
 ``main`` builds the parser once per process, on its first call, and parses
 every later argument list with it; ``build_parser`` returns a fresh parser
@@ -18,8 +18,8 @@ terminal at that moment.
 Only ``quiver`` and ``textio`` are imported with this module.  Each command
 imports the layer it runs when it runs (``roots``, ``strata``, ``lie``,
 ``forms`` or ``numerics``), so a process loads numpy only for ``moment``.
-The parser imports no layer either: ``--entry-cap`` and ``--candidate-cap``
-default to None, and the command reads the cap from its layer then.
+No flag sets a bound of a layer: ``roots``, ``sigma`` and ``classify`` are
+refused by the step budget ``roots.WORK_CAP`` alone.
 """
 from __future__ import annotations
 
@@ -102,12 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("quiver", help="path to a quiver file")
         p.add_argument("--json", metavar="PATH", help="also write the report as JSON")
-        p.add_argument(
-            "--threads",
-            type=_POSITIVE_INT,
-            default=1,
-            help="accepted for compatibility; the work runs serially on one thread",
-        )
 
     p_info = sub.add_parser("info", help="Euler/Tits forms and the double quiver")
     common(p_info)
@@ -115,20 +109,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_roots = sub.add_parser("roots", help="enumerate positive roots in a box")
     common(p_roots)
     p_roots.add_argument("--box", required=True, help="comma-separated box bound, e.g. 2,3")
-    p_roots.add_argument("--entry-cap", type=_POSITIVE_INT, default=None)
-    p_roots.add_argument("--candidate-cap", type=_POSITIVE_INT, default=None)
 
     p_sigma = sub.add_parser("sigma", help="membership in the flatness/simple sets")
     common(p_sigma)
     p_sigma.add_argument("--alpha", required=True, help="dimension vector, e.g. 1,2")
     p_sigma.add_argument("--lambda", dest="lam", required=True, help="weight, e.g. -2,1")
-    p_sigma.add_argument("--entry-cap", type=_POSITIVE_INT, default=None)
 
     p_classify = sub.add_parser("classify", help="full coadjoint-orbit classification")
     common(p_classify)
     p_classify.add_argument("--alpha", required=True)
     p_classify.add_argument("--lambda", dest="lam", required=True)
-    p_classify.add_argument("--entry-cap", type=_POSITIVE_INT, default=None)
 
     p_bracket = sub.add_parser("bracket", help="necklace bracket of two words")
     common(p_bracket)
@@ -231,12 +221,7 @@ def cmd_roots(q: Quiver, args) -> dict:
     from . import roots
 
     box = parse_dim_vector(args.box, q.vertex_count)
-    found = roots.enumerate_positive_roots(
-        q,
-        box,
-        entry_cap=args.entry_cap or roots.ENTRY_CAP,
-        candidate_cap=args.candidate_cap or roots.CANDIDATE_CAP,
-    )
+    found = roots.enumerate_positive_roots(q, box)
     report = {
         "schema": SCHEMA,
         "command": "roots",
@@ -265,9 +250,7 @@ def cmd_sigma(q: Quiver, args) -> dict:
 
     alpha = parse_dim_vector(args.alpha, q.vertex_count)
     lam = parse_weight(args.lam, q.vertex_count)
-    membership = strata.sigma_membership(
-        q, alpha, lam, entry_cap=args.entry_cap or strata.ENTRY_CAP
-    )
+    membership = strata.sigma_membership(q, alpha, lam)
     report = {
         "schema": SCHEMA,
         "command": "sigma",
@@ -295,7 +278,7 @@ def cmd_classify(q: Quiver, args) -> dict:
 
     alpha = parse_dim_vector(args.alpha, q.vertex_count)
     lam = parse_weight(args.lam, q.vertex_count)
-    result = strata.classify(q, alpha, lam, entry_cap=args.entry_cap or strata.ENTRY_CAP)
+    result = strata.classify(q, alpha, lam)
     types_json = []
     for tr in result.types:
         types_json.append(

@@ -11,11 +11,18 @@ The roots of a box are grown from its unit vectors rather than filtered
 out of it, so their cost follows the roots, not the box: every candidate
 is a root plus one unit vector, and is classified by one descent step onto
 a vector of the box already classified.
+
+Each public call, here and in ``strata``, may take at most ``WORK_CAP``
+steps, counted per loop iteration; here a step is a pairing computed by a
+descent, a reflection entry written back along a descent or a candidate
+tested.  A call that needs more is refused with one ``ValueError`` once it
+has spent the budget, so the budget bounds its time and memory, whatever
+the size of the box or of its entries.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import compress
 from operator import mul
 from typing import Sequence
 
@@ -28,12 +35,25 @@ from .quiver import (
     tits_form,
 )
 
-ENTRY_CAP = 12
-CANDIDATE_CAP = 10**6
+WORK_CAP = 250_000
 
 REAL = "real"
 IMAGINARY = "imaginary"
 NOT_ROOT = "not_root"
+
+
+class _Steps:
+    """The steps one public call has left of ``WORK_CAP``."""
+
+    __slots__ = ("left",)
+
+    def __init__(self) -> None:
+        self.left = WORK_CAP
+
+    def spend(self, count: int = 1) -> None:
+        self.left -= count
+        if self.left < 0:
+            raise ValueError(f"the computation needs more than {WORK_CAP} steps")
 
 
 @dataclass(frozen=True)
@@ -107,11 +127,11 @@ def classify_root(q: Quiver, alpha: Sequence[int]) -> RootClass:
         raise ValueError("dimension vector length does not match the quiver")
     if any(a < 0 for a in vec):
         return RootClass(NOT_ROOT)
-    return _classify_in_box(q, vec, {})
+    return _classify_in_box(q, vec, {}, _Steps())
 
 
 def _classify_in_box(
-    q: Quiver, vec: DimVector, classes: dict[DimVector, RootClass]
+    q: Quiver, vec: DimVector, classes: dict[DimVector, RootClass], steps: _Steps
 ) -> RootClass:
     """``classify_root`` of a vector with nonnegative entries, one descent
     step per vector not yet in ``classes``.
@@ -121,7 +141,8 @@ def _classify_in_box(
     beta <= vec.  That vector's class, looked up in ``classes`` or found the
     same way, gives vec its kind and terminal, and vec's reflections are the
     step's vertex followed by that vector's reflections.  Every vector of the
-    descent is entered in ``classes``.
+    descent is entered in ``classes``.  Each pairing computed, and each
+    reflection written into those entries, spends a step.
     """
     found = classes.get(vec)
     if found is not None:
@@ -130,38 +151,50 @@ def _classify_in_box(
         raise ValueError("the zero vector is not classified")
     t_matrix = tits_form(q)
     loop_free = loop_free_flags(q)
-    steps: list[tuple[DimVector, int]] = []
+    chain: list[tuple[int, int]] = []  # (vertex index, its entry before the step)
     current = vec
     while True:
         if sum(current) == 1 and loop_free[current.index(1)]:
             found = RootClass(REAL, (), current)
             break
-        pairings = [sum(map(mul, row, current)) for row in t_matrix]
-        descent = next((i for i, p in enumerate(pairings) if p > 0 and loop_free[i]), None)
+        # the Tits form is nonpositive off the diagonal and at a looped
+        # vertex on it, so only a loop-free vertex of the support can pair
+        # positively with a vector of nonnegative entries
+        descent = None
+        for i in compress(range(len(current)), current):
+            if loop_free[i]:
+                steps.spend()
+                pairing = sum(map(mul, t_matrix[i], current))
+                if pairing > 0:
+                    descent = i
+                    break
         if descent is None:
-            if max(pairings) <= 0 and support_connected(q, current):
+            if support_connected(q, current):
                 found = RootClass(IMAGINARY, (), current)
             else:
                 found = RootClass(NOT_ROOT)
             break
-        lowered = current[descent] - pairings[descent]
+        lowered = current[descent] - pairing
         if lowered < 0:
             found = RootClass(NOT_ROOT, (descent + 1,))
             break
-        steps.append((current, descent + 1))
+        chain.append((descent, current[descent]))
         current = current[:descent] + (lowered,) + current[descent + 1 :]
         found = classes.get(current)
         if found is not None:
             break
+    n = len(chain)
+    steps.spend(n * len(found.reflections) + n * (n + 1) // 2)
     classes[current] = found
-    for lowered_from, vertex in reversed(steps):
-        found = RootClass(found.kind, (vertex,) + found.reflections, found.terminal)
-        classes[lowered_from] = found
+    for vertex, entry in reversed(chain):
+        current = current[:vertex] + (entry,) + current[vertex + 1 :]
+        found = RootClass(found.kind, (vertex + 1,) + found.reflections, found.terminal)
+        classes[current] = found
     return found
 
 
 def _grow_roots(
-    q: Quiver, box: DimVector, classes: dict[DimVector, RootClass]
+    q: Quiver, box: DimVector, classes: dict[DimVector, RootClass], steps: _Steps
 ) -> list[DimVector]:
     """The roots 0 < alpha <= box in lex order, classified into ``classes``.
 
@@ -170,7 +203,8 @@ def _grow_roots(
     it is a root.  This finds every root by the root-string property (a
     positive root other than a unit vector minus some unit vector is a
     positive root; Kac 1980), which for looped vertices is checked against
-    the box filter by the tests, not proved here.
+    the box filter by the tests, not proved here.  Each candidate tested
+    spends a step.
     """
     k = len(box)
     units = [tuple(int(i == j) for j in range(k)) for i in range(k) if box[i]]
@@ -179,7 +213,8 @@ def _grow_roots(
     found = []
     while pending:
         vec = pending.pop()
-        if not _classify_in_box(q, vec, classes).is_root:
+        steps.spend()
+        if not _classify_in_box(q, vec, classes, steps).is_root:
             continue
         found.append(vec)
         for i in range(k):
@@ -192,32 +227,11 @@ def _grow_roots(
     return found
 
 
-def _check_box_size(box: Sequence[int], cap: int) -> None:
-    """Refuse a box 0 <= alpha <= box of more than cap vectors, zero included."""
-    vectors = math.prod(b + 1 for b in box)
-    if vectors > cap:
-        raise ValueError(f"box holds {vectors} candidates, more than the cap {cap}")
-
-
-def _check_box(q: Quiver, box: Sequence[int], entry_cap: int, candidate_cap: int) -> DimVector:
-    """The box as a dimension vector of q, refused when an entry exceeds
-    entry_cap or it holds more than candidate_cap vectors."""
-    box = as_dim_vector(q, box)
-    if any(b > entry_cap for b in box):
-        raise ValueError(f"dimension vector {box} exceeds the entry cap {entry_cap}")
-    _check_box_size(box, candidate_cap)
-    return box
-
-
 def enumerate_positive_roots(
-    q: Quiver,
-    box: Sequence[int],
-    *,
-    entry_cap: int = ENTRY_CAP,
-    candidate_cap: int = CANDIDATE_CAP,
+    q: Quiver, box: Sequence[int]
 ) -> list[tuple[DimVector, RootClass]]:
     """All roots 0 < alpha <= box, with their classifications, in lex order,
     grown from the unit vectors of the box (``_grow_roots``)."""
-    box = _check_box(q, box, entry_cap, candidate_cap)
+    box = as_dim_vector(q, box)
     classes: dict[DimVector, RootClass] = {}
-    return [(vec, classes[vec]) for vec in _grow_roots(q, box, classes)]
+    return [(vec, classes[vec]) for vec in _grow_roots(q, box, classes, _Steps())]

@@ -32,16 +32,20 @@ strict members among them, not with the box:
 
 ``classify`` builds one table and runs the whole pipeline on it;
 ``two_alpha_nonsmooth`` called on its own adds a second one over the box of
-2 alpha once alpha passes.  A box with an entry above the entry cap or of
-more than ``roots.CANDIDATE_CAP`` vectors is refused before its table is
-built, by the check ``roots`` uses for its boxes.  The enumeration of every
-decomposition and the column recurrence over every hyperplane root that
-the table replaced, the routes the tests check it against, live in
-``tests/oracles.py``.
+2 alpha once alpha passes.  Every public call may take at most
+``roots.WORK_CAP`` steps, one budget shared by its tables, counted as in
+``roots`` and here per root scanned by ``_SigmaTable._split``, per part and
+multiplicity tried by ``_sum_multisets`` (witnesses and types) and per
+local-quiver arrow, read off the Ext^1 counts before the arrows are built;
+a call that needs more is refused with a ``ValueError``.  The enumeration
+of every decomposition and the column recurrence over every hyperplane
+root that the table replaced, the routes the tests check it against, live
+in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import le, sub
 from typing import Callable, Iterator, Sequence
@@ -60,14 +64,7 @@ from .quiver import (
     num_parameters,
     tits_form,
 )
-from .roots import (
-    CANDIDATE_CAP,
-    ENTRY_CAP,
-    RootClass,
-    _check_box,
-    _classify_in_box,
-    _grow_roots,
-)
+from .roots import RootClass, _classify_in_box, _grow_roots, _Steps
 
 Decomposition = tuple[tuple[DimVector, int], ...]
 """Multiset of (part, multiplicity) pairs, parts in descending lex order."""
@@ -76,22 +73,17 @@ RepType = tuple[tuple[int, DimVector], ...]
 """Semisimple type: (multiplicity, dimension vector) pairs, parts descending."""
 
 
-def delta_lambda(
-    q: Quiver,
-    lam: Sequence,
-    bound: Sequence[int],
-    *,
-    entry_cap: int = ENTRY_CAP,
-) -> list[DimVector]:
+def delta_lambda(q: Quiver, lam: Sequence, bound: Sequence[int]) -> list[DimVector]:
     """Positive roots beta <= bound with exact pairing lambda . beta = 0."""
     lam = as_weight(q, lam)
     bound = as_dim_vector(q, bound)
-    return _SigmaTable(q, lam, bound, entry_cap).hyperplane_roots()
+    return _SigmaTable(q, lam, bound).hyperplane_roots()
 
 
 def _sum_multisets(
     parts: list[DimVector],
     target: DimVector,
+    steps: _Steps,
     *,
     minimum_parts: int,
     bound: Callable[[DimVector, list], bool] | None = None,
@@ -104,7 +96,8 @@ def _sum_multisets(
     so once it passes the first nonzero coordinate of what is left to cover,
     no later part covers that coordinate and the branch is dropped.  A
     branch is also dropped when ``bound(rest, chosen)``, given what is left
-    and the (part, multiplicity) pairs chosen so far, is False.
+    and the (part, multiplicity) pairs chosen so far, is False.  Each part
+    tried and each of its multiplicities spends a step.
     """
     k = len(target)
 
@@ -121,6 +114,7 @@ def _sum_multisets(
             top = min(
                 (remaining[i] // beta[i] for i in range(k) if beta[i] > 0), default=0
             )
+            steps.spend(1 + top)
             for mult in range(top, 0, -1):
                 rest = tuple(remaining[i] - mult * beta[i] for i in range(k))
                 acc.append((beta, mult))
@@ -172,14 +166,17 @@ class _SigmaTable:
     decomposition reaching the largest sum in the enumeration order of
     ``_sum_multisets`` over every hyperplane root below alpha, is built only
     by ``membership``; ``in_sigma`` gives the strict verdict without one.
-    Everything is computed on first use.
+    Everything is computed on first use, spending from ``steps``, a new
+    budget unless one is given.
     """
 
-    def __init__(self, q: Quiver, lam: Sequence, box: DimVector, entry_cap: int) -> None:
+    def __init__(
+        self, q: Quiver, lam: Sequence, box: DimVector, steps: _Steps | None = None
+    ) -> None:
         self.q = q
         self.lam = as_weight(q, lam)
-        self.box = _check_box(q, box, entry_cap, CANDIDATE_CAP)
-        self.entry_cap = entry_cap
+        self.box = as_dim_vector(q, box)
+        self.steps = _Steps() if steps is None else steps
         scale = math.lcm(*(l.denominator for l in self.lam))
         self._scaled_lam = tuple(int(l * scale) for l in self.lam)
         self._root_classes: dict[DimVector, RootClass] = {}
@@ -193,12 +190,12 @@ class _SigmaTable:
         return sum(l * v for l, v in zip(self._scaled_lam, vec)) == 0
 
     def root_class(self, vec: DimVector) -> RootClass:
-        return _classify_in_box(self.q, vec, self._root_classes)
+        return _classify_in_box(self.q, vec, self._root_classes, self.steps)
 
     def hyperplane_roots(self) -> list[DimVector]:
         """The hyperplane roots of the box, ascending lex."""
         if self._roots is None:
-            grown = _grow_roots(self.q, self.box, self._root_classes)
+            grown = _grow_roots(self.q, self.box, self._root_classes, self.steps)
             self._roots = [vec for vec in grown if self.on_hyperplane(vec)]
             self._p = {beta: num_parameters(self.q, beta) for beta in self._roots}
             self._by_lead = [[] for _ in self.box]
@@ -226,9 +223,11 @@ class _SigmaTable:
         Every value it needs is of a smaller vector: a part's own split,
         which decides whether it is a strict member, and ``_full`` of what
         the part leaves.  They are evaluated from an explicit stack, so a
-        box of any height needs no deep recursion.
+        box of any height needs no deep recursion.  A root that fits in a
+        vector precedes it in lex order, so each scan stops at the vector;
+        each root scanned spends a step.
         """
-        splits, p = self._splits, self._p
+        splits, p, spend = self._splits, self._p, self.steps.spend
         if rest in splits:
             return splits[rest]
         stack = [[rest, 0, None]]
@@ -236,9 +235,10 @@ class _SigmaTable:
             frame = stack[-1]
             vec, start, best = frame
             group = self._by_lead[_lead(vec)]
-            for index in range(start, len(group)):
+            stop = bisect_left(group, vec)
+            for index in range(start, stop):
                 beta = group[index]
-                if beta == vec or not all(map(le, beta, vec)):
+                if not all(map(le, beta, vec)):
                     continue
                 if beta not in splits:
                     needed = beta
@@ -255,8 +255,10 @@ class _SigmaTable:
                     continue
                 frame[1:] = index, best
                 stack.append([needed, 0, None])
+                spend(index + 1 - start)
                 break
             else:
+                spend(stop - start)
                 splits[vec] = best
                 stack.pop()
         return splits[rest]
@@ -323,7 +325,7 @@ class _SigmaTable:
             total = sum(mult * self._p[beta] for beta, mult in chosen)
             return best is not None and total + best >= worst
 
-        return next(_sum_multisets(parts, alpha, minimum_parts=2, bound=reaches))
+        return next(_sum_multisets(parts, alpha, self.steps, minimum_parts=2, bound=reaches))
 
 
 def _lead(vec: DimVector) -> int:
@@ -331,28 +333,20 @@ def _lead(vec: DimVector) -> int:
     return next(i for i, v in enumerate(vec) if v)
 
 
-def sigma_membership(
-    q: Quiver,
-    alpha: Sequence[int],
-    lam: Sequence,
-    *,
-    entry_cap: int = ENTRY_CAP,
-) -> SigmaMembership:
+def sigma_membership(q: Quiver, alpha: Sequence[int], lam: Sequence) -> SigmaMembership:
     """Test the defining inequalities over every decomposition of alpha."""
     alpha = as_dim_vector(q, alpha)
-    return _SigmaTable(q, lam, alpha, entry_cap).membership(alpha)
+    return _SigmaTable(q, lam, alpha).membership(alpha)
 
 
 def minimal_in_sigma(
     q: Quiver,
     alpha: Sequence[int],
     lam: Sequence,
-    *,
-    entry_cap: int = ENTRY_CAP,
 ) -> tuple[bool, DimVector | None]:
     """Whether no strictly smaller nonzero vector satisfies the strict inequalities."""
     alpha = as_dim_vector(q, alpha)
-    return _minimal_in_sigma(_SigmaTable(q, lam, alpha, entry_cap), alpha)
+    return _minimal_in_sigma(_SigmaTable(q, lam, alpha), alpha)
 
 
 def _minimal_in_sigma(table: _SigmaTable, alpha: DimVector) -> tuple[bool, DimVector | None]:
@@ -376,13 +370,7 @@ class CoadjointVerdict:
     dim_quotient: int | None = None
 
 
-def coadjoint_verdict(
-    q: Quiver,
-    alpha: Sequence[int],
-    lam: Sequence,
-    *,
-    entry_cap: int = ENTRY_CAP,
-) -> CoadjointVerdict:
+def coadjoint_verdict(q: Quiver, alpha: Sequence[int], lam: Sequence) -> CoadjointVerdict:
     """Coadjoint-orbit test: strict membership plus componentwise minimality.
 
     When the vector satisfies the strict inequalities the verdict carries
@@ -390,7 +378,7 @@ def coadjoint_verdict(
     quotient dimension 2 - T(alpha, alpha).
     """
     alpha = as_dim_vector(q, alpha)
-    return _coadjoint_verdict(_SigmaTable(q, lam, alpha, entry_cap), alpha)
+    return _coadjoint_verdict(_SigmaTable(q, lam, alpha), alpha)
 
 
 def _coadjoint_verdict(table: _SigmaTable, alpha: DimVector) -> CoadjointVerdict:
@@ -421,26 +409,20 @@ def _coadjoint_verdict(table: _SigmaTable, alpha: DimVector) -> CoadjointVerdict
     )
 
 
-def rep_types(
-    q: Quiver,
-    alpha: Sequence[int],
-    lam: Sequence,
-    *,
-    entry_cap: int = ENTRY_CAP,
-) -> list[RepType]:
+def rep_types(q: Quiver, alpha: Sequence[int], lam: Sequence) -> list[RepType]:
     """All semisimple types: multisets of strict members summing to alpha."""
     alpha = as_dim_vector(q, alpha)
     lam = as_weight(q, lam)
     if not any(alpha):
         return []  # the zero vector has no types, whatever the weight
-    return _rep_types(_SigmaTable(q, lam, alpha, entry_cap), alpha)
+    return _rep_types(_SigmaTable(q, lam, alpha), alpha)
 
 
 def _rep_types(table: _SigmaTable, alpha: DimVector) -> list[RepType]:
     fits = (beta for beta in table.parts() if componentwise_leq(beta, alpha))
     simples = [beta for beta in fits if table.in_sigma(beta)]
     out = []
-    for multiset in _sum_multisets(simples, alpha, minimum_parts=1):
+    for multiset in _sum_multisets(simples, alpha, table.steps, minimum_parts=1):
         out.append(tuple((mult, beta) for beta, mult in multiset))
     return out
 
@@ -470,11 +452,17 @@ class LocalQuiverSetting:
 
 def local_quiver(q: Quiver, rep_type: RepType) -> LocalQuiverSetting:
     """Assemble the local quiver of a semisimple type from the Ext^1 counts."""
+    return _local_quiver(q, rep_type, _Steps())
+
+
+def _local_quiver(q: Quiver, rep_type: RepType, steps: _Steps) -> LocalQuiverSetting:
+    """``local_quiver``, spending a step per arrow before any is built."""
     z = len(rep_type)
     ext = [[0] * z for _ in range(z)]
     for i in range(z):
         for j in range(z):
             ext[i][j] = ext1_dim(q, rep_type[i][1], rep_type[j][1], same_simple=(i == j))
+    steps.spend(sum(map(sum, ext)))
     arrows = []
     for i in range(z):
         for j in range(z):
@@ -533,13 +521,7 @@ class TwoAlphaCheck:
     reason: str = ""
 
 
-def two_alpha_nonsmooth(
-    q: Quiver,
-    alpha: Sequence[int],
-    lam: Sequence,
-    *,
-    entry_cap: int = ENTRY_CAP,
-) -> TwoAlphaCheck:
+def two_alpha_nonsmooth(q: Quiver, alpha: Sequence[int], lam: Sequence) -> TwoAlphaCheck:
     """Slice count at a squared simple: 4 a.a + 4 - 4 T(a,a) vs 4 a.a + 1 - 4 T(a,a).
 
     Applies when both alpha and 2 alpha satisfy the strict inequalities; the
@@ -547,7 +529,7 @@ def two_alpha_nonsmooth(
     never smooth there.
     """
     alpha = as_dim_vector(q, alpha)
-    return _two_alpha_nonsmooth(_SigmaTable(q, lam, alpha, entry_cap), alpha)
+    return _two_alpha_nonsmooth(_SigmaTable(q, lam, alpha), alpha)
 
 
 def _two_alpha_nonsmooth(table: _SigmaTable, alpha: DimVector) -> TwoAlphaCheck:
@@ -555,7 +537,7 @@ def _two_alpha_nonsmooth(table: _SigmaTable, alpha: DimVector) -> TwoAlphaCheck:
     if not table.in_sigma(alpha):
         return TwoAlphaCheck(False, alpha, reason=f"{alpha} fails the strict inequalities")
     if not componentwise_leq(double_alpha, table.box):
-        table = _SigmaTable(table.q, table.lam, double_alpha, table.entry_cap)
+        table = _SigmaTable(table.q, table.lam, double_alpha, table.steps)
     if not table.in_sigma(double_alpha):
         return TwoAlphaCheck(
             False, alpha, reason=f"{double_alpha} fails the strict inequalities"
@@ -590,16 +572,10 @@ class ClassifyReport:
     two_alpha: TwoAlphaCheck | None
 
 
-def classify(
-    q: Quiver,
-    alpha: Sequence[int],
-    lam: Sequence,
-    *,
-    entry_cap: int = ENTRY_CAP,
-) -> ClassifyReport:
+def classify(q: Quiver, alpha: Sequence[int], lam: Sequence) -> ClassifyReport:
     """Run the whole classification pipeline for one (alpha, lambda) pair."""
     alpha = as_dim_vector(q, alpha)
-    return _classify(_SigmaTable(q, lam, alpha, entry_cap), alpha)
+    return _classify(_SigmaTable(q, lam, alpha), alpha)
 
 
 def _classify(table: _SigmaTable, alpha: DimVector) -> ClassifyReport:
@@ -614,7 +590,8 @@ def _classify(table: _SigmaTable, alpha: DimVector) -> ClassifyReport:
         slice_check = None
         if zero_weight:
             slice_check = slice_smooth_check(q, rep_type, alpha, lam)
-        reports.append(TypeReport(rep_type, local_quiver(q, rep_type), slice_check))
+        local = _local_quiver(q, rep_type, table.steps)
+        reports.append(TypeReport(rep_type, local, slice_check))
     two_alpha = None
     if all(a % 2 == 0 for a in alpha) and any(alpha):
         half = tuple(a // 2 for a in alpha)

@@ -49,6 +49,11 @@ def one_loop_double(one_loop):
     return double(one_loop)
 
 
+def path_quiver(k: int) -> Quiver:
+    """The A_k path 1 -> 2 -> ... -> k."""
+    return Quiver(k, tuple(Arrow(f"a{i}", i, i + 1) for i in range(1, k)))
+
+
 def random_quiver(rng: random.Random, max_vertices=5, max_arrows=10) -> Quiver:
     k = rng.randint(1, max_vertices)
     n_arrows = rng.randint(0, max_arrows)

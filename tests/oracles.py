@@ -86,7 +86,7 @@ from necklacekit.numerics import (
 )
 from necklacekit.paths import _add_term, _encoding
 from necklacekit.quiver import DimVector, double_of
-from necklacekit.roots import CANDIDATE_CAP, ENTRY_CAP, RootClass, _check_box
+from necklacekit.roots import RootClass, _Steps
 from necklacekit.strata import Decomposition, _sum_multisets
 
 
@@ -180,6 +180,20 @@ def roots_by_orbit_closure(
     return verdicts
 
 
+BOX_CAP = 10**6
+"""The most vectors, zero included, of a box that an oracle walks."""
+
+
+def checked_box(q: Quiver, box: Sequence[int]) -> DimVector:
+    """The box as a dimension vector of q, refused when it holds more than
+    BOX_CAP vectors: the oracles walk every vector of their boxes."""
+    box = as_dim_vector(q, box)
+    vectors = math.prod(b + 1 for b in box)
+    if vectors > BOX_CAP:
+        raise ValueError(f"box holds {vectors} vectors, more than the cap {BOX_CAP}")
+    return box
+
+
 def box_vectors(box: Sequence[int]) -> Iterator[DimVector]:
     """Lexicographic traversal of the nonzero vectors of the box 0 <= alpha <= box."""
     ranges = [range(0, b + 1) for b in box]
@@ -219,22 +233,21 @@ def count_necklaces_by_rotation(q: Quiver, length: int) -> int:
     return len(cycles)
 
 
-def decompositions(q: Quiver, alpha, lam, *, entry_cap: int = ENTRY_CAP):
+def decompositions(q: Quiver, alpha, lam):
     """All ways to write alpha as a sum of at least two hyperplane roots.
 
     Parts are drawn from the roots beta < alpha with lambda . beta = 0;
     multisets are produced once each, by non-increasing selection over the
     descending-lex ordering of the candidate parts.
     """
-    alpha = as_dim_vector(q, alpha)
+    alpha = checked_box(q, alpha)
     lam = as_weight(q, lam)
-    _check_box(q, alpha, entry_cap, CANDIDATE_CAP)
     parts = [
         beta
         for beta, _ in reversed(roots_by_box_filter(q, alpha))
         if componentwise_lt(beta, alpha) and weight_pairing(lam, beta) == 0
     ]
-    yield from _sum_multisets(parts, alpha, minimum_parts=2)
+    yield from _sum_multisets(parts, alpha, _Steps(), minimum_parts=2)
 
 
 def sigma_membership_by_enumeration(q: Quiver, alpha, lam) -> SigmaMembership:
@@ -338,11 +351,11 @@ class ColumnSigmaTable:
     since alpha is not among them.  Everything is computed on first use.
     """
 
-    def __init__(self, q: Quiver, lam: Sequence, box: DimVector, entry_cap: int) -> None:
+    def __init__(self, q: Quiver, lam: Sequence, box: DimVector) -> None:
         self.q = q
         self.lam = as_weight(q, lam)
-        self.box = _check_box(q, box, entry_cap, CANDIDATE_CAP)
-        self.entry_cap = entry_cap
+        self.box = checked_box(q, box)
+        self.steps = _Steps()  # the budget strata._classify spends on types and arrows
         scale = math.lcm(*(l.denominator for l in self.lam))
         self._scaled_lam = tuple(int(l * scale) for l in self.lam)
         self._root_classes: dict[DimVector, RootClass] = {}

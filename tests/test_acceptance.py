@@ -292,6 +292,6 @@ def test_criterion_13_definitional_membership_not_half_planes():
                 lhs = num_parameters(CALOGERO, alpha)
                 rhs = parameter_sum(CALOGERO, witness)
                 assert (lhs <= rhs) if strict else (lhs < rhs)
-            # verdicts are reproducible when recomputed with a larger cap
-            again = sigma_membership(CALOGERO, alpha, LAM_0, entry_cap=14)
+            # verdicts are reproducible when recomputed
+            again = sigma_membership(CALOGERO, alpha, LAM_0)
             assert (again.in_s, again.in_sigma) == (m.in_s, m.in_sigma)

@@ -1,8 +1,11 @@
 import random
+import time
 
 import pytest
 
 from necklacekit import (
+    NOT_ROOT,
+    REAL,
     Arrow,
     Quiver,
     bilinear,
@@ -15,7 +18,7 @@ from necklacekit import (
     tits_form,
 )
 
-from conftest import random_quiver
+from conftest import path_quiver, random_quiver
 from oracles import roots_by_box_filter, roots_by_orbit_closure
 
 # seeded quivers on 1-4 vertices with at most 6 arrows, about half of them looped
@@ -156,11 +159,33 @@ def test_agreement_with_orbit_closure_oracle(name, request):
         assert verdict.replay(q) == vec
 
 
-def test_box_caps(calogero):
-    with pytest.raises(ValueError, match=r"dimension vector \(13, 1\) exceeds the entry cap 12"):
-        enumerate_positive_roots(calogero, (13, 1))
-    with pytest.raises(ValueError, match="box holds 169 candidates, more than the cap 100"):
-        enumerate_positive_roots(calogero, (12, 12), candidate_cap=100)
+def test_a_wide_box_with_few_roots_answers():
+    # 13^6 = 4,826,809 box vectors, 21 roots
+    a6 = path_quiver(6)
+    found = enumerate_positive_roots(a6, (12,) * 6)
+    assert len(found) == 21 and all(verdict.kind == REAL for _, verdict in found)
+    assert classify_root(a6, (12,) * 6).kind == NOT_ROOT
+
+
+@pytest.mark.parametrize("k", [20, 30])
+def test_the_a_path_roots_at_ones_are_its_intervals(k):
+    # the positive roots of A_k are the k (k + 1) / 2 sums e_i + ... + e_j
+    intervals = sorted(
+        tuple(int(i <= v <= j) for v in range(k)) for i in range(k) for j in range(i, k)
+    )
+    found = enumerate_positive_roots(path_quiver(k), (1,) * k)
+    assert [vec for vec, _ in found] == intervals
+    assert all(verdict.kind == REAL for _, verdict in found)
+
+
+@pytest.mark.parametrize("alpha", [(2000, 1999), (10**6, 10**6 - 1)])
+def test_a_long_descent_is_refused_in_time(a1_tilde, alpha):
+    # each reflection lowers the height by 2, and the reflection sequences
+    # of the vectors along the descent hold about n^2 / 2 entries
+    start = time.process_time()
+    with pytest.raises(ValueError, match=r"^the computation needs more than \d+ steps$"):
+        classify_root(a1_tilde, alpha)
+    assert time.process_time() - start < 2
 
 
 def test_grown_roots_match_the_box_filter():

@@ -15,7 +15,6 @@ from necklacekit import (
     rep_types,
     sigma_membership,
 )
-from necklacekit.roots import ENTRY_CAP
 from necklacekit.strata import _classify, _minimal_in_sigma, _rep_types, _SigmaTable
 
 from conftest import random_quiver
@@ -82,7 +81,7 @@ CASES = random_cases()
 
 @pytest.mark.parametrize("q, alpha, lam", CASES)
 def test_table_matches_enumeration_on_the_box(q, alpha, lam):
-    table = _SigmaTable(q, lam, alpha, ENTRY_CAP)
+    table = _SigmaTable(q, lam, alpha)
     for beta in box_vectors(alpha):
         assert table.membership(beta) == sigma_membership_by_enumeration(q, beta, lam), beta
     assert sigma_membership(q, alpha, lam) == sigma_membership_by_enumeration(q, alpha, lam)
@@ -146,8 +145,8 @@ WIDE_CASES = wide_cases()
 
 @pytest.mark.parametrize("q, alpha, lam", WIDE_CASES)
 def test_table_matches_the_column_recurrence_on_wide_boxes(q, alpha, lam):
-    table = _SigmaTable(q, lam, alpha, ENTRY_CAP)
-    columns = ColumnSigmaTable(q, lam, alpha, ENTRY_CAP)
+    table = _SigmaTable(q, lam, alpha)
+    columns = ColumnSigmaTable(q, lam, alpha)
     assert table.hyperplane_roots() == columns.hyperplane_roots()
     # strict verdicts first, as minimality and types ask them: no witnesses
     for beta in box_vectors(alpha):
@@ -156,10 +155,10 @@ def test_table_matches_the_column_recurrence_on_wide_boxes(q, alpha, lam):
         assert _minimal_in_sigma(table, alpha) == _minimal_in_sigma(columns, alpha)
     assert _rep_types(table, alpha) == _rep_types(columns, alpha)
     # then every verdict with its p-value and witnesses, on a fresh table
-    fresh = _SigmaTable(q, lam, alpha, ENTRY_CAP)
+    fresh = _SigmaTable(q, lam, alpha)
     for beta in box_vectors(alpha):
         assert fresh.membership(beta) == columns.membership(beta), beta
-    assert classify(q, alpha, lam) == _classify(ColumnSigmaTable(q, lam, alpha, ENTRY_CAP), alpha)
+    assert classify(q, alpha, lam) == _classify(ColumnSigmaTable(q, lam, alpha), alpha)
 
 
 def test_wide_cases_are_wide_and_decided_by_decompositions():

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,9 @@ from necklacekit import (
     slice_smooth_check,
     two_alpha_nonsmooth,
 )
-from necklacekit.roots import CANDIDATE_CAP, _check_box_size
+from necklacekit import roots
 
+from conftest import path_quiver
 from oracles import box_vectors, decompositions
 
 LAM_21 = (Fraction(-2), Fraction(1))
@@ -125,10 +127,10 @@ def test_sigma_lambda_lines(calogero):
         members = [
             vec
             for vec in box_vectors(box)
-            if sigma_membership(calogero, vec, lam, entry_cap=15).in_sigma
+            if sigma_membership(calogero, vec, lam).in_sigma
         ]
         assert members == [(m, n), (2 * m, 2 * n), (3 * m, 3 * n)]
-        assert minimal_in_sigma(calogero, (m, n), lam, entry_cap=15) == (True, None)
+        assert minimal_in_sigma(calogero, (m, n), lam) == (True, None)
 
 
 def test_rep_types(calogero, a1_tilde):
@@ -239,17 +241,89 @@ def test_classify_report(calogero):
         assert tr.slice_check.smooth == (sum(m * m for m, _ in tr.rep_type) == 1)
 
 
-def test_a_box_above_the_candidate_cap_is_refused_before_its_table():
-    # 13^6 = 4,826,809 box vectors, each entry within the entry cap
-    a6 = Quiver(6, tuple(Arrow(f"a{i}", i, i + 1) for i in range(1, 6)))
-    message = f"box holds 4826809 candidates, more than the cap {CANDIDATE_CAP}"
-    for check in (sigma_membership, classify, coadjoint_verdict, minimal_in_sigma, rep_types):
-        with pytest.raises(ValueError, match=message):
-            check(a6, (12,) * 6, (0,) * 6)
-    # the cap counts the zero vector: 10^6 vectors pass, 11 * 10^5 do not
-    _check_box_size((9,) * 6, CANDIDATE_CAP)
-    with pytest.raises(ValueError, match="box holds 1100000 candidates"):
-        _check_box_size((10,) + (9,) * 5, CANDIDATE_CAP)
+def test_a_wide_box_with_few_roots_answers():
+    # 13^6 = 4,826,809 box vectors, but the A_6 path has 21 roots, all of
+    # them intervals with entries 1
+    a6, alpha, lam = path_quiver(6), (12,) * 6, (0,) * 6
+    m = sigma_membership(a6, alpha, lam)
+    assert (m.in_s, m.in_sigma, m.reason) == (False, False, "not a root")
+    assert coadjoint_verdict(a6, alpha, lam).reason == "not a root"
+    report = classify(a6, alpha, lam)
+    assert report.root_class.kind == "not_root" and len(report.delta_sample) == 21
+    units = tuple((12, tuple(int(i == j) for j in range(6))) for i in range(6))
+    assert rep_types(a6, alpha, lam) == [units]
+    with pytest.raises(ValueError, match="does not satisfy the strict inequalities"):
+        minimal_in_sigma(a6, alpha, lam)
+
+
+@pytest.mark.parametrize("k", [20, 30])
+def test_the_a_path_at_ones_decomposes_into_its_last_vertex(k):
+    # every root of the A_k path is real (p = 0), so (1, ..., 1) = (1, ..., 1, 0)
+    # + (0, ..., 0, 1) gives 0 <= 0: in S_0 but not in Sigma_0, and its only
+    # type is the sum of the k simples
+    ones = (1,) * k
+    report = classify(path_quiver(k), ones, (0,) * k)
+    assert report.membership.in_s and not report.membership.in_sigma
+    head, tail = (1,) * (k - 1) + (0,), (0,) * (k - 1) + (1,)
+    assert report.membership.witness_sigma == ((head, 1), (tail, 1))
+    assert len(report.types) == 1
+    assert report.types[0].rep_type == tuple(
+        (1, tuple(int(i == j) for j in range(k))) for i in range(k)
+    )
+
+
+def test_the_doubled_simple_check_answers_above_twelve():
+    two_loops = Quiver(1, (Arrow("x", 1, 1), Arrow("y", 1, 1)))
+    check = two_alpha_nonsmooth(two_loops, (7,), (0,))
+    assert check.applies and check.alpha == (7,)
+    assert (check.lhs - check.rhs, check.smooth) == (3, False)
+
+
+STEPS_REFUSAL = r"^the computation needs more than \d+ steps$"
+
+# two loops at each of three vertices and arrows 1 -> 2 -> 3: at (4, 4, 4)
+# classify builds about 200,000 local-quiver arrows, at (6, 6, 6) it would
+# build about 19 million over 64,244 types
+LOOPED = Quiver(
+    3,
+    tuple(
+        Arrow(label, source, target)
+        for label, source, target in (
+            ("a", 1, 1), ("b", 1, 1), ("c", 2, 2), ("d", 2, 2),
+            ("f", 3, 3), ("g", 3, 3), ("h", 1, 2), ("i", 2, 3),
+        )
+    ),
+)
+
+
+@pytest.mark.parametrize("alpha", [(6, 6, 6), (12, 12, 12)])
+def test_work_above_the_budget_is_refused_in_time(alpha):
+    start = time.process_time()
+    with pytest.raises(ValueError, match=STEPS_REFUSAL):
+        classify(LOOPED, alpha, (0, 0, 0))
+    assert time.process_time() - start < 2
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        sigma_membership,
+        classify,
+        coadjoint_verdict,
+        minimal_in_sigma,
+        rep_types,
+        two_alpha_nonsmooth,
+        lambda q, alpha, lam: delta_lambda(q, lam, alpha),
+        lambda q, alpha, lam: local_quiver(q, ((1, alpha),)),
+    ],
+)
+def test_every_call_spends_one_budget(calogero, monkeypatch, check):
+    # (1, 2) is the minimal member at (-2, 1): each call answers within the
+    # default budget and is refused, with the one message, within 3 steps
+    check(calogero, (1, 2), LAM_21)
+    monkeypatch.setattr(roots, "WORK_CAP", 3)
+    with pytest.raises(ValueError, match="^the computation needs more than 3 steps$"):
+        check(calogero, (1, 2), LAM_21)
 
 
 @pytest.mark.parametrize("lam", [(0,), (0, 0, 5), ()], ids=["short", "long", "empty"])
@@ -275,6 +349,6 @@ def test_a_tall_box_needs_no_deep_recursion(one_loop):
     # decomposition of n is n copies of 1, found through a chain of n best
     # sums; evaluated by recursion, the chain would pass the interpreter's
     # recursion limit
-    m = sigma_membership(one_loop, (600,), (0,), entry_cap=600)
+    m = sigma_membership(one_loop, (600,), (0,))
     assert (m.in_s, m.in_sigma, m.p_alpha) == (False, False, 1)
     assert m.witness_s == (((1,), 600),)

@@ -17,6 +17,7 @@ from necklacekit import (
 )
 from necklacekit import cli
 from necklacekit.cli import build_parser, main
+from necklacekit.roots import WORK_CAP
 from necklacekit.textio import MAX_ARROWS, MAX_VERTICES
 
 CALOGERO_TEXT = """\
@@ -274,12 +275,13 @@ def _mixed_calls(calogero: str, loop: str) -> list[list[str]]:
     ]
     return [
         ["info", calogero],
-        ["roots", calogero, "--box", "2,3", "--entry-cap", "1"],
+        ["info", loop],
         ["roots", calogero, "--box", "2,3"],
-        sigma + ["--entry-cap", "1"],
+        ["roots", loop, "--box", "3"],
         sigma,
-        classify + ["--entry-cap", "1"],
+        ["sigma", loop, "--alpha", "2", "--lambda", "0"],
         classify,
+        ["classify", loop, "--alpha", "2", "--lambda", "0"],
         ["bracket", loop, "--w1", "x x", "--w2", "x* x*"],
         tables[0] + ["--base"],
         tables[0],
@@ -293,7 +295,7 @@ def _mixed_calls(calogero: str, loop: str) -> list[list[str]]:
         ["sigma", "--help"],
         sigma + ["--lambda", "0,0"],
         ["karoubi", loop, "--max-length", "2"],
-        ["info", loop, "--threads", "2"],
+        ["roots", loop, "--box", "1,1"],
         classify + ["--lambda", "0,0"],
     ]
 
@@ -352,12 +354,6 @@ MOMENT_ARGS = ["moment", "--alpha", "1,2", "--lambda", "-2,1"]
     [
         ["derham", "--max-length", "-1"],
         ["derham", "--max-degree", "-1"],
-        ["karoubi", "--threads", "0"],
-        ["karoubi", "--threads", "-3"],
-        ["roots", "--box", "2,3", "--entry-cap", "0"],
-        ["roots", "--box", "2,3", "--candidate-cap", "0"],
-        ["sigma", "--alpha", "1,2", "--lambda", "-2,1", "--entry-cap", "0"],
-        ["classify", "--alpha", "1,2", "--lambda", "-2,1", "--entry-cap", "-1"],
         MOMENT_ARGS + ["--seeds", "-2"],
         MOMENT_ARGS + ["--seeds", "0"],
         MOMENT_ARGS + ["--max-iter", "0"],
@@ -366,6 +362,9 @@ MOMENT_ARGS = ["moment", "--alpha", "1,2", "--lambda", "-2,1"]
         MOMENT_ARGS + ["--tol", "0"],
         MOMENT_ARGS + ["--svd-tol", "-0.5"],
     ],
+    # each case keeps its number from the list that also held six cases of
+    # the retired --threads, --entry-cap and --candidate-cap flags
+    ids=[f"argv{i}" for i in (0, 1, *range(8, 15))],
 )
 def test_cli_refuses_out_of_range_numeric_flags(argv, calogero_file, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -382,15 +381,44 @@ def test_cli_moment_refuses_an_oversized_alpha(calogero_file, capsys):
     assert "cap is 16777216 entries" in err
 
 
-@pytest.mark.parametrize("command", ["sigma", "classify"])
-def test_cli_refuses_a_box_above_the_candidate_cap(command, tmp_path, capsys):
-    path = tmp_path / "a6.quiver"
-    path.write_text("vertices: 6\narrows: a 1 2, b 2 3, c 3 4, d 4 5, e 5 6\n", encoding="utf-8")
-    argv = [command, str(path), "--alpha", "12,12,12,12,12,12", "--lambda", "0,0,0,0,0,0"]
-    assert main(argv) == 1
+LOOPED_TEXT = """\
+# two loops at each vertex and the arrows 1 -> 2 -> 3
+vertices: 3
+arrows: a 1 1, b 1 1, c 2 2, d 2 2, f 3 3, g 3 3, h 1 2, i 2 3
+"""
+
+
+@pytest.mark.parametrize(
+    "text, alpha",
+    [(LOOPED_TEXT, "6,6,6"), ("vertices: 2\narrows: a 1 2, b 2 1\n", "2000,1999")],
+    ids=["looped", "a1_tilde"],
+)
+def test_cli_refuses_work_above_the_budget(text, alpha, tmp_path, capsys):
+    path = tmp_path / "q.quiver"
+    path.write_text(text, encoding="utf-8")
+    zero = ",".join("0" for _ in alpha.split(","))
+    assert main(["classify", str(path), "--alpha", alpha, "--lambda", zero]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: box holds 4826809 candidates, more than the cap 1000000\n"
+    assert captured.err == f"error: the computation needs more than {WORK_CAP} steps\n"
+
+
+def test_a_refused_process_stays_small(tmp_path):
+    # the longest descent the budget allows, through the entry point; the
+    # process reports its own peak resident set size (KiB on Linux)
+    path = tmp_path / "a1_tilde.quiver"
+    path.write_text("vertices: 2\narrows: a 1 2, b 2 1\n", encoding="utf-8")
+    argv = ["classify", str(path), "--alpha", "1000000,999999", "--lambda", "0,0"]
+    script = (
+        "import resource, sys\n"
+        "from necklacekit.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    code, peak_kib = proc.stdout.split()
+    assert code == "1" and proc.stderr.startswith("error: the computation needs more than")
+    assert int(peak_kib) < 200 * 1024
 
 
 def test_cli_json_determinism(calogero_file, tmp_path):
@@ -412,15 +440,6 @@ def test_cli_json_determinism(calogero_file, tmp_path):
         )
         assert rc == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
-def test_cli_threads_identical_results(calogero_file, tmp_path):
-    single = tmp_path / "single.json"
-    threaded = tmp_path / "threaded.json"
-    base = ["moment", calogero_file, "--alpha", "1,2", "--lambda", "-2,1", "--seeds", "4"]
-    assert main(base + ["--json", str(single)]) == 0
-    assert main(base + ["--threads", "4", "--json", str(threaded)]) == 0
-    assert single.read_bytes() == threaded.read_bytes()
 
 
 @pytest.mark.parametrize(
