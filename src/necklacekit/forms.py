@@ -36,10 +36,11 @@ the normal-form map phi onto signed cyclic words (Kontsevich, "Formal
 (non)commutative symplectic geometry", 1993).  Omega is free on the letters
 a and da, so a closed code expands into letter words in traversal order
 pn, ..., p1, p0, one term per choice of a marked letter in each p_i with
-i >= 1 (d(xy) = dx y + x dy).  phi sends each word to its least rotation,
-letters compared as (arrow, mark) with marked above unmarked; rotating off a
-prefix that holds k of the n marks gives the sign (-1)^(k(n-k)), and a word
-whose least rotation is reached with both signs is 0.  An open code w from
+i >= 1 (d(xy) = dx y + x dy).  phi sends each word to its least rotation
+(paths._least_rotation, the one kernel that necklaces use too), letters
+compared as (arrow, mark) with marked above unmarked; rotating off a prefix
+that holds k of the n marks gives the sign (-1)^(k(n-k)), and a word whose
+least rotation is reached with both signs is 0.  An open code w from
 s to t is [e_t, w], so phi sends it to 0; a vertex element e_v, alone in the
 (0, 0) piece that no commutator reaches, is its own key.  ker phi is the
 commutator span, so in_commutator_span is "phi(x) = 0" and builds no piece.
@@ -50,11 +51,12 @@ Burnside's lemma:
 
 d = gcd(r, L), m = L/d, k = (r/d)(n/m); at L = 0 it is the vertex count in
 degree 0 and 0 in every other degree.  karoubi_dim lists one basis element
-per nonzero orbit, read off the orbit's least rotation.  The traces and
-entry sums are kept in one store per quiver instance, with the bases of
-omega_basis.  The only refusal is on work: omega_basis and karoubi_dim,
-which build or walk a piece, refuse one above PIECE_CAP elements, and no
-other function refuses a nonnegative degree or length.
+per nonzero orbit, read off the orbit's least rotation, which the necklace
+generator of the path encoding (paths._Encoding.necklaces) emits directly,
+without walking the piece.  The traces and entry sums are kept in one store
+per quiver instance, with the bases of omega_basis.  The only refusal is on
+work: omega_basis and karoubi_dim refuse a piece above PIECE_CAP elements,
+and no other function refuses a nonnegative degree or length.
 """
 from __future__ import annotations
 
@@ -74,6 +76,7 @@ from .paths import (
     _Encoding,
     _encoding,
     _joint_quiver,
+    _least_rotation,
     necklaces_of_length,
 )
 from .quiver import Quiver, _per_instance, double_of
@@ -294,24 +297,6 @@ def _ends(encoding: _Encoding, code) -> tuple[int, int]:
     return encoding.source[code[-1][0]], encoding.target[lead[-1] if lead else code[1][-1]]
 
 
-def _least_rotation(letters: tuple[int, ...], marks: int) -> tuple[tuple[int, ...], int]:
-    """The least rotation of a word of letters 2a + mark (so a marked letter
-    sorts just above its unmarked arrow) and the sign of reaching it, 0 when
-    it is reached with both signs.  Rotating off a prefix that holds k of
-    the marks gives the sign (-1)^(k(marks - k))."""
-    best, sign, k = letters, 1, 0
-    for r in range(1, len(letters)):
-        k += letters[r - 1] & 1
-        rotated = letters[r:] + letters[:r]
-        if rotated <= best:
-            s = -1 if k * (marks - k) % 2 else 1
-            if rotated < best:
-                best, sign = rotated, s
-            elif s != sign:
-                sign = 0
-    return best, sign
-
-
 def _cyclic_words(encoding: _Encoding, terms: dict) -> dict:
     """phi of a sum of form codes (see the module docstring): signed least
     rotations of marked letter words, keyed by the letters 2a + mark."""
@@ -337,17 +322,11 @@ def _representatives(encoding: _Encoding, degree: int, length: int) -> list[tupl
     """karoubi_dim's representatives at length >= 1, one code per nonzero
     orbit read off its least rotation, in omega_basis order."""
     reps = []
-    for w in encoding.words(length):
-        if encoding.source[w[0]] != encoding.target[w[-1]]:
-            continue
-        unmarked = [2 * a for a in w]
-        for marks in combinations(range(length), degree):
-            letters = tuple(c + (i in marks) for i, c in enumerate(unmarked))
-            if _least_rotation(letters, degree) != (letters, 1):
-                continue
-            cuts = marks + (length,)
-            tails = [w[a:b] for a, b in zip(cuts, cuts[1:])]
-            reps.append((w[: cuts[0]],) + tuple(reversed(tails)))
+    for letters in encoding.necklaces(length, degree):
+        w = tuple([x >> 1 for x in letters])
+        cuts = [i for i, x in enumerate(letters) if x & 1] + [length]
+        tails = [w[a:b] for a, b in zip(cuts, cuts[1:])]
+        reps.append((w[: cuts[0]],) + tuple(reversed(tails)))
     # omega_basis orders by the entry lengths, then by the traversal word
     reps.sort(key=lambda code: (tuple(map(len, code)), sum(reversed(code), ())))
     return reps
@@ -400,10 +379,11 @@ class _FormsStore:
             elif degree == 0:
                 basis = tuple((w,) for w in self.encoding.words(length))
             else:
+                words = self.encoding.words(length)
                 basis = tuple(
                     tuple(w[a:b] for a, b in bounds)
                     for bounds in _cuts(length, degree)
-                    for w in self.encoding.words(length)
+                    for w in words
                 )
             self._pieces[(degree, length)] = basis
         return basis
@@ -562,5 +542,7 @@ def necklace_differential(w: NecklaceWord) -> FormSum:
 
 
 def dr0_dimension(q: Quiver, length: int) -> int:
-    """Independent count of necklace classes of a given length."""
+    """The number of necklace classes of a given length, from the necklace
+    generator that karoubi_dim shares; karoubi_count(q, 0, length) is the
+    independent count, by Burnside's lemma."""
     return len(necklaces_of_length(q, length))

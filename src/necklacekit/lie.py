@@ -17,7 +17,7 @@ from .paths import (
     _as_necklace_sum,
     _encoding,
     _joint_quiver,
-    _min_rotation,
+    _least_rotation,
 )
 from .quiver import DoubleQuiver
 
@@ -48,7 +48,7 @@ def kontsevich_bracket(
                 cycle = p if type(q) is int else q if type(p) is int else q + p
                 _add_term(
                     necklaces,
-                    cycle if type(cycle) is int else _min_rotation(cycle),
+                    cycle if type(cycle) is int else _least_rotation(cycle)[0],
                     sign * c * d,
                 )
     return NecklaceSum._of_terms(necklaces, quiver)

@@ -19,6 +19,7 @@ take and ``terms()`` hands out.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
@@ -313,7 +314,7 @@ class NecklaceWord:
                 f"necklace input is not closed: starts at vertex {path.source}, "
                 f"ends at vertex {path.target}"
             )
-        object.__setattr__(self, "arrows", _min_rotation(path.arrows) if path.arrows else ())
+        object.__setattr__(self, "arrows", _least_rotation(path.arrows)[0] if path.arrows else ())
 
     @classmethod
     def vertex_class(cls, q: Quiver, vertex: int) -> "NecklaceWord":
@@ -338,18 +339,29 @@ class NecklaceWord:
         return f"NecklaceWord({self})"
 
 
-def _min_rotation(word: tuple) -> tuple:
-    """The least rotation of a nonempty word; it starts at an occurrence of
-    the least letter, so only those rotations are compared."""
-    least = min(word)
-    start = word.index(least)
-    best = word[start:] + word[:start]
-    for i in range(start + 1, len(word)):
-        if word[i] == least:
-            rotation = word[i:] + word[:i]
-            if rotation < best:
-                best = rotation
-    return best
+def _least_rotation(word: tuple, marks: int = 0) -> tuple[tuple, int]:
+    """The least rotation of a nonempty word and the sign of reaching it.
+
+    It starts at the least letter, so only those rotations are compared.  A
+    word with marks > 0 has forms.phi's letters 2a + mark: rotating off a
+    prefix with k of the marks gives the sign (-1)^(k(marks - k)), and the
+    least rotation is reached with both signs, the sign 0, when rotating it
+    by its period moves j marks with j(marks - j) odd.  An unmarked word has
+    the sign 1."""
+    least, n = min(word), len(word)
+    doubled = word + word
+    best, start, period, i = word, 0, 0, 0
+    for _ in range(word.count(least) - (word[0] == least)):
+        i = word.index(least, i + 1)
+        rotation = doubled[i : i + n]
+        if rotation < best:
+            best, start, period = rotation, i, 0
+        elif marks and not period and rotation == best:
+            period = i - start
+    if not marks:
+        return best, 1
+    k, j = sum([x & 1 for x in word[:start]]), sum([x & 1 for x in best[:period]])
+    return best, 0 if j * (marks - j) % 2 else -1 if k * (marks - k) % 2 else 1
 
 
 class NecklaceSum(LinearCombination):
@@ -379,7 +391,7 @@ def project_to_necklaces(x: PathSum) -> NecklaceSum:
         if type(p) is int:
             _add_term(acc, p, c)
         elif encoding.source[p[0]] == encoding.target[p[-1]]:
-            _add_term(acc, _min_rotation(p), c)
+            _add_term(acc, _least_rotation(p)[0], c)
     return NecklaceSum._of_terms(acc, x.quiver)
 
 
@@ -557,22 +569,68 @@ class _Encoding:
         self._leaving = {
             v: tuple(i for i, s in enumerate(self.source) if s == v) for v in q.vertices
         }
-        self._words: dict[int, tuple[tuple[int, ...], ...]] = {}
         self.paths: dict[int, tuple[Path, ...]] = {}
 
+    def _reach(self, length: int) -> list[dict[int, int]]:
+        """reach[j][u], for j < length: the vertices that walks of j arrows
+        from u end at, as a bit mask with bit v for vertex v."""
+        reach = [{u: 1 << u for u in self._leaving}]
+        for _ in range(1, length):
+            last, ends = reach[-1], dict.fromkeys(self._leaving, 0)
+            for u, v in zip(self.source, self.target):
+                ends[u] |= last[v]
+            reach.append(ends)
+        return reach
+
     def words(self, length: int) -> tuple[tuple[int, ...], ...]:
-        """Encoded paths of a length >= 1, in increasing order."""
-        words = self._words.get(length)
-        if words is None:
-            if length == 1:
-                words = tuple((i,) for i in range(len(self.labels)))
-            else:
-                target, leaving = self.target, self._leaving
-                words = tuple(
-                    w + (i,) for w in self.words(length - 1) for i in leaving[target[w[-1]]]
-                )
-            self._words[length] = words
-        return words
+        """Encoded paths of a length >= 1, in increasing order, grown one
+        arrow at a time from the prefixes that extend to that length."""
+        reach, target, leaving = self._reach(length), self.target, self._leaving
+        words = [(a,) for a in range(len(self.labels)) if reach[length - 1][target[a]]]
+        for j in range(length - 2, -1, -1):
+            words = [
+                w + (a,) for w in words for a in leaving[target[w[-1]]] if reach[j][target[a]]
+            ]
+        return tuple(words)
+
+    def necklaces(self, length: int, marks: int) -> Iterator[tuple[int, ...]]:
+        """The least rotations of the closed walks of a length >= 1 with
+        ``marks`` marked letters 2a + 1 (the others 2a), in increasing order,
+        less those reached with both signs (see _least_rotation).
+
+        A Fredricksen-Kessler-Maiorana prenecklace search restricted to
+        closed walks (Ruskey-Sawada, "Generating necklaces and strings with
+        forbidden substrings", 2000): letter t starts at word[t - p], p the
+        prefix's period, and leaves a walk of the remaining length back to
+        the first letter.  A full word whose p divides the length is a least
+        rotation; rotating it by p moves k = marks p / length marks, and it
+        is dropped when k(marks - k) is odd."""
+        source, target, reach = self.source, self.target, self._reach(length)
+        step = 1 if marks else 2
+        letters = {
+            v: [2 * a + m for a in out for m in range(0, 2, step)]
+            for v, out in self._leaving.items()
+        }
+        # word[1..t], the period and the marks of each prefix, and for each
+        # position an iterator over the letters it has left to try
+        word, period, count = [-1] + [0] * length, [1] + [0] * length, [0] * (length + 1)
+        stack = [iter(range(0, 2 * len(self.labels), step))]
+        while stack:
+            t = len(stack)
+            letter = next(stack[-1], None)
+            if letter is None:
+                stack.pop()
+                continue
+            word[t], count[t] = letter, count[t - 1] + (letter & 1)
+            ends = reach[length - t][target[letter >> 1]] >> source[word[1] >> 1]
+            if not (ends & 1 and 0 <= marks - count[t] <= length - t):
+                continue
+            p = period[t] = period[t - 1] if letter == word[t - period[t - 1]] else t
+            if t < length:
+                after = letters[target[letter >> 1]]
+                stack.append(iter(after[bisect_left(after, word[t + 1 - p]) :]))
+            elif length % p == 0 and not count[p] * (marks - count[p]) % 2:
+                yield tuple(word[1:])
 
     def decode(self, word: tuple[int, ...]) -> tuple[str, ...]:
         # a tuple built from a list is allocated at its size once; one built
@@ -649,9 +707,7 @@ def necklaces_of_length(q: Quiver, length: int) -> tuple[NecklaceWord, ...]:
     if length == 0:
         return tuple(NecklaceWord.vertex_class(q, v) for v in q.vertices)
     encoding = _encoding(q)
-    source, target = encoding.source, encoding.target
-    classes = {
-        _min_rotation(w) for w in encoding.words(length) if source[w[0]] == target[w[-1]]
-    }
-    return tuple(NecklaceWord(q, encoding.decode(w)) for w in sorted(classes))
+    return tuple(
+        NecklaceWord(q, encoding.decode([x >> 1 for x in w])) for w in encoding.necklaces(length, 0)
+    )
 

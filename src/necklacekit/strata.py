@@ -35,9 +35,11 @@ strict members among them, not with the box:
 2 alpha once alpha passes.  Every public call may take at most
 ``roots.WORK_CAP`` steps, one budget shared by its tables, counted as in
 ``roots`` and here per root scanned by ``_SigmaTable._split``, per part and
-multiplicity tried by ``_sum_multisets`` (witnesses and types) and per
-local-quiver arrow, read off the Ext^1 counts before the arrows are built;
-a call that needs more is refused with a ``ValueError``.  The enumeration
+multiplicity tried by ``_sum_multisets`` (witnesses and types), z^2 per
+type of z simples for its Ext^1 counts, and, in ``local_quiver``, per
+arrow of the quiver it hands out (a type's local quiver is built only when
+its ``quiver`` is read, and ``classify`` reads only the counts); a call
+that needs more is refused with a ``ValueError``.  The enumeration
 of every decomposition and the column recurrence over every hyperplane
 root that the table replaced, the routes the tests check it against, live
 in ``tests/oracles.py``.
@@ -47,6 +49,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from operator import le, sub
 from typing import Callable, Iterator, Sequence
 
@@ -443,34 +446,42 @@ def ext1_dim(q: Quiver, beta_i: Sequence[int], beta_j: Sequence[int], same_simpl
 
 @dataclass(frozen=True)
 class LocalQuiverSetting:
-    """Quiver on the simple factors with Ext^1 counts as arrow multiplicities."""
+    """Quiver on the simple factors with Ext^1 counts as arrow multiplicities,
+    built from the counts when ``quiver`` is first read."""
 
-    quiver: Quiver
     dim_vector: DimVector
     ext_matrix: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def quiver(self) -> Quiver:
+        arrows = [
+            Arrow(f"u{i + 1}_{j + 1}_{m + 1}", i + 1, j + 1)
+            for i, row in enumerate(self.ext_matrix)
+            for j, count in enumerate(row)
+            for m in range(count)
+        ]
+        return Quiver(len(self.ext_matrix), tuple(arrows))
+
 
 def local_quiver(q: Quiver, rep_type: RepType) -> LocalQuiverSetting:
-    """Assemble the local quiver of a semisimple type from the Ext^1 counts."""
-    return _local_quiver(q, rep_type, _Steps())
+    """Assemble the local quiver of a semisimple type from the Ext^1 counts,
+    spending a step per arrow of the quiver it hands out."""
+    steps = _Steps()
+    setting = _local_quiver(q, rep_type, steps)
+    steps.spend(sum(map(sum, setting.ext_matrix)))
+    return setting
 
 
 def _local_quiver(q: Quiver, rep_type: RepType, steps: _Steps) -> LocalQuiverSetting:
-    """``local_quiver``, spending a step per arrow before any is built."""
+    """The Ext^1 counts of a type of z simples, for z^2 steps; the local
+    quiver's arrows are built only when its ``quiver`` is read."""
     z = len(rep_type)
-    ext = [[0] * z for _ in range(z)]
-    for i in range(z):
-        for j in range(z):
-            ext[i][j] = ext1_dim(q, rep_type[i][1], rep_type[j][1], same_simple=(i == j))
-    steps.spend(sum(map(sum, ext)))
-    arrows = []
-    for i in range(z):
-        for j in range(z):
-            for m in range(ext[i][j]):
-                arrows.append(Arrow(f"u{i + 1}_{j + 1}_{m + 1}", i + 1, j + 1))
-    local = Quiver(z, tuple(arrows))
-    dim_vector = tuple(mult for mult, _ in rep_type)
-    return LocalQuiverSetting(local, dim_vector, tuple(tuple(row) for row in ext))
+    steps.spend(z * z)
+    ext = tuple(
+        tuple(ext1_dim(q, rep_type[i][1], rep_type[j][1], same_simple=(i == j)) for j in range(z))
+        for i in range(z)
+    )
+    return LocalQuiverSetting(tuple(mult for mult, _ in rep_type), ext)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ necklace bracket by explicit cut-and-glue over occurrence pairs, root sets
 by Weyl-orbit closure instead of height descent, necklace counts by
 rotation classes of explicitly enumerated cycles or by Burnside's lemma,
 root sets with their classes by classifying every vector of a box instead
-of growing the roots from the unit vectors, membership in the weak and
-strict sets, minimality and representation types by enumerating every
+of growing the roots from the unit vectors, necklaces and the commutator
+quotient's representatives by testing every closed path and mark set
+against all its rotations instead of generating least rotations,
+membership in the weak and strict sets, minimality and representation types by enumerating every
 decomposition, and by the column recurrence over every hyperplane root
 that the library used before, instead of best sums over the strict members, the
 graded dimensions of the form algebra from FormSum products of every pair
@@ -231,6 +233,60 @@ def count_necklaces_by_rotation(q: Quiver, length: int) -> int:
 
     extend(())
     return len(cycles)
+
+
+def least_rotation_by_every_rotation(letters: tuple, marks: int) -> tuple[tuple, int]:
+    """The least rotation of a word of letters 2a + mark and the sign of
+    reaching it, 0 when it is reached with both signs, comparing all L
+    rotations: rotating off a prefix that holds k of the marks gives the
+    sign (-1)^(k(marks - k))."""
+    best, sign, k = letters, 1, 0
+    for r in range(1, len(letters)):
+        k += letters[r - 1] & 1
+        rotated = letters[r:] + letters[:r]
+        if rotated <= best:
+            s = -1 if k * (marks - k) % 2 else 1
+            if rotated < best:
+                best, sign = rotated, s
+            elif s != sign:
+                sign = 0
+    return best, sign
+
+
+def closed_codes(q: Quiver, length: int) -> list[tuple[int, ...]]:
+    """The arrow-number codes of the closed paths of a length >= 1, in
+    increasing order, grown one arrow at a time over every path."""
+    encoding = _encoding(q)
+    source, target = encoding.source, encoding.target
+    arrows = range(len(source))
+    words = [(a,) for a in arrows]
+    for _ in range(length - 1):
+        words = [w + (a,) for w in words for a in arrows if source[a] == target[w[-1]]]
+    return [w for w in words if source[w[0]] == target[w[-1]]]
+
+
+def necklaces_by_filter(q: Quiver, length: int) -> list[tuple[int, ...]]:
+    """The least rotations of the closed paths of a length >= 1, as codes,
+    deduplicated and sorted."""
+    return sorted({min(w[i:] + w[:i] for i in range(length)) for w in closed_codes(q, length)})
+
+
+def representatives_by_filter(q: Quiver, degree: int, length: int) -> list[tuple]:
+    """karoubi_dim's representative codes at length >= 1 in omega_basis
+    order, by testing every (closed path, mark set) pair against all its
+    rotations: the marked word must be its own least rotation, reached with
+    the sign +1 only."""
+    reps = []
+    for w in closed_codes(q, length):
+        for marks in itertools.combinations(range(length), degree):
+            letters = tuple(2 * a + (i in marks) for i, a in enumerate(w))
+            if least_rotation_by_every_rotation(letters, degree) != (letters, 1):
+                continue
+            cuts = marks + (length,)
+            tails = [w[a:b] for a, b in zip(cuts, cuts[1:])]
+            reps.append((w[: cuts[0]],) + tuple(reversed(tails)))
+    reps.sort(key=lambda code: (tuple(map(len, code)), sum(reversed(code), ())))
+    return reps
 
 
 def decompositions(q: Quiver, alpha, lam):

@@ -1,0 +1,157 @@
+"""Differential tests of the one least-rotation kernel and the one necklace
+generator of `paths` (``_least_rotation`` and ``_Encoding.necklaces``), and
+of the walk table that builds paths and necklaces of any length one arrow at
+a time.
+
+The kernel is compared with ``oracles.least_rotation_by_every_rotation`` on
+seeded random marked words.  The generator is compared, through
+``necklaces_of_length`` and ``karoubi_dim``, with the enumerate-and-filter
+routes of `oracles` on seeded random quivers with 1-3 vertices and 1-3
+arrows, every other one doubled, and on the double of demo 03's quiver, at
+every degree <= length <= 7: necklaces as codes, and the representatives as
+codes in omega_basis order.  The oracle tests each (closed path, mark set)
+pair of a piece against all its rotations; pieces with more than
+ORACLE_PAIRS pairs are skipped, and the coverage test counts what is left.
+"""
+from __future__ import annotations
+
+import random
+import tracemalloc
+from math import comb
+
+import pytest
+
+from necklacekit import (
+    Arrow,
+    FormSum,
+    Quiver,
+    double,
+    dr0_dimension,
+    karoubi_count,
+    karoubi_dim,
+    necklaces_of_length,
+    omega_basis,
+    paths_of_length,
+)
+from necklacekit.paths import _encoding, _least_rotation
+
+from oracles import (
+    least_rotation_by_every_rotation,
+    necklaces_by_filter,
+    representatives_by_filter,
+)
+
+MAX_LENGTH = 7
+ORACLE_PAIRS = 3000
+
+
+def generator_quivers(count: int = 40, seed: int = 2107) -> list[Quiver]:
+    rng = random.Random(seed)
+    quivers = []
+    for index in range(count):
+        k = rng.randint(1, 3)
+        arrows = tuple(
+            Arrow(f"q{i}", rng.randint(1, k), rng.randint(1, k)) for i in range(rng.randint(1, 3))
+        )
+        quivers.append(double(Quiver(k, arrows)) if index % 2 else Quiver(k, arrows))
+    return quivers
+
+
+DEMO_03 = double(Quiver(2, (Arrow("a", 1, 2), Arrow("b", 2, 2))))
+QUIVERS = generator_quivers() + [DEMO_03]
+IDS = [f"random{i}" for i in range(len(QUIVERS) - 1)] + ["demo03"]
+
+
+def closed_walks(q: Quiver, length: int) -> int:
+    """tr(A^length), A the adjacency matrix: the closed paths the oracle tests."""
+    k = range(q.vertex_count)
+    adjacency = [[q.arrow_count(u + 1, v + 1) for v in k] for u in k]
+    power = [[int(u == v) for v in k] for u in k]
+    for _ in range(length):
+        power = [[sum(row[w] * adjacency[w][v] for w in k) for v in k] for row in power]
+    return sum(power[v][v] for v in k)
+
+
+def _compared_pieces(q: Quiver):
+    """(degree, length) of the pieces small enough for the oracle."""
+    for length in range(1, MAX_LENGTH + 1):
+        for degree in range(length + 1):
+            if closed_walks(q, length) * comb(length, degree) <= ORACLE_PAIRS:
+                yield degree, length
+
+
+def test_least_rotation_matches_every_rotation():
+    rng = random.Random(2105)
+    for _ in range(5000):
+        length = rng.randint(1, 10)
+        word = tuple(rng.randint(0, 2) for _ in range(length))
+        marked = set(rng.sample(range(length), rng.randint(0, length)))
+        letters = tuple(2 * a + (i in marked) for i, a in enumerate(word))
+        assert _least_rotation(letters, len(marked)) == least_rotation_by_every_rotation(
+            letters, len(marked)
+        ), letters
+        # unmarked words of any letters: the least rotation, always with +1
+        assert _least_rotation(word) == (min(word[i:] + word[:i] for i in range(length)), 1)
+
+
+@pytest.mark.parametrize("q", QUIVERS, ids=IDS)
+def test_the_generator_matches_enumerate_and_filter(q):
+    encoding = _encoding(q)
+    for length in range(1, MAX_LENGTH + 1):
+        if closed_walks(q, length) <= ORACLE_PAIRS:
+            necklaces = [encoding.code(w) for w in necklaces_of_length(q, length)]
+            assert necklaces == necklaces_by_filter(q, length)
+    for degree, length in _compared_pieces(q):
+        dim, reps = karoubi_dim(q, degree, length)
+        codes = [FormSum._code(r) for r in reps]
+        assert dim == len(codes)
+        assert codes == representatives_by_filter(q, degree, length), (degree, length)
+
+
+def test_the_compared_pieces_cover_every_degree_and_length():
+    """1,224 of the 1,435 pieces are compared, 840 of them nonempty, and 28
+    of demo 03's 35."""
+    pieces = [(q, d, l) for q in QUIVERS for d, l in _compared_pieces(q)]
+    assert len(pieces) >= 1200
+    assert sum(1 for q, d, l in pieces if karoubi_count(q, d, l)) >= 800
+    assert {(d, l) for _, d, l in pieces} == {
+        (d, l) for l in range(1, MAX_LENGTH + 1) for d in range(l + 1)
+    }
+    assert len(list(_compared_pieces(DEMO_03))) >= 28
+
+
+def test_one_loop_answers_at_length_3000():
+    """Every call grows its words one arrow at a time, with no recursion per
+    letter, so a length far above the recursion limit answers."""
+    loop = Quiver(1, (Arrow("x", 1, 1),))
+    assert [p.arrows for p in paths_of_length(loop, 3000)] == [("x",) * 3000]
+    assert [w.arrows for w in necklaces_of_length(loop, 3000)] == [("x",) * 3000]
+    assert dr0_dimension(loop, 3000) == 1
+    assert karoubi_dim(loop, 0, 3000)[0] == 1
+    assert [elt.lead.arrows for elt in omega_basis(loop, 0, 3000)] == [("x",) * 3000]
+
+
+def test_walks_that_cannot_reach_the_length_are_not_built():
+    """A chain of 7 steps with 7 parallel arrows each has 7^7 walks of
+    length 7 and none of length 8; the empty piece at length 8 is built
+    without the shorter walks.  In the second quiver 1 -> 2 starts a path
+    of 9 arrows through 2 -> 3 -> ... -> 11, and 2 also starts a tree of
+    depth 6 with 7 parallel arrows per step (vertices 12-17), so its 7^6
+    walks 1 2 ... 17 die before length 9 and are not built either."""
+    chain = Quiver(8, tuple(Arrow(f"x{i}_{j}", i, i + 1) for i in range(1, 8) for j in range(7)))
+    tree = [(f"t{i}_{j}", i, i + 1 if i > 2 else 12) for i in (2, *range(12, 17)) for j in range(7)]
+    gated = Quiver(
+        17,
+        tuple(Arrow(*arrow) for arrow in tree)
+        + tuple(Arrow(f"c{i}", i, i + 1) for i in range(1, 11)),
+    )
+    tracemalloc.start()
+    try:
+        assert omega_basis(chain, 0, 8) == ()
+        assert paths_of_length(chain, 8) == ()
+        assert necklaces_of_length(chain, 8) == ()
+        assert [p.source for p in paths_of_length(gated, 9)] == [1, 2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -18,9 +19,10 @@ from necklacekit import (
     slice_smooth_check,
     two_alpha_nonsmooth,
 )
+from necklacekit import classify_root, num_parameters, reflect, tits_form
 from necklacekit import roots
 
-from conftest import path_quiver
+from conftest import path_quiver, random_quiver
 from oracles import box_vectors, decompositions
 
 LAM_21 = (Fraction(-2), Fraction(1))
@@ -352,3 +354,68 @@ def test_a_tall_box_needs_no_deep_recursion(one_loop):
     m = sigma_membership(one_loop, (600,), (0,))
     assert (m.in_s, m.in_sigma, m.p_alpha) == (False, False, 1)
     assert m.witness_s == (((1,), 600),)
+
+
+def reflection_cases(count: int = 400, seed: int = 2109):
+    """(quiver, alpha, lambda, i): 2-4 vertices, entries of alpha at most 3,
+    i a loop-free vertex with s_i alpha nonnegative and nonzero (so alpha is
+    not e_i), lambda . alpha = 0 and lambda_i != 0.  Half the vectors are
+    roots, and lambda is 0 off i and one other vertex in two cases of three,
+    which puts many roots on the hyperplane below alpha.  Two in three
+    members of Sigma_lambda drawn are dropped, so the cases lean towards
+    non-members."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        q = random_quiver(rng, max_vertices=4, max_arrows=5)
+        k = q.vertex_count
+        if k < 2:
+            continue
+        roots_ = [vec for vec, _ in roots.enumerate_positive_roots(q, (3,) * k)]
+        if roots_ and rng.random() < 0.5:
+            alpha = rng.choice(roots_)
+        else:
+            alpha = tuple(rng.randint(0, 3) for _ in range(k))
+        choices = []
+        for i in range(1, k + 1):
+            beta = reflect(q, i, alpha) if q.is_loop_free(i) else None
+            others = [j for j, a in enumerate(alpha) if a and j != i - 1]
+            if beta and min(beta) >= 0 and any(beta) and others:
+                choices.append((i, others))
+        if not choices:
+            continue
+        i, others = rng.choice(choices)
+        j = rng.choice(others)
+        sparse = rng.random() < 2 / 3
+        lam = [Fraction(0 if sparse else rng.randint(-3, 3)) for _ in alpha]
+        lam[i - 1] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+        lam[j] = -sum(l * a for m, (l, a) in enumerate(zip(lam, alpha)) if m != j) / alpha[j]
+        if sigma_membership(q, alpha, lam).in_sigma and rng.random() < 2 / 3:
+            continue
+        cases.append((q, alpha, tuple(lam), i))
+    return cases
+
+
+def test_admissible_reflections_preserve_sigma():
+    """Crawley-Boevey (2001): at a loop-free vertex i with lambda_i != 0 and
+    alpha != e_i, s_i preserves p and permutes the hyperplane roots other
+    than e_i, so (alpha, lambda) and (s_i alpha, lambda - lambda_i T[i])
+    agree on in_S, in_Sigma and p, and s_i alpha is a root of alpha's kind."""
+    verdicts = []
+    for q, alpha, lam, i in reflection_cases():
+        beta = reflect(q, i, alpha)
+        mu = tuple(l - lam[i - 1] * t for l, t in zip(lam, tits_form(q)[i - 1]))
+        m, n = sigma_membership(q, alpha, lam), sigma_membership(q, beta, mu)
+        case = (q, alpha, lam, i)
+        assert (m.in_s, m.in_sigma, m.on_hyperplane) == (n.in_s, n.in_sigma, n.on_hyperplane), case
+        assert m.p_alpha == n.p_alpha and num_parameters(q, alpha) == num_parameters(q, beta), case
+        assert classify_root(q, alpha).kind == classify_root(q, beta).kind, case
+        verdicts.append((m.root_class.is_root if m.root_class else False, m.in_s, m.in_sigma))
+    counts = {v: verdicts.count(v) for v in set(verdicts)}
+    # non-members outnumber members, and every kind of verdict occurs:
+    # roots in S_lambda and not in Sigma_lambda, roots in neither, non-roots
+    assert sum(1 for _, _, in_sigma in verdicts if not in_sigma) > len(verdicts) / 2
+    assert counts.get((True, True, True), 0) >= 20
+    assert counts.get((True, True, False), 0) >= 20
+    assert counts.get((True, False, False), 0) >= 20
+    assert counts.get((False, False, False), 0) >= 20
