@@ -20,11 +20,11 @@ and ``from necklacekit import *`` binds all of them.
 # home module -> the public names the package serves from it
 _EXPORTS = {
     "forms": (
-        "PIECE_CAP", "BoundExceeded", "FormBasisElement", "FormSum", "contract",
-        "d_of_path_sum", "differential", "dr0_dimension", "form_of", "form_unit",
-        "graded_homology_dim", "in_commutator_span", "is_symplectic", "karoubi_count",
-        "karoubi_dim", "karoubi_homology_dim", "lie_derivative", "necklace_differential",
-        "omega_basis", "reduce_to_dr1", "symplectic_form", "tau",
+        "FormBasisElement", "FormSum", "contract", "d_of_path_sum", "differential",
+        "dr0_dimension", "form_of", "form_unit", "graded_homology_dim",
+        "in_commutator_span", "is_symplectic", "karoubi_count", "karoubi_dim",
+        "karoubi_homology_dim", "lie_derivative", "necklace_differential", "omega_basis",
+        "reduce_to_dr1", "symplectic_form", "tau",
     ),
     "lie": ("derivation_commutator", "hamiltonian_derivation", "kontsevich_bracket"),
     "numerics": (

@@ -19,7 +19,7 @@ Only ``quiver`` and ``textio`` are imported with this module.  Each command
 imports the layer it runs when it runs (``roots``, ``strata``, ``lie``,
 ``forms`` or ``numerics``), so a process loads numpy only for ``moment``.
 No flag sets a bound of a layer: ``roots``, ``sigma`` and ``classify`` are
-refused by the step budget ``roots.WORK_CAP`` alone.
+refused by the one step budget ``quiver.WORK_CAP`` alone.
 """
 from __future__ import annotations
 

@@ -44,26 +44,23 @@ least rotation is reached with both signs is 0.  An open code w from
 s to t is [e_t, w], so phi sends it to 0; a vertex element e_v, alone in the
 (0, 0) piece that no commutator reaches, is its own key.  ker phi is the
 commutator span, so in_commutator_span is "phi(x) = 0" and builds no piece.
-With A the adjacency matrix, at L >= 1 the nonzero orbits are counted by
-Burnside's lemma:
-
-    karoubi_count = (1/L) sum_{r<L} [m | n] tr(A^d) C(d, n/m) (-1)^(k(n-k)),
-
-d = gcd(r, L), m = L/d, k = (r/d)(n/m); at L = 0 it is the vertex count in
-degree 0 and 0 in every other degree.  karoubi_dim lists one basis element
+karoubi_count counts the nonzero orbits by Burnside's lemma, from the traces
+of the adjacency matrix's powers, and karoubi_dim lists one basis element
 per nonzero orbit, read off the orbit's least rotation, which the necklace
 generator of the path encoding (paths._Encoding.necklaces) emits directly,
-without walking the piece.  The traces and entry sums are kept in one store
-per quiver instance, with the bases of omega_basis.  The only refusal is on
-work: omega_basis and karoubi_dim refuse a piece above PIECE_CAP elements,
-and no other function refuses a nonnegative degree or length.
+without walking the piece.  The traces are kept in one store per quiver
+instance, with the bases of omega_basis.
+
+The only refusal is on work: omega_basis, karoubi_dim, dr0_dimension and
+in_commutator_span (so is_symplectic) spend from quiver.WORK_CAP, as the
+functions they call say.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, product
-from math import comb, gcd
+from math import comb, gcd, prod
 from typing import Iterator
 
 from .paths import (
@@ -79,14 +76,7 @@ from .paths import (
     _least_rotation,
     necklaces_of_length,
 )
-from .quiver import Quiver, _per_instance, double_of
-
-# the most elements a graded piece may have to be built or walked
-PIECE_CAP = 100_000
-
-
-class BoundExceeded(ValueError):
-    """A graded piece was requested with more than PIECE_CAP elements."""
+from .quiver import Quiver, _per_instance, _Steps, double_of
 
 
 @dataclass(frozen=True)
@@ -297,9 +287,10 @@ def _ends(encoding: _Encoding, code) -> tuple[int, int]:
     return encoding.source[code[-1][0]], encoding.target[lead[-1] if lead else code[1][-1]]
 
 
-def _cyclic_words(encoding: _Encoding, terms: dict) -> dict:
+def _cyclic_words(encoding: _Encoding, terms: dict, steps: _Steps) -> dict:
     """phi of a sum of form codes (see the module docstring): signed least
-    rotations of marked letter words, keyed by the letters 2a + mark."""
+    rotations of marked letter words, keyed by the letters 2a + mark.  The
+    words of each closed code spend one step each before they are built."""
     acc: dict = {}
     for code, coeff in terms.items():
         if type(code) is int:
@@ -310,6 +301,7 @@ def _cyclic_words(encoding: _Encoding, terms: dict) -> dict:
             continue
         word = [2 * a for p in reversed(code) for a in p]
         ends = list(accumulate(map(len, code[:0:-1])))
+        steps.spend(prod(map(len, code[1:])))
         for marked in product(*map(range, [0] + ends[:-1], ends)):
             letters = tuple(c + (i in marked) for i, c in enumerate(word))
             key, sign = _least_rotation(letters, len(ends))
@@ -318,11 +310,11 @@ def _cyclic_words(encoding: _Encoding, terms: dict) -> dict:
     return acc
 
 
-def _representatives(encoding: _Encoding, degree: int, length: int) -> list[tuple]:
+def _representatives(encoding: _Encoding, degree: int, length: int, steps: _Steps) -> list[tuple]:
     """karoubi_dim's representatives at length >= 1, one code per nonzero
     orbit read off its least rotation, in omega_basis order."""
     reps = []
-    for letters in encoding.necklaces(length, degree):
+    for letters in encoding.necklaces(length, degree, steps):
         w = tuple([x >> 1 for x in letters])
         cuts = [i for i, x in enumerate(letters) if x & 1] + [length]
         tails = [w[a:b] for a, b in zip(cuts, cuts[1:])]
@@ -339,47 +331,36 @@ class _FormsStore:
     def __init__(self, q: Quiver) -> None:
         self.vertex_count = q.vertex_count
         self.encoding = _encoding(q)
-        # A^L for the largest L counted so far, and tr(A^L) and the entry
-        # sum of A^L for every L up to it, A the adjacency matrix
+        # A^L for the largest L counted so far, and tr(A^L) for every L up
+        # to it, A the adjacency matrix
         self._power = [[int(i == j) for j in range(q.vertex_count)] for i in range(q.vertex_count)]
         self._traces = [q.vertex_count]
-        self._sums = [q.vertex_count]
         self._pieces: dict[tuple[int, int], tuple] = {}
         self._decoded: dict[tuple[int, int], tuple[FormBasisElement, ...]] = {}
 
-    def walks(self, length: int) -> tuple[int, int]:
-        """(closed paths, paths) of a length: tr(A^L) and the entry sum of A^L."""
-        while len(self._sums) <= length:
+    def closed_walks(self, length: int) -> int:
+        """The closed paths of a length: tr(A^L)."""
+        while len(self._traces) <= length:
             power = [[0] * self.vertex_count for _ in self._power]
             for s, t in zip(self.encoding.source, self.encoding.target):
                 for row, new in zip(self._power, power):
                     new[t - 1] += row[s - 1]
             self._power = power
             self._traces.append(sum(row[i] for i, row in enumerate(power)))
-            self._sums.append(sum(map(sum, power)))
-        return self._traces[length], self._sums[length]
+        return self._traces[length]
 
-    def check_size(self, degree: int, length: int) -> None:
-        """Refuse a piece of more than PIECE_CAP elements."""
-        _check_grading(degree, length)
-        size = comb(length, degree) * self.walks(length)[1]
-        if size > PIECE_CAP:
-            raise BoundExceeded(
-                f"graded piece (degree={degree}, length={length}) has {size} elements, "
-                f"above the cap of {PIECE_CAP}"
-            )
-
-    def piece(self, degree: int, length: int) -> tuple:
-        """The encoded basis of one (degree, length) piece."""
+    def piece(self, degree: int, length: int, steps: _Steps) -> tuple:
+        """The encoded basis of one (degree, length) piece, one step per
+        element, spent before it is built."""
         basis = self._pieces.get((degree, length))
         if basis is None:
-            self.check_size(degree, length)
+            words = self.encoding.words(length, steps) if length and degree <= length else ()
+            steps.spend(comb(length, degree) * len(words))
             if degree == 0 and length == 0:
                 basis = tuple(range(1, self.vertex_count + 1))
             elif degree == 0:
-                basis = tuple((w,) for w in self.encoding.words(length))
+                basis = tuple((w,) for w in words)
             else:
-                words = self.encoding.words(length)
                 basis = tuple(
                     tuple(w[a:b] for a, b in bounds)
                     for bounds in _cuts(length, degree)
@@ -388,10 +369,13 @@ class _FormsStore:
             self._pieces[(degree, length)] = basis
         return basis
 
-    def decoded(self, q: Quiver, degree: int, length: int) -> tuple[FormBasisElement, ...]:
+    def decoded(self, q: Quiver, degree: int, length: int, steps: _Steps) -> tuple:
+        """The piece's basis elements, one step per element decoded."""
         basis = self._decoded.get((degree, length))
         if basis is None:
-            basis = tuple(self.decode(q, code) for code in self.piece(degree, length))
+            codes = self.piece(degree, length, steps)
+            steps.spend(len(codes))
+            basis = tuple(self.decode(q, code) for code in codes)
             self._decoded[(degree, length)] = basis
         return basis
 
@@ -415,7 +399,8 @@ def omega_basis(q: Quiver, degree: int, length: int) -> tuple[FormBasisElement, 
     the length (lead first, lexicographically), and within one splitting in
     the label order of the underlying paths.
     """
-    return _store(q).decoded(q, degree, length)
+    _check_grading(degree, length)
+    return _store(q).decoded(q, degree, length, _Steps())
 
 
 def graded_homology_dim(q: Quiver, degree: int, length: int) -> int:
@@ -447,7 +432,7 @@ def karoubi_count(q: Quiver, degree: int, length: int) -> int:
         if degree % m:
             continue
         k = r // d * (degree // m)
-        term = store.walks(d)[0] * comb(d, degree // m)
+        term = store.closed_walks(d) * comb(d, degree // m)
         total += -term if k * (degree - k) % 2 else term
     return total // length
 
@@ -469,29 +454,29 @@ def karoubi_dim(q: Quiver, degree: int, length: int) -> tuple[int, tuple[FormBas
     therefore +-e_w plus words below w, the images are triangular, and as
     many representatives as karoubi_count are a basis of the quotient.
     """
-    store = _store(q)
-    store.check_size(degree, length)
-    codes = _representatives(store.encoding, degree, length) if length else store.piece(degree, 0)
+    _check_grading(degree, length)
+    store, steps = _store(q), _Steps()
+    if length:
+        codes = _representatives(store.encoding, degree, length, steps)
+    else:
+        codes = store.piece(degree, 0, steps)
+    steps.spend(len(codes))
     return len(codes), tuple(store.decode(q, code) for code in codes)
 
 
 def karoubi_homology_dim(q: Quiver, degree: int, length: int) -> int:
-    """Homology of the induced differential on the supercommutator quotients.
-
-    The vertex count at (0, 0) and 0 elsewhere: the Euler derivation E has
-    L_E = d i_E + i_E d = L id on forms of length L, and the identity
-    descends to the quotient, as the super-derivations d and i_E preserve
-    the supercommutators.
-    """
-    _check_grading(degree, length)
-    return q.vertex_count if degree == length == 0 else 0
+    """Homology of the induced differential on the supercommutator quotients:
+    that of graded_homology_dim, as the identity L_E = d i_E + i_E d descends
+    to the quotient, the super-derivations d and i_E preserving the
+    supercommutators."""
+    return graded_homology_dim(q, degree, length)
 
 
 def in_commutator_span(x: FormSum, q: Quiver) -> bool:
     """Whether every homogeneous piece of x, a form over q, is a sum of
     supercommutators: whether phi(x) is 0.  It builds no graded piece."""
     quiver = _joint_quiver(q, x.quiver, "forms")
-    return not _cyclic_words(_encoding(quiver), x._terms)
+    return not _cyclic_words(_encoding(quiver), x._terms, _Steps())
 
 
 def is_symplectic(theta: Derivation) -> bool:

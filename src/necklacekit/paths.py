@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-from .quiver import DoubleQuiver, Quiver, _per_instance, double_of
+from .quiver import DoubleQuiver, Quiver, _per_instance, _Steps, double_of
 
 Scalar = Union[int, Fraction]
 
@@ -320,6 +320,13 @@ class NecklaceWord:
     def vertex_class(cls, q: Quiver, vertex: int) -> "NecklaceWord":
         return cls(q, (), vertex)
 
+    @classmethod
+    def _of_least_rotation(cls, q: Quiver, arrows: tuple[str, ...]) -> "NecklaceWord":
+        """The class of a closed path given by its least rotation, unchecked."""
+        word = cls.__new__(cls)
+        word.__dict__.update(quiver=q, arrows=arrows, vertex=None)
+        return word
+
     @property
     def length(self) -> int:
         return len(self.arrows)
@@ -582,18 +589,20 @@ class _Encoding:
             reach.append(ends)
         return reach
 
-    def words(self, length: int) -> tuple[tuple[int, ...], ...]:
+    def words(self, length: int, steps: _Steps) -> tuple[tuple[int, ...], ...]:
         """Encoded paths of a length >= 1, in increasing order, grown one
-        arrow at a time from the prefixes that extend to that length."""
+        arrow at a time from the prefixes that extend to that length.  Each
+        level spends one step per prefix before it is built."""
         reach, target, leaving = self._reach(length), self.target, self._leaving
         words = [(a,) for a in range(len(self.labels)) if reach[length - 1][target[a]]]
+        steps.spend(len(words))
         for j in range(length - 2, -1, -1):
-            words = [
-                w + (a,) for w in words for a in leaving[target[w[-1]]] if reach[j][target[a]]
-            ]
+            after = {v: [a for a in out if reach[j][target[a]]] for v, out in leaving.items()}
+            steps.spend(sum(len(after[target[w[-1]]]) for w in words))
+            words = [w + (a,) for w in words for a in after[target[w[-1]]]]
         return tuple(words)
 
-    def necklaces(self, length: int, marks: int) -> Iterator[tuple[int, ...]]:
+    def necklaces(self, length: int, marks: int, steps: _Steps) -> Iterator[tuple[int, ...]]:
         """The least rotations of the closed walks of a length >= 1 with
         ``marks`` marked letters 2a + 1 (the others 2a), in increasing order,
         less those reached with both signs (see _least_rotation).
@@ -604,7 +613,8 @@ class _Encoding:
         prefix's period, and leaves a walk of the remaining length back to
         the first letter.  A full word whose p divides the length is a least
         rotation; rotating it by p moves k = marks p / length marks, and it
-        is dropped when k(marks - k) is odd."""
+        is dropped when k(marks - k) is odd.  Each loop iteration spends a
+        step."""
         source, target, reach = self.source, self.target, self._reach(length)
         step = 1 if marks else 2
         letters = {
@@ -616,6 +626,7 @@ class _Encoding:
         word, period, count = [-1] + [0] * length, [1] + [0] * length, [0] * (length + 1)
         stack = [iter(range(0, 2 * len(self.labels), step))]
         while stack:
+            steps.spend()
             t = len(stack)
             letter = next(stack[-1], None)
             if letter is None:
@@ -686,7 +697,7 @@ def paths_of_length(q: Quiver, length: int) -> tuple[Path, ...]:
         if length == 0:
             paths = tuple(Path.trivial(q, v) for v in q.vertices)
         else:
-            paths = tuple(Path(q, encoding.decode(w)) for w in encoding.words(length))
+            paths = tuple(Path(q, encoding.decode(w)) for w in encoding.words(length, _Steps()))
         encoding.paths[length] = paths
     return paths
 
@@ -708,6 +719,7 @@ def necklaces_of_length(q: Quiver, length: int) -> tuple[NecklaceWord, ...]:
         return tuple(NecklaceWord.vertex_class(q, v) for v in q.vertices)
     encoding = _encoding(q)
     return tuple(
-        NecklaceWord(q, encoding.decode([x >> 1 for x in w])) for w in encoding.necklaces(length, 0)
+        NecklaceWord._of_least_rotation(q, encoding.decode([x >> 1 for x in w]))
+        for w in encoding.necklaces(length, 0, _Steps())
     )
 

@@ -18,9 +18,26 @@ DimVector = tuple[int, ...]
 Weight = tuple[Fraction, ...]
 T = TypeVar("T")
 
+WORK_CAP = 250_000
+
 
 class QuiverError(ValueError):
     """Invalid quiver data (labels, vertex indices, doubling structure)."""
+
+
+class _Steps:
+    """The steps one public call of ``paths``, ``forms``, ``roots`` or
+    ``strata`` that enumerates has left of ``WORK_CAP``, the one budget."""
+
+    __slots__ = ("left",)
+
+    def __init__(self) -> None:
+        self.left = WORK_CAP
+
+    def spend(self, count: int = 1) -> None:
+        self.left -= count
+        if self.left < 0:
+            raise ValueError(f"the computation needs more than {WORK_CAP} steps")
 
 
 @dataclass(frozen=True)

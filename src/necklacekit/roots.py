@@ -12,12 +12,9 @@ out of it, so their cost follows the roots, not the box: every candidate
 is a root plus one unit vector, and is classified by one descent step onto
 a vector of the box already classified.
 
-Each public call, here and in ``strata``, may take at most ``WORK_CAP``
-steps, counted per loop iteration; here a step is a pairing computed by a
-descent, a reflection entry written back along a descent or a candidate
-tested.  A call that needs more is refused with one ``ValueError`` once it
-has spent the budget, so the budget bounds its time and memory, whatever
-the size of the box or of its entries.
+Each public call spends from the work budget ``quiver.WORK_CAP`` a step per
+pairing computed by a descent, reflection entry written back along one and
+candidate tested, whatever the size of the box or of its entries.
 """
 from __future__ import annotations
 
@@ -29,31 +26,16 @@ from typing import Sequence
 from .quiver import (
     DimVector,
     Quiver,
+    _Steps,
     as_dim_vector,
     loop_free_flags,
     support_connected,
     tits_form,
 )
 
-WORK_CAP = 250_000
-
 REAL = "real"
 IMAGINARY = "imaginary"
 NOT_ROOT = "not_root"
-
-
-class _Steps:
-    """The steps one public call has left of ``WORK_CAP``."""
-
-    __slots__ = ("left",)
-
-    def __init__(self) -> None:
-        self.left = WORK_CAP
-
-    def spend(self, count: int = 1) -> None:
-        self.left -= count
-        if self.left < 0:
-            raise ValueError(f"the computation needs more than {WORK_CAP} steps")
 
 
 @dataclass(frozen=True)

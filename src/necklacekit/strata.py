@@ -33,7 +33,7 @@ strict members among them, not with the box:
 ``classify`` builds one table and runs the whole pipeline on it;
 ``two_alpha_nonsmooth`` called on its own adds a second one over the box of
 2 alpha once alpha passes.  Every public call may take at most
-``roots.WORK_CAP`` steps, one budget shared by its tables, counted as in
+``quiver.WORK_CAP`` steps, one budget shared by its tables, counted as in
 ``roots`` and here per root scanned by ``_SigmaTable._split``, per part and
 multiplicity tried by ``_sum_multisets`` (witnesses and types), z^2 per
 type of z simples for its Ext^1 counts, and, in ``local_quiver``, per
@@ -58,6 +58,7 @@ from .quiver import (
     DimVector,
     Quiver,
     Weight,
+    _Steps,
     as_dim_vector,
     as_weight,
     bilinear,
@@ -67,7 +68,7 @@ from .quiver import (
     num_parameters,
     tits_form,
 )
-from .roots import RootClass, _classify_in_box, _grow_roots, _Steps
+from .roots import RootClass, _classify_in_box, _grow_roots
 
 Decomposition = tuple[tuple[DimVector, int], ...]
 """Multiset of (part, multiplicity) pairs, parts in descending lex order."""

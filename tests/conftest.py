@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,25 @@ from necklacekit import (
     paths_between,
     paths_of_length,
 )
+
+
+# appended to a child's script: its peak resident set size in KiB, read from
+# VmHWM, which exec resets; ru_maxrss would keep the peak the child had at
+# fork, that of the test process
+PRINT_PEAK = (
+    "\nprint(next(line.split()[1] for line in open('/proc/self/status') "
+    "if line.startswith('VmHWM:')))\n"
+)
+
+
+def run_measured(script: str) -> tuple[list[str], str, int]:
+    """Run a script in a new interpreter, for at most a minute: the lines it
+    prints, what it writes to stderr, and its peak resident set size in KiB."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script + PRINT_PEAK], capture_output=True, text=True, timeout=60
+    )
+    *lines, peak_kib = proc.stdout.splitlines()
+    return lines, proc.stderr, int(peak_kib)
 
 
 @pytest.fixture(scope="session")

@@ -87,8 +87,8 @@ from necklacekit.numerics import (
     rep_dimension,
 )
 from necklacekit.paths import _add_term, _encoding
-from necklacekit.quiver import DimVector, double_of
-from necklacekit.roots import RootClass, _Steps
+from necklacekit.quiver import DimVector, _Steps, double_of
+from necklacekit.roots import RootClass
 from necklacekit.strata import Decomposition, _sum_multisets
 
 
@@ -766,7 +766,7 @@ class CommutatorRows:
         key = (degree, length)
         if key not in self._by_ends:
             groups: dict = {}
-            for code in self._store.piece(degree, length):
+            for code in self._store.piece(degree, length, _Steps()):
                 if type(code) is not int:
                     groups.setdefault(_ends(self.encoding, code), []).append(code)
             self._by_ends[key] = groups
@@ -811,7 +811,7 @@ class CommutatorRows:
         basis; the open ones are in the span."""
         key = (degree, length)
         if key not in self._indices:
-            basis = self._store.piece(degree, length)
+            basis = self._store.piece(degree, length, _Steps())
             self._indices[key] = {code: i for i, code in enumerate(basis)}
         index = self._indices[key]
         return {index[code]: coeff for code, coeff in terms.items() if self._closed(code)}
@@ -832,7 +832,7 @@ class CommutatorRows:
 
     def dim(self, degree: int, length: int) -> int:
         """The closed elements of the piece less the rank of the rows."""
-        closed = sum(map(self._closed, self._store.piece(degree, length)))
+        closed = sum(map(self._closed, self._store.piece(degree, length, _Steps())))
         return closed - self.reducer(degree, length).rank
 
     def in_commutator_span(self, x: FormSum) -> bool:

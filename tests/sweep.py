@@ -145,7 +145,8 @@ def random_calls(rng: random.Random, k: int, arrows) -> list[tuple[list[str], bo
             (["bracket", "--w1", walk(rng, k, arrows, 3), "--w2", walk(rng, k, arrows, 3)], True)
         )
     calls.append((["roots", "--box", vector(rng, k, 0, 2), "--candidate-cap", "1"], False))
-    calls.append((["classify", "--alpha", vector(rng, k, 13, 13), "--lambda", "0"], False))
+    zero = ",".join(["0"] * k)
+    calls.append((["classify", "--alpha", vector(rng, k, 13, 13), "--lambda", zero], False))
     for command in ("derham", "karoubi"):
         degree, length = str(rng.randint(0, 2)), str(rng.randint(0, 3))
         for base in ([], ["--base"]):

@@ -25,10 +25,10 @@ LAYERS = ("forms", "lie", "linalg", "numerics", "paths", "quiver", "roots", "str
 PUBLIC_NAMES = frozenset(
     LAYERS
     + (
-        "Arrow", "BoundExceeded", "ClassifyReport", "CoadjointVerdict",
+        "Arrow", "ClassifyReport", "CoadjointVerdict",
         "Derivation", "DimVector", "DoubleQuiver", "FormBasisElement", "FormSum",
         "IMAGINARY", "LocalQuiverSetting", "MomentSolveResult", "NOT_ROOT",
-        "NecklaceSum", "NecklaceWord", "PIECE_CAP", "Path", "PathSum", "Quiver",
+        "NecklaceSum", "NecklaceWord", "Path", "PathSum", "Quiver",
         "QuiverError", "QuiverFormatError", "REAL", "RankReport", "RootClass",
         "SigmaMembership", "SliceCheck", "TwoAlphaCheck", "Weight", "as_dim_vector",
         "as_weight", "bilinear", "canonical_necklace", "classify", "classify_root",
@@ -52,8 +52,8 @@ PUBLIC_NAMES = frozenset(
 
 
 def test_the_table_lists_every_public_name_once():
-    assert len(PUBLIC_NAMES) == 107
-    assert len(necklacekit.__all__) == 107
+    assert len(PUBLIC_NAMES) == 105
+    assert len(necklacekit.__all__) == 105
     assert set(necklacekit.__all__) == PUBLIC_NAMES
 
 

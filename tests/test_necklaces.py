@@ -23,18 +23,24 @@ import pytest
 
 from necklacekit import (
     Arrow,
+    FormBasisElement,
     FormSum,
+    Path,
     Quiver,
     double,
     dr0_dimension,
+    in_commutator_span,
     karoubi_count,
     karoubi_dim,
     necklaces_of_length,
     omega_basis,
     paths_of_length,
+    quiver,
 )
 from necklacekit.paths import _encoding, _least_rotation
+from necklacekit.quiver import WORK_CAP
 
+from conftest import run_measured
 from oracles import (
     least_rotation_by_every_rotation,
     necklaces_by_filter,
@@ -129,6 +135,81 @@ def test_one_loop_answers_at_length_3000():
     assert dr0_dimension(loop, 3000) == 1
     assert karoubi_dim(loop, 0, 3000)[0] == 1
     assert [elt.lead.arrows for elt in omega_basis(loop, 0, 3000)] == [("x",) * 3000]
+
+
+REFUSED_CALLS = """
+import time
+from necklacekit import (
+    Arrow, FormBasisElement, FormSum, Path, Quiver, double, dr0_dimension,
+    in_commutator_span, karoubi_dim, necklaces_of_length, omega_basis, paths_between,
+    paths_of_length,
+)
+two = double(Quiver(1, (Arrow("x", 1, 1), Arrow("y", 1, 1))))
+loop = Quiver(1, (Arrow("x", 1, 1),))
+x, xxx = Path(loop, ("x",)), Path(loop, ("x", "x", "x"))
+calls = (
+    lambda: paths_of_length(two, 30),
+    lambda: paths_between(two, 1, 1, 30),
+    lambda: necklaces_of_length(two, 30),
+    lambda: dr0_dimension(two, 30),
+    lambda: omega_basis(two, 1, 30),
+    lambda: karoubi_dim(loop, 1, 5000),
+    lambda: in_commutator_span(FormSum.of(FormBasisElement(x, (xxx,) * 16)), loop),
+)
+for call in calls:
+    start = time.process_time()
+    try:
+        call()
+        print("answered")
+    except ValueError as exc:
+        print(time.process_time() - start, exc)
+"""
+
+
+def test_calls_beyond_the_work_budget_are_refused_small_and_fast():
+    """On the double of two loops, length 30 has 4^30 paths and about 3.8e16
+    necklaces; on one loop, karoubi_dim at (1, 5000) has one representative
+    that the generator reaches after about 0.75 * 5000^2 letters; and phi of
+    x d(x x x) ... d(x x x) with 16 tails expands 3^16 marked words.  Each
+    call is refused within 2 s of CPU, in a process that stays under 200 MiB."""
+    lines, stderr, peak_kib = run_measured(REFUSED_CALLS)
+    assert stderr == "" and len(lines) == 7
+    for line in lines:
+        seconds, message = line.split(" ", 1)
+        assert message == f"the computation needs more than {WORK_CAP} steps"
+        assert float(seconds) < 2
+    assert peak_kib < 200 * 1024
+
+
+def _x_dxxx_dxxx(q: Quiver) -> bool:
+    x, xxx = Path(q, ("x",)), Path(q, ("x", "x", "x"))
+    return in_commutator_span(FormSum.of(FormBasisElement(x, (xxx, xxx))), q)
+
+
+@pytest.mark.parametrize(
+    "call, steps",
+    [
+        # one prefix per level
+        (lambda q: paths_of_length(q, 3), 3),
+        # at each of the 3 positions, the one letter and then the end of it
+        (lambda q: necklaces_of_length(q, 3), 6),
+        # 3 prefixes, 3 elements built and 3 decoded
+        (lambda q: omega_basis(q, 1, 3), 9),
+        # 14 generator iterations over x and its marked form, 1 representative
+        (lambda q: karoubi_dim(q, 1, 3), 15),
+        # 3 x 3 marked words
+        (_x_dxxx_dxxx, 9),
+    ],
+    ids=["paths", "necklaces", "omega_basis", "karoubi_dim", "phi"],
+)
+def test_each_step_is_charged(monkeypatch, call, steps):
+    """On one loop, each call answers within exactly `steps` steps: it is
+    refused with one step fewer."""
+    monkeypatch.setattr(quiver, "WORK_CAP", steps)
+    call(Quiver(1, (Arrow("x", 1, 1),)))
+    monkeypatch.setattr(quiver, "WORK_CAP", steps - 1)
+    with pytest.raises(ValueError, match=f"^the computation needs more than {steps - 1} steps$"):
+        call(Quiver(1, (Arrow("x", 1, 1),)))
 
 
 def test_walks_that_cannot_reach_the_length_are_not_built():

@@ -6,21 +6,35 @@ import pytest
 
 from necklacekit import (
     Arrow,
+    FormBasisElement,
+    FormSum,
+    NecklaceWord,
+    Path,
     Quiver,
     classify,
     coadjoint_verdict,
     delta_lambda,
+    double,
+    dr0_dimension,
     ext1_dim,
+    hamiltonian_derivation,
+    in_commutator_span,
+    is_symplectic,
+    karoubi_dim,
     local_quiver,
     minimal_in_sigma,
+    necklaces_of_length,
+    omega_basis,
     parameter_sum,
+    paths_between,
+    paths_of_length,
     rep_types,
     sigma_membership,
     slice_smooth_check,
     two_alpha_nonsmooth,
 )
 from necklacekit import classify_root, num_parameters, reflect, tits_form
-from necklacekit import roots
+from necklacekit import quiver, roots
 
 from conftest import path_quiver, random_quiver
 from oracles import box_vectors, decompositions
@@ -306,6 +320,19 @@ def test_work_above_the_budget_is_refused_in_time(alpha):
     assert time.process_time() - start < 2
 
 
+def _fresh(q: Quiver) -> Quiver:
+    """A quiver equal to q that holds none of the results stored on q."""
+    return Quiver(q.vertex_count, q.arrows)
+
+
+def _phi_of_four_words(q: Quiver) -> bool:
+    """Whether b d(b b) d(b b) on the double of q, whose phi expands 2 x 2
+    marked words, lies in the commutator span."""
+    dq = double(q)
+    bb = Path(dq, ("b", "b"))
+    return in_commutator_span(FormSum.of(FormBasisElement(Path(dq, ("b",)), (bb, bb))), dq)
+
+
 @pytest.mark.parametrize(
     "check",
     [
@@ -317,13 +344,25 @@ def test_work_above_the_budget_is_refused_in_time(alpha):
         two_alpha_nonsmooth,
         lambda q, alpha, lam: delta_lambda(q, lam, alpha),
         lambda q, alpha, lam: local_quiver(q, ((1, alpha),)),
+        lambda q, alpha, lam: paths_of_length(_fresh(q), 3),
+        lambda q, alpha, lam: paths_between(_fresh(q), 2, 2, 3),
+        lambda q, alpha, lam: necklaces_of_length(_fresh(q), 3),
+        lambda q, alpha, lam: dr0_dimension(_fresh(q), 3),
+        lambda q, alpha, lam: omega_basis(double(q), 1, 3),
+        lambda q, alpha, lam: karoubi_dim(double(q), 1, 3),
+        lambda q, alpha, lam: _phi_of_four_words(q),
+        lambda q, alpha, lam: is_symplectic(
+            hamiltonian_derivation(NecklaceWord(double(q), ("a", "b", "b*", "a*")))
+        ),
     ],
 )
 def test_every_call_spends_one_budget(calogero, monkeypatch, check):
     # (1, 2) is the minimal member at (-2, 1): each call answers within the
-    # default budget and is refused, with the one message, within 3 steps
+    # default budget and is refused, with the one message, within 3 steps;
+    # the paths and forms calls enumerate on quivers that hold no results
+    # yet, as a result stored on the quiver costs nothing
     check(calogero, (1, 2), LAM_21)
-    monkeypatch.setattr(roots, "WORK_CAP", 3)
+    monkeypatch.setattr(quiver, "WORK_CAP", 3)
     with pytest.raises(ValueError, match="^the computation needs more than 3 steps$"):
         check(calogero, (1, 2), LAM_21)
 

@@ -17,8 +17,10 @@ from necklacekit import (
 )
 from necklacekit import cli
 from necklacekit.cli import build_parser, main
-from necklacekit.roots import WORK_CAP
+from necklacekit.quiver import WORK_CAP
 from necklacekit.textio import MAX_ARROWS, MAX_VERTICES
+
+from conftest import run_measured
 
 CALOGERO_TEXT = """\
 # the two-vertex quiver with one connecting arrow and one loop
@@ -404,21 +406,15 @@ def test_cli_refuses_work_above_the_budget(text, alpha, tmp_path, capsys):
 
 
 def test_a_refused_process_stays_small(tmp_path):
-    # the longest descent the budget allows, through the entry point; the
-    # process reports its own peak resident set size (KiB on Linux)
+    # the longest descent the budget allows, through the entry point, in a
+    # process that reports its own peak resident set size
     path = tmp_path / "a1_tilde.quiver"
     path.write_text("vertices: 2\narrows: a 1 2, b 2 1\n", encoding="utf-8")
     argv = ["classify", str(path), "--alpha", "1000000,999999", "--lambda", "0,0"]
-    script = (
-        "import resource, sys\n"
-        "from necklacekit.cli import main\n"
-        f"code = main({argv!r})\n"
-        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    code, peak_kib = proc.stdout.split()
-    assert code == "1" and proc.stderr.startswith("error: the computation needs more than")
-    assert int(peak_kib) < 200 * 1024
+    script = f"from necklacekit.cli import main\nprint(main({argv!r}))\n"
+    lines, stderr, peak_kib = run_measured(script)
+    assert lines == ["1"] and stderr.startswith("error: the computation needs more than")
+    assert peak_kib < 200 * 1024
 
 
 def test_cli_json_determinism(calogero_file, tmp_path):
