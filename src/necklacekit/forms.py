@@ -21,8 +21,10 @@ i_theta is written out term by term, the Lie derivative comes from Cartan's
 formula L_theta = d i_theta + i_theta d, and a 1-form is reduced to dR1 by
 the closed form of the cyclic Leibniz rule: p0 d(a_1 ... a_m) has the class
 sum_j [p_j da_j], p_j the rest of the cycle p0.p1, read from the end of a_j
-round to its start.  FormBasisElement is the validated view that the
-constructors take and terms(), str and coefficient() decode to.
+round to its start.  Codes are the one stored form: FormBasisElement is
+the view that terms(), str, omega_basis and karoubi_dim build from a code
+without the checks of its constructor, which validates the paths that enter
+from outside.
 
 Both homology tables come from the noncommutative Poincare lemma (Ginzburg,
 "Non-commutative symplectic geometry, quiver varieties, and operads", 2001;
@@ -48,8 +50,8 @@ karoubi_count counts the nonzero orbits by Burnside's lemma, from the traces
 of the adjacency matrix's powers, and karoubi_dim lists one basis element
 per nonzero orbit, read off the orbit's least rotation, which the necklace
 generator of the path encoding (paths._Encoding.necklaces) emits directly,
-without walking the piece.  The traces are kept in one store per quiver
-instance, with the bases of omega_basis.
+without walking the piece.  The traces are kept on the path encoding of
+the quiver instance (paths._Encoding.closed_walks); no basis is kept.
 
 The only refusal is on work: omega_basis, karoubi_dim, dr0_dimension and
 in_commutator_span (so is_symplectic) spend from quiver.WORK_CAP, as the
@@ -74,9 +76,9 @@ from .paths import (
     _encoding,
     _joint_quiver,
     _least_rotation,
-    necklaces_of_length,
+    _unchecked,
 )
-from .quiver import Quiver, _per_instance, _Steps, double_of
+from .quiver import Quiver, _Steps, double_of
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,7 @@ class FormSum(LinearCombination):
         return tuple(tuple([index[label] for label in p.arrows]) for p in (elt.lead,) + elt.tails)
 
     def _decode(self, code) -> FormBasisElement:
-        return _store(self.quiver).decode(self.quiver, code)
+        return _form_view(self.quiver, _encoding(self.quiver), code, {})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -324,72 +326,40 @@ def _representatives(encoding: _Encoding, degree: int, length: int, steps: _Step
     return reps
 
 
-class _FormsStore:
-    """Path counts and encoded bases of one quiver, stored on the quiver
-    instance (see _store), so they are released with it."""
-
-    def __init__(self, q: Quiver) -> None:
-        self.vertex_count = q.vertex_count
-        self.encoding = _encoding(q)
-        # A^L for the largest L counted so far, and tr(A^L) for every L up
-        # to it, A the adjacency matrix
-        self._power = [[int(i == j) for j in range(q.vertex_count)] for i in range(q.vertex_count)]
-        self._traces = [q.vertex_count]
-        self._pieces: dict[tuple[int, int], tuple] = {}
-        self._decoded: dict[tuple[int, int], tuple[FormBasisElement, ...]] = {}
-
-    def closed_walks(self, length: int) -> int:
-        """The closed paths of a length: tr(A^L)."""
-        while len(self._traces) <= length:
-            power = [[0] * self.vertex_count for _ in self._power]
-            for s, t in zip(self.encoding.source, self.encoding.target):
-                for row, new in zip(self._power, power):
-                    new[t - 1] += row[s - 1]
-            self._power = power
-            self._traces.append(sum(row[i] for i, row in enumerate(power)))
-        return self._traces[length]
-
-    def piece(self, degree: int, length: int, steps: _Steps) -> tuple:
-        """The encoded basis of one (degree, length) piece, one step per
-        element, spent before it is built."""
-        basis = self._pieces.get((degree, length))
-        if basis is None:
-            words = self.encoding.words(length, steps) if length and degree <= length else ()
-            steps.spend(comb(length, degree) * len(words))
-            if degree == 0 and length == 0:
-                basis = tuple(range(1, self.vertex_count + 1))
-            elif degree == 0:
-                basis = tuple((w,) for w in words)
-            else:
-                basis = tuple(
-                    tuple(w[a:b] for a, b in bounds)
-                    for bounds in _cuts(length, degree)
-                    for w in words
-                )
-            self._pieces[(degree, length)] = basis
-        return basis
-
-    def decoded(self, q: Quiver, degree: int, length: int, steps: _Steps) -> tuple:
-        """The piece's basis elements, one step per element decoded."""
-        basis = self._decoded.get((degree, length))
-        if basis is None:
-            codes = self.piece(degree, length, steps)
-            steps.spend(len(codes))
-            basis = tuple(self.decode(q, code) for code in codes)
-            self._decoded[(degree, length)] = basis
-        return basis
-
-    def decode(self, q: Quiver, code) -> FormBasisElement:
-        # only a lead can be trivial, and its vertex is the element's target
-        vertex, decode = _ends(self.encoding, code)[1], self.encoding.decode
-        entries = ((),) if type(code) is int else code
-        paths = [Path(q, decode(e)) if e else Path.trivial(q, vertex) for e in entries]
-        return FormBasisElement(paths[0], tuple(paths[1:]))
+def _piece(encoding: _Encoding, degree: int, length: int, steps: _Steps) -> tuple:
+    """The codes of one (degree, length) piece, in omega_basis order, one
+    step per element, spent before it is built."""
+    words = encoding.words(length, steps) if length and degree <= length else ()
+    steps.spend(comb(length, degree) * len(words))
+    if degree == 0 and length == 0:
+        return tuple(encoding.vertices)
+    if degree == 0:
+        return tuple((w,) for w in words)
+    return tuple(
+        tuple([w[a:b] for a, b in bounds]) for bounds in _cuts(length, degree) for w in words
+    )
 
 
-@_per_instance("_forms_store")
-def _store(q: Quiver) -> _FormsStore:
-    return _FormsStore(q)
+def _form_view(q: Quiver, encoding: _Encoding, code, paths: dict) -> FormBasisElement:
+    """The view of a form code, built unchecked, its paths shared through
+    ``paths``, the views decoded so far by path code: only a lead can be
+    trivial, and its vertex is the element's target."""
+    vertex = _ends(encoding, code)[1]
+    views = []
+    for entry in ((),) if type(code) is int else code:
+        entry = entry or vertex
+        view = paths.get(entry)
+        if view is None:
+            view = paths[entry] = encoding.view(Path, q, entry)
+        views.append(view)
+    return _unchecked(FormBasisElement, lead=views[0], tails=tuple(views[1:]))
+
+
+def _form_views(q: Quiver, codes: tuple, steps: _Steps) -> tuple[FormBasisElement, ...]:
+    """The views of a basis's codes, one step per element decoded."""
+    steps.spend(len(codes))
+    encoding, paths = _encoding(q), {}
+    return tuple([_form_view(q, encoding, code, paths) for code in codes])
 
 
 def omega_basis(q: Quiver, degree: int, length: int) -> tuple[FormBasisElement, ...]:
@@ -400,7 +370,8 @@ def omega_basis(q: Quiver, degree: int, length: int) -> tuple[FormBasisElement, 
     the label order of the underlying paths.
     """
     _check_grading(degree, length)
-    return _store(q).decoded(q, degree, length, _Steps())
+    steps = _Steps()
+    return _form_views(q, _piece(_encoding(q), degree, length, steps), steps)
 
 
 def graded_homology_dim(q: Quiver, degree: int, length: int) -> int:
@@ -424,7 +395,7 @@ def karoubi_count(q: Quiver, degree: int, length: int) -> int:
     _check_grading(degree, length)
     if length == 0:
         return q.vertex_count if degree == 0 else 0
-    store = _store(q)
+    encoding = _encoding(q)
     total = 0
     for r in range(length):
         d = gcd(r, length)
@@ -432,7 +403,7 @@ def karoubi_count(q: Quiver, degree: int, length: int) -> int:
         if degree % m:
             continue
         k = r // d * (degree // m)
-        term = store.closed_walks(d) * comb(d, degree // m)
+        term = encoding.closed_walks(d) * comb(d, degree // m)
         total += -term if k * (degree - k) % 2 else term
     return total // length
 
@@ -455,13 +426,12 @@ def karoubi_dim(q: Quiver, degree: int, length: int) -> tuple[int, tuple[FormBas
     many representatives as karoubi_count are a basis of the quotient.
     """
     _check_grading(degree, length)
-    store, steps = _store(q), _Steps()
+    encoding, steps = _encoding(q), _Steps()
     if length:
-        codes = _representatives(store.encoding, degree, length, steps)
+        codes = _representatives(encoding, degree, length, steps)
     else:
-        codes = store.piece(degree, 0, steps)
-    steps.spend(len(codes))
-    return len(codes), tuple(store.decode(q, code) for code in codes)
+        codes = _piece(encoding, degree, 0, steps)
+    return len(codes), _form_views(q, codes, steps)
 
 
 def karoubi_homology_dim(q: Quiver, degree: int, length: int) -> int:
@@ -527,7 +497,12 @@ def necklace_differential(w: NecklaceWord) -> FormSum:
 
 
 def dr0_dimension(q: Quiver, length: int) -> int:
-    """The number of necklace classes of a given length, from the necklace
-    generator that karoubi_dim shares; karoubi_count(q, 0, length) is the
-    independent count, by Burnside's lemma."""
-    return len(necklaces_of_length(q, length))
+    """The number of necklace classes of a given length: the least rotations
+    that the necklace generator karoubi_dim shares emits, counted without
+    building a NecklaceWord; karoubi_count(q, 0, length) is the independent
+    count, by Burnside's lemma."""
+    if length < 0:
+        raise ValueError("length must be nonnegative")
+    if length == 0:
+        return q.vertex_count
+    return sum(1 for _ in _encoding(q).necklaces(length, 0, _Steps()))

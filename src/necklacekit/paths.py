@@ -13,9 +13,13 @@ Every exact sum (``PathSum``, ``NecklaceSum`` and ``forms.FormSum``) lives
 over one quiver and keys its terms by codes in the quiver's encoding (see
 _Encoding): a path or necklace with arrows is the tuple of its arrow
 numbers, a trivial path or vertex class its vertex.  Products, partial
-derivatives, the trace projection and derivations work on codes only;
-``Path`` and ``NecklaceWord`` are the validated views that the constructors
-take and ``terms()`` hands out.
+derivatives, the trace projection and derivations work on codes only.
+Codes are the one stored form of paths and necklaces: nothing decoded is
+kept.  ``Path`` and ``NecklaceWord`` are views, validated where labels enter
+from outside (their constructors and textio.parse_path) and built unchecked
+by ``_unchecked`` where the encoding produced them (``terms()``, str,
+``paths_of_length``, ``paths_between``, ``necklaces_of_length``, ``concat``
+and ``NecklaceWord.representative``).
 """
 from __future__ import annotations
 
@@ -95,6 +99,15 @@ class Path:
         return f"Path({self})"
 
 
+def _unchecked(cls, **fields):
+    """An instance of a frozen view class (Path, NecklaceWord or
+    forms.FormBasisElement) with fields known to be valid, such as labels the
+    encoding produced, built without the checks of its constructor."""
+    view = cls.__new__(cls)
+    view.__dict__.update(fields)
+    return view
+
+
 def concat(p: Path, q: Path) -> Path | None:
     """Algebra product p.q as a single path, or None when endpoints mismatch."""
     if p.quiver != q.quiver:
@@ -105,7 +118,7 @@ def concat(p: Path, q: Path) -> Path | None:
         return q
     if not q.arrows:
         return p
-    return Path(p.quiver, q.arrows + p.arrows)
+    return _unchecked(Path, quiver=p.quiver, arrows=q.arrows + p.arrows, vertex=None)
 
 
 def _exact(coeff) -> Scalar:
@@ -139,8 +152,8 @@ class LinearCombination:
     (float, str, ...) are converted to the exact Fraction of their value.
     ``quiver`` is the quiver of the terms of a nonzero sum, None for a zero
     sum.  Terms are keyed by codes; the hooks ``_code(key)`` and
-    ``_decode(code)`` translate between a code and its validated view, an
-    instance of the class ``_view``, and default to Path and NecklaceWord.
+    ``_decode(code)`` translate between a code and its view, an instance of
+    the class ``_view``, and default to Path and NecklaceWord.
     """
 
     __slots__ = ("_terms", "quiver")
@@ -177,9 +190,7 @@ class LinearCombination:
         return _encoding(view.quiver).code(view)
 
     def _decode(self, code):
-        if type(code) is int:
-            return self._view(self.quiver, (), code)
-        return self._view(self.quiver, _encoding(self.quiver).decode(code))
+        return _encoding(self.quiver).view(self._view, self.quiver, code)
 
     def terms(self) -> Iterator[tuple]:
         return ((self._decode(code), coeff) for code, coeff in self._terms.items())
@@ -320,22 +331,13 @@ class NecklaceWord:
     def vertex_class(cls, q: Quiver, vertex: int) -> "NecklaceWord":
         return cls(q, (), vertex)
 
-    @classmethod
-    def _of_least_rotation(cls, q: Quiver, arrows: tuple[str, ...]) -> "NecklaceWord":
-        """The class of a closed path given by its least rotation, unchecked."""
-        word = cls.__new__(cls)
-        word.__dict__.update(quiver=q, arrows=arrows, vertex=None)
-        return word
-
     @property
     def length(self) -> int:
         return len(self.arrows)
 
     def representative(self) -> Path:
         """A closed path representing this class (the stored rotation)."""
-        if not self.arrows:
-            return Path.trivial(self.quiver, self.vertex)  # type: ignore[arg-type]
-        return Path(self.quiver, self.arrows)
+        return _unchecked(Path, quiver=self.quiver, arrows=self.arrows, vertex=self.vertex)
 
     def __str__(self) -> str:
         if not self.arrows:
@@ -559,7 +561,8 @@ class _Encoding:
     the least rotation of its labels.  On a double quiver ``star`` maps each
     arrow number to its partner's; a base label sorts before its starred
     partner, so an arrow x is a base arrow exactly when x < star[x].
-    Stored on the quiver instance (see _encoding), so it is released with it.
+    Stored on the quiver instance (see _encoding), so it is released with it;
+    it keeps no decoded path, only the traces that closed_walks counts.
     """
 
     def __init__(self, q: Quiver) -> None:
@@ -573,10 +576,25 @@ class _Encoding:
             if isinstance(q, DoubleQuiver)
             else None
         )
+        self.vertices = q.vertices
         self._leaving = {
             v: tuple(i for i, s in enumerate(self.source) if s == v) for v in q.vertices
         }
-        self.paths: dict[int, tuple[Path, ...]] = {}
+        # A^L for the largest L counted so far, and tr(A^L) for every L up
+        # to it, A the adjacency matrix
+        self._power = [[int(i == j) for j in q.vertices] for i in q.vertices]
+        self._traces = [q.vertex_count]
+
+    def closed_walks(self, length: int) -> int:
+        """The closed paths of a length: tr(A^L)."""
+        while len(self._traces) <= length:
+            power = [[0] * len(row) for row in self._power]
+            for s, t in zip(self.source, self.target):
+                for row, new in zip(self._power, power):
+                    new[t - 1] += row[s - 1]
+            self._power = power
+            self._traces.append(sum(row[i] for i, row in enumerate(power)))
+        return self._traces[length]
 
     def _reach(self, length: int) -> list[dict[int, int]]:
         """reach[j][u], for j < length: the vertices that walks of j arrows
@@ -643,12 +661,17 @@ class _Encoding:
             elif length % p == 0 and not count[p] * (marks - count[p]) % 2:
                 yield tuple(word[1:])
 
-    def decode(self, word: tuple[int, ...]) -> tuple[str, ...]:
+    def view(self, cls, q: Quiver, code):
+        """The view of class cls (Path or NecklaceWord) over q of a code the
+        encoding produced: a vertex, or arrow numbers (a sequence) that
+        compose, for a necklace in least rotation; built unchecked."""
+        if type(code) is int:
+            return _unchecked(cls, quiver=q, arrows=(), vertex=code)
         # a tuple built from a list is allocated at its size once; one built
         # from a generator is allocated at a guessed size and shrunk, which
         # leaves blocks of every size behind in the interpreter's free lists
         labels = self.labels
-        return tuple([labels[i] for i in word])
+        return _unchecked(cls, quiver=q, arrows=tuple([labels[i] for i in code]), vertex=None)
 
     def code(self, view: Path | NecklaceWord):
         """The code of a path, or of a necklace (its labels are already the
@@ -684,42 +707,36 @@ def _encoding(q: Quiver) -> _Encoding:
     return _Encoding(q)
 
 
-def paths_of_length(q: Quiver, length: int) -> tuple[Path, ...]:
-    """All paths of the given length, in deterministic label-lexicographic order.
-
-    Decoded once per quiver instance and length, and kept in its encoding.
-    """
+def _path_codes(encoding: _Encoding, length: int) -> Iterable:
+    """The codes of the paths of a length, in increasing order."""
     if length < 0:
         raise ValueError("length must be nonnegative")
+    return encoding.vertices if length == 0 else encoding.words(length, _Steps())
+
+
+def paths_of_length(q: Quiver, length: int) -> tuple[Path, ...]:
+    """All paths of the given length, in deterministic label-lexicographic order."""
     encoding = _encoding(q)
-    paths = encoding.paths.get(length)
-    if paths is None:
-        if length == 0:
-            paths = tuple(Path.trivial(q, v) for v in q.vertices)
-        else:
-            paths = tuple(Path(q, encoding.decode(w)) for w in encoding.words(length, _Steps()))
-        encoding.paths[length] = paths
-    return paths
+    return tuple([encoding.view(Path, q, code) for code in _path_codes(encoding, length)])
 
 
 def paths_between(q: Quiver, source: int, target: int, length: int) -> tuple[Path, ...]:
+    """The paths of paths_of_length that run from source to target."""
     for v in (source, target):
         if not 1 <= v <= q.vertex_count:
             raise ValueError(f"vertex {v} out of range 1..{q.vertex_count}")
-    return tuple(
-        p for p in paths_of_length(q, length) if p.source == source and p.target == target
-    )
+    encoding, ends = _encoding(q), (source, target)
+    codes = [code for code in _path_codes(encoding, length) if encoding.ends(code) == ends]
+    return tuple([encoding.view(Path, q, code) for code in codes])
 
 
 def necklaces_of_length(q: Quiver, length: int) -> tuple[NecklaceWord, ...]:
     """All necklace classes of the given length, deduplicated and sorted."""
     if length < 0:
         raise ValueError("length must be nonnegative")
-    if length == 0:
-        return tuple(NecklaceWord.vertex_class(q, v) for v in q.vertices)
     encoding = _encoding(q)
-    return tuple(
-        NecklaceWord._of_least_rotation(q, encoding.decode([x >> 1 for x in w]))
-        for w in encoding.necklaces(length, 0, _Steps())
-    )
+    if length == 0:
+        return tuple([encoding.view(NecklaceWord, q, v) for v in q.vertices])
+    words = encoding.necklaces(length, 0, _Steps())
+    return tuple([encoding.view(NecklaceWord, q, [x >> 1 for x in w]) for w in words])
 

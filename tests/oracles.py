@@ -71,7 +71,7 @@ from necklacekit import (
     reflect,
     weight_pairing,
 )
-from necklacekit.forms import _ends, _mismatch, _store
+from necklacekit.forms import _ends, _mismatch, _piece
 from necklacekit.linalg import RowReducer
 from necklacekit.numerics import (
     MomentSolveResult,
@@ -756,7 +756,6 @@ class CommutatorRows:
 
     def __init__(self, q: Quiver) -> None:
         self.encoding = _encoding(q)
-        self._store = _store(q)
         self._by_ends: dict = {}
         self._indices: dict = {}
         self._reducers: dict = {}
@@ -766,7 +765,7 @@ class CommutatorRows:
         key = (degree, length)
         if key not in self._by_ends:
             groups: dict = {}
-            for code in self._store.piece(degree, length, _Steps()):
+            for code in _piece(self.encoding, degree, length, _Steps()):
                 if type(code) is not int:
                     groups.setdefault(_ends(self.encoding, code), []).append(code)
             self._by_ends[key] = groups
@@ -811,7 +810,7 @@ class CommutatorRows:
         basis; the open ones are in the span."""
         key = (degree, length)
         if key not in self._indices:
-            basis = self._store.piece(degree, length, _Steps())
+            basis = _piece(self.encoding, degree, length, _Steps())
             self._indices[key] = {code: i for i, code in enumerate(basis)}
         index = self._indices[key]
         return {index[code]: coeff for code, coeff in terms.items() if self._closed(code)}
@@ -832,7 +831,7 @@ class CommutatorRows:
 
     def dim(self, degree: int, length: int) -> int:
         """The closed elements of the piece less the rank of the rows."""
-        closed = sum(map(self._closed, self._store.piece(degree, length, _Steps())))
+        closed = sum(map(self._closed, _piece(self.encoding, degree, length, _Steps())))
         return closed - self.reducer(degree, length).rank
 
     def in_commutator_span(self, x: FormSum) -> bool:
