@@ -78,6 +78,7 @@ from necklacekit.numerics import (
     RankReport,
     _damped_steps,
     _gram_of,
+    _gram_rank,
     _kronecker_steps,
     _plan,
     _rank_of,
@@ -1210,14 +1211,22 @@ def solve_by_arrows(
 def rank_report_by_arrows(
     q: Quiver, alpha, lam, point, svd_tol: float = 1e-7, residual_tol: float = 1e-8
 ) -> RankReport:
-    """numerics.rank_report on the point dict, Jacobian from jacobian_by_arrows."""
+    """numerics.rank_report on the point dict; where rank_report certifies
+    the rank from the Kronecker Gram the report is its own, and where it
+    forms the Jacobian, the Jacobian comes from jacobian_by_arrows.  The
+    Gram route's values are checked against the SVD by
+    test_numerics.py::test_gram_ranks_match_the_svd_on_random_quivers."""
     dq = double_of(q)
     alpha = as_dim_vector(dq, alpha)
+    plan = _plan(dq, alpha)
     lam_values = [float(x) + 0j for x in as_weight(dq, lam)]
     norm = float(np.linalg.norm(residual_by_blocks(dq, alpha, lam_values, point)))
     if norm > residual_tol:
         raise ValueError(f"point is not solved: residual {norm:.3e} > {residual_tol:.1e}")
-    return _rank_of(jacobian_by_arrows(dq, alpha, point), rep_dimension(dq, alpha), svd_tol)
+    report = _gram_rank(plan, _pack(dq, point), svd_tol) if _uses_kronecker(plan) else None
+    if report is None:
+        report = _rank_of(jacobian_by_arrows(dq, alpha, point), rep_dimension(dq, alpha), svd_tol)
+    return report
 
 
 def plan_indices_by_arrows(

@@ -335,13 +335,21 @@ def test_hamiltonian_fields_of_length_six_necklaces_are_symplectic():
     """L_theta omega of a length-6 necklace on the three-loop double lands in
     the (2, 6) piece of 699,840 elements, more than the work budget."""
     dq = double(Quiver(1, tuple(Arrow(label, 1, 1) for label in "xyz")))
-    for labels in ("x x* y y* z z*", "x x y x* z* z*", "x y z x* y* z*"):
-        theta = hamiltonian_derivation(NecklaceWord(dq, tuple(labels.split())))
-        lw = lie_derivative(theta, symplectic_form(dq))
-        assert set(lw.components()) == {(2, 6)} and not lw.is_zero()
-        assert is_symplectic(theta)
+    tracemalloc.start()
+    try:
+        for labels in ("x x* y y* z z*", "x x y x* z* z*", "x y z x* y* z*"):
+            theta = hamiltonian_derivation(NecklaceWord(dq, tuple(labels.split())))
+            lw = lie_derivative(theta, symplectic_form(dq))
+            assert set(lw.components()) == {(2, 6)} and not lw.is_zero()
+            assert is_symplectic(theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert comb(6, 2) * len(paths_of_length(dq, 6)) == 699840 > WORK_CAP
-    assert "_forms_store" not in dq.__dict__
+    # the piece is never built: its 699,840 codes alone would take about
+    # 190 MB (933,120 take 250 MB, as the test above says); the loop peaks
+    # near 20 kB
+    assert peak < 4_000_000
 
 
 CLI_BASES = small_random_quivers(2012, 10)

@@ -304,6 +304,79 @@ def test_rank_cut_gap_at_rank_zero_and_at_exact_zeros():
     assert report.jacobian_rank == 2 and report.cut_gap == math.inf
 
 
+def rank_against_the_svd(q, alpha, lam, result, svd_tol=1e-7) -> str:
+    """rank_report at a solve's point against the SVD of its Jacobian, and
+    the route it took.  Where the Gram does not certify the rank the report
+    is the SVD's; where it does, the rank and fiber dimension are the SVD's,
+    the trace direction's value is exactly 0 and every squared value lies
+    within the Gram route's Weyl bound, 4 m eps (lambda_max + ||x||^2), of
+    the SVD's."""
+    plan = numerics._plan(double_of(q), alpha)
+    flat = numerics._pack(plan, result.point)
+    report = rank_report(
+        q, alpha, lam, result.point, svd_tol=svd_tol,
+        residual_tol=max(1e-8, 2 * result.residual_norm),
+    )
+    svd = numerics._rank_of(numerics._jacobian(plan, flat), plan.columns, svd_tol)
+    if not numerics._uses_kronecker(plan):
+        assert report == svd
+        return "dense"
+    if numerics._gram_rank(plan, flat, svd_tol) is None:
+        assert report == svd
+        return "fallback"
+    assert (report.jacobian_rank, report.fiber_dim_estimate) == (
+        svd.jacobian_rank, svd.fiber_dim_estimate
+    )
+    assert report.jacobian_rank == plan.rows - 1
+    assert report.singular_values[-1] == 0.0 and report.cut_gap == math.inf
+    scale = report.singular_values[0] ** 2 + float(np.vdot(flat, flat).real)
+    bound = 4 * plan.rows * np.finfo(float).eps * scale
+    assert len(report.singular_values) == len(svd.singular_values)
+    for gram, exact in zip(report.singular_values, svd.singular_values):
+        assert abs(gram * gram - exact * exact) <= bound
+    return "certified"
+
+
+def test_gram_ranks_match_the_svd_on_random_quivers(monkeypatch):
+    monkeypatch.setattr(numerics, "KRONECKER_MIN_ROWS", 1)
+    routes = []
+    for seed in range(40):
+        rng = random.Random(13000 + seed)
+        dq, alpha = random_case(rng)
+        lam = (0,) * len(alpha)
+        result = solve(dq, alpha, lam, seed, max_iter=30)
+        routes.append(rank_against_the_svd(dq, alpha, lam, result))
+    # at lambda = 0 some points have more than the scalars as stabilizer,
+    # where the rank is below m - 1 and the Gram leaves it to the SVD
+    assert "certified" in routes and "fallback" in routes
+
+
+@pytest.mark.parametrize("alpha", [(4, 8), (5, 10)])
+def test_gram_ranks_match_the_svd_on_calogero(alpha):
+    for seed in range(3):
+        result = solve(CALOGERO, alpha, LAM_21, seed)
+        assert result.converged
+        assert rank_against_the_svd(CALOGERO, alpha, LAM_21, result) == "certified"
+
+
+def test_gram_route_at_the_origin_and_at_an_overflowing_cut():
+    alpha = (4, 8)
+    plan = numerics._plan(double_of(CALOGERO), alpha)
+    assert numerics._uses_kronecker(plan)
+    # sigma_1 = 0: the SVD answers, every value 0 and the rank 0
+    origin = {label: np.zeros(shape, dtype=complex) for label, _, shape in plan.arrows}
+    report = rank_report(CALOGERO, alpha, LAM_0, origin)
+    assert report.jacobian_rank == 0 and report.fiber_dim_estimate == plan.columns
+    assert report.singular_values == [0.0] * plan.rows and report.cut_gap is None
+    # svd_tol^2 overflows: the SVD answers, bit for bit
+    point = solve(CALOGERO, alpha, LAM_21, 0).point
+    flat = numerics._pack(plan, point)
+    assert numerics._gram_rank(plan, flat, 1e-7) is not None
+    assert numerics._gram_rank(plan, flat, 1e308) is None
+    expected = numerics._rank_of(numerics._jacobian(plan, flat), plan.columns, 1e308)
+    assert rank_report(CALOGERO, alpha, LAM_21, point, svd_tol=1e308) == expected
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
