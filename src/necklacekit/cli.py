@@ -19,7 +19,8 @@ Only ``quiver`` and ``textio`` are imported with this module.  Each command
 imports the layer it runs when it runs (``roots``, ``strata``, ``lie``,
 ``forms`` or ``numerics``), so a process loads numpy only for ``moment``.
 No flag sets a bound of a layer: ``roots``, ``sigma`` and ``classify`` are
-refused by the one step budget ``quiver.WORK_CAP`` alone.
+refused by the one step budget ``quiver.WORK_CAP`` alone, and a ``derham``
+or ``karoubi`` table is charged to it before its cells are computed.
 """
 from __future__ import annotations
 
@@ -29,9 +30,9 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
-from .quiver import Quiver, double, euler_form, tits_form
+from .quiver import Quiver, _Steps, double, euler_form, tits_form
 from .textio import (
     parse_dim_vector,
     parse_necklace,
@@ -195,14 +196,29 @@ def _quiver_json(q: Quiver) -> dict:
     }
 
 
+COMMANDS: dict[str, Callable[[Quiver, argparse.Namespace], dict]] = {}
+
+
+def _command(run):
+    """Register ``run``, named ``cmd_<name>``, as the subcommand <name>: its
+    report gets the keys every report opens with, ``schema``, ``command``
+    and ``quiver``, ahead of the keys ``run`` returns."""
+
+    @functools.wraps(run)
+    def command(q: Quiver, args) -> dict:
+        envelope = {"schema": SCHEMA, "command": args.command, "quiver": _quiver_json(q)}
+        return envelope | run(q, args)
+
+    COMMANDS[run.__name__.removeprefix("cmd_")] = command
+    return command
+
+
+@_command
 def cmd_info(q: Quiver, args) -> dict:
     chi = euler_form(q)
     t_matrix = tits_form(q)
     dq = double(q)
     report = {
-        "schema": SCHEMA,
-        "command": "info",
-        "quiver": _quiver_json(q),
         "euler_form": [list(row) for row in chi],
         "tits_form": [list(row) for row in t_matrix],
         "double_arrows": [[a.label, a.source, a.target] for a in dq.arrows],
@@ -217,15 +233,13 @@ def cmd_info(q: Quiver, args) -> dict:
     return report
 
 
+@_command
 def cmd_roots(q: Quiver, args) -> dict:
     from . import roots
 
     box = parse_dim_vector(args.box, q.vertex_count)
     found = roots.enumerate_positive_roots(q, box)
     report = {
-        "schema": SCHEMA,
-        "command": "roots",
-        "quiver": _quiver_json(q),
         "box": _vec(box),
         "roots": [
             {
@@ -245,6 +259,7 @@ def cmd_roots(q: Quiver, args) -> dict:
     return report
 
 
+@_command
 def cmd_sigma(q: Quiver, args) -> dict:
     from . import strata
 
@@ -252,9 +267,6 @@ def cmd_sigma(q: Quiver, args) -> dict:
     lam = parse_weight(args.lam, q.vertex_count)
     membership = strata.sigma_membership(q, alpha, lam)
     report = {
-        "schema": SCHEMA,
-        "command": "sigma",
-        "quiver": _quiver_json(q),
         "lambda": _weight_json(lam),
         **_membership_json(membership),
     }
@@ -273,6 +285,7 @@ def cmd_sigma(q: Quiver, args) -> dict:
     return report
 
 
+@_command
 def cmd_classify(q: Quiver, args) -> dict:
     from . import strata
 
@@ -301,9 +314,6 @@ def cmd_classify(q: Quiver, args) -> dict:
             "smooth": result.two_alpha.smooth,
         }
     report = {
-        "schema": SCHEMA,
-        "command": "classify",
-        "quiver": _quiver_json(q),
         "alpha": _vec(alpha),
         "lambda": _weight_json(lam),
         "root_kind": result.root_class.kind,
@@ -353,6 +363,7 @@ def cmd_classify(q: Quiver, args) -> dict:
     return report
 
 
+@_command
 def cmd_bracket(q: Quiver, args) -> dict:
     from . import lie
 
@@ -362,9 +373,6 @@ def cmd_bracket(q: Quiver, args) -> dict:
     result = lie.kontsevich_bracket(w1, w2)
     terms = sorted(((str(w), coeff) for w, coeff in result.terms()), key=lambda t: t[0])
     report = {
-        "schema": SCHEMA,
-        "command": "bracket",
-        "quiver": _quiver_json(q),
         "w1": str(w1),
         "w2": str(w2),
         "result": [[text, str(coeff)] for text, coeff in terms],
@@ -375,38 +383,39 @@ def cmd_bracket(q: Quiver, args) -> dict:
 
 def _graded_table(q: Quiver, args, title: str, value) -> dict:
     """The report of ``derham`` or ``karoubi``: value(quiver, degree, length)
-    for every degree and length up to ``--max-degree`` and ``--max-length``."""
+    for every degree and length up to ``--max-degree`` and ``--max-length``.
+    The table spends one step of the work budget per cell plus the cell's
+    length, all charged before the first cell is computed."""
+    lengths = args.max_length + 1
+    _Steps().spend((args.max_degree + 1) * lengths * (lengths + 1) // 2)
     target = q if args.base else double(q)
     table = [
         {"degree": degree, "length": length, "dim": value(target, degree, length)}
         for degree in range(0, args.max_degree + 1)
         for length in range(0, args.max_length + 1)
     ]
-    report = {
-        "schema": SCHEMA,
-        "command": args.command,
-        "quiver": _quiver_json(q),
-        "on_double": not args.base,
-        "table": table,
-    }
+    report = {"on_double": not args.base, "table": table}
     print(f"{title} (degree, length, dim):")
     for row in table:
         print(f"  {row['degree']:>2} {row['length']:>2} {row['dim']:>4}")
     return report
 
 
+@_command
 def cmd_derham(q: Quiver, args) -> dict:
     from . import forms
 
     return _graded_table(q, args, "graded homology dimensions", forms.graded_homology_dim)
 
 
+@_command
 def cmd_karoubi(q: Quiver, args) -> dict:
     from . import forms
 
     return _graded_table(q, args, "commutator-quotient dimensions", forms.karoubi_count)
 
 
+@_command
 def cmd_moment(q: Quiver, args) -> dict:
     from . import numerics
 
@@ -440,9 +449,6 @@ def cmd_moment(q: Quiver, args) -> dict:
 
     results = [run(seed) for seed in range(args.seeds)]
     report = {
-        "schema": SCHEMA,
-        "command": "moment",
-        "quiver": _quiver_json(q),
         "alpha": _vec(alpha),
         "lambda": _weight_json(lam),
         "rep_dimension": numerics.rep_dimension(q, alpha),
@@ -466,18 +472,6 @@ def cmd_moment(q: Quiver, args) -> dict:
     converged = sum(1 for e in results if e["converged"])
     print(f"converged: {converged}/{len(results)}")
     return report
-
-
-COMMANDS = {
-    "info": cmd_info,
-    "roots": cmd_roots,
-    "sigma": cmd_sigma,
-    "classify": cmd_classify,
-    "bracket": cmd_bracket,
-    "derham": cmd_derham,
-    "karoubi": cmd_karoubi,
-    "moment": cmd_moment,
-}
 
 
 def _float_text(value: float) -> str:

@@ -48,17 +48,16 @@ thread and each route forced on the same code, the Kronecker route took
 at (10, 20) (m = 500) a solve took 88 ms instead of 401 ms.  The routes
 agree to rounding, not bit for bit.
 
-``rank_report`` takes the route ``solve`` takes, by the same rule.  On the
-Kronecker route it builds the Gram matrix at the point and takes its
-eigenvalues (``_gram_rank``): the trace direction is an exact kernel vector
-of J, so the rank is at most m - 1, and when the second-smallest eigenvalue
-clears the cut by a rounding margin the rank is m - 1, the kept singular
-values are the square roots of the eigenvalues and the trace direction's is
-exactly 0.  Otherwise, and always below the threshold or when m > n, it
-forms J and takes its SVD (``_rank_of``).  Timed with one BLAS thread at
-converged Calogero-Moser points, ``rank_report`` took about 30-40% less
-time than the SVD route at (4, 8) (m = 80), about half at (5, 10) and
-about 60-70% less at (10, 20) (500 rows: 66-88 ms instead of 212-228 ms).
+``rank_report`` has one rank rule.  Wherever m <= n, the trace direction u
+(identity blocks) spans an exact left kernel of J, whose column traces
+cancel bit for bit, so the last of the m singular values, u's, is reported
+as exactly 0; the others are kept above svd_tol * sigma_1 (``_report``).
+The values come from the route ``solve`` takes: the square roots of the
+Gram matrix's eigenvalues where those certify rank m - 1 (``_gram_rank``),
+else the SVD of J (``_rank_of``).  Timed with one BLAS thread at converged
+Calogero-Moser points, ``rank_report`` took about 30-40% less time than the
+SVD route at (4, 8) (m = 80), about half at (5, 10) and about 60-70% less
+at (10, 20) (500 rows: 66-88 ms instead of 212-228 ms).
 
 Dense matrices are refused before anything is allocated when m * n
 exceeds ``MAX_DENSE_ENTRIES``.  The m x n Jacobian, which the dense route
@@ -418,8 +417,8 @@ class RankReport:
     fiber_dim_estimate: int
     singular_values: list[float]
     # sigma_r / sigma_{r+1} at the rank cut r (inf if sigma_{r+1} is 0, as
-    # for the trace direction wherever the Gram certifies rank m - 1); None
-    # when r is 0 or every singular value is kept
+    # at every point of rank m - 1 with m <= n, where it is the trace
+    # direction's); None when r is 0 or every singular value is kept
     cut_gap: float | None
 
 
@@ -472,8 +471,8 @@ def _kronecker_steps(
     return lambda damping: _adjoint(plan, flat, solve(damping))
 
 
-def _gram_rank(plan: _Plan, flat: np.ndarray, svd_tol: float) -> RankReport | None:
-    """The rank report at flat from the eigenvalues of G = J J^H
+def _gram_rank(plan: _Plan, flat: np.ndarray, svd_tol: float) -> list[float] | None:
+    """The singular values of J at flat from the eigenvalues of G = J J^H
     (``_gram_of``), or None where they cannot certify rank m - 1.
 
     The trace direction u (identity blocks) is an exact kernel vector of the
@@ -490,13 +489,11 @@ def _gram_rank(plan: _Plan, flat: np.ndarray, svd_tol: float) -> RankReport | No
     eigenvalues differed from the SVD's squared values by at most
     0.18 m eps lambda_max.  So when the second-smallest eigenvalue exceeds
     svd_tol^2 lambda_max + margin, the smallest is u's, every other exact
-    eigenvalue lies above the cut, and the rank is m - 1: the kept values are
-    sqrt(lambda) and u's is exactly 0.0.  u's computed eigenvalue, rounding
-    noise near 1e-16 lambda_max, is not compared with the cut, which at the
-    default svd_tol lies in the same band.  None where the stabilizer is
-    larger than the scalars (lower rank), where lambda_max is 0, where
-    svd_tol^2 lambda_max overflows, where the second eigenvalue lies inside
-    the band, and for a single row, which is u itself.
+    eigenvalue lies above the cut, and the values are sqrt(lambda), u's
+    exactly 0.0, of which ``_report`` keeps all but u's.  None where the
+    stabilizer is larger than the scalars (lower rank), where lambda_max is
+    0, where svd_tol^2 lambda_max overflows, where the second eigenvalue
+    lies inside the band, and for a single row, which is u itself.
     """
     if plan.rows < 2:
         return None
@@ -506,21 +503,22 @@ def _gram_rank(plan: _Plan, flat: np.ndarray, svd_tol: float) -> RankReport | No
     margin = 4 * plan.rows * np.finfo(float).eps * (top + float(np.vdot(flat, flat).real))
     if not (top > 0 and math.isfinite(cut) and eigen[1] > cut + margin):
         return None
-    values = [float(s) for s in np.sqrt(eigen[:0:-1])] + [0.0]
-    rank = plan.rows - 1
-    return RankReport(rank, plan.columns - rank, values, math.inf)
+    return [float(s) for s in np.sqrt(eigen[:0:-1])] + [0.0]
 
 
 def _rank_of(jac: np.ndarray, rep_dim: int, svd_tol: float) -> RankReport:
-    """The rank report of a Jacobian: singular values above svd_tol * sigma_1."""
-    if jac.size == 0:
-        return RankReport(0, rep_dim, [], None)
-    singular = np.linalg.svd(jac, compute_uv=False)
-    values = [float(s) for s in singular]
-    if not values or values[0] == 0.0:
-        rank = 0
-    else:
-        rank = sum(1 for s in values if s > svd_tol * values[0])
+    """The rank report of a Jacobian from its SVD, u's value set to exactly
+    0.0 where rows <= columns (module docstring)."""
+    values = [float(s) for s in np.linalg.svd(jac, compute_uv=False)] if jac.size else []
+    if 0 < jac.shape[0] <= jac.shape[1]:
+        values[-1] = 0.0
+    return _report(values, rep_dim, svd_tol)
+
+
+def _report(values: list[float], rep_dim: int, svd_tol: float) -> RankReport:
+    """The rank report of descending singular values: those above
+    svd_tol * sigma_1 are kept."""
+    rank = sum(1 for s in values if s > svd_tol * values[0]) if values else 0
     cut_gap = None
     if 0 < rank < len(values):
         cut_gap = values[rank - 1] / values[rank] if values[rank] else math.inf
@@ -597,11 +595,12 @@ def rank_report(
     representation space minus the rank; the full singular value list is
     returned so borderline thresholding stays auditable, and ``cut_gap``
     says how far apart the last kept and the first dropped value are.  Where
-    ``solve`` steps without the Jacobian and the Gram certifies rank m - 1,
-    the values are the square roots of its eigenvalues and the last one, the
-    trace direction's, is exactly 0 (``_gram_rank``); elsewhere they are
-    the SVD's.  An alpha whose dense matrices would exceed MAX_DENSE_ENTRIES
-    is refused, as are tolerances that are not finite and positive.
+    m <= n the last value, the trace direction's, is exactly 0 (module
+    docstring).  Where ``solve`` steps without the Jacobian and the Gram
+    certifies rank m - 1, the values are the square roots of its eigenvalues
+    (``_gram_rank``); elsewhere they are the SVD's.  An alpha whose dense
+    matrices would exceed MAX_DENSE_ENTRIES is refused, as are tolerances
+    that are not finite and positive.
     """
     _check_positive("svd_tol", svd_tol)
     _check_positive("residual_tol", residual_tol)
@@ -614,7 +613,7 @@ def rank_report(
     norm = float(np.linalg.norm(_residual(plan, flat, lam_diagonal)))
     if norm > residual_tol:
         raise ValueError(f"point is not solved: residual {norm:.3e} > {residual_tol:.1e}")
-    report = _gram_rank(plan, flat, svd_tol) if _uses_kronecker(plan) else None
-    if report is None:
-        report = _rank_of(_jacobian(plan, flat), plan.columns, svd_tol)
-    return report
+    values = _gram_rank(plan, flat, svd_tol) if _uses_kronecker(plan) else None
+    if values is None:
+        return _rank_of(_jacobian(plan, flat), plan.columns, svd_tol)
+    return _report(values, plan.columns, svd_tol)

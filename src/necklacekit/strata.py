@@ -88,13 +88,11 @@ def _sum_multisets(
     parts: list[DimVector],
     target: DimVector,
     steps: _Steps,
-    *,
-    minimum_parts: int,
     bound: Callable[[DimVector, list], bool] | None = None,
 ) -> Iterator[tuple[tuple[DimVector, int], ...]]:
-    """The multisets of parts summing to target with at least minimum_parts
-    parts, the parts in descending lex order: each part's multiplicities
-    are tried from the largest down to 0, in the order of the parts.
+    """The multisets of parts summing to target, the parts in descending lex
+    order: each part's multiplicities are tried from the largest down to 0,
+    in the order of the parts.
 
     In that order the first nonzero coordinate of a part never moves left,
     so once it passes the first nonzero coordinate of what is left to cover,
@@ -105,11 +103,10 @@ def _sum_multisets(
     """
     k = len(target)
 
-    def rec(start: int, remaining: tuple[int, ...], count: int, acc: list):
+    def rec(start: int, remaining: tuple[int, ...], acc: list):
         lead = next((i for i, r in enumerate(remaining) if r), None)
         if lead is None:
-            if count >= minimum_parts:
-                yield tuple(acc)
+            yield tuple(acc)
             return
         for index in range(start, len(parts)):
             beta = parts[index]
@@ -123,10 +120,10 @@ def _sum_multisets(
                 rest = tuple(remaining[i] - mult * beta[i] for i in range(k))
                 acc.append((beta, mult))
                 if bound is None or bound(rest, acc):
-                    yield from rec(index + 1, rest, count + mult, acc)
+                    yield from rec(index + 1, rest, acc)
                 acc.pop()
 
-    yield from rec(0, target, 0, [])
+    yield from rec(0, target, [])
 
 
 def parameter_sum(q: Quiver, decomposition: Decomposition) -> int:
@@ -329,7 +326,7 @@ class _SigmaTable:
             total = sum(mult * self._p[beta] for beta, mult in chosen)
             return best is not None and total + best >= worst
 
-        return next(_sum_multisets(parts, alpha, self.steps, minimum_parts=2, bound=reaches))
+        return next(_sum_multisets(parts, alpha, self.steps, bound=reaches))
 
 
 def _lead(vec: DimVector) -> int:
@@ -417,16 +414,16 @@ def rep_types(q: Quiver, alpha: Sequence[int], lam: Sequence) -> list[RepType]:
     """All semisimple types: multisets of strict members summing to alpha."""
     alpha = as_dim_vector(q, alpha)
     lam = as_weight(q, lam)
-    if not any(alpha):
-        return []  # the zero vector has no types, whatever the weight
     return _rep_types(_SigmaTable(q, lam, alpha), alpha)
 
 
 def _rep_types(table: _SigmaTable, alpha: DimVector) -> list[RepType]:
+    if not any(alpha):
+        return []  # the zero vector has no types, whatever the weight
     fits = (beta for beta in table.parts() if componentwise_leq(beta, alpha))
     simples = [beta for beta in fits if table.in_sigma(beta)]
     out = []
-    for multiset in _sum_multisets(simples, alpha, table.steps, minimum_parts=1):
+    for multiset in _sum_multisets(simples, alpha, table.steps):
         out.append(tuple((mult, beta) for beta, mult in multiset))
     return out
 

@@ -82,6 +82,7 @@ from necklacekit.numerics import (
     _kronecker_steps,
     _plan,
     _rank_of,
+    _report,
     _uses_kronecker,
     moment_eval,
     random_rep,
@@ -304,7 +305,7 @@ def decompositions(q: Quiver, alpha, lam):
         for beta, _ in reversed(roots_by_box_filter(q, alpha))
         if componentwise_lt(beta, alpha) and weight_pairing(lam, beta) == 0
     ]
-    yield from _sum_multisets(parts, alpha, _Steps(), minimum_parts=2)
+    yield from _sum_multisets(parts, alpha, _Steps())
 
 
 def sigma_membership_by_enumeration(q: Quiver, alpha, lam) -> SigmaMembership:
@@ -1223,10 +1224,10 @@ def rank_report_by_arrows(
     norm = float(np.linalg.norm(residual_by_blocks(dq, alpha, lam_values, point)))
     if norm > residual_tol:
         raise ValueError(f"point is not solved: residual {norm:.3e} > {residual_tol:.1e}")
-    report = _gram_rank(plan, _pack(dq, point), svd_tol) if _uses_kronecker(plan) else None
-    if report is None:
-        report = _rank_of(jacobian_by_arrows(dq, alpha, point), rep_dimension(dq, alpha), svd_tol)
-    return report
+    values = _gram_rank(plan, _pack(dq, point), svd_tol) if _uses_kronecker(plan) else None
+    if values is None:
+        return _rank_of(jacobian_by_arrows(dq, alpha, point), rep_dimension(dq, alpha), svd_tol)
+    return _report(values, plan.columns, svd_tol)
 
 
 def plan_indices_by_arrows(

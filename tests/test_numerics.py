@@ -287,9 +287,63 @@ def test_rank_cut_is_far_from_ambiguous_on_calogero(calogero, alpha):
         report = rank_report(calogero, alpha, LAM_21, result.point)
         values = report.singular_values
         rank = report.jacobian_rank
-        assert report.cut_gap == values[rank - 1] / values[rank]
-        assert report.cut_gap > 1e10
+        assert values[rank] == 0.0 and report.cut_gap == math.inf
+        assert values[rank - 1] > 1e-3 * values[0]
     assert solved
+
+
+@pytest.mark.parametrize("alpha", [(2, 4), (3, 6)])
+@pytest.mark.parametrize("svd_tol", [1e-7, 1e-16])
+def test_the_trace_direction_is_exactly_zero_below_the_gram_route(calogero, alpha, svd_tol):
+    # below 80 rows the SVD answers; u's rounding is not a value even when
+    # the cut lies below it
+    rows = sum(a * a for a in alpha)
+    for seed in range(3):
+        result = solve(calogero, alpha, LAM_21, seed)
+        assert result.converged
+        report = rank_report(calogero, alpha, LAM_21, result.point, svd_tol=svd_tol)
+        assert report.jacobian_rank == rows - 1
+        assert report.fiber_dim_estimate == rep_dimension(calogero, alpha) - rows + 1
+        assert report.singular_values[-1] == 0.0 and report.cut_gap == math.inf
+
+
+def test_the_svd_route_reads_the_gram_routes_rank_at_80_rows():
+    alpha = (4, 8)
+    plan = numerics._plan(double_of(CALOGERO), alpha)
+    flat = numerics._pack(plan, solve(CALOGERO, alpha, LAM_21, 0).point)
+    svd = numerics._rank_of(numerics._jacobian(plan, flat), plan.columns, 1e-16)
+    assert svd.jacobian_rank == plan.rows - 1 == 79
+    assert svd.singular_values[-1] == 0.0
+
+
+def test_both_rank_routes_drop_the_trace_direction_on_random_quivers(monkeypatch):
+    monkeypatch.setattr(numerics, "KRONECKER_MIN_ROWS", 1)
+    certified = {1e-7: 0, 1e-16: 0}
+    for seed in range(40):
+        rng = random.Random(13000 + seed)
+        dq, alpha = random_case(rng)
+        plan = numerics._plan(dq, alpha)
+        if not 0 < plan.rows <= plan.columns:
+            continue
+        lam = (0,) * len(alpha)
+        result = solve(dq, alpha, lam, seed, max_iter=30)
+        flat = numerics._pack(plan, result.point)
+        jac = numerics._jacobian(plan, flat)
+        for svd_tol in certified:
+            svd = numerics._rank_of(jac, plan.columns, svd_tol)
+            assert svd.singular_values[-1] == 0.0
+            if numerics._gram_rank(plan, flat, svd_tol) is None:
+                continue
+            certified[svd_tol] += 1
+            report = rank_report(
+                dq, alpha, lam, result.point, svd_tol=svd_tol,
+                residual_tol=max(1e-8, 2 * result.residual_norm),
+            )
+            assert (report.jacobian_rank, report.fiber_dim_estimate) == (
+                svd.jacobian_rank, svd.fiber_dim_estimate
+            )
+            assert report.singular_values[-1] == 0.0 and report.cut_gap == svd.cut_gap
+    assert all(certified.values())
 
 
 def test_rank_cut_gap_at_rank_zero_and_at_exact_zeros():

@@ -194,7 +194,8 @@ def test_cli_moment_reports_the_rank_gap_in_json_only(calogero_file, tmp_path, c
     for entry in json.loads(json_path.read_text(encoding="utf-8"))["results"]:
         assert entry["converged"]
         values, rank = entry["singular_values"], entry["jacobian_rank"]
-        assert entry["rank_gap"] == values[rank - 1] / values[rank] > 1e10
+        assert values[rank] == 0.0 and entry["rank_gap"] == math.inf
+        assert values[rank - 1] > 1e-3 * values[0]
 
 
 def test_cli_domain_error_exit_code(calogero_file, capsys):
@@ -403,6 +404,32 @@ def test_cli_refuses_work_above_the_budget(text, alpha, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: the computation needs more than {WORK_CAP} steps\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derham", "--max-degree", "3000", "--max-length", "300"],
+        ["karoubi", "--max-length", "353"],
+        ["karoubi", "--max-length", "100000"],
+        ["derham", "--max-degree", str(10**30)],
+    ],
+)
+def test_cli_refuses_tables_above_the_budget(argv, calogero_file, capsys):
+    assert main([argv[0], calogero_file, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the computation needs more than {WORK_CAP} steps\n"
+
+
+@pytest.mark.parametrize("command", ["derham", "karoubi"])
+def test_cli_answers_the_largest_degree_three_table(command, calogero_file, tmp_path):
+    # 4 degrees of 353 lengths, a step per cell plus its length: 249,924 steps
+    json_path = tmp_path / "table.json"
+    assert main([command, calogero_file, "--max-length", "352", "--json", str(json_path)]) == 0
+    table = json.loads(json_path.read_text(encoding="utf-8"))["table"]
+    assert len(table) == 4 * 353
+    assert (table[-1]["degree"], table[-1]["length"]) == (3, 352)
 
 
 def test_a_refused_process_stays_small(tmp_path):
