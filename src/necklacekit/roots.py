@@ -9,12 +9,12 @@ sequence used, so it can be replayed.
 
 The roots of a box are grown from its unit vectors rather than filtered
 out of it, so their cost follows the roots, not the box: every candidate
-is a root plus one unit vector, and is classified by one descent step onto
-a vector of the box already classified.
+is a root plus one unit vector, and is decided by one descent step onto a
+root of smaller height already found.
 
 Each public call spends from the work budget ``quiver.WORK_CAP`` a step per
-pairing computed by a descent, reflection entry written back along one and
-candidate tested, whatever the size of the box or of its entries.
+pairing computed by a descent, candidate tested and reflection written into
+a reported witness, whatever the size of the box or of its entries.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from typing import Sequence
 
 from .quiver import (
     DimVector,
+    IntMatrix,
     Quiver,
     _Steps,
     as_dim_vector,
@@ -109,111 +110,106 @@ def classify_root(q: Quiver, alpha: Sequence[int]) -> RootClass:
         raise ValueError("dimension vector length does not match the quiver")
     if any(a < 0 for a in vec):
         return RootClass(NOT_ROOT)
-    return _classify_in_box(q, vec, {}, _Steps())
+    return _descend(q, vec, _Steps())
 
 
-def _classify_in_box(
-    q: Quiver, vec: DimVector, classes: dict[DimVector, RootClass], steps: _Steps
-) -> RootClass:
-    """``classify_root`` of a vector with nonnegative entries, one descent
-    step per vector not yet in ``classes``.
+def _step(
+    t_matrix: IntMatrix, loop_free: tuple[bool, ...], vec: DimVector, steps: _Steps
+) -> tuple[int, DimVector | None] | None:
+    """The descent step of a vector of nonnegative entries, given the Tits
+    form and loop-free flags: the least loop-free vertex index i of the
+    support with T(vec, e_i) > 0 and vec reflected there (None if that has a
+    negative entry), or None if there is no such i.  Only a loop-free vertex
+    of the support can pair positively, as the form is nonpositive off the
+    diagonal and at a looped vertex on it.  Each pairing spends a step."""
+    for i in compress(range(len(vec)), vec):
+        if loop_free[i]:
+            steps.spend()
+            pairing = sum(map(mul, t_matrix[i], vec))
+            if pairing > 0:
+                lowered = vec[i] - pairing
+                return i, vec[:i] + (lowered,) + vec[i + 1 :] if lowered >= 0 else None
+    return None
 
-    A descent step lowers one coordinate, so it lands on a vector with a
-    negative entry (not a root) or on a nonzero vector of the same box 0 <=
-    beta <= vec.  That vector's class, looked up in ``classes`` or found the
-    same way, gives vec its kind and terminal, and vec's reflections are the
-    step's vertex followed by that vector's reflections.  Every vector of the
-    descent is entered in ``classes``.  Each pairing computed, and each
-    reflection written into those entries, spends a step.
-    """
-    found = classes.get(vec)
-    if found is not None:
-        return found
+
+def _descend(q: Quiver, vec: DimVector, steps: _Steps) -> RootClass:
+    """``classify_root`` of a nonzero vector of nonnegative entries, a step
+    spent per pairing computed and per reflection written."""
     if not any(vec):
         raise ValueError("the zero vector is not classified")
-    t_matrix = tits_form(q)
-    loop_free = loop_free_flags(q)
-    chain: list[tuple[int, int]] = []  # (vertex index, its entry before the step)
-    current = vec
-    while True:
-        if sum(current) == 1 and loop_free[current.index(1)]:
-            found = RootClass(REAL, (), current)
-            break
-        # the Tits form is nonpositive off the diagonal and at a looped
-        # vertex on it, so only a loop-free vertex of the support can pair
-        # positively with a vector of nonnegative entries
-        descent = None
-        for i in compress(range(len(current)), current):
-            if loop_free[i]:
-                steps.spend()
-                pairing = sum(map(mul, t_matrix[i], current))
-                if pairing > 0:
-                    descent = i
-                    break
-        if descent is None:
-            if support_connected(q, current):
-                found = RootClass(IMAGINARY, (), current)
-            else:
-                found = RootClass(NOT_ROOT)
-            break
-        lowered = current[descent] - pairing
-        if lowered < 0:
-            found = RootClass(NOT_ROOT, (descent + 1,))
-            break
-        chain.append((descent, current[descent]))
-        current = current[:descent] + (lowered,) + current[descent + 1 :]
-        found = classes.get(current)
-        if found is not None:
-            break
-    n = len(chain)
-    steps.spend(n * len(found.reflections) + n * (n + 1) // 2)
-    classes[current] = found
-    for vertex, entry in reversed(chain):
-        current = current[:vertex] + (entry,) + current[vertex + 1 :]
-        found = RootClass(found.kind, (vertex + 1,) + found.reflections, found.terminal)
-        classes[current] = found
-    return found
-
-
-def _grow_roots(
-    q: Quiver, box: DimVector, classes: dict[DimVector, RootClass], steps: _Steps
-) -> list[DimVector]:
-    """The roots 0 < alpha <= box in lex order, classified into ``classes``.
-
-    They are grown from the unit vectors of the box: every root found adds
-    one unit vector at a time, within the box, and a candidate is kept when
-    it is a root.  This finds every root by the root-string property (a
-    positive root other than a unit vector minus some unit vector is a
-    positive root; Kac 1980), which for looped vertices is checked against
-    the box filter by the tests, not proved here.  Each candidate tested
-    spends a step.
-    """
-    k = len(box)
-    units = [tuple(int(i == j) for j in range(k)) for i in range(k) if box[i]]
-    seen = set(units)
-    pending = list(units)
-    found = []
-    while pending:
-        vec = pending.pop()
+    t_matrix, loop_free = tits_form(q), loop_free_flags(q)
+    reflections: list[int] = []
+    while sum(vec) != 1 or not loop_free[vec.index(1)]:
+        step = _step(t_matrix, loop_free, vec, steps)
+        if step is None:
+            if support_connected(q, vec):
+                return RootClass(IMAGINARY, tuple(reflections), vec)
+            return RootClass(NOT_ROOT, tuple(reflections))
+        vertex, vec = step
         steps.spend()
-        if not _classify_in_box(q, vec, classes, steps).is_root:
-            continue
-        found.append(vec)
-        for i in range(k):
-            if vec[i] < box[i]:
-                grown = vec[:i] + (vec[i] + 1,) + vec[i + 1 :]
-                if grown not in seen:
-                    seen.add(grown)
-                    pending.append(grown)
-    found.sort()
-    return found
+        reflections.append(vertex + 1)
+        if vec is None:
+            return RootClass(NOT_ROOT, tuple(reflections))
+    return RootClass(REAL, tuple(reflections), vec)
+
+
+def _grow_roots(q: Quiver, box: DimVector, steps: _Steps) -> dict[DimVector, tuple]:
+    """The roots 0 < alpha <= box in height order, each mapped to its kind,
+    the vertex index of its descent step and the root that step lands on.
+
+    Unit vectors take no step: real at a loop-free vertex, imaginary at a
+    looped one.  Any other candidate is a root of the last height plus a
+    unit vector, within the box.  Its one descent step (``_step``) lands on
+    a box vector of smaller height or outside the cone, and as a reflection
+    at a loop-free vertex i permutes the positive roots other than e_i and
+    keeps real and imaginary apart (Kac 1980), it is a root exactly when it
+    lands on a root found, of that root's kind.  With no step it is
+    imaginary if its support is connected, else not a root.  That every
+    root is found rests on the root-string property (a positive root other
+    than a unit vector minus some unit vector is a positive root; Kac
+    1980), which for looped vertices is checked against the box filter by
+    the tests, not proved here.  Each candidate tested spends a step.
+    """
+    t_matrix, loop_free = tits_form(q), loop_free_flags(q)
+    k = len(box)
+    grown = {}
+    for i in compress(range(k), box):
+        steps.spend()
+        unit = tuple(int(i == j) for j in range(k))
+        grown[unit] = (REAL if loop_free[i] else IMAGINARY, None, None)
+    layer = list(grown)
+    while layer:
+        raised = ((vec, i) for vec in layer for i in range(k) if vec[i] < box[i])
+        candidates = dict.fromkeys(vec[:i] + (vec[i] + 1,) + vec[i + 1 :] for vec, i in raised)
+        layer = []
+        for vec in candidates:
+            steps.spend()
+            step = _step(t_matrix, loop_free, vec, steps)
+            if step is not None and step[1] in grown:
+                grown[vec] = (grown[step[1]][0], *step)
+            elif step is None and support_connected(q, vec):
+                grown[vec] = (IMAGINARY, None, None)
+            else:
+                continue
+            layer.append(vec)
+    return grown
 
 
 def enumerate_positive_roots(
     q: Quiver, box: Sequence[int]
 ) -> list[tuple[DimVector, RootClass]]:
     """All roots 0 < alpha <= box, with their classifications, in lex order,
-    grown from the unit vectors of the box (``_grow_roots``)."""
+    grown from the unit vectors of the box (``_grow_roots``).  Witnesses are
+    built in height order, each the root's step vertex followed by the
+    witness of the root it lands on, a step spent per reflection written."""
     box = as_dim_vector(q, box)
+    steps = _Steps()
     classes: dict[DimVector, RootClass] = {}
-    return [(vec, classes[vec]) for vec in _grow_roots(q, box, classes, _Steps())]
+    for vec, (kind, vertex, landed) in _grow_roots(q, box, steps).items():
+        if landed is None:
+            classes[vec] = RootClass(kind, (), vec)
+        else:
+            below = classes[landed]
+            steps.spend(1 + len(below.reflections))
+            classes[vec] = RootClass(kind, (vertex + 1,) + below.reflections, below.terminal)
+    return sorted(classes.items())

@@ -19,10 +19,10 @@ per call over the box 0 < beta <= alpha for a fixed (quiver, weight) pair
 (``_SigmaTable``), whose work grows with the roots of the box and the
 strict members among them, not with the box:
 
-* the roots are grown from the unit vectors of the box, and a vector is
-  classified by one descent step onto a smaller vector whose class the
-  table already holds; minimality and the representation types read the
-  list of hyperplane roots;
+* the roots are grown from the unit vectors of the box (``roots._grow_roots``),
+  and a vector's root class is found by its own descent only when its
+  membership is reported; minimality and the representation types read
+  the list of hyperplane roots;
 * the largest p-value sum over the decompositions of each remainder is
   computed once, over the strict members that cover its first nonzero
   coordinate only, which loses nothing (see ``_SigmaTable``);
@@ -68,7 +68,7 @@ from .quiver import (
     num_parameters,
     tits_form,
 )
-from .roots import RootClass, _classify_in_box, _grow_roots
+from .roots import RootClass, _descend, _grow_roots
 
 Decomposition = tuple[tuple[DimVector, int], ...]
 """Multiset of (part, multiplicity) pairs, parts in descending lex order."""
@@ -155,8 +155,8 @@ class _SigmaTable:
     """Membership in the weak and strict sets for the vectors 0 < beta <= box.
 
     The hyperplane roots come from the roots of the box grown from its unit
-    vectors (``roots._grow_roots``), and a vector's root class from one
-    descent step on the classes already found.  ``_split(rest)`` is the
+    vectors (``roots._grow_roots``), and a vector's root class from its own
+    descent (``roots._descend``).  ``_split(rest)`` is the
     largest p-value sum over the decompositions of rest into two or more
     hyperplane roots.  It is taken over the strict members only, each time
     over those that cover the first nonzero coordinate of rest, with
@@ -180,7 +180,6 @@ class _SigmaTable:
         self.steps = _Steps() if steps is None else steps
         scale = math.lcm(*(l.denominator for l in self.lam))
         self._scaled_lam = tuple(int(l * scale) for l in self.lam)
-        self._root_classes: dict[DimVector, RootClass] = {}
         self._memberships: dict[DimVector, SigmaMembership] = {}
         self._roots: list[DimVector] | None = None
         self._p: dict[DimVector, int] = {}
@@ -191,13 +190,13 @@ class _SigmaTable:
         return sum(l * v for l, v in zip(self._scaled_lam, vec)) == 0
 
     def root_class(self, vec: DimVector) -> RootClass:
-        return _classify_in_box(self.q, vec, self._root_classes, self.steps)
+        return _descend(self.q, vec, self.steps)
 
     def hyperplane_roots(self) -> list[DimVector]:
         """The hyperplane roots of the box, ascending lex."""
         if self._roots is None:
-            grown = _grow_roots(self.q, self.box, self._root_classes, self.steps)
-            self._roots = [vec for vec in grown if self.on_hyperplane(vec)]
+            grown = _grow_roots(self.q, self.box, self.steps)
+            self._roots = sorted(filter(self.on_hyperplane, grown))
             self._p = {beta: num_parameters(self.q, beta) for beta in self._roots}
             self._by_lead = [[] for _ in self.box]
             for beta in self._roots:
@@ -589,7 +588,8 @@ def classify(q: Quiver, alpha: Sequence[int], lam: Sequence) -> ClassifyReport:
 
 def _classify(table: _SigmaTable, alpha: DimVector) -> ClassifyReport:
     q, lam = table.q, table.lam
-    root_class = table.root_class(alpha)
+    if not any(alpha):
+        raise ValueError("the zero vector is not classified")
     membership = table.membership(alpha)
     verdict = _coadjoint_verdict(table, alpha)
     delta_sample = tuple(table.hyperplane_roots())
@@ -611,7 +611,7 @@ def _classify(table: _SigmaTable, alpha: DimVector) -> ClassifyReport:
         q,
         alpha,
         lam,
-        root_class,
+        membership.root_class,
         membership.on_hyperplane,
         delta_sample,
         membership,

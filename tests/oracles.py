@@ -4,8 +4,9 @@ Each oracle recomputes a library result along a different route: the
 necklace bracket by explicit cut-and-glue over occurrence pairs, root sets
 by Weyl-orbit closure instead of height descent, necklace counts by
 rotation classes of explicitly enumerated cycles or by Burnside's lemma,
-root sets with their classes by classifying every vector of a box instead
-of growing the roots from the unit vectors, necklaces and the commutator
+root sets with their classes by classifying every vector of a box with a
+descent written out on its own instead of growing the roots from the unit
+vectors, necklaces and the commutator
 quotient's representatives by testing every closed path and mark set
 against all its rotations instead of generating least rotations,
 membership in the weak and strict sets, minimality and representation types by enumerating every
@@ -57,7 +58,6 @@ from necklacekit import (
     bilinear,
     canonical_necklace,
     as_weight,
-    classify_root,
     componentwise_lt,
     concat,
     d_of_path_sum,
@@ -206,12 +206,58 @@ def box_vectors(box: Sequence[int]) -> Iterator[DimVector]:
             yield vec
 
 
+def reference_descent(q: Quiver, alpha) -> tuple[str, tuple[int, ...], DimVector | None]:
+    """(kind, reflections, terminal) of a nonzero vector, as ``RootClass``
+    holds them, by the height descent written out on its own: the Tits
+    pairings are summed over the arrow list, each reflection is recorded as
+    it is applied, and the support's connectivity is a search of the arrows.
+    The descent reflects at the least loop-free vertex with positive pairing
+    until it reaches a unit vector at a loop-free vertex (real), a vector
+    with a negative entry (not a root) or one with no such vertex
+    (imaginary when its support is connected, not a root otherwise)."""
+    vec = [int(a) for a in alpha]
+    if not any(vec):
+        raise ValueError("the zero vector is not classified")
+    looped = {a.source for a in q.arrows if a.source == a.target}
+    reflections: list[int] = []
+
+    def pairing(i: int) -> int:  # T(vec, e_i), vertices numbered from 1
+        value = 2 * vec[i - 1]
+        for arrow in q.arrows:
+            if arrow.source == i:
+                value -= vec[arrow.target - 1]
+            if arrow.target == i:
+                value -= vec[arrow.source - 1]
+        return value
+
+    while not any(v < 0 for v in vec):
+        support = [i for i in q.vertices if vec[i - 1] > 0]
+        if len(support) == 1 and vec[support[0] - 1] == 1 and support[0] not in looped:
+            return "real", tuple(reflections), tuple(vec)
+        vertex = next((i for i in support if i not in looped and pairing(i) > 0), None)
+        if vertex is None:
+            reached, frontier = {support[0]}, [support[0]]
+            while frontier:
+                i = frontier.pop()
+                for arrow in q.arrows:
+                    for j, k in ((arrow.source, arrow.target), (arrow.target, arrow.source)):
+                        if j == i and k in support and k not in reached:
+                            reached.add(k)
+                            frontier.append(k)
+            if len(reached) == len(support):
+                return "imaginary", tuple(reflections), tuple(vec)
+            return "not_root", tuple(reflections), None
+        vec[vertex - 1] -= pairing(vertex)
+        reflections.append(vertex)
+    return "not_root", tuple(reflections), None
+
+
 def roots_by_box_filter(q: Quiver, box) -> list[tuple[DimVector, RootClass]]:
     """The roots 0 < alpha <= box with their classes, by classifying every
-    vector of the box on its own, in lex order."""
+    vector of the box on its own (``reference_descent``), in lex order."""
     out = []
     for vec in box_vectors(box):
-        verdict = classify_root(q, vec)
+        verdict = RootClass(*reference_descent(q, vec))
         if verdict.is_root:
             out.append((vec, verdict))
     return out
@@ -315,7 +361,7 @@ def sigma_membership_by_enumeration(q: Quiver, alpha, lam) -> SigmaMembership:
     lam = as_weight(q, lam)
     if all(a == 0 for a in alpha):
         return SigmaMembership(alpha, False, False, None, True, None, reason="zero vector")
-    root_class = classify_root(q, alpha)
+    root_class = RootClass(*reference_descent(q, alpha))
     on_hyperplane = weight_pairing(lam, alpha) == 0
     if not root_class.is_root or not on_hyperplane:
         reason = "not a root" if not root_class.is_root else "nonzero pairing with the weight"
@@ -429,7 +475,7 @@ class ColumnSigmaTable:
     def root_class(self, vec: DimVector) -> RootClass:
         found = self._root_classes.get(vec)
         if found is None:
-            found = self._root_classes[vec] = classify_root(self.q, vec)
+            found = self._root_classes[vec] = RootClass(*reference_descent(self.q, vec))
         return found
 
     def parts(self) -> list[DimVector]:

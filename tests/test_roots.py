@@ -18,8 +18,10 @@ from necklacekit import (
     tits_form,
 )
 
+from necklacekit.strata import _SigmaTable
+
 from conftest import path_quiver, random_quiver
-from oracles import roots_by_box_filter, roots_by_orbit_closure
+from oracles import box_vectors, reference_descent, roots_by_box_filter, roots_by_orbit_closure
 
 # seeded quivers on 1-4 vertices with at most 6 arrows, about half of them looped
 _rng = random.Random(42)
@@ -33,6 +35,14 @@ _rng = random.Random(2024)
 GROWTH_CASES = [
     (q, tuple(_rng.randint(1, 4) for _ in q.vertices))
     for q in (random_quiver(_rng, max_vertices=4, max_arrows=7) for _ in range(240))
+]
+
+# seeded quivers on 1-4 vertices with at most 5 arrows, loops among them,
+# each with a box of entries 1-4
+_rng = random.Random(29)
+DESCENT_CASES = [
+    (q, tuple(_rng.randint(1, 4) for _ in q.vertices))
+    for q in (random_quiver(_rng, max_vertices=4, max_arrows=5) for _ in range(400))
 ]
 
 
@@ -178,14 +188,19 @@ def test_the_a_path_roots_at_ones_are_its_intervals(k):
     assert all(verdict.kind == REAL for _, verdict in found)
 
 
-@pytest.mark.parametrize("alpha", [(2000, 1999), (10**6, 10**6 - 1)])
-def test_a_long_descent_is_refused_in_time(a1_tilde, alpha):
-    # each reflection lowers the height by 2, and the reflection sequences
-    # of the vectors along the descent hold about n^2 / 2 entries
+def test_a_long_descent_is_refused_in_time(a1_tilde):
     start = time.process_time()
     with pytest.raises(ValueError, match=r"^the computation needs more than \d+ steps$"):
-        classify_root(a1_tilde, alpha)
+        classify_root(a1_tilde, (10**6, 10**6 - 1))
     assert time.process_time() - start < 2
+
+
+@pytest.mark.parametrize("n", [2000, 20000])
+def test_a_long_real_descent_answers(a1_tilde, n):
+    # each reflection lowers the height by 2, and the witness is written once
+    verdict = classify_root(a1_tilde, (n, n - 1))
+    assert verdict.kind == REAL and len(verdict.reflections) == n - 1
+    assert verdict.replay(a1_tilde) == (n, n - 1)
 
 
 def test_grown_roots_match_the_box_filter():
@@ -198,3 +213,31 @@ def test_grown_roots_match_the_box_filter():
         ends = [(a.source, a.target) for a in q.arrows]
         parallel += len(set(ends)) < len(ends)
     assert looped >= 100 and parallel >= 50
+
+
+def test_reported_witnesses_match_the_reference_descent():
+    # every witness the library reports, of roots and not-roots alike: from
+    # classify_root and the table on every vector of the box, and from the
+    # listing on every root, against a descent that shares no code with it
+    differences, stopped = [], 0
+    for q, box in DESCENT_CASES:
+        table = _SigmaTable(q, (0,) * q.vertex_count, box)
+        expected = {vec: reference_descent(q, vec) for vec in box_vectors(box)}
+        reported = [(vec, "classify_root", classify_root(q, vec)) for vec in expected]
+        reported += [(vec, "root_class", table.root_class(vec)) for vec in expected]
+        listed = enumerate_positive_roots(q, box)
+        reported += [(vec, "listed", verdict) for vec, verdict in listed]
+        for vec, source, verdict in reported:
+            if (verdict.kind, verdict.reflections, verdict.terminal) != expected[vec]:
+                differences.append((q, vec, source, verdict, expected[vec]))
+        roots = [vec for vec, (kind, _, _) in expected.items() if kind != NOT_ROOT]
+        if [vec for vec, _ in listed] != roots:
+            differences.append((q, box, "listed roots"))
+        for vec, (kind, reflections, _) in expected.items():
+            end = vec
+            for vertex in reflections:
+                end = reflect(q, vertex, end)
+            # a not-root whose descent stops on a disconnected support
+            stopped += kind == NOT_ROOT and reflections != () and min(end) >= 0
+    assert differences == []
+    assert stopped >= 50

@@ -288,6 +288,13 @@ def test_the_a_path_at_ones_decomposes_into_its_last_vertex(k):
     )
 
 
+@pytest.mark.parametrize("k", [45, 50, 60])
+def test_the_a_path_at_ones_answers_above_forty(k):
+    # the roots are grown with one descent step per candidate and no
+    # witness but alpha's, so the long paths fit in the work budget
+    test_the_a_path_at_ones_decomposes_into_its_last_vertex(k)
+
+
 def test_the_doubled_simple_check_answers_above_twelve():
     two_loops = Quiver(1, (Arrow("x", 1, 1), Arrow("y", 1, 1)))
     check = two_alpha_nonsmooth(two_loops, (7,), (0,))
