@@ -23,9 +23,10 @@ strict members among them, not with the box:
   and a vector's root class is found by its own descent only when its
   membership is reported; minimality and the representation types read
   the list of hyperplane roots;
-* the largest p-value sum over the decompositions of each remainder is
-  computed once, over the strict members that cover its first nonzero
-  coordinate only, which loses nothing (see ``_SigmaTable``);
+* strictness is decided once per hyperplane root, in ascending lex order,
+  and the largest p-value sum over the decompositions of each remainder
+  once, over the strict members decided so far that cover its first
+  nonzero coordinate, which loses nothing (see ``_SigmaTable``);
 * a witness is built only for a vector whose membership is reported, by a
   descent in enumeration order that those sums prune; minimality, types
   and the doubled-simple check ask the strict verdict alone.
@@ -34,12 +35,12 @@ strict members among them, not with the box:
 ``two_alpha_nonsmooth`` called on its own adds a second one over the box of
 2 alpha once alpha passes.  Every public call may take at most
 ``quiver.WORK_CAP`` steps, one budget shared by its tables, counted as in
-``roots`` and here per root scanned by ``_SigmaTable._split``, per part and
-multiplicity tried by ``_sum_multisets`` (witnesses and types), z^2 per
-type of z simples for its Ext^1 counts, and, in ``local_quiver``, per
-arrow of the quiver it hands out (a type's local quiver is built only when
-its ``quiver`` is read, and ``classify`` reads only the counts); a call
-that needs more is refused with a ``ValueError``.  The enumeration
+``roots`` and here per strict member scanned by ``_SigmaTable._split``, per
+part and multiplicity tried by ``_sum_multisets`` (witnesses and types),
+z^2 per type of z simples for its Ext^1 counts, and, in ``local_quiver``,
+per arrow of the quiver it hands out (a type's local quiver is built only
+when its ``quiver`` is read, and ``classify`` reads only the counts); a
+call that needs more is refused with a ``ValueError``.  The enumeration
 of every decomposition and the column recurrence over every hyperplane
 root that the table replaced, the routes the tests check it against, live
 in ``tests/oracles.py``.
@@ -156,17 +157,17 @@ class _SigmaTable:
 
     The hyperplane roots come from the roots of the box grown from its unit
     vectors (``roots._grow_roots``), and a vector's root class from its own
-    descent (``roots._descend``).  ``_split(rest)`` is the
-    largest p-value sum over the decompositions of rest into two or more
-    hyperplane roots.  It is taken over the strict members only, each time
-    over those that cover the first nonzero coordinate of rest, with
-    ``_full`` of what is left: a hyperplane root outside the strict set has
-    a decomposition whose p-values sum to at least its own, so putting one
-    in its place never lowers a sum (Crawley-Boevey 2001).  ``_full(rest)``
-    also allows rest itself as a single part.  A witness, the first
-    decomposition reaching the largest sum in the enumeration order of
-    ``_sum_multisets`` over every hyperplane root below alpha, is built only
-    by ``membership``; ``in_sigma`` gives the strict verdict without one.
+    descent (``roots._descend``).  ``strict_members`` decides strictness
+    once per hyperplane root, in ascending lex order, by ``_split(beta)``:
+    the largest p-value sum over the decompositions of beta into two or
+    more hyperplane roots.  It is taken over the strict members decided so
+    far that cover the first nonzero coordinate, with ``_full`` of what is
+    left: a hyperplane root outside the strict set has a decomposition whose
+    p-values sum to at least its own, so putting one in its place never
+    lowers a sum (Crawley-Boevey 2001).  ``_full(rest)`` also allows rest
+    itself as a single part.  A witness, the first decomposition reaching
+    the largest sum in the enumeration order of ``_sum_multisets`` over
+    every hyperplane root below alpha, is built only by ``membership``.
     Everything is computed on first use, spending from ``steps``, a new
     budget unless one is given.
     """
@@ -183,6 +184,7 @@ class _SigmaTable:
         self._memberships: dict[DimVector, SigmaMembership] = {}
         self._roots: list[DimVector] | None = None
         self._p: dict[DimVector, int] = {}
+        self._strict: set[DimVector] | None = None
         self._by_lead: list[list[DimVector]] = []
         self._splits: dict[DimVector, int | None] = {}
 
@@ -198,35 +200,40 @@ class _SigmaTable:
             grown = _grow_roots(self.q, self.box, self.steps)
             self._roots = sorted(filter(self.on_hyperplane, grown))
             self._p = {beta: num_parameters(self.q, beta) for beta in self._roots}
-            self._by_lead = [[] for _ in self.box]
-            for beta in self._roots:
-                self._by_lead[_lead(beta)].append(beta)
         return self._roots
 
     def parts(self) -> list[DimVector]:
         """The hyperplane roots of the box, descending lex."""
         return self.hyperplane_roots()[::-1]
 
+    def strict_members(self) -> set[DimVector]:
+        """The strict members of the box, decided in ascending lex order:
+        beta is strict when ``_split(beta)`` is None or below p(beta).  A
+        root that fits in a vector precedes it in lex order, and so does the
+        remainder of a vector by a root covering its first nonzero
+        coordinate, so ``_split`` finds every strict member it needs."""
+        if self._strict is None:
+            strict, self._by_lead = set(), [[] for _ in self.box]
+            for beta in self.hyperplane_roots():
+                worst = self._split(beta)
+                if worst is None or self._p[beta] > worst:
+                    strict.add(beta)
+                    self._by_lead[_lead(beta)].append(beta)
+            self._strict = strict
+        return self._strict
+
     def in_sigma(self, vec: DimVector) -> bool:
         """Whether vec satisfies the strict inequalities."""
-        self.hyperplane_roots()
-        p_vec = self._p.get(vec)
-        if p_vec is None:
-            return False
-        worst = self._split(vec)
-        return worst is None or p_vec > worst
+        return vec in self.strict_members()
 
     def _split(self, rest: DimVector) -> int | None:
         """The largest p-value sum over the decompositions of rest into two
-        or more hyperplane roots, None when there is none.
-
-        Every value it needs is of a smaller vector: a part's own split,
-        which decides whether it is a strict member, and ``_full`` of what
-        the part leaves.  They are evaluated from an explicit stack, so a
-        box of any height needs no deep recursion.  A root that fits in a
-        vector precedes it in lex order, so each scan stops at the vector;
-        each root scanned spends a step.
-        """
+        or more hyperplane roots, None when there is none, over the strict
+        members decided so far.  It needs ``_full`` of smaller remainders,
+        evaluated from an explicit stack, so a box of any height needs no
+        deep recursion.  Each scan stops at the vector, which every root
+        fitting in it precedes in lex order; each member scanned spends a
+        step."""
         splits, p, spend = self._splits, self._p, self.steps.spend
         if rest in splits:
             return splits[rest]
@@ -240,23 +247,15 @@ class _SigmaTable:
                 beta = group[index]
                 if not all(map(le, beta, vec)):
                     continue
-                if beta not in splits:
-                    needed = beta
-                elif splits[beta] is None or p[beta] > splits[beta]:  # a strict member
-                    left = tuple(map(sub, vec, beta))
-                    if any(left) and left not in splits:
-                        needed = left
-                    else:
-                        total = self._full(left)
-                        if total is not None and (best is None or total + p[beta] > best):
-                            best = total + p[beta]
-                        continue
-                else:
-                    continue
-                frame[1:] = index, best
-                stack.append([needed, 0, None])
-                spend(index + 1 - start)
-                break
+                left = tuple(map(sub, vec, beta))
+                if any(left) and left not in splits:
+                    frame[1:] = index, best
+                    stack.append([left, 0, None])
+                    spend(index + 1 - start)
+                    break
+                total = self._full(left)
+                if total is not None and (best is None or total + p[beta] > best):
+                    best = total + p[beta]
             else:
                 spend(stop - start)
                 splits[vec] = best
@@ -290,7 +289,7 @@ class _SigmaTable:
             return SigmaMembership(
                 alpha, False, False, root_class, on_hyperplane, None, reason=reason
             )
-        self.hyperplane_roots()
+        self.strict_members()
         p_alpha = self._p[alpha]
         in_s, in_sigma = True, True
         witness_s = witness_sigma = None

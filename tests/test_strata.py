@@ -288,7 +288,7 @@ def test_the_a_path_at_ones_decomposes_into_its_last_vertex(k):
     )
 
 
-@pytest.mark.parametrize("k", [45, 50, 60])
+@pytest.mark.parametrize("k", [45, 50, 60, 70])
 def test_the_a_path_at_ones_answers_above_forty(k):
     # the roots are grown with one descent step per candidate and no
     # witness but alpha's, so the long paths fit in the work budget
