@@ -47,15 +47,17 @@ s to t is [e_t, w], so phi sends it to 0; a vertex element e_v, alone in the
 (0, 0) piece that no commutator reaches, is its own key.  ker phi is the
 commutator span, so in_commutator_span is "phi(x) = 0" and builds no piece.
 karoubi_count counts the nonzero orbits by Burnside's lemma, from the traces
-of the adjacency matrix's powers, and karoubi_dim lists one basis element
-per nonzero orbit, read off the orbit's least rotation, which the necklace
-generator of the path encoding (paths._Encoding.necklaces) emits directly,
-without walking the piece.  The traces are kept on the path encoding of
-the quiver instance (paths._Encoding.closed_walks); no basis is kept.
+of the adjacency matrix's powers; dr0_dimension is its degree-0 count.
+karoubi_dim lists one basis element per nonzero orbit, read off the orbit's
+least rotation, which the necklace generator of the path encoding
+(paths._Encoding.necklaces) emits directly, without walking the piece.  The
+traces are kept on the path encoding of the quiver instance
+(paths._Encoding.closed_walks), so a table of counts reads the traces its
+earlier cells computed; no basis is kept.
 
-The only refusal is on work: omega_basis, karoubi_dim, dr0_dimension and
-in_commutator_span (so is_symplectic) spend from quiver.WORK_CAP, as the
-functions they call say.
+The only refusal is on work: omega_basis, karoubi_dim, karoubi_count (so
+dr0_dimension) and in_commutator_span (so is_symplectic) spend from
+quiver.WORK_CAP, as the functions they call say.
 """
 from __future__ import annotations
 
@@ -395,7 +397,7 @@ def karoubi_count(q: Quiver, degree: int, length: int) -> int:
     _check_grading(degree, length)
     if length == 0:
         return q.vertex_count if degree == 0 else 0
-    encoding = _encoding(q)
+    encoding, steps = _encoding(q), _Steps()
     total = 0
     for r in range(length):
         d = gcd(r, length)
@@ -403,7 +405,7 @@ def karoubi_count(q: Quiver, degree: int, length: int) -> int:
         if degree % m:
             continue
         k = r // d * (degree // m)
-        term = encoding.closed_walks(d) * comb(d, degree // m)
+        term = encoding.closed_walks(d, steps) * comb(d, degree // m)
         total += -term if k * (degree - k) % 2 else term
     return total // length
 
@@ -490,19 +492,10 @@ def tau(theta: Derivation) -> FormSum:
 
 
 def necklace_differential(w: NecklaceWord) -> FormSum:
-    """d of a necklace class, reduced to the dR1 basis."""
-    if not w.arrows:
-        return FormSum.zero()
+    """d of a necklace class, reduced to the dR1 basis (0 for a vertex class)."""
     return reduce_to_dr1(d_of_path_sum(PathSum.of(w.representative())))
 
 
 def dr0_dimension(q: Quiver, length: int) -> int:
-    """The number of necklace classes of a given length: the least rotations
-    that the necklace generator karoubi_dim shares emits, counted without
-    building a NecklaceWord; karoubi_count(q, 0, length) is the independent
-    count, by Burnside's lemma."""
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    if length == 0:
-        return q.vertex_count
-    return sum(1 for _ in _encoding(q).necklaces(length, 0, _Steps()))
+    """The number of necklaces of a length, DR0's dimension: karoubi_count(q, 0, L)."""
+    return karoubi_count(q, 0, length)

@@ -40,13 +40,9 @@ J^H y from four small products per arrow (``_gram_of``, ``_adjoint``), in
 O(sum n_i^3 + m^2) work, and the Jacobian is never formed.  Otherwise J is
 scattered and multiplied out (``_damped_steps``): below the threshold its
 Gram product costs less than the per-arrow numpy calls, and when m > n the
-step comes from the n x n normal equations.  Timed per solve with one BLAS
-thread and each route forced on the same code, the Kronecker route took
-71% longer on Calogero-Moser at alpha = (3, 6) (m = 45), 16% longer at
-(4, 7) (m = 65) and 30% longer on the four-arm star at (3, 3, 3, 3, 6)
-(m = 72), and 5% less at (3, 8) (m = 73) and 9% less at (4, 8) (m = 80);
-at (10, 20) (m = 500) a solve took 88 ms instead of 401 ms.  The routes
-agree to rounding, not bit for bit.
+step comes from the n x n normal equations.  The threshold is where the
+Kronecker route stops losing to the dense one when each route is forced on
+the same code.  The routes agree to rounding, not bit for bit.
 
 ``rank_report`` has one rank rule.  Wherever m <= n, the trace direction u
 (identity blocks) spans an exact left kernel of J, whose column traces
@@ -54,10 +50,7 @@ cancel bit for bit, so the last of the m singular values, u's, is reported
 as exactly 0; the others are kept above svd_tol * sigma_1 (``_report``).
 The values come from the route ``solve`` takes: the square roots of the
 Gram matrix's eigenvalues where those certify rank m - 1 (``_gram_rank``),
-else the SVD of J (``_rank_of``).  Timed with one BLAS thread at converged
-Calogero-Moser points, ``rank_report`` took about 30-40% less time than the
-SVD route at (4, 8) (m = 80), about half at (5, 10) and about 60-70% less
-at (10, 20) (500 rows: 66-88 ms instead of 212-228 ms).
+else the SVD of J (``_rank_of``).
 
 Dense matrices are refused before anything is allocated when m * n
 exceeds ``MAX_DENSE_ENTRIES``.  The m x n Jacobian, which the dense route
@@ -88,7 +81,7 @@ RepPoint = dict[str, np.ndarray]
 MAX_DENSE_ENTRIES = 2**24
 
 # Fewest rows m (with m <= n) at which solve steps without the Jacobian; the
-# measured crossover (module docstring) lies between m = 72 and m = 80.
+# measured crossover (CHANGES.md) lies between m = 72 and m = 80.
 KRONECKER_MIN_ROWS = 80
 
 

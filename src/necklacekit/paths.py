@@ -17,9 +17,15 @@ derivatives, the trace projection and derivations work on codes only.
 Codes are the one stored form of paths and necklaces: nothing decoded is
 kept.  ``Path`` and ``NecklaceWord`` are views, validated where labels enter
 from outside (their constructors and textio.parse_path) and built unchecked
-by ``_unchecked`` where the encoding produced them (``terms()``, str,
-``paths_of_length``, ``paths_between``, ``necklaces_of_length``, ``concat``
-and ``NecklaceWord.representative``).
+by ``_unchecked`` where the encoding produced them.
+
+Each job has one route.  Paths of a length grow one arrow at a time from
+the prefixes that can still reach it (_Encoding.words); one kernel
+(_least_rotation) canonicalises every necklace and forms' map phi; one
+generator (_Encoding.necklaces) lists least rotations, for
+necklaces_of_length and forms.karoubi_dim; and one trace table per quiver
+(_Encoding.closed_walks) feeds every count.  Each spends from
+quiver.WORK_CAP, as its docstring says.
 """
 from __future__ import annotations
 
@@ -562,7 +568,7 @@ class _Encoding:
     arrow number to its partner's; a base label sorts before its starred
     partner, so an arrow x is a base arrow exactly when x < star[x].
     Stored on the quiver instance (see _encoding), so it is released with it;
-    it keeps no decoded path, only the traces that closed_walks counts.
+    it keeps no decoded path, only the trace table that closed_walks extends.
     """
 
     def __init__(self, q: Quiver) -> None:
@@ -585,15 +591,22 @@ class _Encoding:
         self._power = [[int(i == j) for j in q.vertices] for i in q.vertices]
         self._traces = [q.vertex_count]
 
-    def closed_walks(self, length: int) -> int:
-        """The closed paths of a length: tr(A^L)."""
-        while len(self._traces) <= length:
-            power = [[0] * len(row) for row in self._power]
+    def closed_walks(self, length: int, steps: _Steps) -> int:
+        """The closed paths of a length: tr(A^L).  Each length added to the
+        table spends one step per 64-bit word of the entries of its A^L.
+        The extension is built in locals and stored once it is paid for, so
+        a refused call leaves the table as it found it."""
+        power, traces = self._power, []
+        for _ in range(len(self._traces), length + 1):
+            new = [[0] * len(row) for row in power]
             for s, t in zip(self.source, self.target):
-                for row, new in zip(self._power, power):
-                    new[t - 1] += row[s - 1]
-            self._power = power
-            self._traces.append(sum(row[i] for i, row in enumerate(power)))
+                for row, out in zip(power, new):
+                    out[t - 1] += row[s - 1]
+            steps.spend(sum(x.bit_length() // 64 + 1 for row in new for x in row))
+            power = new
+            traces.append(sum(row[i] for i, row in enumerate(power)))
+        self._power = power
+        self._traces += traces
         return self._traces[length]
 
     def _reach(self, length: int) -> list[dict[int, int]]:

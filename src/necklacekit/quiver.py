@@ -111,9 +111,6 @@ class Quiver:
         except KeyError:
             raise QuiverError(f"unknown arrow label {label!r}") from None
 
-    def has_arrow(self, label: str) -> bool:
-        return label in self._by_label
-
     def arrow_count(self, source: int, target: int) -> int:
         return sum(1 for a in self.arrows if a.source == source and a.target == target)
 

@@ -601,7 +601,7 @@ def _classify(table: _SigmaTable, alpha: DimVector) -> ClassifyReport:
         local = _local_quiver(q, rep_type, table.steps)
         reports.append(TypeReport(rep_type, local, slice_check))
     two_alpha = None
-    if all(a % 2 == 0 for a in alpha) and any(alpha):
+    if all(a % 2 == 0 for a in alpha):
         half = tuple(a // 2 for a in alpha)
         check = _two_alpha_nonsmooth(table, half)
         if check.applies:

@@ -398,6 +398,7 @@ def test_tau_equals_necklace_differential(one_loop_double, calogero_double):
             word = random_necklace(rng, dq, max_len=4)
             assert tau(hamiltonian_derivation(word)) == necklace_differential(word)
     assert tau(zero_derivation(calogero_double)).is_zero()
+    assert necklace_differential(NecklaceWord.vertex_class(calogero_double, 2)).is_zero()
 
 
 def test_hamiltonian_derivations_are_symplectic(one_loop_double, calogero_double):

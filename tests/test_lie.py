@@ -1,11 +1,17 @@
 import random
 
+import pytest
+
 from necklacekit import (
+    Arrow,
     NecklaceSum,
     NecklaceWord,
     Path,
     PathSum,
+    Quiver,
     derivation_commutator,
+    double,
+    euler_derivation,
     hamiltonian_derivation,
     kontsevich_bracket,
     moment_element,
@@ -141,3 +147,20 @@ def test_bracket_is_lie_derivative_along_hamiltonian_field(calogero_double):
         assert kontsevich_bracket(w1, w2) == project_to_necklaces(
             theta(w2.representative())
         )
+
+
+def test_the_bracket_and_derivations_need_one_double_quiver(one_loop_double):
+    loop = Quiver(1, (Arrow("x", 1, 1),))
+    x = NecklaceWord(loop, ("x",))
+    other = double(Quiver(1, (Arrow("y", 1, 1),)))
+    assert kontsevich_bracket(NecklaceSum.zero(), NecklaceSum.zero()).is_zero()
+    with pytest.raises(ValueError, match="^the necklace bracket is defined over a double quiver$"):
+        kontsevich_bracket(x, x)
+    with pytest.raises(ValueError, match="^cannot infer the quiver; pass it explicitly$"):
+        hamiltonian_derivation(NecklaceSum.zero())
+    with pytest.raises(ValueError, match="^hamiltonian derivations live over a double quiver$"):
+        hamiltonian_derivation(x)
+    with pytest.raises(ValueError, match="^necklaces live over a different quiver$"):
+        hamiltonian_derivation(NecklaceWord(one_loop_double, ("x", "x*")), other)
+    with pytest.raises(ValueError, match="^derivations live over different quivers$"):
+        derivation_commutator(euler_derivation(one_loop_double), euler_derivation(other))

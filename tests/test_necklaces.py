@@ -12,6 +12,10 @@ every degree <= length <= 7: necklaces as codes, and the representatives as
 codes in omega_basis order.  The oracle tests each (closed path, mark set)
 pair of a piece against all its rotations; pieces with more than
 ORACLE_PAIRS pairs are skipped, and the coverage test counts what is left.
+
+The necklace count dr0_dimension, which lists nothing, is compared with both
+enumerations of `oracles` on 200 more seeded random quivers and their
+doubles at length <= 6, and with the closed form on four letters.
 """
 from __future__ import annotations
 
@@ -40,8 +44,10 @@ from necklacekit import (
 from necklacekit.paths import _encoding, _least_rotation
 from necklacekit.quiver import WORK_CAP
 
-from conftest import run_measured
+from conftest import run_measured, small_random_quivers
 from oracles import (
+    _totient,
+    count_necklaces_by_rotation,
     least_rotation_by_every_rotation,
     necklaces_by_filter,
     representatives_by_filter,
@@ -140,8 +146,8 @@ def test_one_loop_answers_at_length_3000():
 REFUSED_CALLS = """
 import time
 from necklacekit import (
-    Arrow, FormBasisElement, FormSum, Path, Quiver, double, dr0_dimension,
-    in_commutator_span, karoubi_dim, necklaces_of_length, omega_basis, paths_between,
+    Arrow, FormBasisElement, FormSum, Path, Quiver, double, in_commutator_span,
+    karoubi_count, karoubi_dim, necklaces_of_length, omega_basis, paths_between,
     paths_of_length,
 )
 two = double(Quiver(1, (Arrow("x", 1, 1), Arrow("y", 1, 1))))
@@ -151,7 +157,7 @@ calls = (
     lambda: paths_of_length(two, 30),
     lambda: paths_between(two, 1, 1, 30),
     lambda: necklaces_of_length(two, 30),
-    lambda: dr0_dimension(two, 30),
+    lambda: karoubi_count(two, 0, 10**7),
     lambda: omega_basis(two, 1, 30),
     lambda: karoubi_dim(loop, 1, 5000),
     lambda: in_commutator_span(FormSum.of(FormBasisElement(x, (xxx,) * 16)), loop),
@@ -168,16 +174,79 @@ for call in calls:
 
 def test_calls_beyond_the_work_budget_are_refused_small_and_fast():
     """On the double of two loops, length 30 has 4^30 paths and about 3.8e16
-    necklaces; on one loop, karoubi_dim at (1, 5000) has one representative
-    that the generator reaches after about 0.75 * 5000^2 letters; and phi of
-    x d(x x x) ... d(x x x) with 16 tails expands 3^16 marked words.  Each
-    call is refused within 2 s of CPU, in a process that stays under 200 MiB."""
+    necklaces, and a trace table up to length 10^7 would hold entries of up
+    to 2 * 10^7 bits; on one loop, karoubi_dim at (1, 5000) has one
+    representative that the generator reaches after about 0.75 * 5000^2
+    letters; and phi of x d(x x x) ... d(x x x) with 16 tails expands 3^16
+    marked words.  Each call is refused within 2 s of CPU, in a process that
+    stays under 200 MiB."""
     lines, stderr, peak_kib = run_measured(REFUSED_CALLS)
     assert stderr == "" and len(lines) == 7
     for line in lines:
         seconds, message = line.split(" ", 1)
         assert message == f"the computation needs more than {WORK_CAP} steps"
         assert float(seconds) < 2
+    assert peak_kib < 200 * 1024
+
+
+COUNT_QUIVERS = [q for base in small_random_quivers(3203, 200) for q in (base, double(base))]
+
+
+def test_the_necklace_count_matches_both_enumerations():
+    """dr0_dimension, Burnside's count, against the rotation classes of the
+    labelled closed paths and the least rotations of their codes: 2,800
+    pairs, 200 seeded random quivers and their doubles at every length <= 6."""
+    for q in COUNT_QUIVERS:
+        assert dr0_dimension(q, 0) == count_necklaces_by_rotation(q, 0) == q.vertex_count
+        for length in range(1, 7):
+            count = dr0_dimension(q, length)
+            assert count == count_necklaces_by_rotation(q, length) == len(
+                necklaces_by_filter(q, length)
+            ), (q, length)
+
+
+@pytest.mark.parametrize("length", [30, 1000, 3000])
+def test_the_necklaces_of_four_letters_follow_the_closed_form(length):
+    """On the double of two loops: (1/L) sum over d | L of phi(d) 4^(L/d)."""
+    two = double(Quiver(1, (Arrow("x", 1, 1), Arrow("y", 1, 1))))
+    divisors = [d for d in range(1, length + 1) if length % d == 0]
+    closed_form = sum(_totient(d) * 4 ** (length // d) for d in divisors)
+    assert dr0_dimension(two, length) * length == closed_form
+
+
+def test_a_refused_count_leaves_the_trace_table_as_it_was():
+    two = double(Quiver(1, (Arrow("x", 1, 1), Arrow("y", 1, 1))))
+    encoding = _encoding(two)
+    assert dr0_dimension(two, 30) == 38430716856090160
+    traces, power = list(encoding._traces), encoding._power
+    with pytest.raises(ValueError, match=f"^the computation needs more than {WORK_CAP} steps$"):
+        karoubi_count(two, 0, 10**7)
+    assert encoding._traces == traces and len(traces) == 31
+    assert encoding._power is power
+
+
+REFUSED_COUNT = """
+import time
+from necklacekit import Arrow, Quiver, dr0_dimension
+loop = Quiver(1, (Arrow("x", 1, 1),))
+start = time.process_time()
+try:
+    dr0_dimension(loop, 10**7)
+    print("answered")
+except ValueError as exc:
+    print(time.process_time() - start, exc)
+"""
+
+
+def test_a_count_beyond_the_work_budget_is_refused_small_and_fast():
+    """On one loop each length adds a one-word entry to the trace table, so
+    dr0_dimension at length 10^7 is refused after 250,000 lengths, within
+    2 s of CPU, in a process that stays under 200 MiB."""
+    lines, stderr, peak_kib = run_measured(REFUSED_COUNT)
+    assert stderr == "" and len(lines) == 1
+    seconds, message = lines[0].split(" ", 1)
+    assert message == f"the computation needs more than {WORK_CAP} steps"
+    assert float(seconds) < 2
     assert peak_kib < 200 * 1024
 
 

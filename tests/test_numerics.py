@@ -47,6 +47,9 @@ def test_moment_eval_shape_mismatch(calogero):
     point["a"] = np.zeros((3, 3), dtype=complex)
     with pytest.raises(ValueError):
         moment_eval(calogero, (1, 2), point)
+    del point["a"]
+    with pytest.raises(ValueError, match="^missing matrix for arrow 'a'$"):
+        moment_eval(calogero, (1, 2), point)
 
 
 def test_solve_rejects_trace_obstruction(calogero):

@@ -16,6 +16,7 @@ from necklacekit import (
     Quiver,
     canonical_necklace,
     compose,
+    concat,
     double,
     dr0_dimension,
     euler_derivation,
@@ -150,6 +151,7 @@ def test_partial_derivative_endpoints(calogero_double):
 def test_partial_derivative_vertex_class_and_unknown(calogero_double):
     w = NecklaceWord.vertex_class(calogero_double, 1)
     assert partial_derivative(w, "a").is_zero()
+    assert partial_derivative(NecklaceSum.zero(), "a").is_zero()
     with pytest.raises(Exception):
         partial_derivative(w, "zz")
 
@@ -166,6 +168,9 @@ def test_derivation_validation_and_linearity(calogero_double):
     doubled = euler + euler
     assert doubled.of_arrow("a") == 2 * PathSum.of(a_path)
     assert (euler - euler).is_zero()
+    other = euler_derivation(double(Quiver(1, (Arrow("x", 1, 1),))))
+    with pytest.raises(ValueError, match="^derivations live over different quivers$"):
+        euler + other
     # Leibniz on a product path: apply to a two-arrow path by hand
     ab = Path(calogero_double, ("a", "b"))
     assert euler(ab) == 2 * PathSum.of(ab)
@@ -296,3 +301,10 @@ def test_path_and_necklace_messages(calogero_double):
     for source, target, bad in ((99, 1, 99), (0, -3, 0), (1, 3, 3)):
         with pytest.raises(ValueError, match=rf"^vertex {bad} out of range 1\.\.2$"):
             paths_between(calogero_double, source, target, 1)
+    with pytest.raises(ValueError, match="^a path has either arrows or a vertex, not both$"):
+        Path(calogero_double, ("a",), 1)
+    with pytest.raises(ValueError, match="^a trivial path needs a vertex$"):
+        Path(calogero_double, ())
+    other = double(Quiver(2, (Arrow("a", 1, 2),)))
+    with pytest.raises(ValueError, match="^paths live over different quivers$"):
+        concat(Path.of_arrow(calogero_double, "a"), Path.trivial(other, 1))

@@ -4,14 +4,17 @@ import pytest
 
 from necklacekit import (
     Arrow,
+    DoubleQuiver,
     Quiver,
     QuiverError,
+    as_dim_vector,
     bilinear,
     double,
     euler_form,
     num_parameters,
     support_connected,
     tits_form,
+    weight_pairing,
 )
 
 from conftest import random_quiver
@@ -47,6 +50,10 @@ def test_bilinear_calogero(calogero):
 def test_bilinear_length_mismatch(calogero):
     with pytest.raises(ValueError):
         bilinear(euler_form(calogero), (1, 2, 3), (1, 2))
+    with pytest.raises(ValueError, match="^dimension vector has length 1, expected 2$"):
+        as_dim_vector(calogero, (1,))
+    with pytest.raises(ValueError, match="^weight and dimension vector have different lengths$"):
+        weight_pairing((1, 2, 3), (1, 2))
 
 
 def test_support_connected(calogero):
@@ -55,6 +62,8 @@ def test_support_connected(calogero):
     assert not support_connected(Quiver(2, ()), (1, 1))
     with pytest.raises(ValueError):
         support_connected(calogero, (0, 0))
+    with pytest.raises(ValueError, match="^dimension vector length does not match the quiver$"):
+        support_connected(calogero, (1,))
 
 
 def test_double_structure(calogero):
@@ -102,3 +111,14 @@ def test_validation_errors():
         Quiver(0, ())
     with pytest.raises(QuiverError):
         double(double(Quiver(1, (Arrow("x", 1, 1),))))
+    with pytest.raises(QuiverError, match="contains whitespace or a comma"):
+        Quiver(1, (Arrow("a,b", 1, 1),))
+    loop = Quiver(1, (Arrow("x", 1, 1),))
+    with pytest.raises(QuiverError, match="requires its base quiver"):
+        DoubleQuiver(1, ())
+    with pytest.raises(QuiverError, match="do not match the doubling"):
+        DoubleQuiver(1, (Arrow("x", 1, 1),), base=loop)
+    with pytest.raises(QuiverError, match=r"^malformed starred label 'x\*\*'$"):
+        DoubleQuiver(1, (Arrow("x**", 1, 1),), base=loop)
+    with pytest.raises(ValueError, match=r"^dimension vector \(1, -1\) has a negative entry$"):
+        as_dim_vector(Quiver(2, ()), (1, -1))

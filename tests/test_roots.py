@@ -81,19 +81,28 @@ def test_reflect_involution_and_form_preservation(a1_tilde, calogero):
                 )
 
 
-def test_fundamental_set(calogero):
+def test_fundamental_set(calogero, one_loop):
     assert in_fundamental_set(calogero, (1, 2))
     assert not in_fundamental_set(calogero, (1, 1))
     assert in_fundamental_set(calogero, (0, 1))
     assert not in_fundamental_set(calogero, (0, 0))
+    # the loop's Tits form is 0, so only the sign check tells (-1) apart
+    assert not in_fundamental_set(one_loop, (-1,))
+    with pytest.raises(ValueError, match="^dimension vector length does not match the quiver$"):
+        in_fundamental_set(calogero, (1,))
 
 
 def test_classify_examples(calogero):
     assert classify_root(calogero, (1, 0)).kind == "real"
     assert classify_root(calogero, (1, 2)).kind == "imaginary"
     assert classify_root(calogero, (2, 1)).kind == "not_root"
+    # the descent from (2, 1) reflects once and leaves the cone: no terminal
+    assert classify_root(calogero, (2, 1)).replay(calogero) is None
+    assert classify_root(calogero, (-1, 0)).kind == "not_root"
     with pytest.raises(ValueError):
         classify_root(calogero, (0, 0))
+    with pytest.raises(ValueError, match="^dimension vector length does not match the quiver$"):
+        classify_root(calogero, (1,))
 
 
 def test_classification_reflection_invariant(calogero, a1_tilde):

@@ -160,6 +160,7 @@ def test_rep_types(calogero, a1_tilde):
     ]
     # a minimal member admits only the single-simple type
     assert rep_types(calogero, (1, 2), LAM_21) == [((1, (1, 2)),)]
+    assert rep_types(calogero, (0, 0), LAM_21) == []
 
 
 def test_ext1_and_local_quiver(calogero, a1_tilde):
@@ -167,6 +168,9 @@ def test_ext1_and_local_quiver(calogero, a1_tilde):
     assert ext1_dim(a1_tilde, (1, 0), (0, 1), False) == 2
     lonely = Quiver(1, ())
     assert ext1_dim(lonely, (1,), (1,), True) == 0
+    # T((2, 0), (2, 0)) = 8 on the Calogero quiver
+    with pytest.raises(ValueError, match="^negative self-extension count -6;"):
+        ext1_dim(calogero, (2, 0), (2, 0), True)
 
     setting = local_quiver(calogero, ((1, (1, 2)),))
     assert setting.quiver.vertex_count == 1

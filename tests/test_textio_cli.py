@@ -102,6 +102,8 @@ def test_parse_path_and_necklace():
     assert word.arrows == ("a", "b", "a*")  # canonicalized rotation
     with pytest.raises(ValueError, match="not closed"):
         parse_necklace(q, "a")
+    with pytest.raises(ValueError, match="^empty path text$"):
+        parse_path(q, "  ")
 
 
 def test_parse_vectors():
