@@ -214,10 +214,10 @@ def euler_form(q: Quiver) -> IntMatrix:
 
     Computed once per quiver instance and stored on it, like its hash.
     """
-    return tuple(
-        tuple((1 if i == j else 0) - q.arrow_count(i, j) for j in q.vertices)
-        for i in q.vertices
-    )
+    chi = [[int(i == j) for j in q.vertices] for i in q.vertices]
+    for arr in q.arrows:
+        chi[arr.source - 1][arr.target - 1] -= 1
+    return tuple(map(tuple, chi))
 
 
 @_per_instance("_tits_form")
@@ -229,15 +229,6 @@ def tits_form(q: Quiver) -> IntMatrix:
     chi = euler_form(q)
     k = q.vertex_count
     return tuple(tuple(chi[i][j] + chi[j][i] for j in range(k)) for i in range(k))
-
-
-@_per_instance("_loop_free")
-def loop_free_flags(q: Quiver) -> tuple[bool, ...]:
-    """Whether each vertex 1..k carries no loop, indexed from 0.
-
-    Computed once per quiver instance and stored on it, like its hash.
-    """
-    return tuple(q.is_loop_free(v) for v in q.vertices)
 
 
 def bilinear(matrix: Sequence[Sequence], alpha: Sequence, beta: Sequence):
@@ -262,8 +253,16 @@ def num_parameters(q: Quiver, alpha: Sequence[int]) -> int:
     return 1 - bilinear(euler_form(q), alpha, alpha)
 
 
+def _integral(entries: Iterable[int]) -> DimVector:
+    """The entries as ints, refusing any x with int(x) != x."""
+    given = tuple(entries)
+    if (vec := tuple(map(int, given))) != given:
+        raise ValueError(f"dimension vector {given} has a non-integer entry")
+    return vec
+
+
 def as_dim_vector(q: Quiver, entries: Iterable[int]) -> DimVector:
-    vec = tuple(int(x) for x in entries)
+    vec = _integral(entries)
     if len(vec) != q.vertex_count:
         raise ValueError(f"dimension vector has length {len(vec)}, expected {q.vertex_count}")
     if any(x < 0 for x in vec):

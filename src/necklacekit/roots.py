@@ -9,8 +9,8 @@ sequence used, so it can be replayed.
 
 The roots of a box are grown from its unit vectors rather than filtered
 out of it, so their cost follows the roots, not the box: every candidate
-is a root plus one unit vector, and is decided by one descent step onto a
-root of smaller height already found.
+is a root plus e_i, i at or next to its support, decided by one descent
+step onto a root found of smaller height.  Vertex i is loop-free iff T_ii = 2.
 
 Each public call spends from the work budget ``quiver.WORK_CAP`` a step per
 pairing computed by a descent, candidate tested and reflection written into
@@ -28,8 +28,8 @@ from .quiver import (
     IntMatrix,
     Quiver,
     _Steps,
+    _integral,
     as_dim_vector,
-    loop_free_flags,
     support_connected,
     tits_form,
 )
@@ -105,7 +105,7 @@ def classify_root(q: Quiver, alpha: Sequence[int]) -> RootClass:
     When there is none, the vector lies in the fundamental region exactly
     when every pairing is nonpositive and its support is connected.
     """
-    vec = tuple(int(a) for a in alpha)
+    vec = _integral(alpha)
     if len(vec) != q.vertex_count:
         raise ValueError("dimension vector length does not match the quiver")
     if any(a < 0 for a in vec):
@@ -113,17 +113,15 @@ def classify_root(q: Quiver, alpha: Sequence[int]) -> RootClass:
     return _descend(q, vec, _Steps())
 
 
-def _step(
-    t_matrix: IntMatrix, loop_free: tuple[bool, ...], vec: DimVector, steps: _Steps
-) -> tuple[int, DimVector | None] | None:
+def _step(t_matrix: IntMatrix, vec: DimVector, steps: _Steps) -> tuple | None:
     """The descent step of a vector of nonnegative entries, given the Tits
-    form and loop-free flags: the least loop-free vertex index i of the
-    support with T(vec, e_i) > 0 and vec reflected there (None if that has a
-    negative entry), or None if there is no such i.  Only a loop-free vertex
-    of the support can pair positively, as the form is nonpositive off the
+    form: the least loop-free vertex index i of the support (T_ii = 2) with
+    T(vec, e_i) > 0 and vec reflected there (None if that has a negative
+    entry), or None if there is no such i.  Only a loop-free vertex of the
+    support can pair positively, as the form is nonpositive off the
     diagonal and at a looped vertex on it.  Each pairing spends a step."""
     for i in compress(range(len(vec)), vec):
-        if loop_free[i]:
+        if t_matrix[i][i] == 2:
             steps.spend()
             pairing = sum(map(mul, t_matrix[i], vec))
             if pairing > 0:
@@ -133,14 +131,14 @@ def _step(
 
 
 def _descend(q: Quiver, vec: DimVector, steps: _Steps) -> RootClass:
-    """``classify_root`` of a nonzero vector of nonnegative entries, a step
-    spent per pairing computed and per reflection written."""
+    """``classify_root`` of a nonzero vector of nonnegative entries, real at
+    e_i with T_ii = 2, a step spent per pairing and reflection written."""
     if not any(vec):
         raise ValueError("the zero vector is not classified")
-    t_matrix, loop_free = tits_form(q), loop_free_flags(q)
+    t_matrix = tits_form(q)
     reflections: list[int] = []
-    while sum(vec) != 1 or not loop_free[vec.index(1)]:
-        step = _step(t_matrix, loop_free, vec, steps)
+    while sum(vec) != 1 or t_matrix[(i := vec.index(1))][i] != 2:
+        step = _step(t_matrix, vec, steps)
         if step is None:
             if support_connected(q, vec):
                 return RootClass(IMAGINARY, tuple(reflections), vec)
@@ -157,38 +155,41 @@ def _grow_roots(q: Quiver, box: DimVector, steps: _Steps) -> dict[DimVector, tup
     """The roots 0 < alpha <= box in height order, each mapped to its kind,
     the vertex index of its descent step and the root that step lands on.
 
-    Unit vectors take no step: real at a loop-free vertex, imaginary at a
-    looped one.  Any other candidate is a root of the last height plus a
-    unit vector, within the box.  Its one descent step (``_step``) lands on
-    a box vector of smaller height or outside the cone, and as a reflection
-    at a loop-free vertex i permutes the positive roots other than e_i and
-    keeps real and imaginary apart (Kac 1980), it is a root exactly when it
-    lands on a root found, of that root's kind.  With no step it is
-    imaginary if its support is connected, else not a root.  That every
-    root is found rests on the root-string property (a positive root other
-    than a unit vector minus some unit vector is a positive root; Kac
-    1980), which for looped vertices is checked against the box filter by
-    the tests, not proved here.  Each candidate tested spends a step.
+    Unit vectors take no step: real at a loop-free vertex (T_ii = 2),
+    imaginary at a looped one.  Any other candidate is a root v of the last
+    height plus e_i in the box, i at or next to supp v (T_ij != 0, j in it):
+    roots have connected supports (Kac 1980), so no other v + e_i is one.
+    Its one descent step (``_step``) lands on a box vector of smaller height
+    or outside the cone; as a reflection at a loop-free vertex i permutes
+    the positive roots other than e_i and keeps real and imaginary apart
+    (Kac 1980), it is a root exactly when it lands on a root found, of that
+    root's kind; with no step it is in the fundamental region, imaginary.
+    Every root is found by the root-string property (a positive root other
+    than a unit vector minus some unit vector is one; Kac 1980), tested for
+    looped vertices against the box filter.  Each candidate spends a step.
     """
-    t_matrix, loop_free = tits_form(q), loop_free_flags(q)
+    t_matrix = tits_form(q)
     k = len(box)
+    near = [{i for i, t in enumerate(row) if t or i == j} for j, row in enumerate(t_matrix)]
     grown = {}
     for i in compress(range(k), box):
         steps.spend()
         unit = tuple(int(i == j) for j in range(k))
-        grown[unit] = (REAL if loop_free[i] else IMAGINARY, None, None)
+        grown[unit] = (REAL if t_matrix[i][i] == 2 else IMAGINARY, None, None)
     layer = list(grown)
     while layer:
-        raised = ((vec, i) for vec in layer for i in range(k) if vec[i] < box[i])
-        candidates = dict.fromkeys(vec[:i] + (vec[i] + 1,) + vec[i + 1 :] for vec, i in raised)
+        raised = ((vec, i) for vec in layer for i in set().union(*compress(near, vec)))
+        candidates = dict.fromkeys(
+            vec[:i] + (vec[i] + 1,) + vec[i + 1 :] for vec, i in raised if vec[i] < box[i]
+        )
         layer = []
         for vec in candidates:
             steps.spend()
-            step = _step(t_matrix, loop_free, vec, steps)
-            if step is not None and step[1] in grown:
-                grown[vec] = (grown[step[1]][0], *step)
-            elif step is None and support_connected(q, vec):
+            step = _step(t_matrix, vec, steps)
+            if step is None:
                 grown[vec] = (IMAGINARY, None, None)
+            elif step[1] in grown:
+                grown[vec] = (grown[step[1]][0], *step)
             else:
                 continue
             layer.append(vec)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from necklacekit import (
@@ -12,6 +13,8 @@ from necklacekit import (
     double,
     euler_form,
     num_parameters,
+    rep_dimension,
+    sigma_membership,
     support_connected,
     tits_form,
     weight_pairing,
@@ -98,6 +101,14 @@ def test_tits_symmetric_random():
         assert all(t_matrix[i][j] == t_matrix[j][i] for i in range(k) for j in range(k))
         alpha = tuple(rng.randint(0, 5) for _ in range(k))
         assert bilinear(t_matrix, alpha, alpha) == 2 * bilinear(euler_form(q), alpha, alpha)
+        # the one pass over the arrows against a count per vertex pair, and
+        # the Tits diagonal that roots read loop-freeness from
+        assert euler_form(q) == tuple(
+            tuple(int(i == j) - q.arrow_count(i, j) for j in q.vertices) for i in q.vertices
+        )
+        assert [t_matrix[v - 1][v - 1] == 2 for v in q.vertices] == [
+            q.is_loop_free(v) for v in q.vertices
+        ]
 
 
 def test_validation_errors():
@@ -122,3 +133,18 @@ def test_validation_errors():
         DoubleQuiver(1, (Arrow("x**", 1, 1),), base=loop)
     with pytest.raises(ValueError, match=r"^dimension vector \(1, -1\) has a negative entry$"):
         as_dim_vector(Quiver(2, ()), (1, -1))
+
+
+def test_dimension_vectors_refuse_non_integer_entries(calogero):
+    # int() would truncate each of these to a vector the call then answers for
+    with pytest.raises(ValueError, match=r"^dimension vector \(1\.5, 1\) has a non-integer entry$"):
+        as_dim_vector(calogero, (1.5, 1))
+    with pytest.raises(ValueError, match=r"^dimension vector \(1\.5, 1\) has a non-integer entry$"):
+        sigma_membership(calogero, (1.5, 1), (0, 0))
+    with pytest.raises(ValueError, match=r"^dimension vector \(1\.5, 1\) has a non-integer entry$"):
+        rep_dimension(calogero, (1.5, 1))
+    with pytest.raises(ValueError, match="non-integer entry"):
+        as_dim_vector(calogero, (np.float64(0.5), 1))
+    for entries in ((1.0, 2.0), (np.int64(1), np.int32(2)), np.array([1, 2]), iter((1, 2))):
+        vec = as_dim_vector(calogero, entries)
+        assert vec == (1, 2) and all(type(x) is int for x in vec)

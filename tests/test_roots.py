@@ -1,6 +1,7 @@
 import random
 import time
 
+import numpy as np
 import pytest
 
 from necklacekit import (
@@ -105,6 +106,18 @@ def test_classify_examples(calogero):
         classify_root(calogero, (1,))
 
 
+def test_classify_refuses_non_integer_entries(calogero):
+    # int() would truncate (1.9, 0.5) to the real root (1, 0)
+    with pytest.raises(ValueError, match=r"^dimension vector \(1\.9, 0\.5\) has a non-integer entry$"):
+        classify_root(calogero, (1.9, 0.5))
+    with pytest.raises(ValueError, match="non-integer entry"):
+        classify_root(calogero, (np.float64(1.5), 2))
+    for alpha in ((1.0, 2.0), (np.int64(1), np.int32(2)), np.array([1, 2])):
+        verdict = classify_root(calogero, alpha)
+        assert verdict == classify_root(calogero, (1, 2)) and verdict.kind == "imaginary"
+        assert all(type(a) is int for a in verdict.terminal)
+
+
 def test_classification_reflection_invariant(calogero, a1_tilde):
     rng = random.Random(41)
     for q, loop_free in ((calogero, (1,)), (a1_tilde, (1, 2))):
@@ -186,7 +199,7 @@ def test_a_wide_box_with_few_roots_answers():
     assert classify_root(a6, (12,) * 6).kind == NOT_ROOT
 
 
-@pytest.mark.parametrize("k", [20, 30])
+@pytest.mark.parametrize("k", [20, 30, 110])
 def test_the_a_path_roots_at_ones_are_its_intervals(k):
     # the positive roots of A_k are the k (k + 1) / 2 sums e_i + ... + e_j
     intervals = sorted(

@@ -292,10 +292,11 @@ def test_the_a_path_at_ones_decomposes_into_its_last_vertex(k):
     )
 
 
-@pytest.mark.parametrize("k", [45, 50, 60, 70])
+@pytest.mark.parametrize("k", [45, 50, 60, 70, 100])
 def test_the_a_path_at_ones_answers_above_forty(k):
-    # the roots are grown with one descent step per candidate and no
-    # witness but alpha's, so the long paths fit in the work budget
+    # the roots are grown with one descent step per candidate, candidates
+    # only at or next to a root's support and no witness but alpha's, so
+    # the long paths fit in the work budget
     test_the_a_path_at_ones_decomposes_into_its_last_vertex(k)
 
 
