@@ -295,7 +295,7 @@ def componentwise_lt(beta: Sequence[int], alpha: Sequence[int]) -> bool:
 
 def support_connected(q: Quiver, alpha: Sequence[int]) -> bool:
     """Whether the vertices with alpha_i > 0 induce a connected undirected subgraph."""
-    alpha = tuple(alpha)
+    alpha = _integral(alpha)
     if len(alpha) != q.vertex_count:
         raise ValueError("dimension vector length does not match the quiver")
     support = {i for i in q.vertices if alpha[i - 1] > 0}

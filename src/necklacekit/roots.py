@@ -10,7 +10,9 @@ sequence used, so it can be replayed.
 The roots of a box are grown from its unit vectors rather than filtered
 out of it, so their cost follows the roots, not the box: every candidate
 is a root plus e_i, i at or next to its support, decided by one descent
-step onto a root found of smaller height.  Vertex i is loop-free iff T_ii = 2.
+step onto a root found of smaller height, whose p-value it takes, as a
+reflection preserves the Tits form; a root is real iff p = 0 (Kac 1980).
+Vertex i is loop-free iff T_ii = 2.
 
 Each public call spends from the work budget ``quiver.WORK_CAP`` a step per
 pairing computed by a descent, candidate tested and reflection written into
@@ -30,6 +32,7 @@ from .quiver import (
     _Steps,
     _integral,
     as_dim_vector,
+    num_parameters,
     support_connected,
     tits_form,
 )
@@ -70,7 +73,7 @@ def reflect(q: Quiver, vertex: int, alpha: Sequence[int]) -> tuple[int, ...]:
     """Simple reflection at a loop-free vertex: alpha - T(alpha, e_i) e_i."""
     if not 1 <= vertex <= q.vertex_count:
         raise ValueError(f"vertex {vertex} out of range 1..{q.vertex_count}")
-    alpha = tuple(alpha)
+    alpha = _integral(alpha)
     if len(alpha) != q.vertex_count:
         raise ValueError("dimension vector length does not match the quiver")
     if not q.is_loop_free(vertex):
@@ -83,7 +86,7 @@ def reflect(q: Quiver, vertex: int, alpha: Sequence[int]) -> tuple[int, ...]:
 
 def in_fundamental_set(q: Quiver, alpha: Sequence[int]) -> bool:
     """Nonzero, connected support, and T(alpha, e_i) <= 0 at every vertex."""
-    alpha = tuple(alpha)
+    alpha = _integral(alpha)
     if len(alpha) != q.vertex_count:
         raise ValueError("dimension vector length does not match the quiver")
     if all(a == 0 for a in alpha):
@@ -152,21 +155,21 @@ def _descend(q: Quiver, vec: DimVector, steps: _Steps) -> RootClass:
 
 
 def _grow_roots(q: Quiver, box: DimVector, steps: _Steps) -> dict[DimVector, tuple]:
-    """The roots 0 < alpha <= box in height order, each mapped to its kind,
+    """The roots 0 < alpha <= box in height order, each mapped to its p-value,
     the vertex index of its descent step and the root that step lands on.
 
-    Unit vectors take no step: real at a loop-free vertex (T_ii = 2),
-    imaginary at a looped one.  Any other candidate is a root v of the last
-    height plus e_i in the box, i at or next to supp v (T_ij != 0, j in it):
-    roots have connected supports (Kac 1980), so no other v + e_i is one.
-    Its one descent step (``_step``) lands on a box vector of smaller height
-    or outside the cone; as a reflection at a loop-free vertex i permutes
-    the positive roots other than e_i and keeps real and imaginary apart
-    (Kac 1980), it is a root exactly when it lands on a root found, of that
-    root's kind; with no step it is in the fundamental region, imaginary.
-    Every root is found by the root-string property (a positive root other
-    than a unit vector minus some unit vector is one; Kac 1980), tested for
-    looped vertices against the box filter.  Each candidate spends a step.
+    Unit vectors take no step: e_i has p = 1 - T_ii / 2, its loop count.
+    Any other candidate is a root v of the last height plus e_i in the box,
+    i at or next to supp v (T_ij != 0, j in it): roots have connected
+    supports (Kac 1980), so no other v + e_i is one.  Its one descent step
+    (``_step``) lands on a box vector of smaller height or outside the cone;
+    as a reflection at a loop-free vertex i permutes the positive roots other
+    than e_i and preserves the Tits form (Kac 1980), it is a root exactly when
+    it lands on a root found, and has that root's p; with no step it is in
+    the fundamental region, its p computed.  A root is real iff p = 0 (Kac
+    1980).  Every root is found by the root-string property (a positive root
+    other than a unit vector minus some unit vector is one; Kac 1980), tested
+    for looped vertices against the box filter.  Each candidate spends a step.
     """
     t_matrix = tits_form(q)
     k = len(box)
@@ -175,7 +178,7 @@ def _grow_roots(q: Quiver, box: DimVector, steps: _Steps) -> dict[DimVector, tup
     for i in compress(range(k), box):
         steps.spend()
         unit = tuple(int(i == j) for j in range(k))
-        grown[unit] = (REAL if t_matrix[i][i] == 2 else IMAGINARY, None, None)
+        grown[unit] = (1 - t_matrix[i][i] // 2, None, None)
     layer = list(grown)
     while layer:
         raised = ((vec, i) for vec in layer for i in set().union(*compress(near, vec)))
@@ -187,7 +190,7 @@ def _grow_roots(q: Quiver, box: DimVector, steps: _Steps) -> dict[DimVector, tup
             steps.spend()
             step = _step(t_matrix, vec, steps)
             if step is None:
-                grown[vec] = (IMAGINARY, None, None)
+                grown[vec] = (num_parameters(q, vec), None, None)
             elif step[1] in grown:
                 grown[vec] = (grown[step[1]][0], *step)
             else:
@@ -206,7 +209,8 @@ def enumerate_positive_roots(
     box = as_dim_vector(q, box)
     steps = _Steps()
     classes: dict[DimVector, RootClass] = {}
-    for vec, (kind, vertex, landed) in _grow_roots(q, box, steps).items():
+    for vec, (p, vertex, landed) in _grow_roots(q, box, steps).items():
+        kind = REAL if p == 0 else IMAGINARY
         if landed is None:
             classes[vec] = RootClass(kind, (), vec)
         else:

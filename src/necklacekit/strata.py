@@ -20,9 +20,9 @@ per call over the box 0 < beta <= alpha for a fixed (quiver, weight) pair
 strict members among them, not with the box:
 
 * the roots are grown from the unit vectors of the box (``roots._grow_roots``),
-  and a vector's root class is found by its own descent only when its
-  membership is reported; minimality and the representation types read
-  the list of hyperplane roots;
+  each with its p-value, and a vector's root class is found by its own
+  descent only when its membership is reported; minimality and the
+  representation types read the list of hyperplane roots;
 * strictness is decided once per hyperplane root, in ascending lex order,
   and the largest p-value sum over the decompositions of each remainder
   once, over the strict members decided so far that cover its first
@@ -65,7 +65,6 @@ from .quiver import (
     bilinear,
     componentwise_leq,
     componentwise_lt,
-    euler_form,
     num_parameters,
     tits_form,
 )
@@ -80,8 +79,6 @@ RepType = tuple[tuple[int, DimVector], ...]
 
 def delta_lambda(q: Quiver, lam: Sequence, bound: Sequence[int]) -> list[DimVector]:
     """Positive roots beta <= bound with exact pairing lambda . beta = 0."""
-    lam = as_weight(q, lam)
-    bound = as_dim_vector(q, bound)
     return _SigmaTable(q, lam, bound).hyperplane_roots()
 
 
@@ -155,19 +152,19 @@ class SigmaMembership:
 class _SigmaTable:
     """Membership in the weak and strict sets for the vectors 0 < beta <= box.
 
-    The hyperplane roots come from the roots of the box grown from its unit
-    vectors (``roots._grow_roots``), and a vector's root class from its own
-    descent (``roots._descend``).  ``strict_members`` decides strictness
-    once per hyperplane root, in ascending lex order, by ``_split(beta)``:
-    the largest p-value sum over the decompositions of beta into two or
-    more hyperplane roots.  It is taken over the strict members decided so
-    far that cover the first nonzero coordinate, with ``_full`` of what is
-    left: a hyperplane root outside the strict set has a decomposition whose
-    p-values sum to at least its own, so putting one in its place never
+    The hyperplane roots and their p-values come from the roots of the box
+    grown from its unit vectors (``roots._grow_roots``), a vector's root class
+    from its own descent (``roots._descend``).  ``strict_members`` decides
+    strictness once per hyperplane root, in ascending lex order, by
+    ``_split(beta)``: the largest p-value sum over the decompositions of beta
+    into two or more hyperplane roots.  It is taken over the strict members
+    decided so far that cover the first nonzero coordinate, with ``_full`` of
+    what is left: a hyperplane root outside the strict set has a decomposition
+    whose p-values sum to at least its own, so putting one in its place never
     lowers a sum (Crawley-Boevey 2001).  ``_full(rest)`` also allows rest
-    itself as a single part.  A witness, the first decomposition reaching
-    the largest sum in the enumeration order of ``_sum_multisets`` over
-    every hyperplane root below alpha, is built only by ``membership``.
+    itself as a single part.  A witness, the first decomposition reaching the
+    largest sum in the enumeration order of ``_sum_multisets`` over every
+    hyperplane root below alpha, is built only by ``membership``.
     Everything is computed on first use, spending from ``steps``, a new
     budget unless one is given.
     """
@@ -199,7 +196,7 @@ class _SigmaTable:
         if self._roots is None:
             grown = _grow_roots(self.q, self.box, self.steps)
             self._roots = sorted(filter(self.on_hyperplane, grown))
-            self._p = {beta: num_parameters(self.q, beta) for beta in self._roots}
+            self._p = {beta: grown[beta][0] for beta in self._roots}
         return self._roots
 
     def parts(self) -> list[DimVector]:
@@ -372,25 +369,21 @@ class CoadjointVerdict:
 def coadjoint_verdict(q: Quiver, alpha: Sequence[int], lam: Sequence) -> CoadjointVerdict:
     """Coadjoint-orbit test: strict membership plus componentwise minimality.
 
-    When the vector satisfies the strict inequalities the verdict carries
-    the fiber dimension 1 + alpha.alpha - 2 chi(alpha, alpha) and the
-    quotient dimension 2 - T(alpha, alpha).
+    When the vector satisfies the strict inequalities the verdict carries the
+    fiber dimension 1 + alpha.alpha - 2 chi(alpha, alpha) = alpha.alpha - 1 +
+    2p(alpha) and the quotient dimension 2 - T(alpha, alpha) = 2p(alpha).
     """
     alpha = as_dim_vector(q, alpha)
     return _coadjoint_verdict(_SigmaTable(q, lam, alpha), alpha)
 
 
 def _coadjoint_verdict(table: _SigmaTable, alpha: DimVector) -> CoadjointVerdict:
-    q = table.q
     membership = table.membership(alpha)
     if not membership.in_sigma:
         reason = membership.reason or "strict inequality fails"
         return CoadjointVerdict(alpha, False, reason, membership)
-    chi = euler_form(q)
-    t_matrix = tits_form(q)
-    dot = sum(a * a for a in alpha)
-    dim_fiber = 1 + dot - 2 * bilinear(chi, alpha, alpha)
-    dim_quotient = 2 - bilinear(t_matrix, alpha, alpha)
+    dim_quotient = 2 * membership.p_alpha
+    dim_fiber = sum(a * a for a in alpha) - 1 + dim_quotient
     minimal, witness = _minimal_in_sigma(table, alpha)
     if not minimal:
         return CoadjointVerdict(
@@ -411,7 +404,6 @@ def _coadjoint_verdict(table: _SigmaTable, alpha: DimVector) -> CoadjointVerdict
 def rep_types(q: Quiver, alpha: Sequence[int], lam: Sequence) -> list[RepType]:
     """All semisimple types: multisets of strict members summing to alpha."""
     alpha = as_dim_vector(q, alpha)
-    lam = as_weight(q, lam)
     return _rep_types(_SigmaTable(q, lam, alpha), alpha)
 
 
@@ -429,15 +421,37 @@ def _rep_types(table: _SigmaTable, alpha: DimVector) -> list[RepType]:
 def ext1_dim(q: Quiver, beta_i: Sequence[int], beta_j: Sequence[int], same_simple: bool) -> int:
     """Ext^1 dimension between simple modules from their dimension vectors:
     2 - T(b, b) for a simple against itself, -T(b_i, b_j) for distinct ones."""
-    t_matrix = tits_form(q)
-    value = bilinear(t_matrix, beta_i, beta_j)
+    return _ext1_dim(q, _simple(q, beta_i), _simple(q, beta_j), same_simple)
+
+
+def _ext1_dim(q: Quiver, beta_i: DimVector, beta_j: DimVector, same_simple: bool) -> int:
+    value = bilinear(tits_form(q), beta_i, beta_j)
     count = 2 - value if same_simple else -value
     if count < 0:
         raise ValueError(
-            f"negative self-extension count {count}; {tuple(beta_i)}, {tuple(beta_j)} "
+            f"negative self-extension count {count}; {beta_i}, {beta_j} "
             "are not dimension vectors of distinct simples"
         )
     return count
+
+
+def _simple(q: Quiver, beta: Sequence[int]) -> DimVector:
+    """beta as the dimension vector of a simple: ``as_dim_vector``, nonzero."""
+    beta = as_dim_vector(q, beta)
+    if not any(beta):
+        raise ValueError("the zero vector is not the dimension vector of a simple")
+    return beta
+
+
+def _checked_type(q: Quiver, rep_type: RepType) -> RepType:
+    """A semisimple type given from outside, each multiplicity an integer
+    >= 1 and each part the dimension vector of a simple (``_simple``)."""
+    checked = []
+    for mult, beta in rep_type:
+        if int(mult) != mult or mult < 1:
+            raise ValueError(f"multiplicity {mult!r} is not an integer >= 1")
+        checked.append((int(mult), _simple(q, beta)))
+    return tuple(checked)
 
 
 @dataclass(frozen=True)
@@ -463,7 +477,7 @@ def local_quiver(q: Quiver, rep_type: RepType) -> LocalQuiverSetting:
     """Assemble the local quiver of a semisimple type from the Ext^1 counts,
     spending a step per arrow of the quiver it hands out."""
     steps = _Steps()
-    setting = _local_quiver(q, rep_type, steps)
+    setting = _local_quiver(q, _checked_type(q, rep_type), steps)
     steps.spend(sum(map(sum, setting.ext_matrix)))
     return setting
 
@@ -474,7 +488,7 @@ def _local_quiver(q: Quiver, rep_type: RepType, steps: _Steps) -> LocalQuiverSet
     z = len(rep_type)
     steps.spend(z * z)
     ext = tuple(
-        tuple(ext1_dim(q, rep_type[i][1], rep_type[j][1], same_simple=(i == j)) for j in range(z))
+        tuple(_ext1_dim(q, rep_type[i][1], rep_type[j][1], same_simple=(i == j)) for j in range(z))
         for i in range(z)
     )
     return LocalQuiverSetting(tuple(mult for mult, _ in rep_type), ext)
@@ -505,12 +519,18 @@ def slice_smooth_check(
     lam = as_weight(q, lam)
     if any(l != 0 for l in lam):
         raise ValueError("the slice count applies to the zero weight only")
+    rep_type = _checked_type(q, rep_type)
     total = [0] * q.vertex_count
     for mult, beta in rep_type:
         for i, b in enumerate(beta):
             total[i] += mult * b
     if tuple(total) != alpha:
         raise ValueError(f"type sums to {tuple(total)}, not {alpha}")
+    return _slice_check(q, rep_type, alpha)
+
+
+def _slice_check(q: Quiver, rep_type: RepType, alpha: DimVector) -> SliceCheck:
+    """The slice counts of a type summing to alpha."""
     dot = sum(a * a for a in alpha)
     t_value = bilinear(tits_form(q), alpha, alpha)
     lhs = dot + sum(mult * mult for mult, _ in rep_type) - t_value
@@ -597,7 +617,7 @@ def _classify(table: _SigmaTable, alpha: DimVector) -> ClassifyReport:
     for rep_type in _rep_types(table, alpha):
         slice_check = None
         if zero_weight:
-            slice_check = slice_smooth_check(q, rep_type, alpha, lam)
+            slice_check = _slice_check(q, rep_type, alpha)
         local = _local_quiver(q, rep_type, table.steps)
         reports.append(TypeReport(rep_type, local, slice_check))
     two_alpha = None

@@ -14,11 +14,14 @@ from necklacekit import (
     enumerate_positive_roots,
     euler_form,
     in_fundamental_set,
+    num_parameters,
     reflect,
     support_connected,
     tits_form,
 )
 
+from necklacekit.quiver import _Steps
+from necklacekit.roots import _grow_roots
 from necklacekit.strata import _SigmaTable
 
 from conftest import path_quiver, random_quiver
@@ -116,6 +119,17 @@ def test_classify_refuses_non_integer_entries(calogero):
         verdict = classify_root(calogero, alpha)
         assert verdict == classify_root(calogero, (1, 2)) and verdict.kind == "imaginary"
         assert all(type(a) is int for a in verdict.terminal)
+    # reflections, the fundamental-set test and the support test share the check
+    for call in (
+        lambda: reflect(calogero, 1, (1.5, 0)),
+        lambda: in_fundamental_set(calogero, (0.5, 1.5)),
+        lambda: in_fundamental_set(calogero, (1.5, 0)),
+        lambda: support_connected(calogero, (0.5, 0)),
+    ):
+        with pytest.raises(ValueError, match="non-integer entry$"):
+            call()
+    # and still take the signed entries that reflections produce
+    assert reflect(calogero, 1, (np.int64(-1), 0.0)) == (1, 0)
 
 
 def test_classification_reflection_invariant(calogero, a1_tilde):
@@ -227,10 +241,13 @@ def test_a_long_real_descent_answers(a1_tilde, n):
 
 def test_grown_roots_match_the_box_filter():
     # growth from the unit vectors rests on the root-string property, which
-    # for looped vertices is checked here, on every root's full class
+    # for looped vertices is checked here, on every root's full class and on
+    # the p-value each root inherits along its descent step
     looped = parallel = 0
     for q, box in GROWTH_CASES:
         assert enumerate_positive_roots(q, box) == roots_by_box_filter(q, box), (q, box)
+        for beta, (p, _, _) in _grow_roots(q, box, _Steps()).items():
+            assert p == num_parameters(q, beta), (q, beta)
         looped += any(not q.is_loop_free(v) for v in q.vertices)
         ends = [(a.source, a.target) for a in q.arrows]
         parallel += len(set(ends)) < len(ends)

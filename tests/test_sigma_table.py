@@ -9,13 +9,22 @@ import pytest
 from necklacekit import (
     Arrow,
     Quiver,
+    bilinear,
     classify,
     enumerate_positive_roots,
+    euler_form,
     minimal_in_sigma,
     rep_types,
     sigma_membership,
+    tits_form,
 )
-from necklacekit.strata import _classify, _minimal_in_sigma, _rep_types, _SigmaTable
+from necklacekit.strata import (
+    _classify,
+    _coadjoint_verdict,
+    _minimal_in_sigma,
+    _rep_types,
+    _SigmaTable,
+)
 
 from conftest import random_quiver
 from oracles import (
@@ -84,6 +93,12 @@ def test_table_matches_enumeration_on_the_box(q, alpha, lam):
     table = _SigmaTable(q, lam, alpha)
     for beta in box_vectors(alpha):
         assert table.membership(beta) == sigma_membership_by_enumeration(q, beta, lam), beta
+        # the dimensions read off p(beta) against the Euler and Tits forms
+        if table.in_sigma(beta):
+            verdict = _coadjoint_verdict(table, beta)
+            dot = sum(b * b for b in beta)
+            assert verdict.dim_fiber == 1 + dot - 2 * bilinear(euler_form(q), beta, beta)
+            assert verdict.dim_quotient == 2 - bilinear(tits_form(q), beta, beta)
     assert sigma_membership(q, alpha, lam) == sigma_membership_by_enumeration(q, alpha, lam)
 
 

@@ -180,6 +180,20 @@ def test_ext1_and_local_quiver(calogero, a1_tilde):
     setting = local_quiver(a1_tilde, ((1, (1, 0)), (1, (0, 1))))
     assert setting.ext_matrix == ((0, 2), (2, 0))
     assert setting.dim_vector == (1, 1)
+    assert local_quiver(a1_tilde, ((1.0, (1.0, 0)), (1, (0, 1)))) == setting
+
+    # parts are dimension vectors of simples and multiplicities integers >= 1
+    for call, message in (
+        (lambda: ext1_dim(calogero, (1.5, 0), (0, 1), False), r"\(1\.5, 0\) has a non-integer"),
+        (lambda: ext1_dim(calogero, (1, 2), (0, 0), False), "^the zero vector is not"),
+        (lambda: local_quiver(calogero, ((1, (1.5, 2)),)), r"\(1\.5, 2\) has a non-integer"),
+        (lambda: local_quiver(calogero, ((1, (1, 2, 0)),)), "^dimension vector has length 3"),
+        (lambda: local_quiver(calogero, ((1, (-1, 2)),)), "has a negative entry$"),
+        (lambda: local_quiver(calogero, ((0, (1, 2)),)), "^multiplicity 0 is not an integer >= 1$"),
+        (lambda: local_quiver(calogero, ((1.5, (1, 2)),)), "^multiplicity 1.5 is not"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_slice_smooth_checks(calogero, a1_tilde):
@@ -193,6 +207,15 @@ def test_slice_smooth_checks(calogero, a1_tilde):
         slice_smooth_check(calogero, ((1, (1, 2)),), (1, 2), LAM_21)
     with pytest.raises(ValueError):
         slice_smooth_check(calogero, ((1, (1, 2)),), (2, 4), LAM_0)
+    # a part of the wrong length or sign is refused, not summed or indexed
+    for rep_type, message in (
+        (((1, (1, 2, 0)),), "^dimension vector has length 3, expected 2$"),
+        (((1, (2, 2)), (1, (-1, 0))), r"^dimension vector \(-1, 0\) has a negative entry$"),
+        (((2, (0, 0)), (1, (1, 2))), "^the zero vector is not"),
+        (((-1, (1, 2)), (2, (1, 2))), "^multiplicity -1 is not an integer >= 1$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            slice_smooth_check(calogero, rep_type, (1, 2), LAM_0)
 
 
 def test_smooth_iff_single_multiplicity_one(calogero, a1_tilde):
