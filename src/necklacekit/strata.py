@@ -28,8 +28,9 @@ strict members among them, not with the box:
   once, over the strict members decided so far that cover its first
   nonzero coordinate, which loses nothing (see ``_SigmaTable``);
 * a witness is built only for a vector whose membership is reported, by a
-  descent in enumeration order that those sums prune; minimality, types
-  and the doubled-simple check ask the strict verdict alone.
+  descent in enumeration order over the weak members below it, which those
+  sums prune so that it never backtracks; minimality, types and the
+  doubled-simple check ask the strict verdict alone.
 
 ``classify`` builds one table and runs the whole pipeline on it;
 ``two_alpha_nonsmooth`` called on its own adds a second one over the box of
@@ -164,7 +165,8 @@ class _SigmaTable:
     lowers a sum (Crawley-Boevey 2001).  ``_full(rest)`` also allows rest
     itself as a single part.  A witness, the first decomposition reaching the
     largest sum in the enumeration order of ``_sum_multisets`` over every
-    hyperplane root below alpha, is built only by ``membership``.
+    hyperplane root below alpha, is built only by ``membership``, over the
+    weak members alone, read off the splits the strict pass memoised.
     Everything is computed on first use, spending from ``steps``, a new
     budget unless one is given.
     """
@@ -178,7 +180,6 @@ class _SigmaTable:
         self.steps = _Steps() if steps is None else steps
         scale = math.lcm(*(l.denominator for l in self.lam))
         self._scaled_lam = tuple(int(l * scale) for l in self.lam)
-        self._memberships: dict[DimVector, SigmaMembership] = {}
         self._roots: list[DimVector] | None = None
         self._p: dict[DimVector, int] = {}
         self._strict: set[DimVector] | None = None
@@ -271,12 +272,6 @@ class _SigmaTable:
         return best
 
     def membership(self, alpha: DimVector) -> SigmaMembership:
-        found = self._memberships.get(alpha)
-        if found is None:
-            found = self._memberships[alpha] = self._membership(alpha)
-        return found
-
-    def _membership(self, alpha: DimVector) -> SigmaMembership:
         if not any(alpha):
             return SigmaMembership(alpha, False, False, None, True, None, reason="zero vector")
         root_class = self.root_class(alpha)
@@ -311,14 +306,25 @@ class _SigmaTable:
         """The first decomposition of alpha that reaches the sum worst, in the
         order of ``_sum_multisets`` over the hyperplane roots below alpha.
 
+        Only the weak members below alpha are passed on, which loses no such
+        decomposition: a part beta with split(beta) > p(beta) is in none,
+        since its best split in its place would raise the sum past worst.
         A branch is dropped once its sum plus ``_full`` of what is left falls
-        below worst, so the first decomposition completed has sum worst, and
-        none before it in the order has."""
-        parts = [beta for beta in self.parts() if componentwise_lt(beta, alpha)]
+        below worst, and a branch that passes always completes: a
+        decomposition reaching worst that contains the parts chosen so far
+        and comes earlier in the order would already have been yielded.  So
+        the search never backtracks, and the first decomposition completed
+        has sum worst, and none before it in the order has."""
+        splits, p = self._splits, self._p
+        parts = [
+            beta
+            for beta in self.parts()
+            if componentwise_lt(beta, alpha) and (splits[beta] is None or splits[beta] <= p[beta])
+        ]
 
         def reaches(rest: DimVector, chosen: list) -> bool:
             best = self._full(rest)
-            total = sum(mult * self._p[beta] for beta, mult in chosen)
+            total = sum(mult * p[beta] for beta, mult in chosen)
             return best is not None and total + best >= worst
 
         return next(_sum_multisets(parts, alpha, self.steps, bound=reaches))
@@ -421,7 +427,10 @@ def _rep_types(table: _SigmaTable, alpha: DimVector) -> list[RepType]:
 def ext1_dim(q: Quiver, beta_i: Sequence[int], beta_j: Sequence[int], same_simple: bool) -> int:
     """Ext^1 dimension between simple modules from their dimension vectors:
     2 - T(b, b) for a simple against itself, -T(b_i, b_j) for distinct ones."""
-    return _ext1_dim(q, _simple(q, beta_i), _simple(q, beta_j), same_simple)
+    beta_i, beta_j = _simple(q, beta_i), _simple(q, beta_j)
+    if same_simple and beta_i != beta_j:
+        raise ValueError(f"one simple cannot have the dimension vectors {beta_i} and {beta_j}")
+    return _ext1_dim(q, beta_i, beta_j, same_simple)
 
 
 def _ext1_dim(q: Quiver, beta_i: DimVector, beta_j: DimVector, same_simple: bool) -> int:
@@ -444,8 +453,11 @@ def _simple(q: Quiver, beta: Sequence[int]) -> DimVector:
 
 
 def _checked_type(q: Quiver, rep_type: RepType) -> RepType:
-    """A semisimple type given from outside, each multiplicity an integer
-    >= 1 and each part the dimension vector of a simple (``_simple``)."""
+    """A semisimple type given from outside: at least one part, each
+    multiplicity an integer >= 1 and each part the dimension vector of a
+    simple (``_simple``)."""
+    if not rep_type:
+        raise ValueError("a semisimple type has at least one part")
     checked = []
     for mult, beta in rep_type:
         if int(mult) != mult or mult < 1:
@@ -609,8 +621,8 @@ def _classify(table: _SigmaTable, alpha: DimVector) -> ClassifyReport:
     q, lam = table.q, table.lam
     if not any(alpha):
         raise ValueError("the zero vector is not classified")
-    membership = table.membership(alpha)
     verdict = _coadjoint_verdict(table, alpha)
+    membership = verdict.membership
     delta_sample = tuple(table.hyperplane_roots())
     zero_weight = all(l == 0 for l in lam)
     reports = []

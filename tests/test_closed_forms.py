@@ -10,8 +10,9 @@ cannot reach, on the Dynkin and Euclidean quivers in two orientations each.
   root but a unit vector splits into unit vectors with p-sum 0 = p(alpha),
   so Sigma_0 is the unit vectors; on a Euclidean quiver it is the unit
   vectors and delta.  For m >= 2, m delta is in neither S_0 nor Sigma_0, as
-  m copies of delta sum to m > 1 = p(m delta), and its types are j copies
-  of delta plus the unit vectors of (m - j) delta, for j = m, ..., 0.
+  m copies of delta sum to m > 1 = p(m delta), which is its witness, and
+  its types are j copies of delta plus the unit vectors of (m - j) delta,
+  for j = m, ..., 0.
 
 q is evaluated here from the edge list, with nothing from the library.
 """
@@ -155,7 +156,12 @@ def delta_types(delta, m: int) -> list[tuple[tuple[int, tuple[int, ...]], ...]]:
 def check_multiple_of_delta(name: str, orientation: str, m: int) -> None:
     n, edges, delta = EUCLIDEAN[name]
     report = classify(oriented(n, edges, orientation), multiple(m, delta), (0,) * n)
-    assert (report.membership.in_s, report.membership.in_sigma) == (m == 1, m == 1)
+    membership = report.membership
+    assert (membership.in_s, membership.in_sigma) == (m == 1, m == 1)
+    # the imaginary roots, j delta, have p = 1 and the real ones p = 0, so
+    # m copies of delta are the one decomposition whose p-values sum to m
+    witness = None if m == 1 else ((tuple(delta), m),)
+    assert membership.witness_s == membership.witness_sigma == witness
     assert [t.rep_type for t in report.types] == delta_types(delta, m)
 
 

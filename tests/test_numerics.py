@@ -8,6 +8,7 @@ import pytest
 from necklacekit import (
     Arrow,
     Quiver,
+    coadjoint_verdict,
     double,
     moment_eval,
     numerics,
@@ -17,6 +18,7 @@ from necklacekit import (
     solve,
 )
 from necklacekit.quiver import double_of
+from conftest import random_fraction
 from oracles import normal_equation_step
 from test_numerics_jacobian import CALOGERO, D4_STAR, random_case
 
@@ -501,3 +503,58 @@ def test_double_of_keeps_one_double_and_double_builds_a_fresh_one(calogero):
     assert double(calogero) is not double(calogero)
     assert double(calogero) is not double_of(calogero)
     assert double(calogero) == double_of(calogero)
+
+
+def sigma_cases(count: int = 120, seed: int = 2013) -> list:
+    """(quiver, alpha, lambda, dim_fiber) with alpha in Sigma_lambda by the
+    exact table, on random quivers of k <= 4 vertices and at most k + 3
+    arrows, loops allowed, alpha <= 4, at the zero weight and, from two
+    vertices on, every other draw at a weight of nonzero rational entries
+    but one, which is solved for so that lambda . alpha = 0."""
+    rng = random.Random(seed)
+    cases = []
+    for draw in range(10 * count):
+        k = rng.randint(1, 4)
+        ends = [(rng.randint(1, k), rng.randint(1, k)) for _ in range(rng.randint(0, k + 3))]
+        q = Quiver(k, tuple(Arrow(f"q{i}", s, t) for i, (s, t) in enumerate(ends)))
+        alpha = tuple(rng.randint(0, 4) for _ in range(k))
+        if not any(alpha):
+            continue
+        lam = [Fraction(0)] * k
+        if k >= 2 and draw % 2:
+            lam = [random_fraction(rng) for _ in range(k)]
+            j = max(range(k), key=alpha.__getitem__)
+            lam[j] = -sum(l * a for i, (l, a) in enumerate(zip(lam, alpha)) if i != j) / alpha[j]
+        verdict = coadjoint_verdict(q, alpha, lam)
+        if verdict.membership.in_sigma:
+            cases.append((q, alpha, tuple(lam), verdict.dim_fiber))
+            if len(cases) == count:
+                return cases
+    raise AssertionError(f"only {len(cases)} draws in Sigma_lambda")
+
+
+SIGMA_CASES = sigma_cases()
+
+
+@pytest.mark.parametrize("q, alpha, lam, dim_fiber", SIGMA_CASES)
+def test_fiber_dimension_in_sigma_matches_the_moment_map(q, alpha, lam, dim_fiber):
+    # for alpha in Sigma_lambda the fiber holds a simple representation,
+    # where d mu has rank alpha . alpha - 1 (Crawley-Boevey 2001); outside
+    # Sigma_lambda no rank is asserted
+    for seed in range(5):
+        result = solve(q, alpha, lam, seed)
+        if result.converged:
+            report = rank_report(q, alpha, lam, result.point)
+            assert report.jacobian_rank == sum(a * a for a in alpha) - 1
+            assert report.fiber_dim_estimate == dim_fiber
+            return
+    pytest.fail(f"no seed of 0-4 converged at {alpha}")
+
+
+def test_sigma_cases_cover_both_weights_and_positive_p():
+    weights = {any(lam) for _, _, lam, _ in SIGMA_CASES}
+    assert weights == {False, True}
+    assert {q.vertex_count for q, _, _, _ in SIGMA_CASES} == {1, 2, 3, 4}
+    # dim_fiber = alpha . alpha - 1 + 2p: some cases have p > 0
+    assert any(fiber > sum(a * a for a in alpha) - 1 for _, alpha, _, fiber in SIGMA_CASES)
+    assert max(rep_dimension(q, alpha) for q, alpha, _, _ in SIGMA_CASES) >= 100

@@ -114,6 +114,20 @@ def test_minimality_and_types_match_enumeration(q, alpha, lam):
             minimal_in_sigma(q, alpha, lam)
 
 
+@pytest.mark.parametrize("q, alpha, lam", CASES)
+def test_witness_parts_satisfy_the_weak_inequalities(q, alpha, lam):
+    # a part whose best split beats its p-value would, split in its place,
+    # raise the sum past the largest one, so every part of a witness is in S
+    table = _SigmaTable(q, lam, alpha)
+    parts = set()
+    for beta in box_vectors(alpha):
+        membership = table.membership(beta)
+        for witness in (membership.witness_s, membership.witness_sigma):
+            parts.update(part for part, _ in witness or ())
+    for part in sorted(parts):
+        assert sigma_membership_by_enumeration(q, part, lam).in_s, part
+
+
 def test_cases_cover_both_weights_and_verdicts():
     weights = {any(lam) for _, _, lam in CASES}
     verdicts = {

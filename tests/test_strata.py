@@ -186,6 +186,9 @@ def test_ext1_and_local_quiver(calogero, a1_tilde):
     for call, message in (
         (lambda: ext1_dim(calogero, (1.5, 0), (0, 1), False), r"\(1\.5, 0\) has a non-integer"),
         (lambda: ext1_dim(calogero, (1, 2), (0, 0), False), "^the zero vector is not"),
+        # a self-extension count reads one vector, given twice
+        (lambda: ext1_dim(calogero, (1, 0), (0, 1), True), r"^one simple cannot have .* \(0, 1\)$"),
+        (lambda: local_quiver(calogero, ()), "^a semisimple type has at least one part$"),
         (lambda: local_quiver(calogero, ((1, (1.5, 2)),)), r"\(1\.5, 2\) has a non-integer"),
         (lambda: local_quiver(calogero, ((1, (1, 2, 0)),)), "^dimension vector has length 3"),
         (lambda: local_quiver(calogero, ((1, (-1, 2)),)), "has a negative entry$"),
@@ -216,6 +219,9 @@ def test_slice_smooth_checks(calogero, a1_tilde):
     ):
         with pytest.raises(ValueError, match=message):
             slice_smooth_check(calogero, rep_type, (1, 2), LAM_0)
+    # the empty type sums to the zero vector but is no type
+    with pytest.raises(ValueError, match="^a semisimple type has at least one part$"):
+        slice_smooth_check(calogero, (), (0, 0), LAM_0)
 
 
 def test_smooth_iff_single_multiplicity_one(calogero, a1_tilde):
