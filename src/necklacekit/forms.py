@@ -38,12 +38,14 @@ the normal-form map phi onto signed cyclic words (Kontsevich, "Formal
 (non)commutative symplectic geometry", 1993).  Omega is free on the letters
 a and da, so a closed code expands into letter words in traversal order
 pn, ..., p1, p0, one term per choice of a marked letter in each p_i with
-i >= 1 (d(xy) = dx y + x dy).  phi sends each word to its least rotation
-(paths._least_rotation, the one kernel that necklaces use too), letters
-compared as (arrow, mark) with marked above unmarked; rotating off a prefix
-that holds k of the n marks gives the sign (-1)^(k(n-k)), and a word whose
-least rotation is reached with both signs is 0.  An open code w from
-s to t is [e_t, w], so phi sends it to 0; a vertex element e_v, alone in the
+i >= 1 (d(xy) = dx y + x dy).  phi sends each word to its least rotation,
+letters compared as (arrow, mark) with marked above unmarked: the marked
+words of a code stream through paths._add_least_rotations, the one batch
+kernel that necklaces and the bracket use too, which adds each least
+rotation with its sign as it finds it.  Rotating off a prefix that holds k
+of the n marks gives the sign (-1)^(k(n-k)), and a word whose least
+rotation is reached with both signs is 0.  An open code w from s to t is
+[e_t, w], so phi sends it to 0; a vertex element e_v, alone in the
 (0, 0) piece that no commutator reaches, is its own key.  ker phi is the
 commutator span, so in_commutator_span is "phi(x) = 0" and builds no piece.
 karoubi_count counts the nonzero orbits by Burnside's lemma, from the traces
@@ -73,17 +75,16 @@ from .paths import (
     NecklaceWord,
     Path,
     PathSum,
+    _add_least_rotations,
     _add_term,
     _Encoding,
     _encoding,
     _joint_quiver,
-    _least_rotation,
-    _unchecked,
 )
 from .quiver import Quiver, _Steps, double_of
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FormBasisElement:
     """The class of lead dtails[0] ... dtails[n-1] in the relative form algebra."""
 
@@ -231,7 +232,9 @@ def contract(theta: Derivation, x: FormSum) -> FormSum:
             continue
         for i in range(1, len(code)):
             rest = code[i + 1 :]
-            for r, c in theta(PathSum._of_terms({code[i]: 1}, quiver))._terms.items():
+            image: dict = {}
+            theta._apply({code[i]: 1}, image)
+            for r, c in image.items():
                 # e_v is the entry () here; e dp1 with p1 a loop at v leaves e_v
                 trivial = type(r) is int
                 head = code[:i] + (() if trivial else r,)
@@ -306,11 +309,11 @@ def _cyclic_words(encoding: _Encoding, terms: dict, steps: _Steps) -> dict:
         word = [2 * a for p in reversed(code) for a in p]
         ends = list(accumulate(map(len, code[:0:-1])))
         steps.spend(prod(map(len, code[1:])))
-        for marked in product(*map(range, [0] + ends[:-1], ends)):
-            letters = tuple(c + (i in marked) for i, c in enumerate(word))
-            key, sign = _least_rotation(letters, len(ends))
-            if sign:
-                _add_term(acc, key, coeff if sign > 0 else -coeff)
+        marked_words = (
+            (tuple([c + (i in marked) for i, c in enumerate(word)]), coeff)
+            for marked in product(*map(range, [0] + ends[:-1], ends))
+        )
+        _add_least_rotations(acc, marked_words, len(ends))
     return acc
 
 
@@ -354,7 +357,10 @@ def _form_view(q: Quiver, encoding: _Encoding, code, paths: dict) -> FormBasisEl
         if view is None:
             view = paths[entry] = encoding.view(Path, q, entry)
         views.append(view)
-    return _unchecked(FormBasisElement, lead=views[0], tails=tuple(views[1:]))
+    element = FormBasisElement.__new__(FormBasisElement)
+    object.__setattr__(element, "lead", views[0])
+    object.__setattr__(element, "tails", tuple(views[1:]))
+    return element
 
 
 def _form_views(q: Quiver, codes: tuple, steps: _Steps) -> tuple[FormBasisElement, ...]:

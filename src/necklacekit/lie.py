@@ -5,19 +5,25 @@ that opens both necklaces at matching occurrences of an arrow and its
 reversed partner and reglues the complementary paths.  Vertex classes are
 central; brackets of equal words vanish.  Everything here works on the
 arrow-number codes of the quiver's path encoding (see paths._Encoding).
+A bracket streams its glued cycles through the one batch least-rotation
+kernel (paths._add_least_rotations) into one sum, and a commutator fills
+one accumulator per arrow through Derivation._apply.  Each function refuses
+arguments of another type with a TypeError.
 """
 from __future__ import annotations
+
+from typing import Iterator
 
 from .paths import (
     Derivation,
     NecklaceSum,
     NecklaceWord,
     PathSum,
+    _add_least_rotations,
     _add_term,
     _as_necklace_sum,
     _encoding,
     _joint_quiver,
-    _least_rotation,
 )
 from .quiver import DoubleQuiver
 
@@ -34,24 +40,26 @@ def kontsevich_bracket(
     if not isinstance(quiver, DoubleQuiver):
         raise ValueError("the necklace bracket is defined over a double quiver")
     encoding = _encoding(quiver)
-    star = encoding.star
-    opened2 = encoding.openings(s2._terms)
+    opened1, opened2 = encoding.openings(s1._terms), encoding.openings(s2._terms)
     necklaces: dict = {}
-    for x, left in encoding.openings(s1._terms).items():
-        right = opened2.get(star[x], {})
-        # dw1/dx . dw2/dx*, added for a base arrow x and subtracted for a
-        # starred one; q runs from source(x) to target(x), where p starts,
-        # and p back to source(x), so every product is a closed path
+    _add_least_rotations(necklaces, _glued(opened1, opened2, encoding.star))
+    return NecklaceSum._of_terms(necklaces, quiver)
+
+
+def _glued(opened1: dict, opened2: dict, star: tuple) -> Iterator[tuple]:
+    """The products dw1/dx . dw2/dx* of the bracket, with their coefficients,
+    added for a base arrow x and subtracted for a starred one: q runs from
+    source(x) to target(x), where p starts, and p back to source(x), so
+    every product is a closed path (a vertex when both are trivial)."""
+    for x, left in opened1.items():
+        right = opened2.get(star[x])
+        if not right:
+            continue
         sign = 1 if x < star[x] else -1
         for p, c in left.items():
+            c = sign * c
             for q, d in right.items():
-                cycle = p if type(q) is int else q if type(p) is int else q + p
-                _add_term(
-                    necklaces,
-                    cycle if type(cycle) is int else _least_rotation(cycle)[0],
-                    sign * c * d,
-                )
-    return NecklaceSum._of_terms(necklaces, quiver)
+                yield p if type(q) is int else q if type(p) is int else q + p, c * d
 
 
 def hamiltonian_derivation(
@@ -88,12 +96,27 @@ def hamiltonian_derivation(
 
 
 def derivation_commutator(theta1: Derivation, theta2: Derivation) -> Derivation:
-    """Commutator of derivations, a -> theta1(theta2(a)) - theta2(theta1(a))."""
+    """Commutator of derivations, a -> theta1(theta2(a)) - theta2(theta1(a)).
+
+    Each image fills one accumulator: theta1(theta2(a)) is added into it
+    term by term, and theta2(theta1(a)) is summed on its own and then
+    subtracted.  Adding the second image's terms one by one could cancel a
+    partial sum to 0 and restart it as an int where the difference of the
+    two sums is a Fraction; this way every coefficient, and its type, is
+    that difference."""
+    for theta in (theta1, theta2):
+        if not isinstance(theta, Derivation):
+            raise TypeError(f"expected a Derivation, got {type(theta).__name__}")
     if theta1.quiver != theta2.quiver:
         raise ValueError("derivations live over different quivers")
-    images = {
-        label: theta1(theta2.images[label]) - theta2(theta1.images[label])
-        for label in theta1.images
-    }
+    quiver, images = theta1.quiver, {}
+    for label, image1 in theta1.images.items():
+        acc: dict = {}
+        theta1._apply(theta2.images[label]._terms, acc)
+        subtracted: dict = {}
+        theta2._apply(image1._terms, subtracted)
+        for code, coeff in subtracted.items():
+            _add_term(acc, code, -coeff)
+        images[label] = PathSum._of_terms(acc, quiver)
     # derivations fix vertices, so they keep the endpoints of every path
-    return Derivation._of_images(theta1.quiver, images)
+    return Derivation._of_images(quiver, images)

@@ -20,12 +20,17 @@ from outside (their constructors and textio.parse_path) and built unchecked
 by ``_unchecked`` where the encoding produced them.
 
 Each job has one route.  Paths of a length grow one arrow at a time from
-the prefixes that can still reach it (_Encoding.words); one kernel
-(_least_rotation) canonicalises every necklace and forms' map phi; one
-generator (_Encoding.necklaces) lists least rotations, for
+the prefixes that can still reach it (_Encoding.words); one batch kernel
+(_add_least_rotations) canonicalises every necklace and forms' map phi: it
+reads a stream of (word, coefficient) pairs and adds each word's least
+rotation, with its sign, into a sum in the loop that finds it, so the
+bracket, the trace projection and phi pass it their words as generators,
+and a single word (_least_rotation, for NecklaceWord) is a stream of one;
+one generator (_Encoding.necklaces) lists least rotations, for
 necklaces_of_length and forms.karoubi_dim; and one trace table per quiver
 (_Encoding.closed_walks) feeds every count.  Each spends from
-quiver.WORK_CAP, as its docstring says.
+quiver.WORK_CAP, as its docstring says.  The views are slotted frozen
+dataclasses, one object each for the cyclic collector.
 """
 from __future__ import annotations
 
@@ -39,7 +44,7 @@ from .quiver import DoubleQuiver, Quiver, _per_instance, _Steps, double_of
 Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """An oriented path: either a trivial path at a vertex or a chain of arrows."""
 
@@ -49,25 +54,7 @@ class Path:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arrows", tuple(self.arrows))
-        if self.arrows:
-            if self.vertex is not None:
-                raise ValueError("a path has either arrows or a vertex, not both")
-            prev = None
-            for label in self.arrows:
-                arr = self.quiver.arrow(label)
-                if prev is not None and prev.target != arr.source:
-                    raise ValueError(
-                        f"arrows do not compose: {prev.label!r} ends at vertex "
-                        f"{prev.target} but {arr.label!r} starts at vertex {arr.source}"
-                    )
-                prev = arr
-        else:
-            if self.vertex is None:
-                raise ValueError("a trivial path needs a vertex")
-            if not 1 <= self.vertex <= self.quiver.vertex_count:
-                raise ValueError(
-                    f"vertex {self.vertex} out of range 1..{self.quiver.vertex_count}"
-                )
+        _path_ends(self.quiver, self.arrows, self.vertex)
 
     @classmethod
     def trivial(cls, q: Quiver, vertex: int) -> "Path":
@@ -105,12 +92,37 @@ class Path:
         return f"Path({self})"
 
 
-def _unchecked(cls, **fields):
-    """An instance of a frozen view class (Path, NecklaceWord or
-    forms.FormBasisElement) with fields known to be valid, such as labels the
-    encoding produced, built without the checks of its constructor."""
+def _path_ends(q: Quiver, arrows: tuple[str, ...], vertex: int | None) -> tuple[int, int]:
+    """(source, target) of the path of these labels or this vertex, refused
+    when it is no path of q."""
+    if not arrows:
+        if vertex is None:
+            raise ValueError("a trivial path needs a vertex")
+        if not 1 <= vertex <= q.vertex_count:
+            raise ValueError(f"vertex {vertex} out of range 1..{q.vertex_count}")
+        return vertex, vertex
+    if vertex is not None:
+        raise ValueError("a path has either arrows or a vertex, not both")
+    first = prev = q.arrow(arrows[0])
+    for label in arrows[1:]:
+        arr = q.arrow(label)
+        if prev.target != arr.source:
+            raise ValueError(
+                f"arrows do not compose: {prev.label!r} ends at vertex "
+                f"{prev.target} but {arr.label!r} starts at vertex {arr.source}"
+            )
+        prev = arr
+    return first.source, prev.target
+
+
+def _unchecked(cls, quiver: Quiver, arrows: tuple[str, ...], vertex: int | None):
+    """A Path or NecklaceWord with fields known to be valid, such as labels
+    the encoding produced, built without the checks of its constructor.  The
+    views are frozen and slotted, so the fields are set by object.__setattr__."""
     view = cls.__new__(cls)
-    view.__dict__.update(fields)
+    object.__setattr__(view, "quiver", quiver)
+    object.__setattr__(view, "arrows", arrows)
+    object.__setattr__(view, "vertex", vertex)
     return view
 
 
@@ -124,7 +136,7 @@ def concat(p: Path, q: Path) -> Path | None:
         return q
     if not q.arrows:
         return p
-    return _unchecked(Path, quiver=p.quiver, arrows=q.arrows + p.arrows, vertex=None)
+    return _unchecked(Path, p.quiver, q.arrows + p.arrows, None)
 
 
 def _exact(coeff) -> Scalar:
@@ -312,7 +324,7 @@ def compose(p: Path, q: Path) -> PathSum:
     return PathSum.zero() if pq is None else PathSum.of(pq)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NecklaceWord:
     """Cyclic equivalence class of a closed path, stored as its least rotation.
 
@@ -325,13 +337,14 @@ class NecklaceWord:
     vertex: int | None = None
 
     def __post_init__(self) -> None:
-        path = Path(self.quiver, self.arrows, self.vertex)
-        if not path.is_cycle():
+        arrows = tuple(self.arrows)
+        source, target = _path_ends(self.quiver, arrows, self.vertex)
+        if source != target:
             raise ValueError(
-                f"necklace input is not closed: starts at vertex {path.source}, "
-                f"ends at vertex {path.target}"
+                f"necklace input is not closed: starts at vertex {source}, "
+                f"ends at vertex {target}"
             )
-        object.__setattr__(self, "arrows", _least_rotation(path.arrows)[0] if path.arrows else ())
+        object.__setattr__(self, "arrows", _least_rotation(arrows)[0] if arrows else ())
 
     @classmethod
     def vertex_class(cls, q: Quiver, vertex: int) -> "NecklaceWord":
@@ -343,7 +356,7 @@ class NecklaceWord:
 
     def representative(self) -> Path:
         """A closed path representing this class (the stored rotation)."""
-        return _unchecked(Path, quiver=self.quiver, arrows=self.arrows, vertex=self.vertex)
+        return _unchecked(Path, self.quiver, self.arrows, self.vertex)
 
     def __str__(self) -> str:
         if not self.arrows:
@@ -354,29 +367,59 @@ class NecklaceWord:
         return f"NecklaceWord({self})"
 
 
-def _least_rotation(word: tuple, marks: int = 0) -> tuple[tuple, int]:
-    """The least rotation of a nonempty word and the sign of reaching it.
+def _add_least_rotations(acc: dict, words: Iterable[tuple], marks: int = 0):
+    """Add each (word, coefficient) of a stream to acc, keyed by the word's
+    least rotation and signed by the sign of reaching it, and return the
+    least rotation of the last word.  Coefficients are exact and nonzero; a
+    word that is a vertex (an int) is its own key.
 
-    It starts at the least letter, so only those rotations are compared.  A
-    word with marks > 0 has forms.phi's letters 2a + mark: rotating off a
-    prefix with k of the marks gives the sign (-1)^(k(marks - k)), and the
-    least rotation is reached with both signs, the sign 0, when rotating it
-    by its period moves j marks with j(marks - j) odd.  An unmarked word has
-    the sign 1."""
-    least, n = min(word), len(word)
-    doubled = word + word
-    best, start, period, i = word, 0, 0, 0
-    for _ in range(word.count(least) - (word[0] == least)):
-        i = word.index(least, i + 1)
-        rotation = doubled[i : i + n]
-        if rotation < best:
-            best, start, period = rotation, i, 0
-        elif marks and not period and rotation == best:
-            period = i - start
-    if not marks:
-        return best, 1
-    k, j = sum([x & 1 for x in word[:start]]), sum([x & 1 for x in best[:period]])
-    return best, 0 if j * (marks - j) % 2 else -1 if k * (marks - k) % 2 else 1
+    The scan starts at the first least letter and compares the rotations
+    at the others, each only when its second letter is no greater than the
+    best's.  A word with marks > 0 has forms.phi's letters 2a + mark:
+    rotating off a prefix with k of the marks gives the sign
+    (-1)^(k(marks - k)), and the least rotation is reached with both signs,
+    the sign 0, when rotating it by its period moves j marks with
+    j(marks - j) odd; such a word adds nothing.  An unmarked word has the
+    sign 1."""
+    best = None
+    for word, coeff in words:
+        if type(word) is int:
+            best = word
+        else:
+            least, n = min(word), len(word)
+            start = i = word.index(least)
+            doubled = word + word
+            best, period = doubled[i : i + n], 0
+            for _ in range(word.count(least) - 1):
+                i = word.index(least, i + 1)
+                if doubled[i + 1] > best[1]:
+                    continue
+                rotation = doubled[i : i + n]
+                if rotation < best:
+                    best, start, period = rotation, i, 0
+                elif marks and not period and rotation == best:
+                    period = i - start
+            if marks:
+                j = sum([x & 1 for x in best[:period]])
+                if j * (marks - j) % 2:
+                    continue
+                k = sum([x & 1 for x in word[:start]])
+                if k * (marks - k) % 2:
+                    coeff = -coeff
+        new = acc.get(best, 0) + coeff
+        if new:
+            acc[best] = new
+        else:
+            del acc[best]
+    return best
+
+
+def _least_rotation(word: tuple, marks: int = 0) -> tuple[tuple, int]:
+    """The least rotation of one nonempty word and the sign of reaching it,
+    0 when it is reached with both signs (see _add_least_rotations)."""
+    acc: dict = {}
+    best = _add_least_rotations(acc, ((word, 1),), marks)
+    return best, acc.get(best, 0)
 
 
 class NecklaceSum(LinearCombination):
@@ -400,18 +443,22 @@ def project_to_necklaces(x: PathSum) -> NecklaceSum:
     """Quotient map to necklaces: cycles keep their class, open paths die."""
     if x.quiver is None:
         return NecklaceSum.zero()
-    encoding = _encoding(x.quiver)
-    acc: dict = {}
-    for p, c in x._terms.items():
-        if type(p) is int:
-            _add_term(acc, p, c)
-        elif encoding.source[p[0]] == encoding.target[p[-1]]:
-            _add_term(acc, _least_rotation(p)[0], c)
+    encoding, acc = _encoding(x.quiver), {}
+    source, target = encoding.source, encoding.target
+    closed = (
+        (p, c) for p, c in x._terms.items() if type(p) is int or source[p[0]] == target[p[-1]]
+    )
+    _add_least_rotations(acc, closed)
     return NecklaceSum._of_terms(acc, x.quiver)
 
 
 def _as_necklace_sum(w: NecklaceWord | NecklaceSum) -> NecklaceSum:
-    return NecklaceSum.of(w) if isinstance(w, NecklaceWord) else w
+    """A word as a one-term sum, its code wrapped as it is; a sum unchanged."""
+    if isinstance(w, NecklaceSum):
+        return w
+    if isinstance(w, NecklaceWord):
+        return NecklaceSum._of_terms({_encoding(w.quiver).code(w): 1}, w.quiver)
+    raise TypeError(f"expected a NecklaceWord or a NecklaceSum, got {type(w).__name__}")
 
 
 def partial_derivative(w: NecklaceWord | NecklaceSum, label: str) -> PathSum:
@@ -493,14 +540,20 @@ class Derivation:
         return self.images[label]
 
     def __call__(self, x: Path | PathSum) -> PathSum:
+        if not isinstance(x, (Path, PathSum)):
+            raise TypeError(f"a derivation applies to a Path or a PathSum, got {type(x).__name__}")
         if x.quiver is not None and x.quiver != self.quiver:
             raise ValueError("paths live over different quivers")
-        if isinstance(x, Path):
-            x = PathSum.of(x)
-        # replace each arrow in turn by its image
-        images = self._coded
+        terms = x._terms if isinstance(x, PathSum) else {_encoding(self.quiver).code(x): 1}
         acc: dict = {}
-        for code, coeff in x._terms.items():
+        self._apply(terms, acc)
+        return PathSum._of_terms(acc, self.quiver)
+
+    def _apply(self, terms: dict, acc: dict) -> None:
+        """Add the image of a sum of path codes to acc, replacing each arrow
+        of each path in turn by the paths of its image."""
+        images = self._coded
+        for code, coeff in terms.items():
             if type(code) is int:
                 continue
             for j, arrow in enumerate(code):
@@ -509,7 +562,6 @@ class Derivation:
                         _add_term(acc, code[:j] + code[j + 1 :] or r, coeff * c)
                     else:
                         _add_term(acc, code[:j] + r + code[j + 1 :], coeff * c)
-        return PathSum._of_terms(acc, self.quiver)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Derivation):
@@ -679,12 +731,12 @@ class _Encoding:
         encoding produced: a vertex, or arrow numbers (a sequence) that
         compose, for a necklace in least rotation; built unchecked."""
         if type(code) is int:
-            return _unchecked(cls, quiver=q, arrows=(), vertex=code)
+            return _unchecked(cls, q, (), code)
         # a tuple built from a list is allocated at its size once; one built
         # from a generator is allocated at a guessed size and shrunk, which
         # leaves blocks of every size behind in the interpreter's free lists
         labels = self.labels
-        return _unchecked(cls, quiver=q, arrows=tuple([labels[i] for i in code]), vertex=None)
+        return _unchecked(cls, q, tuple([labels[i] for i in code]), None)
 
     def code(self, view: Path | NecklaceWord):
         """The code of a path, or of a necklace (its labels are already the

@@ -6,7 +6,9 @@ route of tests/oracles.py on seeded random necklace triples: sums of several
 words with int and Fraction coefficients, vertex classes among them, over
 the doubles of the five quiver shapes of the benchmark's ``lie`` workload
 and of random small quivers.  Brackets of sums are also compared with the
-independent glue rule, extended bilinearly.
+independent glue rule, extended bilinearly.  The same comparisons run on
+sums of words at the lie workload's sizes: closed walks of length up to 8
+and powers w^2, w^3 of shorter words, whose openings coincide.
 """
 import gc
 import random
@@ -28,6 +30,7 @@ from necklacekit import (
     euler_derivation,
     hamiltonian_derivation,
     kontsevich_bracket,
+    partial_derivative,
     zero_derivation,
 )
 from necklacekit.paths import _encoding
@@ -52,6 +55,7 @@ SHAPES = {
 }
 RANDOM_DOUBLES = 6
 TRIPLES = 12
+LONG_TRIPLES = 4
 
 
 def _doubles():
@@ -103,31 +107,71 @@ def _glue_bilinear(s1: NecklaceSum, s2: NecklaceSum) -> NecklaceSum:
     return total
 
 
+def _closed_walk(rng: random.Random, dq, length: int) -> NecklaceWord | None:
+    """The necklace of a random closed walk of a length, or None when 200
+    random walks find none (a bipartite double has no odd cycle)."""
+    leaving = {v: [arr for arr in dq.arrows if arr.source == v] for v in dq.vertices}
+    starts = [v for v in dq.vertices if leaving[v]]
+    for _ in range(200):
+        start = vertex = rng.choice(starts)
+        labels = []
+        for _ in range(length):
+            arr = rng.choice(leaving[vertex])
+            labels.append(arr.label)
+            vertex = arr.target
+        if vertex == start:
+            return NecklaceWord(dq, tuple(labels))
+    return None
+
+
+def _long_sum(rng: random.Random, dq) -> NecklaceSum:
+    """One or two words at the lie workload's sizes: a closed walk of length
+    5 to 8, or a power w^2 or w^3 of a word w of length 1 to 4, whose
+    openings at the copies of one letter coincide."""
+    terms = []
+    for _ in range(rng.randint(1, 2)):
+        word = None
+        if rng.random() < 0.5:
+            word = _closed_walk(rng, dq, rng.randint(5, 8))
+        if word is None:
+            base = random_necklace(rng, dq, max_len=4)
+            word = NecklaceWord(dq, base.arrows * rng.choice((2, 3)))
+        terms.append((word, _coefficient(rng)))
+    return NecklaceSum(terms)
+
+
+def _check_triple(rng: random.Random, dq, u, v, w) -> None:
+    for s1, s2 in ((u, v), (v, w), (w, u)):
+        bracket = kontsevich_bracket(s1, s2)
+        assert _typed(bracket.terms()) == _typed(bracket_by_dataclasses(s1, s2))
+        assert bracket == _glue_bilinear(s1, s2)
+    inner = kontsevich_bracket(v, w)
+    assert _typed(kontsevich_bracket(u, inner).terms()) == _typed(
+        bracket_by_dataclasses(u, inner)
+    )
+    field_u, field_v = hamiltonian_derivation(u, dq), hamiltonian_derivation(v, dq)
+    assert _images(field_u) == {
+        label: _typed(image)
+        for label, image in hamiltonian_images_by_dataclasses(u, dq).items()
+    }
+    commutator = derivation_commutator(field_u, field_v)
+    assert _images(commutator) == {
+        label: _typed(image)
+        for label, image in commutator_images_by_labels(field_u, field_v).items()
+    }
+    for x in (random_path_sum(rng, dq, max_len=4), next(iter(w.terms()))[0].representative()):
+        assert _typed(field_u(x).terms()) == _typed(apply_derivation_by_labels(field_u, x))
+
+
 @pytest.mark.parametrize("name,dq", DOUBLES, ids=[name for name, _ in DOUBLES])
 def test_kernel_matches_the_dataclass_route(name, dq):
+    """Short sums, then LONG_TRIPLES triples of words of length up to 8 and
+    powers of words, as the lie workload brackets them."""
     rng = random.Random(f"lie-kernel-{name}")
     for _ in range(TRIPLES):
-        u, v, w = (_random_sum(rng, dq) for _ in range(3))
-        for s1, s2 in ((u, v), (v, w), (w, u)):
-            bracket = kontsevich_bracket(s1, s2)
-            assert _typed(bracket.terms()) == _typed(bracket_by_dataclasses(s1, s2))
-            assert bracket == _glue_bilinear(s1, s2)
-        inner = kontsevich_bracket(v, w)
-        assert _typed(kontsevich_bracket(u, inner).terms()) == _typed(
-            bracket_by_dataclasses(u, inner)
-        )
-        field_u, field_v = hamiltonian_derivation(u, dq), hamiltonian_derivation(v, dq)
-        assert _images(field_u) == {
-            label: _typed(image)
-            for label, image in hamiltonian_images_by_dataclasses(u, dq).items()
-        }
-        commutator = derivation_commutator(field_u, field_v)
-        assert _images(commutator) == {
-            label: _typed(image)
-            for label, image in commutator_images_by_labels(field_u, field_v).items()
-        }
-        for x in (random_path_sum(rng, dq, max_len=4), next(iter(w.terms()))[0].representative()):
-            assert _typed(field_u(x).terms()) == _typed(apply_derivation_by_labels(field_u, x))
+        _check_triple(rng, dq, *(_random_sum(rng, dq) for _ in range(3)))
+    for _ in range(LONG_TRIPLES):
+        _check_triple(rng, dq, *(_long_sum(rng, dq) for _ in range(3)))
 
 
 def test_sums_over_two_quivers_are_refused():
@@ -149,6 +193,36 @@ def test_sums_over_two_quivers_are_refused():
     again = double(Quiver(1, (Arrow("x", 1, 1),)))
     assert PathSum.of(p1) + PathSum.of(Path.of_arrow(again, "x")) == 2 * PathSum.of(p1)
     assert PathSum.of(p1).coefficient(p2) == 0
+
+
+def test_arguments_of_the_wrong_type_are_refused():
+    """Brackets, fields and partials take necklace words and sums,
+    derivations apply to paths and path sums, and commutators take
+    derivations; anything else is refused at entry by type."""
+    dq = double(Quiver(1, (Arrow("x", 1, 1),)))
+    u = NecklaceWord(dq, ("x", "x*"))
+    field = hamiltonian_derivation(u)
+    path = Path.of_arrow(dq, "x")
+    necklace = "^expected a NecklaceWord or a NecklaceSum, got "
+    for call, got in (
+        (lambda: kontsevich_bracket(u, 3), "int"),
+        (lambda: kontsevich_bracket(3, u), "int"),
+        (lambda: kontsevich_bracket(u, path), "Path"),
+        (lambda: hamiltonian_derivation(PathSum.of(path)), "PathSum"),
+        (lambda: partial_derivative(path, "x"), "Path"),
+    ):
+        with pytest.raises(TypeError, match=f"{necklace}{got}$"):
+            call()
+    for x, got in ((u, "NecklaceWord"), (NecklaceSum.of(u), "NecklaceSum"), (2, "int")):
+        with pytest.raises(TypeError, match=f"^a derivation applies to a Path or a PathSum, got {got}$"):
+            field(x)
+    for call in (lambda: derivation_commutator(field, 5), lambda: derivation_commutator(5, field)):
+        with pytest.raises(TypeError, match="^expected a Derivation, got int$"):
+            call()
+    # what each accepts still answers
+    assert kontsevich_bracket(u, NecklaceSum.of(u)).is_zero()
+    assert field(path) == field(PathSum.of(path))
+    assert derivation_commutator(field, field).is_zero()
 
 
 def test_derivations_refuse_paths_of_another_quiver():

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -41,7 +43,7 @@ from necklacekit import (
     paths_of_length,
     quiver,
 )
-from necklacekit.paths import _encoding, _least_rotation
+from necklacekit.paths import _add_least_rotations, _encoding, _least_rotation
 from necklacekit.quiver import WORK_CAP
 
 from conftest import run_measured, small_random_quivers
@@ -104,6 +106,70 @@ def test_least_rotation_matches_every_rotation():
         ), letters
         # unmarked words of any letters: the least rotation, always with +1
         assert _least_rotation(word) == (min(word[i:] + word[:i] for i in range(length)), 1)
+
+
+def _marked_word(rng: random.Random, length: int, marks: int) -> tuple:
+    """Letters 2a + mark over arrows a < 3, with exactly ``marks`` marked."""
+    marked = set(rng.sample(range(length), marks))
+    return tuple(2 * rng.randint(0, 2) + (i in marked) for i in range(length))
+
+
+def _stream(rng: random.Random, marks: int) -> list[tuple]:
+    """(word, coefficient) pairs with ``marks`` marks each: fresh words,
+    repeats and rotations of earlier words, exact negatives that cancel an
+    earlier word, and powers of a block, which reach their least rotation
+    with both signs when the block's marks j make j(marks - j) odd."""
+    stream: list[tuple] = []
+    for _ in range(rng.randint(1, 10)):
+        kind = rng.random()
+        if stream and kind < 0.2:
+            stream.append(rng.choice(stream))
+        elif stream and kind < 0.35:
+            word, coeff = rng.choice(stream)
+            stream.append((word, -coeff))
+        elif stream and kind < 0.5:
+            word, _ = rng.choice(stream)
+            if type(word) is tuple:
+                r = rng.randrange(len(word))
+                stream.append((word[r:] + word[:r], rng.choice((1, -2, Fraction(1, 3)))))
+        elif kind < 0.7 and marks in (0, 2, 4):
+            block = _marked_word(rng, rng.randint(max(1, marks // 2), 4), marks // 2)
+            stream.append((block * 2, rng.choice((1, -1, Fraction(-3, 2)))))
+        elif kind < 0.75 and not marks:
+            stream.append((rng.randint(1, 3), rng.choice((1, -1))))  # a vertex class
+        else:
+            word = _marked_word(rng, rng.randint(max(1, marks), 10), marks)
+            stream.append((word, rng.choice((1, 2, -1, Fraction(1, 2)))))
+    return stream
+
+
+def test_the_batch_kernel_matches_every_rotation_on_streams():
+    """_add_least_rotations against a sum built word by word from the
+    oracle: each word's least rotation, its coefficient times the sign,
+    nothing for the sign 0, and a key dropped when its sum reaches 0."""
+    rng = random.Random(2106)
+    signs = Counter()
+    for _ in range(3000):
+        marks = rng.randint(0, 4)
+        stream = _stream(rng, marks)
+        expected: dict = {}
+        for word, coeff in stream:
+            if type(word) is int:
+                best, sign = word, 1
+            else:
+                best, sign = least_rotation_by_every_rotation(word, marks)
+            signs[sign] += 1
+            if sign:
+                expected[best] = expected.get(best, 0) + sign * coeff
+                if not expected[best]:
+                    del expected[best]
+        acc: dict = {}
+        last = _add_least_rotations(acc, iter(stream), marks)
+        assert acc == expected, (marks, stream)
+        assert {k: type(v) for k, v in acc.items()} == {k: type(v) for k, v in expected.items()}
+        assert last == best
+    # every sign is reached many times, and some keys cancel
+    assert min(signs[-1], signs[0], signs[1]) > 500, signs
 
 
 @pytest.mark.parametrize("q", QUIVERS, ids=IDS)

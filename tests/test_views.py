@@ -67,7 +67,11 @@ def assert_valid(view) -> None:
     assert view == twin and twin == view
     assert hash(view) == hash(twin)
     assert str(view) == str(twin)
-    assert view.__dict__ == twin.__dict__
+    # views are slotted: every field is set, and nothing else is stored
+    assert not hasattr(view, "__dict__")
+    assert [getattr(view, name) for name in view.__slots__] == [
+        getattr(twin, name) for name in twin.__slots__
+    ]
     for path in (view.lead, *view.tails) if isinstance(view, FormBasisElement) else (view,):
         assert type(path.arrows) is tuple
         assert all(type(label) is str for label in path.arrows)
