@@ -16,6 +16,13 @@ on its base quiver, so every iteration of a solve, the rank check after it
 and later solves at the same alpha share one plan, and another alpha
 replaces it.  Shapes are checked once, when a point is packed.
 
+A solve starts at ``random_rep``'s point: one draw of 2 n normals that the
+plan splits into real and imaginary parts (``_draw``).  The residual forms
+the products V_a V_a* and V_a* V_a of equal shapes in one stacked
+``matmul``, adds them to the vertex blocks in ``moment_eval``'s order and
+makes one pass over the diagonal; its norm is ``np.linalg.norm``'s formula
+(``_norm``).  Each has the bits of the per-arrow route.
+
 The Jacobian's rows are the vertex blocks, alpha_i^2 rows each, row-major;
 its columns are the entries of the flat vector.  Varying V_a for a base
 arrow a: s -> t moves block t by H V_a* and block s by -V_a* H, which in
@@ -38,11 +45,13 @@ dimension, when m <= n and m >= ``KRONECKER_MIN_ROWS`` the m x m Gram
 matrix J J^H is built from each base arrow's Kronecker blocks and the step
 J^H y from four small products per arrow (``_gram_of``, ``_adjoint``), in
 O(sum n_i^3 + m^2) work, and the Jacobian is never formed.  Otherwise J is
-scattered and multiplied out (``_damped_steps``): below the threshold its
-Gram product costs less than the per-arrow numpy calls, and when m > n the
-step comes from the n x n normal equations.  The threshold is where the
+scattered and multiplied out (``_normal_equations``): below the threshold
+its Gram product costs less than the per-arrow numpy calls, and when m > n
+the step comes from the n x n normal equations.  The threshold is where the
 Kronecker route stops losing to the dense one when each route is forced on
-the same code.  The routes agree to rounding, not bit for bit.
+the same code.  The routes agree to rounding, not bit for bit.  Either
+route's system is formed once per iteration, and each damping trial takes
+its step from it through one routine, ``_damped_step``.
 
 ``rank_report`` has one rank rule.  Wherever m <= n, the trace direction u
 (identity blocks) spans an exact left kernel of J, whose column traces
@@ -67,7 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -96,23 +105,46 @@ def random_rep(q: Quiver, alpha: Sequence[int], seed: int) -> RepPoint:
     """Deterministic random representation: complex Gaussian entries, 1/sqrt(n) scale."""
     dq = double_of(q)
     alpha = as_dim_vector(dq, alpha)
-    rng = np.random.default_rng(seed)
-    scale = 1.0 / math.sqrt(max(1, sum(alpha)))
-    point: RepPoint = {}
-    for arr in dq.arrows:
-        shape = (alpha[arr.target - 1], alpha[arr.source - 1])
-        point[arr.label] = scale * (
-            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        )
-    return point
+    shapes = [(alpha[arr.target - 1], alpha[arr.source - 1]) for arr in dq.arrows]
+    sizes = [rows * columns for rows, columns in shapes]
+    flat = _draw(seed, *_draw_order(sizes), sum(alpha))
+    ends = np.cumsum([0] + sizes)
+    return {
+        arr.label: flat[start:stop].reshape(shape)
+        for arr, start, stop, shape in zip(dq.arrows, ends, ends[1:], shapes)
+    }
 
 
-def _check_shapes(dq: DoubleQuiver, alpha: tuple[int, ...], point: Mapping[str, np.ndarray]) -> None:
+def _draw_order(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Where each flat entry's real and imaginary parts sit in one draw: an
+    arrow of k entries from o draws k real parts from 2 o, then k imaginary
+    parts, so entry j's are draws j + o and j + o + k."""
+    sizes = np.array(sizes, dtype=np.intp)
+    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    real = np.arange(len(starts)) + starts
+    return real, real + np.repeat(sizes, sizes)
+
+
+def _draw(seed: int, real: np.ndarray, imag: np.ndarray, total: int) -> np.ndarray:
+    """``random_rep``'s flat vector, at scale 1 / sqrt(sum alpha), from one
+    standard-normal draw, whose values are those of one draw per arrow part
+    in turn."""
+    draw = np.random.default_rng(seed).standard_normal(2 * len(real))
+    return 1.0 / math.sqrt(max(1, total)) * (draw[real] + 1j * draw[imag])
+
+
+def _check_point(dq: DoubleQuiver, alpha: tuple[int, ...], point: Mapping[str, np.ndarray]) -> None:
+    for label in point:
+        dq.arrow(label)  # a label the double lacks is refused, by name
     for arr in dq.arrows:
         expected = (alpha[arr.target - 1], alpha[arr.source - 1])
         matrix = point.get(arr.label)
         if matrix is None:
             raise ValueError(f"missing matrix for arrow {arr.label!r}")
+        if not isinstance(matrix, np.ndarray):
+            raise TypeError(
+                f"matrix for {arr.label!r} is a {type(matrix).__name__}, not a numpy array"
+            )
         if matrix.shape != expected:
             raise ValueError(
                 f"matrix for {arr.label!r} has shape {matrix.shape}, expected {expected}"
@@ -123,7 +155,7 @@ def moment_eval(q: Quiver, alpha: Sequence[int], point: Mapping[str, np.ndarray]
     """Vertex blocks of sum_a [V_a, V_a*]; the total trace vanishes up to rounding."""
     dq = double_of(q)
     alpha = as_dim_vector(dq, alpha)
-    _check_shapes(dq, alpha, point)
+    _check_point(dq, alpha, point)
     blocks = [np.zeros((n, n), dtype=complex) for n in alpha]
     for arr in dq.base_arrows:
         va = point[arr.label]
@@ -157,23 +189,31 @@ class _Plan:
     """Index layout of the moment map of one double quiver at one alpha.
 
     ``arrows`` holds (label, slice of the flat vector, matrix shape) for the
-    arrows in ``dq.arrows`` order.  ``products`` holds, for each base arrow
-    with nonzero matrices, the row slices of its target and source blocks and
-    the slices and shapes of V_a and V_a*.  ``traces`` slices out each vertex
-    block's diagonal, ``diagonal`` lists all diagonal rows.  J.flat[plus_pos]
-    is flat[plus_src] and J.flat[minus_pos] is reduced by flat[minus_src].
+    arrows in ``dq.arrows`` order; ``real`` and ``imag`` place the start
+    point's draw (``_draw_order``).  ``products`` holds, for each base arrow
+    with nonzero matrices, the row slices of its target and source blocks
+    and the slices and shapes of V_a and V_a*.  ``stacks`` holds, per shape
+    of product, the indices of its left and right factors, shaped as their
+    stacks; ``adds`` holds, in ``products`` order, the target and source
+    blocks with the (stack, member) of V_a V_a* and of V_a* V_a.
+    ``diagonal`` lists all diagonal rows, block after block, and ``traces``
+    holds each block's slice of that list.  J.flat[plus_pos] is
+    flat[plus_src] and J.flat[minus_pos] is reduced by flat[minus_src].
     """
 
     __slots__ = (
-        "alpha", "rows", "columns", "arrows", "products", "traces", "diagonal",
+        "alpha", "total", "rows", "columns", "arrows", "real", "imag",
+        "products", "stacks", "adds", "traces", "diagonal",
         "plus_pos", "plus_src", "minus_pos", "minus_src",
     )
 
     def __init__(self, dq: DoubleQuiver, alpha: tuple[int, ...]) -> None:
         self.alpha = alpha
-        offsets = [0]
+        self.total = sum(alpha)
+        offsets, diagonal_ends = [0], [0]
         for n in alpha:
             offsets.append(offsets[-1] + n * n)
+            diagonal_ends.append(diagonal_ends[-1] + n)
         self.rows = offsets[-1]
         arrows, start = [], 0
         for arr in dq.arrows:
@@ -182,9 +222,10 @@ class _Plan:
             start += shape[0] * shape[1]
         self.arrows = tuple(arrows)
         self.columns = start
+        self.real, self.imag = _draw_order([part.stop - part.start for _, part, _ in arrows])
         blocks = [slice(offsets[v], offsets[v + 1]) for v in range(len(alpha))]
         self.traces = tuple(
-            slice(offsets[v], offsets[v + 1], n + 1) for v, n in enumerate(alpha)
+            slice(diagonal_ends[v], diagonal_ends[v + 1]) for v in range(len(alpha))
         )
         self.diagonal = np.concatenate(
             [np.arange(offsets[v], offsets[v + 1], n + 1) for v, n in enumerate(alpha)]
@@ -196,6 +237,24 @@ class _Plan:
                 dq.base_arrows, arrows[0::2], arrows[1::2]
             )
             if a_slice.stop > a_slice.start
+        )
+        # V_a V_a* is added to the target block, V_a* V_a subtracted from
+        # the source block
+        stacks: dict[tuple[int, int], list] = {}
+
+        def place(left: slice, right: slice, shape: tuple[int, int]) -> tuple[int, int]:
+            members = stacks.setdefault(shape, [])
+            members.append((left, right))
+            return list(stacks).index(shape), len(members) - 1
+
+        self.adds = tuple(
+            (target, source, *place(a_slice, s_slice, a_shape), *place(s_slice, a_slice, s_shape))
+            for target, source, a_slice, a_shape, s_slice, s_shape in self.products
+        )
+        self.stacks = tuple(
+            (_indices(left for left, _ in members).reshape(len(members), p, k),
+             _indices(right for _, right in members).reshape(len(members), k, p))
+            for (p, k), members in stacks.items()
         )
         # varying an arrow's entry (r, c) moves its target block by
         # (r, j) <- P[c, j] and its source block by (i, c) <- P[i, r], P the
@@ -214,6 +273,11 @@ class _Plan:
         base = np.arange(len(ends)) % 2 == 0
         self.plus_pos, self.plus_src = _entries(base, ends, start)
         self.minus_pos, self.minus_src = _entries(~base, ends, start)
+
+
+def _indices(parts: Iterable[slice]) -> np.ndarray:
+    """The indices of the slices, one after another."""
+    return np.concatenate([np.arange(part.start, part.stop) for part in parts])
 
 
 def _entries(
@@ -291,21 +355,27 @@ def _lam_diagonal(lam: Sequence, alpha: tuple[int, ...]) -> np.ndarray:
 def _residual(plan: _Plan, flat: np.ndarray, lam_diagonal: np.ndarray) -> np.ndarray:
     """The flat trace-zero projection of sum_a [V_a, V_a*] - lambda.
 
-    Accumulates the products in ``moment_eval``'s order, then subtracts
-    lambda and the mean trace on the diagonal, so its bits are those of the
-    per-block route.
+    One ``matmul`` per stack, added in ``moment_eval``'s order, then one
+    pass over the diagonal (module docstring): the per-block route's bits.
     """
     out = np.zeros(plan.rows, dtype=complex)
-    for target, source, a_part, a_shape, s_part, s_shape in plan.products:
-        va = flat[a_part].reshape(a_shape)
-        vs = flat[s_part].reshape(s_shape)
-        out[target] += (va @ vs).reshape(-1)
-        out[source] -= (vs @ va).reshape(-1)
+    products = [(flat[left] @ flat[right]).reshape(len(left), -1) for left, right in plan.stacks]
+    for target, source, stack, member, source_stack, source_member in plan.adds:
+        out[target] += products[stack][member]
+        out[source] -= products[source_stack][source_member]
     if plan.rows:
-        out[plan.diagonal] -= lam_diagonal
-        # summed as np.trace sums each block's diagonal
-        out[plan.diagonal] -= sum(out[d].sum() for d in plan.traces) / sum(plan.alpha)
+        diagonal = out[plan.diagonal] - lam_diagonal
+        # each trace summed as np.trace sums it, the mean a numpy scalar
+        # over an int: reduceat or a Python complex would change the bits
+        diagonal -= sum(diagonal[d].sum() for d in plan.traces) / plan.total
+        out[plan.diagonal] = diagonal
     return out
+
+
+def _norm(residual: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex vector, by its own formula."""
+    real, imag = residual.real, residual.imag
+    return math.sqrt(real.dot(real) + imag.dot(imag))
 
 
 def _jacobian(plan: _Plan, flat: np.ndarray) -> np.ndarray:
@@ -420,48 +490,47 @@ def _uses_kronecker(plan: _Plan) -> bool:
     return KRONECKER_MIN_ROWS <= plan.rows <= plan.columns
 
 
-def _shifted_solves(gram: np.ndarray, rhs: np.ndarray) -> Callable[[float], np.ndarray]:
-    """The solution of (gram + damping I) x = rhs as a function of damping.
-
-    Each call writes the diagonal plus damping into gram's own diagonal
-    instead of into a copy, so a damping trial allocates no m x m matrix
-    beyond the one ``np.linalg.solve`` copies the system into; the values,
-    and so the bits, are those of adding damping to a copy.
-    """
-    diagonal = gram.diagonal().copy()
-
-    def solve(damping: float) -> np.ndarray:
-        np.fill_diagonal(gram, diagonal + damping)
-        return np.linalg.solve(gram, rhs)
-
-    return solve
-
-
-def _damped_steps(jac: np.ndarray, residual: np.ndarray) -> Callable[[float], np.ndarray]:
-    """The Levenberg-Marquardt step -(J^H J + mu I)^-1 J^H r as a function of mu.
+def _normal_equations(jac: np.ndarray, residual: np.ndarray) -> tuple:
+    """The system of the Levenberg-Marquardt step -(J^H J + mu I)^-1 J^H r
+    at a Jacobian, for ``_damped_step``.
 
     With m rows and n columns, m <= n, the push-through identity
     (J^H J + mu I)^-1 J^H = J^H (J J^H + mu I)^-1 gives the step from the
-    m x m system; for m > n it comes from the n x n normal equations.  The
-    Gram matrix of the smaller side is formed once, and each damping trial
-    pays only its LU solve.
+    m x m system, mapped back by J^H; for m > n it comes from the n x n
+    normal equations.  The Gram matrix of the smaller side is formed once,
+    and each damping trial pays only its LU solve.
     """
-    rows, columns = jac.shape
     jac_h = jac.conj().T
-    if rows <= columns:
-        solve = _shifted_solves(jac @ jac_h, -residual)
-        return lambda damping: jac_h @ solve(damping)
-    return _shifted_solves(jac_h @ jac, -(jac_h @ residual))
+    if jac.shape[0] <= jac.shape[1]:
+        gram = jac @ jac_h
+        return gram, gram.diagonal().copy(), -residual, jac_h
+    gram = jac_h @ jac
+    return gram, gram.diagonal().copy(), -(jac_h @ residual), None
 
 
-def _kronecker_steps(
-    plan: _Plan, gram: np.ndarray, flat: np.ndarray, residual: np.ndarray
-) -> Callable[[float], np.ndarray]:
-    """``_damped_steps`` for m <= n without the Jacobian: each step is
-    J^H y from ``_adjoint``, y solved from gram = J J^H (``_gram_of``),
-    whose diagonal the trials overwrite."""
-    solve = _shifted_solves(gram, -residual)
-    return lambda damping: _adjoint(plan, flat, solve(damping))
+def _kronecker_equations(gram: np.ndarray, residual: np.ndarray) -> tuple:
+    """The system of the step for m <= n without the Jacobian: gram = J J^H
+    from ``_gram_of``, mapped back by J^H through ``_adjoint``."""
+    return gram, gram.diagonal().copy(), -residual, _adjoint
+
+
+def _damped_step(plan: _Plan, flat: np.ndarray, system: tuple, damping: float) -> np.ndarray:
+    """The step at damping mu of a system (G, diag G, b, B): B (G + mu I)^-1 b,
+    B being J^H, ``_adjoint`` or, for the n x n normal equations, nothing.
+
+    The diagonal plus mu is written into G's own diagonal instead of into a
+    copy, so a damping trial allocates no m x m matrix beyond the one
+    ``np.linalg.solve`` copies the system into; the values, and so the
+    bits, are those of adding mu to a copy.
+    """
+    gram, diagonal, rhs, back = system
+    np.fill_diagonal(gram, diagonal + damping)
+    y = np.linalg.solve(gram, rhs)
+    if back is None:
+        return y
+    if back is _adjoint:
+        return _adjoint(plan, flat, y)
+    return back @ y
 
 
 def _gram_rank(plan: _Plan, flat: np.ndarray, svd_tol: float) -> list[float] | None:
@@ -496,13 +565,13 @@ def _gram_rank(plan: _Plan, flat: np.ndarray, svd_tol: float) -> list[float] | N
     margin = 4 * plan.rows * np.finfo(float).eps * (top + float(np.vdot(flat, flat).real))
     if not (top > 0 and math.isfinite(cut) and eigen[1] > cut + margin):
         return None
-    return [float(s) for s in np.sqrt(eigen[:0:-1])] + [0.0]
+    return np.sqrt(eigen[:0:-1]).tolist() + [0.0]
 
 
 def _rank_of(jac: np.ndarray, rep_dim: int, svd_tol: float) -> RankReport:
     """The rank report of a Jacobian from its SVD, u's value set to exactly
     0.0 where rows <= columns (module docstring)."""
-    values = [float(s) for s in np.linalg.svd(jac, compute_uv=False)] if jac.size else []
+    values = np.linalg.svd(jac, compute_uv=False).tolist() if jac.size else []
     if 0 < jac.shape[0] <= jac.shape[1]:
         values[-1] = 0.0
     return _report(values, rep_dim, svd_tol)
@@ -545,23 +614,24 @@ def solve(
     if pairing != 0:
         raise ValueError(f"weight pairs to {pairing} with {alpha}; the fiber is empty")
     lam_diagonal = _lam_diagonal(lam, alpha)
-    flat = _pack(plan, random_rep(dq, alpha, seed))
+    flat = _draw(seed, plan.real, plan.imag, plan.total)
+    flat += 0.0  # -0.0 becomes 0.0, as in _pack
     damping = 1e-3
     residual = _residual(plan, flat, lam_diagonal)
-    norm = float(np.linalg.norm(residual))
+    norm = _norm(residual)
     gram_at = _gram_of(plan) if _uses_kronecker(plan) else None
     iterations = 0
     while iterations < max_iter and norm > tol:
         iterations += 1
         if gram_at is None:
-            step = _damped_steps(_jacobian(plan, flat), residual)
+            system = _normal_equations(_jacobian(plan, flat), residual)
         else:
-            step = _kronecker_steps(plan, gram_at(flat), flat, residual)
+            system = _kronecker_equations(gram_at(flat), residual)
         accepted = False
         for _ in range(25):
-            trial = flat + step(damping)
+            trial = flat + _damped_step(plan, flat, system, damping)
             trial_residual = _residual(plan, trial, lam_diagonal)
-            trial_norm = float(np.linalg.norm(trial_residual))
+            trial_norm = _norm(trial_residual)
             if trial_norm < norm:
                 flat, residual, norm = trial, trial_residual, trial_norm
                 damping = max(damping / 3.0, 1e-14)
@@ -601,10 +671,10 @@ def rank_report(
     alpha = as_dim_vector(dq, alpha)
     plan = _plan(dq, alpha)
     lam_diagonal = _lam_diagonal(as_weight(dq, lam), alpha)
-    _check_shapes(dq, alpha, point)
+    _check_point(dq, alpha, point)
     flat = _pack(plan, point)
-    norm = float(np.linalg.norm(_residual(plan, flat, lam_diagonal)))
-    if norm > residual_tol:
+    norm = _norm(_residual(plan, flat, lam_diagonal))
+    if not norm <= residual_tol:  # a NaN residual is not solved either
         raise ValueError(f"point is not solved: residual {norm:.3e} > {residual_tol:.1e}")
     values = _gram_rank(plan, flat, svd_tol) if _uses_kronecker(plan) else None
     if values is None:

@@ -76,16 +76,16 @@ from necklacekit.linalg import RowReducer
 from necklacekit.numerics import (
     MomentSolveResult,
     RankReport,
-    _damped_steps,
+    _damped_step,
     _gram_of,
     _gram_rank,
-    _kronecker_steps,
+    _kronecker_equations,
+    _normal_equations,
     _plan,
     _rank_of,
     _report,
     _uses_kronecker,
     moment_eval,
-    random_rep,
     rep_dimension,
 )
 from necklacekit.paths import _add_term, _encoding
@@ -1090,6 +1090,20 @@ def _dr1_by_recursion(p0: Path, p1: Path) -> dict[tuple[Path, Path], int]:
     return out
 
 
+def random_rep_by_arrows(q: Quiver, alpha, seed: int) -> dict:
+    """numerics.random_rep with one draw per arrow part: each arrow's real
+    parts, then its imaginary parts."""
+    dq = double_of(q)
+    alpha = as_dim_vector(dq, alpha)
+    rng = np.random.default_rng(seed)
+    scale = 1.0 / math.sqrt(max(1, sum(alpha)))
+    point = {}
+    for arr in dq.arrows:
+        shape = (alpha[arr.target - 1], alpha[arr.source - 1])
+        point[arr.label] = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return point
+
+
 def jacobian_by_columns(
     dq: DoubleQuiver, alpha: tuple[int, ...], point: Mapping[str, np.ndarray]
 ) -> np.ndarray:
@@ -1219,7 +1233,8 @@ def solve_by_arrows(
 ) -> MomentSolveResult:
     """numerics.solve with the point unpacked into a dict at every evaluation
     and, where solve builds a Jacobian, the Jacobian from jacobian_by_arrows;
-    where it steps without one, the step is solve's own."""
+    the damped step is solve's own, and so is the Gram matrix where it steps
+    without a Jacobian."""
     dq = double_of(q)
     alpha = as_dim_vector(dq, alpha)
     plan = _plan(dq, alpha)
@@ -1228,7 +1243,7 @@ def solve_by_arrows(
     if weight_pairing(lam, alpha) != 0:
         raise ValueError("the fiber is empty")
     lam_values = [float(x) + 0j for x in lam]
-    flat = _pack(dq, random_rep(dq, alpha, seed))
+    flat = _pack(dq, random_rep_by_arrows(dq, alpha, seed))
     damping = 1e-3
     residual = residual_by_blocks(dq, alpha, lam_values, _unpack(dq, alpha, flat))
     norm = float(np.linalg.norm(residual))
@@ -1236,12 +1251,13 @@ def solve_by_arrows(
     while iterations < max_iter and norm > tol:
         iterations += 1
         if gram_at is None:
-            step = _damped_steps(jacobian_by_arrows(dq, alpha, _unpack(dq, alpha, flat)), residual)
+            jac = jacobian_by_arrows(dq, alpha, _unpack(dq, alpha, flat))
+            system = _normal_equations(jac, residual)
         else:
-            step = _kronecker_steps(plan, gram_at(flat), flat, residual)
+            system = _kronecker_equations(gram_at(flat), residual)
         accepted = False
         for _ in range(25):
-            trial = flat + step(damping)
+            trial = flat + _damped_step(plan, flat, system, damping)
             trial_residual = residual_by_blocks(dq, alpha, lam_values, _unpack(dq, alpha, trial))
             trial_norm = float(np.linalg.norm(trial_residual))
             if trial_norm < norm:
@@ -1268,7 +1284,7 @@ def rank_report_by_arrows(
     plan = _plan(dq, alpha)
     lam_values = [float(x) + 0j for x in as_weight(dq, lam)]
     norm = float(np.linalg.norm(residual_by_blocks(dq, alpha, lam_values, point)))
-    if norm > residual_tol:
+    if not norm <= residual_tol:
         raise ValueError(f"point is not solved: residual {norm:.3e} > {residual_tol:.1e}")
     values = _gram_rank(plan, _pack(dq, point), svd_tol) if _uses_kronecker(plan) else None
     if values is None:

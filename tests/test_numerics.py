@@ -19,8 +19,13 @@ from necklacekit import (
 )
 from necklacekit.quiver import double_of
 from conftest import random_fraction
-from oracles import normal_equation_step
-from test_numerics_jacobian import CALOGERO, D4_STAR, random_case
+from oracles import (
+    normal_equation_step,
+    random_rep_by_arrows,
+    rank_report_by_arrows,
+    residual_by_blocks,
+)
+from test_numerics_jacobian import CALOGERO, D4_STAR, PAPER_CASES, random_case
 
 LAM_21 = (Fraction(-2), Fraction(1))
 LAM_11 = (Fraction(-1), Fraction(1))
@@ -182,9 +187,10 @@ def assert_step_matches_the_normal_equations(dq, alpha, point_seed) -> tuple[int
     flat = numerics._pack(plan, random_rep(dq, alpha, point_seed))
     jac = numerics._jacobian(plan, flat)
     residual = numerics._residual(plan, flat, np.zeros(sum(alpha), dtype=complex))
-    step = numerics._damped_steps(jac, residual)
+    system = numerics._normal_equations(jac, residual)
     for damping in DAMPINGS:
-        fast, slow = step(damping), normal_equation_step(jac, residual, damping)
+        fast = numerics._damped_step(plan, flat, system, damping)
+        slow = normal_equation_step(jac, residual, damping)
         np.testing.assert_allclose(fast, slow, rtol=1e-8)
         if jac.shape[0] > jac.shape[1]:
             # the taller Jacobian keeps the normal equations, bit for bit
@@ -473,6 +479,68 @@ def test_rank_report_refuses_a_transposed_matrix(calogero):
     point["a"] = point["a"].T.copy()
     with pytest.raises(ValueError, match=r"matrix for 'a' has shape \(1, 2\), expected \(2, 1\)"):
         rank_report(calogero, (1, 2), LAM_21, point)
+
+
+def test_rank_report_and_moment_eval_refuse_a_nested_list(calogero):
+    point = solve(calogero, (1, 2), LAM_21, seed=0).point
+    point["b*"] = point["b*"].tolist()
+    for call in (
+        lambda: rank_report(calogero, (1, 2), LAM_21, point),
+        lambda: moment_eval(calogero, (1, 2), point),
+    ):
+        with pytest.raises(TypeError, match=r"matrix for 'b\*' is a list, not a numpy array"):
+            call()
+
+
+def test_rank_report_and_moment_eval_refuse_a_label_outside_the_double(calogero):
+    point = solve(calogero, (1, 2), LAM_21, seed=0).point
+    point["c"] = np.zeros((1, 1), dtype=complex)
+    for call in (
+        lambda: rank_report(calogero, (1, 2), LAM_21, point),
+        lambda: moment_eval(calogero, (1, 2), point),
+    ):
+        with pytest.raises(ValueError, match=r"unknown arrow label 'c'"):
+            call()
+
+
+@pytest.mark.parametrize("alpha", [(1, 2), (4, 8)])
+def test_rank_report_refuses_a_nan_point_on_both_routes(alpha):
+    """A NaN residual fails the gate instead of reaching the SVD or eigvalsh."""
+    point = solve(CALOGERO, alpha, LAM_21, seed=0).point
+    point["b"] = point["b"].copy()
+    point["b"][0, 0] = np.nan
+    for route in (rank_report, rank_report_by_arrows):
+        with pytest.raises(ValueError, match="point is not solved: residual nan"):
+            route(CALOGERO, alpha, LAM_21, point)
+
+
+def assert_kernels_match_the_slow_routes(dq, alpha, lam, seed) -> None:
+    """solve's start point against the per-arrow draws, and the residual
+    against moment_eval's blocks, byte for byte."""
+    plan = numerics._plan(dq, alpha)
+    point = random_rep_by_arrows(dq, alpha, seed)
+    for label, matrix in random_rep(dq, alpha, seed).items():
+        assert matrix.tobytes() == point[label].tobytes()
+    flat = numerics._pack(plan, point)
+    assert (numerics._draw(seed, plan.real, plan.imag, plan.total) + 0.0).tobytes() == flat.tobytes()
+    lam_values = [float(x) + 0j for x in lam]
+    fast = numerics._residual(plan, flat, numerics._lam_diagonal(lam, alpha))
+    assert fast.tobytes() == residual_by_blocks(dq, alpha, lam_values, point).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_start_and_residual_match_the_slow_routes_on_random_quivers(seed):
+    rng = random.Random(12000 + seed)
+    dq, alpha = random_case(rng)
+    lam = tuple(random_fraction(rng) for _ in alpha)
+    for point_seed in range(3):
+        assert_kernels_match_the_slow_routes(dq, alpha, lam, rng.randrange(2**31) + point_seed)
+
+
+@pytest.mark.parametrize("q, alpha, lam", PAPER_CASES + [(Quiver(2, ()), (1, 2), (2, -1))])
+def test_start_and_residual_match_the_slow_routes_on_paper_cases(q, alpha, lam):
+    for seed in range(3):
+        assert_kernels_match_the_slow_routes(double(q), alpha, lam, seed)
 
 
 def solve_bytes(q, alpha, lam, seed) -> tuple:
