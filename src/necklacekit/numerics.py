@@ -59,15 +59,19 @@ cancel bit for bit, so the last of the m singular values, u's, is reported
 as exactly 0; the others are kept above svd_tol * sigma_1 (``_report``).
 The values come from the route ``solve`` takes: the square roots of the
 Gram matrix's eigenvalues where those certify rank m - 1 (``_gram_rank``),
-else the SVD of J (``_rank_of``).
+else the SVD of J (``_rank_of``).  Most solved points have rank m - 1, and
+one Cholesky factorisation of a shifted Gram matrix proves that this rule
+reads it (``_certified``); the report then carries the rank, and computes
+the values by the rule only when they are read.  Where the factorisation
+does not certify, the values are computed at once.
 
 Dense matrices are refused before anything is allocated when m * n
 exceeds ``MAX_DENSE_ENTRIES``.  The m x n Jacobian, which the dense route
-of ``solve`` and the SVD of ``rank_report`` allocate, is the largest matrix
-either entry point needs; on the Kronecker route ``solve`` allocates no
-m x n matrix, only m x m ones: the Gram matrix and the copy of it that
-each damping trial's ``np.linalg.solve`` makes, and
-``rank_report`` forms J only where the Gram cannot certify the rank.
+of ``solve`` and the rank check below 80 rows allocate, is the largest
+matrix either entry point needs; on the Kronecker route ``solve`` allocates
+no m x n matrix, only m x m ones: the Gram matrix and the copy of it that
+each damping trial's ``np.linalg.solve`` makes, and ``rank_report`` forms J
+only where the Gram's eigenvalues cannot certify the rank.
 
 This module never feeds back into the exact classification: a failure here
 flags a numerical issue, not a verdict change.
@@ -75,6 +79,7 @@ flags a numerical issue, not a verdict change.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -86,7 +91,7 @@ RepPoint = dict[str, np.ndarray]
 
 # Cap on m * n for an m x n Jacobian, in complex entries (256 MiB); it holds
 # on both routes of solve, since rank_report forms the Jacobian wherever the
-# Gram cannot certify the rank.
+# Gram's eigenvalues cannot certify the rank.
 MAX_DENSE_ENTRIES = 2**24
 
 # Fewest rows m (with m <= n) at which solve steps without the Jacobian; the
@@ -103,6 +108,7 @@ def rep_dimension(q: Quiver, alpha: Sequence[int]) -> int:
 
 def random_rep(q: Quiver, alpha: Sequence[int], seed: int) -> RepPoint:
     """Deterministic random representation: complex Gaussian entries, 1/sqrt(n) scale."""
+    _check_options(seed=seed)
     dq = double_of(q)
     alpha = as_dim_vector(dq, alpha)
     shapes = [(alpha[arr.target - 1], alpha[arr.source - 1]) for arr in dq.arrows]
@@ -165,18 +171,33 @@ def moment_eval(q: Quiver, alpha: Sequence[int], point: Mapping[str, np.ndarray]
     return blocks
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+def _check_options(**options: object) -> None:
+    """Refuse bad options before any work, with this module's messages: a
+    bool anywhere, a seed that is not an int >= 0, a max_iter that is not an
+    int >= 1 and a tolerance (any other name) that is not a finite positive
+    real."""
+    for name, value in options.items():
+        if name == "max_iter":
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"max_iter must be an int >= 1, got {value!r}")
+        elif name == "seed":
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"seed must be an int, got {value!r}")
+            if value < 0:
+                raise ValueError(f"seed must be >= 0, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError(f"{name} must be a real number, got {value!r}")
+        elif not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _check_dense_size(alpha: tuple[int, ...], rows: int, rep_dim: int) -> None:
     """Refuse an alpha with m * n > MAX_DENSE_ENTRIES for its m x n Jacobian,
-    the largest matrix the dense route of ``solve`` and the SVD of
-    ``rank_report`` allocate; on the Kronecker route ``rank_report``
-    allocates J only when the Gram cannot certify the rank.  The Gram matrix
-    either route forms is min(m, n)-square, and the Kronecker route
-    allocates nothing larger."""
+    the largest matrix the dense route of ``solve`` and ``rank_report``
+    below 80 rows allocate; on the Kronecker route ``rank_report``
+    allocates J only when the Gram's eigenvalues cannot certify the rank.
+    The Gram matrix either route forms is min(m, n)-square, and the
+    Kronecker route allocates nothing larger."""
     if rows * rep_dim > MAX_DENSE_ENTRIES:
         side = min(rows, rep_dim)
         raise ValueError(
@@ -474,15 +495,57 @@ class MomentSolveResult:
     seed: int
 
 
-@dataclass
 class RankReport:
-    jacobian_rank: int
-    fiber_dim_estimate: int
-    singular_values: list[float]
-    # sigma_r / sigma_{r+1} at the rank cut r (inf if sigma_{r+1} is 0, as
-    # at every point of rank m - 1 with m <= n, where it is the trace
-    # direction's); None when r is 0 or every singular value is kept
-    cut_gap: float | None
+    """The rank of d mu at a point, the fiber dimension estimate
+    rep_dimension - rank, the descending singular values and ``cut_gap``:
+    sigma_r / sigma_{r+1} at the rank cut r (inf if sigma_{r+1} is 0, as at
+    every point of rank m - 1 with m <= n, where it is the trace
+    direction's); None when r is 0 or every singular value is kept.
+
+    ``RankReport(rank, fiber, values, cut_gap)`` holds its values.  A report
+    that ``rank_report`` certified holds the plan, its own copy of the flat
+    point and the route instead, and computes the values by the rank rule
+    the first time they are read.  Equality and ``repr`` cover all four
+    fields, so they read the values.
+    """
+
+    __slots__ = ("jacobian_rank", "fiber_dim_estimate", "cut_gap", "_values", "_pending")
+
+    def __init__(
+        self,
+        jacobian_rank: int,
+        fiber_dim_estimate: int,
+        singular_values: list[float],
+        cut_gap: float | None,
+    ) -> None:
+        self.jacobian_rank = jacobian_rank
+        self.fiber_dim_estimate = fiber_dim_estimate
+        self._values = singular_values
+        self.cut_gap = cut_gap
+        self._pending = None  # (plan, flat, svd_tol, kronecker) until the values are read
+
+    @property
+    def singular_values(self) -> list[float]:
+        if self._pending is not None:
+            self._values, self._pending = _spectrum(*self._pending), None
+        return self._values
+
+    def _fields(self) -> tuple:
+        return (self.jacobian_rank, self.fiber_dim_estimate, self.singular_values, self.cut_gap)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable, as a dataclass with eq
+
+    def __repr__(self) -> str:
+        rank, fiber, values, cut_gap = self._fields()
+        return (
+            f"RankReport(jacobian_rank={rank!r}, fiber_dim_estimate={fiber!r}, "
+            f"singular_values={values!r}, cut_gap={cut_gap!r})"
+        )
 
 
 def _uses_kronecker(plan: _Plan) -> bool:
@@ -568,13 +631,80 @@ def _gram_rank(plan: _Plan, flat: np.ndarray, svd_tol: float) -> list[float] | N
     return np.sqrt(eigen[:0:-1]).tolist() + [0.0]
 
 
-def _rank_of(jac: np.ndarray, rep_dim: int, svd_tol: float) -> RankReport:
-    """The rank report of a Jacobian from its SVD, u's value set to exactly
-    0.0 where rows <= columns (module docstring)."""
+def _certified(plan: _Plan, flat: np.ndarray, svd_tol: float) -> bool:
+    """Whether one Cholesky factorisation proves that the rank rule reads
+    rank m - 1 at flat, fiber n - m + 1 and cut_gap inf, without the values.
+
+    G is ``_gram_of``'s on the Kronecker route, else J J^H, and U = ||G||_F,
+    which is at least lambda_max.  With u-hat the normalised trace direction
+    (1 / sqrt(sum alpha) on the diagonal rows), H = G - tau I + U u-hat
+    u-hat^H, tau = svd_tol^2 U + 5 margin and margin = 4 N eps (U + ||x||^2
+    + tr G), x the flat vector: N is m on the Kronecker route and n where G
+    sums n-term products of J.  Rank-one interlacing gives
+    lambda_1(G + U u-hat u-hat^H) <= lambda_2(G), so if H factorises, every
+    eigenvalue of G but the smallest, which ``_report`` drops as u's,
+    exceeds tau less the rounding of H and of its factorisation.
+
+    Each of these is within one margin: forming H moves it by at most
+    2 eps ||H||_F, and the Cholesky's backward error is at most about
+    2 (m + 1) eps tr H <= 2 (m + 1) eps (tr G + U) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 10.3, with
+    ||R||_F^2 = tr R^H R).  On the Kronecker route G is the matrix
+    ``_gram_rank`` reads, and the other three margins cover its test
+    eigen[1] > svd_tol^2 lambda_max + 4 m eps (lambda_max + ||x||^2) with
+    eigvalsh moving eigen[1] and lambda_max by at most a margin each, as
+    ``_gram_rank`` assumes.  Below it, forming J J^H moves G by at most
+    about 2 n eps tr G, tr J J^H being ||J||_F^2 (Higham, Thm 3.5), which
+    enters twice, and the SVD moves sigma_{m-1} and sigma_1 by of order
+    n eps sigma_1; the three margins keep sigma_{m-1} > svd_tol sigma_1
+    (``_rank_of``).  False where m < 2, m > n, svd_tol >= 1, U is 0 or
+    tau overflows, and where H does not factorise: a lower rank at
+    lambda = 0 or a second eigenvalue inside the band.
+    """
+    m = plan.rows
+    if not (2 <= m <= plan.columns and svd_tol < 1):
+        return False
+    if _uses_kronecker(plan):
+        gram, size = _gram_of(plan)(flat), m
+    else:
+        jac = _jacobian(plan, flat)
+        gram, size = jac @ jac.conj().T, plan.columns
+    scale = math.sqrt(np.vdot(gram, gram).real)
+    margin = 4 * size * np.finfo(float).eps * (
+        scale + float(np.vdot(flat, flat).real) + float(gram.trace().real)
+    )
+    tau = svd_tol * svd_tol * scale + 5 * margin
+    if not (scale > 0 and math.isfinite(tau)):
+        return False
+    entries = gram.reshape(-1)
+    entries[(plan.diagonal[:, None] * m + plan.diagonal).reshape(-1)] += scale / plan.total
+    entries[:: m + 1] -= tau
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _singular_values(jac: np.ndarray) -> list[float]:
+    """The SVD's values of a Jacobian, u's set to exactly 0.0 where rows <=
+    columns (module docstring)."""
     values = np.linalg.svd(jac, compute_uv=False).tolist() if jac.size else []
     if 0 < jac.shape[0] <= jac.shape[1]:
         values[-1] = 0.0
-    return _report(values, rep_dim, svd_tol)
+    return values
+
+
+def _spectrum(plan: _Plan, flat: np.ndarray, svd_tol: float, kronecker: bool) -> list[float]:
+    """The singular values by the rank rule: the Gram's on the Kronecker
+    route where they certify rank m - 1, else the SVD's."""
+    values = _gram_rank(plan, flat, svd_tol) if kronecker else None
+    return _singular_values(_jacobian(plan, flat)) if values is None else values
+
+
+def _rank_of(jac: np.ndarray, rep_dim: int, svd_tol: float) -> RankReport:
+    """The rank report of a Jacobian from its SVD."""
+    return _report(_singular_values(jac), rep_dim, svd_tol)
 
 
 def _report(values: list[float], rep_dim: int, svd_tol: float) -> RankReport:
@@ -599,13 +729,12 @@ def solve(
 
     Weights must pair to zero with alpha (the trace obstruction); otherwise
     the fiber is empty and the input is rejected, as is an alpha whose dense
-    matrices would exceed MAX_DENSE_ENTRIES, a tol that is not finite and
-    positive and a max_iter that is not an int >= 1.  Non-convergence is
-    reported in the result, not raised.
+    matrices would exceed MAX_DENSE_ENTRIES, a seed that is not an int >= 0,
+    a tol that is not finite and positive and a max_iter that is not an
+    int >= 1 (a bool is none of these).  Non-convergence is reported in the
+    result, not raised.
     """
-    _check_positive("tol", tol)
-    if not isinstance(max_iter, int) or max_iter < 1:
-        raise ValueError(f"max_iter must be an int >= 1, got {max_iter!r}")
+    _check_options(seed=seed, tol=tol, max_iter=max_iter)
     dq = double_of(q)
     alpha = as_dim_vector(dq, alpha)
     plan = _plan(dq, alpha)
@@ -656,27 +785,30 @@ def rank_report(
 
     The fiber dimension estimate is the complex dimension of the
     representation space minus the rank; the full singular value list is
-    returned so borderline thresholding stays auditable, and ``cut_gap``
+    available so borderline thresholding stays auditable, and ``cut_gap``
     says how far apart the last kept and the first dropped value are.  Where
     m <= n the last value, the trace direction's, is exactly 0 (module
     docstring).  Where ``solve`` steps without the Jacobian and the Gram
     certifies rank m - 1, the values are the square roots of its eigenvalues
-    (``_gram_rank``); elsewhere they are the SVD's.  An alpha whose dense
-    matrices would exceed MAX_DENSE_ENTRIES is refused, as are tolerances
-    that are not finite and positive.
+    (``_gram_rank``); elsewhere they are the SVD's.  Where one Cholesky
+    factorisation certifies rank m - 1 (``_certified``), the report computes
+    them only when ``singular_values`` is first read, from its own copy of
+    the point.  An alpha whose dense matrices would exceed MAX_DENSE_ENTRIES
+    is refused, as are tolerances that are not finite and positive.
     """
-    _check_positive("svd_tol", svd_tol)
-    _check_positive("residual_tol", residual_tol)
+    _check_options(svd_tol=svd_tol, residual_tol=residual_tol)
     dq = double_of(q)
     alpha = as_dim_vector(dq, alpha)
     plan = _plan(dq, alpha)
     lam_diagonal = _lam_diagonal(as_weight(dq, lam), alpha)
     _check_point(dq, alpha, point)
-    flat = _pack(plan, point)
+    flat = _pack(plan, point)  # a copy: later changes to point do not reach it
     norm = _norm(_residual(plan, flat, lam_diagonal))
     if not norm <= residual_tol:  # a NaN residual is not solved either
         raise ValueError(f"point is not solved: residual {norm:.3e} > {residual_tol:.1e}")
-    values = _gram_rank(plan, flat, svd_tol) if _uses_kronecker(plan) else None
-    if values is None:
-        return _rank_of(_jacobian(plan, flat), plan.columns, svd_tol)
-    return _report(values, plan.columns, svd_tol)
+    kronecker = _uses_kronecker(plan)
+    if not _certified(plan, flat, svd_tol):
+        return _report(_spectrum(plan, flat, svd_tol, kronecker), plan.columns, svd_tol)
+    report = RankReport(plan.rows - 1, plan.columns - plan.rows + 1, [], math.inf)
+    report._pending = (plan, flat, svd_tol, kronecker)
+    return report

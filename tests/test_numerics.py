@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -424,13 +425,40 @@ def test_gram_ranks_match_the_svd_on_calogero(alpha):
         assert rank_against_the_svd(CALOGERO, alpha, LAM_21, result) == "certified"
 
 
-def test_gram_route_at_the_origin_and_at_an_overflowing_cut():
+def count_spectra(monkeypatch) -> list[str]:
+    """The names of the np.linalg.eigvalsh and np.linalg.svd calls from now on."""
+    calls = []
+    for name in ("eigvalsh", "svd"):
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def computed_at_once(calls: list[str], call) -> numerics.RankReport:
+    """The report of call, which must compute the spectrum itself, so that
+    reading the values computes nothing more."""
+    calls.clear()
+    report = call()
+    assert calls
+    computed = list(calls)
+    report.singular_values
+    assert calls == computed
+    return report
+
+
+def test_gram_route_at_the_origin_and_at_an_overflowing_cut(monkeypatch):
+    """Where the certificate leaves the rank to the spectrum, rank_report
+    computes it at once, and the report is the rank rule's."""
+    calls = count_spectra(monkeypatch)
     alpha = (4, 8)
     plan = numerics._plan(double_of(CALOGERO), alpha)
     assert numerics._uses_kronecker(plan)
     # sigma_1 = 0: the SVD answers, every value 0 and the rank 0
     origin = {label: np.zeros(shape, dtype=complex) for label, _, shape in plan.arrows}
-    report = rank_report(CALOGERO, alpha, LAM_0, origin)
+    report = computed_at_once(calls, lambda: rank_report(CALOGERO, alpha, LAM_0, origin))
     assert report.jacobian_rank == 0 and report.fiber_dim_estimate == plan.columns
     assert report.singular_values == [0.0] * plan.rows and report.cut_gap is None
     # svd_tol^2 overflows: the SVD answers, bit for bit
@@ -438,8 +466,151 @@ def test_gram_route_at_the_origin_and_at_an_overflowing_cut():
     flat = numerics._pack(plan, point)
     assert numerics._gram_rank(plan, flat, 1e-7) is not None
     assert numerics._gram_rank(plan, flat, 1e308) is None
+    assert numerics._certified(plan, flat, 1e-7) and not numerics._certified(plan, flat, 1e308)
     expected = numerics._rank_of(numerics._jacobian(plan, flat), plan.columns, 1e308)
-    assert rank_report(CALOGERO, alpha, LAM_21, point, svd_tol=1e308) == expected
+    report = computed_at_once(
+        calls, lambda: rank_report(CALOGERO, alpha, LAM_21, point, svd_tol=1e308)
+    )
+    assert report == expected
+    # a larger stabilizer at lambda = 0: commuting diagonal loops and a
+    # zero arrow between the vertices give a rank far below m - 1, on the
+    # Gram route at (4, 8) and on the SVD route at (1, 2)
+    for alpha in ((4, 8), (1, 2)):
+        plan = numerics._plan(double_of(CALOGERO), alpha)
+        point = {label: np.zeros(shape, dtype=complex) for label, _, shape in plan.arrows}
+        point["b"] = np.diag(np.arange(1.0, alpha[1] + 1)).astype(complex)
+        point["b*"] = np.diag(np.arange(2.0, alpha[1] + 2)).astype(complex)
+        flat = numerics._pack(plan, point)
+        expected = numerics._rank_of(numerics._jacobian(plan, flat), plan.columns, 1e-7)
+        assert 0 < expected.jacobian_rank < plan.rows - 1
+        report = computed_at_once(calls, lambda: rank_report(CALOGERO, alpha, LAM_0, point))
+        assert report == expected
+    # a single row, u itself, and more rows than columns
+    one_loop = Quiver(1, (Arrow("x", 1, 1),))
+    for q, alpha, point in (
+        (one_loop, (1,), random_rep(one_loop, (1,), 0)),
+        (ONE_ARROW, (1, 3), {"a": np.array([[1], [0], [0]], dtype=complex),
+                             "a*": np.zeros((1, 3), dtype=complex)}),
+    ):
+        plan = numerics._plan(double_of(q), alpha)
+        flat = numerics._pack(plan, point)
+        expected = numerics._rank_of(numerics._jacobian(plan, flat), plan.columns, 1e-7)
+        report = computed_at_once(calls, lambda: rank_report(q, alpha, LAM_0[: len(alpha)], point))
+        assert report == expected and report.singular_values[-1] == 0.0
+
+
+def certificate_against_the_rule(dq, alpha, lam, point, svd_tol) -> bool:
+    """rank_report against the rank rule computed directly: the values of
+    _gram_rank on the Kronecker route where they certify, else of _rank_of.
+    Where _certified answers, the rank, fiber and cut_gap are the rule's;
+    everywhere the values are the rule's, bit for bit."""
+    plan = numerics._plan(dq, alpha)
+    flat = numerics._pack(plan, point)
+    values = numerics._gram_rank(plan, flat, svd_tol) if numerics._uses_kronecker(plan) else None
+    if values is None:
+        expected = numerics._rank_of(numerics._jacobian(plan, flat), plan.columns, svd_tol)
+    else:
+        expected = numerics._report(values, plan.columns, svd_tol)
+    certified = numerics._certified(plan, flat, svd_tol)
+    report = rank_report(dq, alpha, lam, point, svd_tol=svd_tol)
+    if certified:
+        assert (report.jacobian_rank, report.fiber_dim_estimate, report.cut_gap) == (
+            expected.jacobian_rank, expected.fiber_dim_estimate, expected.cut_gap
+        )
+    values = report.singular_values
+    assert len(values) == len(expected.singular_values)
+    assert np.array(values).tobytes() == np.array(expected.singular_values).tobytes()
+    assert report == expected
+    return certified
+
+
+CERTIFICATE_TOLERANCES = (1e-7, 1e-16, 1e-3)
+
+
+@pytest.mark.parametrize("threshold", [numerics.KRONECKER_MIN_ROWS, 1])
+def test_the_certificate_matches_the_rank_rule_on_random_quivers(threshold, monkeypatch):
+    monkeypatch.setattr(numerics, "KRONECKER_MIN_ROWS", threshold)
+    outcomes = []
+    for seed in range(40):
+        rng = random.Random(14000 + seed)
+        dq, alpha = random_case(rng)
+        for weighted in (False, True):
+            lam = [Fraction(0)] * len(alpha)
+            if weighted and any(alpha):
+                # nonzero weights, one solved for so that lambda . alpha = 0
+                lam = [random_fraction(rng) for _ in alpha]
+                j = max(range(len(alpha)), key=alpha.__getitem__)
+                rest = sum(l * a for i, (l, a) in enumerate(zip(lam, alpha)) if i != j)
+                lam[j] = -rest / alpha[j]
+            result = solve(dq, alpha, lam, seed, max_iter=30)
+            if result.converged:
+                for svd_tol in CERTIFICATE_TOLERANCES:
+                    outcomes.append(certificate_against_the_rule(dq, alpha, lam, result.point, svd_tol))
+    # at lambda = 0 some points have more than the scalars as stabilizer,
+    # and a single row is u itself: both are left to the spectrum
+    assert outcomes.count(True) >= 90 and outcomes.count(False) >= 60
+
+
+@pytest.mark.parametrize("threshold", [numerics.KRONECKER_MIN_ROWS, 1])
+def test_the_certificate_matches_the_rank_rule_on_sigma_cases(threshold, monkeypatch):
+    monkeypatch.setattr(numerics, "KRONECKER_MIN_ROWS", threshold)
+    outcomes = []
+    for q, alpha, lam, _ in SIGMA_CASES:
+        result = next(r for r in (solve(q, alpha, lam, seed) for seed in range(5)) if r.converged)
+        for svd_tol in CERTIFICATE_TOLERANCES:
+            outcomes.append(certificate_against_the_rule(double_of(q), alpha, lam, result.point, svd_tol))
+    # every fallback is a single row: alpha a unit vector
+    assert outcomes.count(True) == 3 * 99 and outcomes.count(False) == 3 * 21
+
+
+@pytest.mark.parametrize("threshold", [numerics.KRONECKER_MIN_ROWS, 1])
+def test_the_certificate_matches_the_rank_rule_on_calogero(threshold, monkeypatch):
+    monkeypatch.setattr(numerics, "KRONECKER_MIN_ROWS", threshold)
+    dq = double_of(CALOGERO)
+    for alpha in ((2, 4), (4, 8), (5, 10), (10, 20)):
+        result = solve(CALOGERO, alpha, LAM_21, 0)
+        assert result.converged
+        for svd_tol in CERTIFICATE_TOLERANCES:
+            assert certificate_against_the_rule(dq, alpha, LAM_21, result.point, svd_tol)
+        # a cut above sigma_{m-1}: the rank is lower, which only the
+        # spectrum reads
+        assert not certificate_against_the_rule(dq, alpha, LAM_21, result.point, 0.5)
+
+
+@pytest.mark.parametrize("alpha, spectrum", [((2, 4), "svd"), ((4, 8), "eigvalsh")])
+def test_a_certified_report_computes_its_values_once_when_read(alpha, spectrum, monkeypatch):
+    point = solve(CALOGERO, alpha, LAM_21, 0).point
+    original = {label: matrix.copy() for label, matrix in point.items()}
+    calls = count_spectra(monkeypatch)
+    report = rank_report(CALOGERO, alpha, LAM_21, point)
+    rows = sum(a * a for a in alpha)
+    assert (report.jacobian_rank, report.cut_gap) == (rows - 1, math.inf)
+    assert calls == []
+    # the caller's matrices change; the report keeps its own copy
+    for matrix in point.values():
+        matrix[...] = 7.0
+    values = report.singular_values
+    assert calls == [spectrum]
+    assert report.singular_values is values and calls == [spectrum]
+    plan = numerics._plan(double_of(CALOGERO), alpha)
+    flat = numerics._pack(plan, original)
+    eager = numerics._report(
+        numerics._spectrum(plan, flat, 1e-7, numerics._uses_kronecker(plan)), plan.columns, 1e-7
+    )
+    assert values == eager.singular_values and values[-1] == 0.0
+
+
+def test_a_certified_report_equals_the_eager_one():
+    alpha = (3, 6)
+    point = solve(CALOGERO, alpha, LAM_21, 1).point
+    plan = numerics._plan(double_of(CALOGERO), alpha)
+    eager = numerics._rank_of(numerics._jacobian(plan, numerics._pack(plan, point)), plan.columns, 1e-7)
+    assert rank_report(CALOGERO, alpha, LAM_21, point) == eager
+    assert repr(rank_report(CALOGERO, alpha, LAM_21, point)) == repr(eager)
+    assert repr(eager).startswith("RankReport(jacobian_rank=44, fiber_dim_estimate=64, singular_values=[")
+    assert repr(eager).endswith(", 0.0], cut_gap=inf)")
+    assert eager == numerics.RankReport(44, 64, list(eager.singular_values), math.inf)
+    assert eager != numerics.RankReport(44, 64, eager.singular_values[:-1], math.inf)
 
 
 @pytest.mark.parametrize(
@@ -472,6 +643,37 @@ def test_rank_report_refuses_bad_tolerances(calogero, keyword, value):
     assert rank_report(calogero, (1, 2), LAM_21, result.point).jacobian_rank == 4
     with pytest.raises(ValueError, match=f"{keyword} must be finite and positive"):
         rank_report(calogero, (1, 2), LAM_21, result.point, **{keyword: value})
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda q: solve(q, (1, 2), LAM_21, seed=0, max_iter=True), ValueError,
+         "max_iter must be an int >= 1, got True"),
+        (lambda q: solve(q, (1, 2), LAM_21, seed=0, tol=True), TypeError,
+         "tol must be a real number, got True"),
+        (lambda q: solve(q, (1, 2), LAM_21, seed=0, tol="1e-10"), TypeError,
+         "tol must be a real number, got '1e-10'"),
+        (lambda q: solve(q, (1, 2), LAM_21, seed=0.5), TypeError, "seed must be an int, got 0.5"),
+        (lambda q: solve(q, (1, 2), LAM_21, seed=True), TypeError, "seed must be an int, got True"),
+        (lambda q: solve(q, (1, 2), LAM_21, seed=-1), ValueError, "seed must be >= 0, got -1"),
+        (lambda q: random_rep(q, (1, 2), 0.5), TypeError, "seed must be an int, got 0.5"),
+        (lambda q: random_rep(q, (1, 2), False), TypeError, "seed must be an int, got False"),
+        (lambda q: random_rep(q, (1, 2), -1), ValueError, "seed must be >= 0, got -1"),
+        (lambda q: rank_report(q, (1, 2), LAM_21, {}, svd_tol=True), TypeError,
+         "svd_tol must be a real number, got True"),
+        (lambda q: rank_report(q, (1, 2), LAM_21, {}, residual_tol=True), TypeError,
+         "residual_tol must be a real number, got True"),
+    ],
+    ids=["max-iter-bool", "tol-bool", "tol-str", "seed-float", "seed-bool", "seed-negative",
+         "rep-seed-float", "rep-seed-bool", "rep-seed-negative", "svd-tol-bool",
+         "residual-tol-bool"],
+)
+def test_bools_and_bad_seeds_are_refused(calogero, call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(calogero)
+    # an int seed of numpy's own type is an int
+    assert solve(calogero, (1, 2), LAM_21, seed=np.int64(3)).seed == 3
 
 
 def test_rank_report_refuses_a_transposed_matrix(calogero):
