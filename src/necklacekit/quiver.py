@@ -7,6 +7,7 @@ quiver, so user labels may not end in it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -249,7 +250,10 @@ def bilinear(matrix: Sequence[Sequence], alpha: Sequence, beta: Sequence):
 
 
 def num_parameters(q: Quiver, alpha: Sequence[int]) -> int:
-    """The quantity p(alpha) = 1 - chi(alpha, alpha) entering the root inequalities."""
+    """The quantity p(alpha) = 1 - chi(alpha, alpha) entering the root
+    inequalities, for an integer vector of the quiver's length (entries of
+    either sign)."""
+    alpha = _of_length(q, alpha)
     return 1 - bilinear(euler_form(q), alpha, alpha)
 
 
@@ -261,17 +265,31 @@ def _integral(entries: Iterable[int]) -> DimVector:
     return vec
 
 
-def as_dim_vector(q: Quiver, entries: Iterable[int]) -> DimVector:
+def _of_length(q: Quiver, entries: Iterable[int]) -> DimVector:
+    """The entries as ints (``_integral``), one per vertex of q."""
     vec = _integral(entries)
     if len(vec) != q.vertex_count:
         raise ValueError(f"dimension vector has length {len(vec)}, expected {q.vertex_count}")
+    return vec
+
+
+def as_dim_vector(q: Quiver, entries: Iterable[int]) -> DimVector:
+    vec = _of_length(q, entries)
     if any(x < 0 for x in vec):
         raise ValueError(f"dimension vector {vec} has a negative entry")
     return vec
 
 
 def as_weight(q: Quiver, entries: Iterable) -> Weight:
-    vec = tuple(Fraction(x) for x in entries)
+    """The entries as exact Fractions, one per vertex of q, refusing a NaN
+    or an infinity."""
+    given = tuple(entries)
+    try:
+        vec = tuple(map(Fraction, given))
+    except (OverflowError, ValueError):
+        if any(x != x or x in (math.inf, -math.inf) for x in given):
+            raise ValueError(f"weight {given} has a non-finite entry") from None
+        raise
     if len(vec) != q.vertex_count:
         raise ValueError(f"weight has length {len(vec)}, expected {q.vertex_count}")
     return vec

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from numbers import Integral
 from operator import mul
 from typing import Sequence
 
@@ -32,7 +33,7 @@ from .quiver import (
     _Steps,
     _integral,
     as_dim_vector,
-    num_parameters,
+    bilinear,
     support_connected,
     tits_form,
 )
@@ -71,6 +72,8 @@ class RootClass:
 
 def reflect(q: Quiver, vertex: int, alpha: Sequence[int]) -> tuple[int, ...]:
     """Simple reflection at a loop-free vertex: alpha - T(alpha, e_i) e_i."""
+    if isinstance(vertex, bool) or not isinstance(vertex, Integral):
+        raise TypeError(f"vertex must be an int, got {vertex!r}")
     if not 1 <= vertex <= q.vertex_count:
         raise ValueError(f"vertex {vertex} out of range 1..{q.vertex_count}")
     alpha = _integral(alpha)
@@ -166,10 +169,11 @@ def _grow_roots(q: Quiver, box: DimVector, steps: _Steps) -> dict[DimVector, tup
     as a reflection at a loop-free vertex i permutes the positive roots other
     than e_i and preserves the Tits form (Kac 1980), it is a root exactly when
     it lands on a root found, and has that root's p; with no step it is in
-    the fundamental region, its p computed.  A root is real iff p = 0 (Kac
-    1980).  Every root is found by the root-string property (a positive root
-    other than a unit vector minus some unit vector is one; Kac 1980), tested
-    for looped vertices against the box filter.  Each candidate spends a step.
+    the fundamental region, its p = 1 - T(v, v) / 2.  A root is real iff
+    p = 0 (Kac 1980).  Every root is found by the root-string property (a
+    positive root other than a unit vector minus some unit vector is one;
+    Kac 1980), tested for looped vertices against the box filter.  Each
+    candidate spends a step.
     """
     t_matrix = tits_form(q)
     k = len(box)
@@ -190,7 +194,7 @@ def _grow_roots(q: Quiver, box: DimVector, steps: _Steps) -> dict[DimVector, tup
             steps.spend()
             step = _step(t_matrix, vec, steps)
             if step is None:
-                grown[vec] = (num_parameters(q, vec), None, None)
+                grown[vec] = (1 - bilinear(t_matrix, vec, vec) // 2, None, None)
             elif step[1] in grown:
                 grown[vec] = (grown[step[1]][0], *step)
             else:

@@ -26,7 +26,9 @@ strict members among them, not with the box:
 * strictness is decided once per hyperplane root, in ascending lex order,
   and the largest p-value sum over the decompositions of each remainder
   once, over the strict members decided so far that cover its first
-  nonzero coordinate, which loses nothing (see ``_SigmaTable``);
+  nonzero coordinate, which loses nothing (see ``_SigmaTable``); unit
+  vectors are no such members, as at a vertex of zero weight they only
+  fill what the others leave of its coordinate;
 * a witness is built only for a vector whose membership is reported, by a
   descent in enumeration order over the weak members below it, which those
   sums prune so that it never backtracks; minimality, types and the
@@ -36,20 +38,20 @@ strict members among them, not with the box:
 ``two_alpha_nonsmooth`` called on its own adds a second one over the box of
 2 alpha once alpha passes.  Every public call may take at most
 ``quiver.WORK_CAP`` steps, one budget shared by its tables, counted as in
-``roots`` and here per strict member scanned by ``_SigmaTable._split``, per
-part and multiplicity tried by ``_sum_multisets`` (witnesses and types),
-z^2 per type of z simples for its Ext^1 counts, and, in ``local_quiver``,
-per arrow of the quiver it hands out (a type's local quiver is built only
-when its ``quiver`` is read, and ``classify`` reads only the counts); a
-call that needs more is refused with a ``ValueError``.  The enumeration
-of every decomposition and the column recurrence over every hyperplane
-root that the table replaced, the routes the tests check it against, live
-in ``tests/oracles.py``.
+``roots`` and here per strict member scanned and per remainder taken by
+``_SigmaTable._best_sum``, per part and multiplicity tried by
+``_sum_multisets`` (witnesses and types), z^2 per type of z simples for its
+Ext^1 counts, and, in ``local_quiver``, per arrow of the quiver it hands out
+(a type's local quiver is built only when its ``quiver`` is read, and
+``classify`` reads only the counts); a call that needs more is refused with
+a ``ValueError``.  The enumeration of every decomposition and the column
+recurrence over every hyperplane root that the table replaced, the routes
+the tests check it against, live in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from operator import le, sub
@@ -156,17 +158,20 @@ class _SigmaTable:
     The hyperplane roots and their p-values come from the roots of the box
     grown from its unit vectors (``roots._grow_roots``), a vector's root class
     from its own descent (``roots._descend``).  ``strict_members`` decides
-    strictness once per hyperplane root, in ascending lex order, by
-    ``_split(beta)``: the largest p-value sum over the decompositions of beta
-    into two or more hyperplane roots.  It is taken over the strict members
-    decided so far that cover the first nonzero coordinate, with ``_full`` of
-    what is left: a hyperplane root outside the strict set has a decomposition
-    whose p-values sum to at least its own, so putting one in its place never
-    lowers a sum (Crawley-Boevey 2001).  ``_full(rest)`` also allows rest
-    itself as a single part.  A witness, the first decomposition reaching the
-    largest sum in the enumeration order of ``_sum_multisets`` over every
-    hyperplane root below alpha, is built only by ``membership``, over the
-    weak members alone, read off the splits the strict pass memoised.
+    strictness once per hyperplane root, in ascending lex order, by its
+    split: the largest p-value sum over the decompositions of beta into two
+    or more hyperplane roots.  Splits and the sums of what is left come from
+    one memoised best sum (``_best_sum``), taken over the strict members that
+    are not unit vectors and cover the first nonzero coordinate i, with the
+    unit vectors as one more option when lambda_i = 0: e_i fills the whole of
+    coordinate i.  That loses nothing: a hyperplane root outside the strict
+    set has a decomposition whose p-values sum to at least its own, so
+    putting one in its place never lowers a sum (Crawley-Boevey 2001), and
+    the parts covering coordinate i are then strict, so either one of them
+    is not a unit vector or all are e_i.  A witness, the first decomposition
+    reaching the largest sum in the enumeration order of ``_sum_multisets``
+    over every hyperplane root below alpha, is built only by ``membership``,
+    over the weak members alone, read off the splits the strict pass kept.
     Everything is computed on first use, spending from ``steps``, a new
     budget unless one is given.
     """
@@ -183,8 +188,11 @@ class _SigmaTable:
         self._roots: list[DimVector] | None = None
         self._p: dict[DimVector, int] = {}
         self._strict: set[DimVector] | None = None
-        self._by_lead: list[list[DimVector]] = []
+        self._members: list[DimVector] = []
         self._splits: dict[DimVector, int | None] = {}
+        k = len(self.box)
+        self._best: dict[DimVector, int | None] = {(0,) * k: 0}
+        self._units = [(0,) * i + (1,) + (0,) * (k - 1 - i) for i in range(k)]
 
     def on_hyperplane(self, vec: DimVector) -> bool:
         return sum(l * v for l, v in zip(self._scaled_lam, vec)) == 0
@@ -205,18 +213,23 @@ class _SigmaTable:
         return self.hyperplane_roots()[::-1]
 
     def strict_members(self) -> set[DimVector]:
-        """The strict members of the box, decided in ascending lex order:
-        beta is strict when ``_split(beta)`` is None or below p(beta).  A
-        root that fits in a vector precedes it in lex order, and so does the
-        remainder of a vector by a root covering its first nonzero
-        coordinate, so ``_split`` finds every strict member it needs."""
+        """The strict members of the box, decided in ascending lex order.  A
+        unit vector is strict and has no split; any other beta's split is
+        ``_best_sum(beta)``, taken before beta joins the members, and beta is
+        strict when it is None or below p(beta).  Every root that fits in a
+        vector precedes it in lex order, so the members listed so far are
+        all those a split needs."""
         if self._strict is None:
-            strict, self._by_lead = set(), [[] for _ in self.box]
-            for beta in self.hyperplane_roots():
-                worst = self._split(beta)
-                if worst is None or self._p[beta] > worst:
+            strict, roots = set(), self.hyperplane_roots()
+            p = self._p
+            for beta in roots:
+                unit = sum(beta) == 1
+                split = self._splits[beta] = None if unit else self._best_sum(beta)
+                if split is None or p[beta] > split:
                     strict.add(beta)
-                    self._by_lead[_lead(beta)].append(beta)
+                    self._best[beta] = p[beta]
+                    if not unit:
+                        self._members.append(beta)
             self._strict = strict
         return self._strict
 
@@ -224,52 +237,40 @@ class _SigmaTable:
         """Whether vec satisfies the strict inequalities."""
         return vec in self.strict_members()
 
-    def _split(self, rest: DimVector) -> int | None:
-        """The largest p-value sum over the decompositions of rest into two
-        or more hyperplane roots, None when there is none, over the strict
-        members decided so far.  It needs ``_full`` of smaller remainders,
-        evaluated from an explicit stack, so a box of any height needs no
-        deep recursion.  Each scan stops at the vector, which every root
-        fitting in it precedes in lex order; each member scanned spends a
-        step."""
-        splits, p, spend = self._splits, self._p, self.steps.spend
-        if rest in splits:
-            return splits[rest]
-        stack = [[rest, 0, None]]
+    def _best_sum(self, rest: DimVector) -> int | None:
+        """The largest p-value sum over the decompositions of rest into one
+        or more hyperplane roots, None when there is none, over the members
+        listed so far.  With i the first nonzero coordinate of a vector, its
+        options are a listed member gamma that fits in it, with the best sum
+        of what is left, and, when lambda_i = 0, its i-th coordinate filled
+        with unit vectors, each worth the loop count p(e_i), with the best
+        sum of the rest.  The members that fit have lead i and lie between
+        e_i and the vector in lex order.  Evaluated from an explicit stack,
+        so a box of any height needs no deep recursion; a vector spends a
+        step per member scanned and per remainder."""
+        best, p, members, spend = self._best, self._p, self._members, self.steps.spend
+        stack = [[rest, None]]
         while stack:
             frame = stack[-1]
-            vec, start, best = frame
-            group = self._by_lead[_lead(vec)]
-            stop = bisect_left(group, vec)
-            for index in range(start, stop):
-                beta = group[index]
-                if not all(map(le, beta, vec)):
-                    continue
-                left = tuple(map(sub, vec, beta))
-                if any(left) and left not in splits:
-                    frame[1:] = index, best
-                    stack.append([left, 0, None])
-                    spend(index + 1 - start)
-                    break
-                total = self._full(left)
-                if total is not None and (best is None or total + p[beta] > best):
-                    best = total + p[beta]
-            else:
-                spend(stop - start)
-                splits[vec] = best
+            vec, options = frame
+            if vec in best:
                 stack.pop()
-        return splits[rest]
-
-    def _full(self, rest: DimVector) -> int | None:
-        """The largest p-value sum over the decompositions of rest into
-        hyperplane roots, one part allowed; None when there is none."""
-        if not any(rest):
-            return 0
-        best = self._split(rest)
-        p_rest = self._p.get(rest)
-        if p_rest is not None and (best is None or p_rest > best):
-            return p_rest
-        return best
+            elif options is None:
+                i = next(i for i, v in enumerate(vec) if v)
+                unit = self._units[i]
+                block = members[bisect_left(members, unit) : bisect_right(members, vec)]
+                fits = [gamma for gamma in block if all(map(le, gamma, vec))]
+                loops = p.get(unit)
+                spend(len(block) + len(fits) + (loops is not None))
+                options = frame[1] = [(p[gamma], tuple(map(sub, vec, gamma))) for gamma in fits]
+                if loops is not None:
+                    options.append((vec[i] * loops, vec[:i] + (0,) + vec[i + 1 :]))
+                stack.extend([left, None] for _, left in options if left not in best)
+            else:
+                sums = [gain + best[left] for gain, left in options if best[left] is not None]
+                best[vec] = max(sums, default=None)
+                stack.pop()
+        return best[rest]
 
     def membership(self, alpha: DimVector) -> SigmaMembership:
         if not any(alpha):
@@ -285,7 +286,7 @@ class _SigmaTable:
         p_alpha = self._p[alpha]
         in_s, in_sigma = True, True
         witness_s = witness_sigma = None
-        worst = self._split(alpha)
+        worst = self._splits[alpha]
         if worst is not None and p_alpha <= worst:
             decomposition = self._witness(alpha, worst)
             in_sigma, witness_sigma = False, decomposition
@@ -309,8 +310,8 @@ class _SigmaTable:
         Only the weak members below alpha are passed on, which loses no such
         decomposition: a part beta with split(beta) > p(beta) is in none,
         since its best split in its place would raise the sum past worst.
-        A branch is dropped once its sum plus ``_full`` of what is left falls
-        below worst, and a branch that passes always completes: a
+        A branch is dropped once its sum plus ``_best_sum`` of what is left
+        falls below worst, and a branch that passes always completes: a
         decomposition reaching worst that contains the parts chosen so far
         and comes earlier in the order would already have been yielded.  So
         the search never backtracks, and the first decomposition completed
@@ -323,16 +324,11 @@ class _SigmaTable:
         ]
 
         def reaches(rest: DimVector, chosen: list) -> bool:
-            best = self._full(rest)
+            best = self._best_sum(rest)
             total = sum(mult * p[beta] for beta, mult in chosen)
             return best is not None and total + best >= worst
 
         return next(_sum_multisets(parts, alpha, self.steps, bound=reaches))
-
-
-def _lead(vec: DimVector) -> int:
-    """The index of the first nonzero coordinate."""
-    return next(i for i, v in enumerate(vec) if v)
 
 
 def sigma_membership(q: Quiver, alpha: Sequence[int], lam: Sequence) -> SigmaMembership:

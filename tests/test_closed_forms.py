@@ -178,8 +178,23 @@ def test_small_multiples_of_delta(name, orientation, m):
     check_multiple_of_delta(name, orientation, m)
 
 
-@pytest.mark.parametrize("name, m", [("D4~", 12), ("E6~", 6), ("E8~", 3)])
+@pytest.mark.parametrize(
+    "name, m", [("D4~", 12), ("E6~", 6), ("E8~", 3), ("D4~", 100), ("E8~", 12)]
+)
 def test_large_multiples_of_delta_answer(name, m):
     # strictness is decided once per root, and the best sums scan only the
-    # strict members: the unit vectors and delta
+    # strict members that are not unit vectors, here delta alone: the unit
+    # vectors fill a coordinate as one option
     check_multiple_of_delta(name, ORIENTATIONS[1], m)
+
+
+def test_the_strict_pass_at_62_delta_is_cheap():
+    # a remainder at m delta is j delta plus what units fill, so the pass
+    # over the 1,550 hyperplane roots of D4~ at 62 delta takes a few steps
+    # per root, where scanning the unit vectors as parts took 215,067
+    n, edges, delta = EUCLIDEAN["D4~"]
+    table = _SigmaTable(oriented(n, edges, ORIENTATIONS[1]), (0,) * n, multiple(62, delta))
+    assert len(table.hyperplane_roots()) == 1550
+    left = table.steps.left
+    assert table.strict_members() == set(units(n)) | {tuple(delta)}
+    assert left - table.steps.left < 10_000

@@ -13,6 +13,7 @@ from necklacekit import (
     double,
     euler_form,
     num_parameters,
+    parameter_sum,
     rep_dimension,
     sigma_membership,
     support_connected,
@@ -46,6 +47,8 @@ def test_bilinear_calogero(calogero):
     t_matrix = tits_form(calogero)
     assert bilinear(chi, (1, 2), (1, 2)) == -1
     assert num_parameters(calogero, (1, 2)) == 2
+    # the entries of either sign that reflections produce
+    assert num_parameters(calogero, (-1, 2)) == num_parameters(calogero, (1.0, -2.0)) == -2
     assert bilinear(t_matrix, (1, 2), (1, 2)) == -2
     assert bilinear(chi, (0, 0), (0, 0)) == 0
 
@@ -53,8 +56,9 @@ def test_bilinear_calogero(calogero):
 def test_bilinear_length_mismatch(calogero):
     with pytest.raises(ValueError):
         bilinear(euler_form(calogero), (1, 2, 3), (1, 2))
-    with pytest.raises(ValueError, match="^dimension vector has length 1, expected 2$"):
-        as_dim_vector(calogero, (1,))
+    for call in (as_dim_vector, num_parameters):
+        with pytest.raises(ValueError, match="^dimension vector has length 1, expected 2$"):
+            call(calogero, (1,))
     with pytest.raises(ValueError, match="^weight and dimension vector have different lengths$"):
         weight_pairing((1, 2, 3), (1, 2))
 
@@ -143,6 +147,11 @@ def test_dimension_vectors_refuse_non_integer_entries(calogero):
         sigma_membership(calogero, (1.5, 1), (0, 0))
     with pytest.raises(ValueError, match=r"^dimension vector \(1\.5, 1\) has a non-integer entry$"):
         rep_dimension(calogero, (1.5, 1))
+    # p of (1.5, 1) would be 1.75
+    with pytest.raises(ValueError, match=r"^dimension vector \(1\.5, 1\) has a non-integer entry$"):
+        num_parameters(calogero, (1.5, 1))
+    with pytest.raises(ValueError, match=r"^dimension vector \(1\.5, 1\) has a non-integer entry$"):
+        parameter_sum(calogero, (((1, 0), 1), ((1.5, 1), 2)))
     with pytest.raises(ValueError, match="non-integer entry"):
         as_dim_vector(calogero, (np.float64(0.5), 1))
     for entries in ((1.0, 2.0), (np.int64(1), np.int32(2)), np.array([1, 2]), iter((1, 2))):

@@ -69,6 +69,11 @@ def test_reflect_rejects_bad_vertices_and_lengths():
     for alpha in ((1,), (1, 1, 1)):
         with pytest.raises(ValueError, match="length does not match the quiver"):
             reflect(q, 1, alpha)
+    # True would reflect at vertex 1 and 1.0 fail on tuple indexing
+    for vertex in (True, False, 1.0, 1.5, "1", None):
+        with pytest.raises(TypeError, match=rf"^vertex must be an int, got {vertex!r}$"):
+            reflect(q, vertex, (1, 1))
+    assert reflect(q, np.int64(2), (1, 1)) == reflect(q, 2, (1, 1)) == (1, 0)
 
 
 def test_reflect_involution_and_form_preservation(a1_tilde, calogero):

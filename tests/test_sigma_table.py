@@ -58,11 +58,30 @@ def connected_quiver(rng: random.Random, k: int) -> Quiver:
     return Quiver(k, tuple(Arrow(f"q{i}", s, t) for i, (s, t) in enumerate(pairs)))
 
 
-def random_cases(count: int = 64, seed: int = 2001):
+def weight_vanishing_on(rng: random.Random, alpha, zeros) -> tuple[Fraction, ...]:
+    """A weight lambda with lambda . alpha = 0 that is 0 exactly on the
+    vertex indices zeros (needs alpha nonzero at two indices outside it)."""
+    rest = [i for i in range(len(alpha)) if i not in zeros]
+    j = rng.choice([i for i in rest if alpha[i]])
+    while True:
+        lam = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in alpha]
+        for i in zeros:
+            lam[i] = Fraction(0)
+        lam[j] = -sum(l * a for i, (l, a) in enumerate(zip(lam, alpha)) if i != j) / alpha[j]
+        if all(lam[i] for i in rest):
+            return tuple(lam)
+
+
+def random_cases(count: int = 64, seed: int = 2001, mixed: int = 60, mixed_seed: int = 2003):
     """(quiver, alpha, lambda) on 1-4 vertices, entries of alpha at most 3,
     each alpha at the zero weight and, from two vertices on, at a nonzero
     weight vanishing on it.  Half the quivers are connected, and half the
-    vectors are roots, so that most verdicts come from decompositions."""
+    vectors are roots, so that most verdicts come from decompositions.
+
+    Then mixed cases on 3-4 vertices whose weight is 0 exactly on a chosen
+    nonempty proper subset of the vertices, holding at least one vertex of
+    the support of alpha and leaving two outside: there a best sum may fill
+    a coordinate with unit vectors at some vertices and not at others."""
     rng = random.Random(seed)
     cases = []
     for index in range(count):
@@ -82,6 +101,22 @@ def random_cases(count: int = 64, seed: int = 2001):
         cases.append((q, alpha, (Fraction(0),) * k))
         if k >= 2:
             cases.append((q, alpha, nonzero_weight(rng, alpha)))
+    rng = random.Random(mixed_seed)
+    for index in range(mixed):
+        while True:
+            k = 3 + index % 2
+            q = connected_quiver(rng, k) if index % 4 < 2 else random_quiver(rng, k, 5)
+            roots = [vec for vec, _ in enumerate_positive_roots(q, (3,) * q.vertex_count)]
+            if index % 3 and roots:
+                alpha = rng.choice(roots)
+            else:
+                alpha = tuple(rng.randint(0, 3) for _ in range(q.vertex_count))
+            support = [i for i, a in enumerate(alpha) if a]
+            if len(support) >= 3:
+                break
+        zeros = set(rng.sample(support, rng.randint(1, len(support) - 2)))
+        zeros.update(i for i, a in enumerate(alpha) if not a and rng.random() < 0.5)
+        cases.append((q, alpha, weight_vanishing_on(rng, alpha, zeros)))
     return cases
 
 
@@ -137,6 +172,8 @@ def test_cases_cover_both_weights_and_verdicts():
     assert weights == {False, True}
     assert {(True, True, False), (True, False, True), (False, False, True)} <= verdicts
     assert {q.vertex_count for q, _, _ in CASES} == {1, 2, 3, 4}
+    mixed = [lam for _, _, lam in CASES if 0 in lam and any(lam)]
+    assert len(mixed) >= 60
 
 
 def test_d4_star_baseline_matches_enumeration():

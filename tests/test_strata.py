@@ -426,6 +426,18 @@ def test_weights_of_the_wrong_length_are_refused(calogero, lam):
         delta_lambda(calogero, lam, (1, 2))
 
 
+@pytest.mark.parametrize("entry", [float("inf"), float("-inf"), float("nan")])
+def test_weights_with_a_non_finite_entry_are_refused(calogero, entry):
+    # Fraction would raise OverflowError at an infinity and its own
+    # ValueError at a NaN
+    message = rf"^weight \({entry}, 0\) has a non-finite entry$"
+    for check in (sigma_membership, classify, rep_types, two_alpha_nonsmooth):
+        with pytest.raises(ValueError, match=message):
+            check(calogero, (1, 2), (entry, 0))
+    with pytest.raises(ValueError, match=message):
+        delta_lambda(calogero, (entry, 0), (1, 2))
+
+
 def test_a_tall_box_needs_no_deep_recursion(one_loop):
     # one vertex with a loop: every n is a root with p(n) = 1, so the best
     # decomposition of n is n copies of 1, found through a chain of n best
