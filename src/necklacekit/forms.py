@@ -81,7 +81,7 @@ from .paths import (
     _encoding,
     _joint_quiver,
 )
-from .quiver import Quiver, _Steps, double_of
+from .quiver import Quiver, _nonnegative, _Steps, double_of
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,11 +269,6 @@ def symplectic_form(q: Quiver) -> FormSum:
 # graded bases and the commutator quotient as signed cyclic words
 
 
-def _check_grading(degree: int, length: int) -> None:
-    if degree < 0 or length < 0:
-        raise ValueError("degree and length must be nonnegative")
-
-
 def _cuts(length: int, degree: int) -> Iterator[list[tuple[int, int]]]:
     """Slice bounds of lead, tail 1, ..., tail n in an encoded path of the
     given length, the lead at its end, for every splitting length = l0 + l1
@@ -377,7 +372,7 @@ def omega_basis(q: Quiver, degree: int, length: int) -> tuple[FormBasisElement, 
     the length (lead first, lexicographically), and within one splitting in
     the label order of the underlying paths.
     """
-    _check_grading(degree, length)
+    degree, length = _nonnegative(degree, "degree"), _nonnegative(length, "length")
     steps = _Steps()
     return _form_views(q, _piece(_encoding(q), degree, length, steps), steps)
 
@@ -389,7 +384,7 @@ def graded_homology_dim(q: Quiver, degree: int, length: int) -> int:
     derivation E has L_E = d i_E + i_E d = L id on forms of length L, so
     i_E / L contracts the complex in every length L >= 1.
     """
-    _check_grading(degree, length)
+    degree, length = _nonnegative(degree, "degree"), _nonnegative(length, "length")
     return q.vertex_count if degree == length == 0 else 0
 
 
@@ -400,7 +395,7 @@ def karoubi_count(q: Quiver, degree: int, length: int) -> int:
     (1/L) sum_{r<L} [m | n] tr(A^d) C(d, n/m) (-1)^(k(n-k)), with d = gcd(r, L),
     m = L/d and k = (r/d)(n/m): rotation by r fixes the words made of m
     copies of a block of d letters with n/m marks, with the sign of k marks."""
-    _check_grading(degree, length)
+    degree, length = _nonnegative(degree, "degree"), _nonnegative(length, "length")
     if length == 0:
         return q.vertex_count if degree == 0 else 0
     encoding, steps = _encoding(q), _Steps()
@@ -433,7 +428,7 @@ def karoubi_dim(q: Quiver, degree: int, length: int) -> tuple[int, tuple[FormBas
     therefore +-e_w plus words below w, the images are triangular, and as
     many representatives as karoubi_count are a basis of the quotient.
     """
-    _check_grading(degree, length)
+    degree, length = _nonnegative(degree, "degree"), _nonnegative(length, "length")
     encoding, steps = _encoding(q), _Steps()
     if length:
         codes = _representatives(encoding, degree, length, steps)

@@ -85,7 +85,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .quiver import DoubleQuiver, Quiver, as_dim_vector, as_weight, double_of, weight_pairing
+from .quiver import DoubleQuiver, Quiver, _int, as_dim_vector, as_weight, double_of, weight_pairing
 
 RepPoint = dict[str, np.ndarray]
 
@@ -108,7 +108,7 @@ def rep_dimension(q: Quiver, alpha: Sequence[int]) -> int:
 
 def random_rep(q: Quiver, alpha: Sequence[int], seed: int) -> RepPoint:
     """Deterministic random representation: complex Gaussian entries, 1/sqrt(n) scale."""
-    _check_options(seed=seed)
+    seed = _seed(seed)
     dq = double_of(q)
     alpha = as_dim_vector(dq, alpha)
     shapes = [(alpha[arr.target - 1], alpha[arr.source - 1]) for arr in dq.arrows]
@@ -171,23 +171,21 @@ def moment_eval(q: Quiver, alpha: Sequence[int], point: Mapping[str, np.ndarray]
     return blocks
 
 
-def _check_options(**options: object) -> None:
-    """Refuse bad options before any work, with this module's messages: a
-    bool anywhere, a seed that is not an int >= 0, a max_iter that is not an
-    int >= 1 and a tolerance (any other name) that is not a finite positive
-    real."""
-    for name, value in options.items():
-        if name == "max_iter":
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"max_iter must be an int >= 1, got {value!r}")
-        elif name == "seed":
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"seed must be an int, got {value!r}")
-            if value < 0:
-                raise ValueError(f"seed must be >= 0, got {value!r}")
-        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+def _seed(seed: int) -> int:
+    """A seed: an integer argument (``quiver._int``) >= 0."""
+    seed = _int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
+    return seed
+
+
+def _check_options(**tolerances: object) -> None:
+    """Refuse a tolerance that is not a finite positive real (a bool is
+    none) before any work."""
+    for name, value in tolerances.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise TypeError(f"{name} must be a real number, got {value!r}")
-        elif not (math.isfinite(value) and value > 0):
+        if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
@@ -734,7 +732,10 @@ def solve(
     int >= 1 (a bool is none of these).  Non-convergence is reported in the
     result, not raised.
     """
-    _check_options(seed=seed, tol=tol, max_iter=max_iter)
+    seed, max_iter = _seed(seed), _int(max_iter, "max_iter")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be an int >= 1, got {max_iter!r}")
+    _check_options(tol=tol)
     dq = double_of(q)
     alpha = as_dim_vector(dq, alpha)
     plan = _plan(dq, alpha)

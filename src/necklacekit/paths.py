@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-from .quiver import DoubleQuiver, Quiver, _per_instance, _Steps, double_of
+from .quiver import DoubleQuiver, Quiver, _nonnegative, _per_instance, _Steps, _vertex, double_of
 
 Scalar = Union[int, Fraction]
 
@@ -53,8 +53,7 @@ class Path:
     vertex: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arrows", tuple(self.arrows))
-        _path_ends(self.quiver, self.arrows, self.vertex)
+        _path_ends(self)
 
     @classmethod
     def trivial(cls, q: Quiver, vertex: int) -> "Path":
@@ -92,14 +91,18 @@ class Path:
         return f"Path({self})"
 
 
-def _path_ends(q: Quiver, arrows: tuple[str, ...], vertex: int | None) -> tuple[int, int]:
-    """(source, target) of the path of these labels or this vertex, refused
-    when it is no path of q."""
+def _path_ends(view: Path | NecklaceWord) -> tuple[int, int]:
+    """(source, target) of the path that a Path or NecklaceWord being built
+    is given, refused when it is no path of its quiver.  Its arrows are
+    stored as a tuple and its vertex, an integer argument (``quiver._int``),
+    as an int."""
+    q, arrows, vertex = view.quiver, tuple(view.arrows), view.vertex
+    object.__setattr__(view, "arrows", arrows)
     if not arrows:
         if vertex is None:
             raise ValueError("a trivial path needs a vertex")
-        if not 1 <= vertex <= q.vertex_count:
-            raise ValueError(f"vertex {vertex} out of range 1..{q.vertex_count}")
+        vertex = _vertex(q.vertex_count, vertex)
+        object.__setattr__(view, "vertex", vertex)
         return vertex, vertex
     if vertex is not None:
         raise ValueError("a path has either arrows or a vertex, not both")
@@ -337,14 +340,13 @@ class NecklaceWord:
     vertex: int | None = None
 
     def __post_init__(self) -> None:
-        arrows = tuple(self.arrows)
-        source, target = _path_ends(self.quiver, arrows, self.vertex)
+        source, target = _path_ends(self)
         if source != target:
             raise ValueError(
                 f"necklace input is not closed: starts at vertex {source}, "
                 f"ends at vertex {target}"
             )
-        object.__setattr__(self, "arrows", _least_rotation(arrows)[0] if arrows else ())
+        object.__setattr__(self, "arrows", _least_rotation(self.arrows)[0] if self.arrows else ())
 
     @classmethod
     def vertex_class(cls, q: Quiver, vertex: int) -> "NecklaceWord":
@@ -774,8 +776,7 @@ def _encoding(q: Quiver) -> _Encoding:
 
 def _path_codes(encoding: _Encoding, length: int) -> Iterable:
     """The codes of the paths of a length, in increasing order."""
-    if length < 0:
-        raise ValueError("length must be nonnegative")
+    length = _nonnegative(length, "length")
     return encoding.vertices if length == 0 else encoding.words(length, _Steps())
 
 
@@ -787,18 +788,15 @@ def paths_of_length(q: Quiver, length: int) -> tuple[Path, ...]:
 
 def paths_between(q: Quiver, source: int, target: int, length: int) -> tuple[Path, ...]:
     """The paths of paths_of_length that run from source to target."""
-    for v in (source, target):
-        if not 1 <= v <= q.vertex_count:
-            raise ValueError(f"vertex {v} out of range 1..{q.vertex_count}")
-    encoding, ends = _encoding(q), (source, target)
+    ends = (_vertex(q.vertex_count, source), _vertex(q.vertex_count, target))
+    encoding = _encoding(q)
     codes = [code for code in _path_codes(encoding, length) if encoding.ends(code) == ends]
     return tuple([encoding.view(Path, q, code) for code in codes])
 
 
 def necklaces_of_length(q: Quiver, length: int) -> tuple[NecklaceWord, ...]:
     """All necklace classes of the given length, deduplicated and sorted."""
-    if length < 0:
-        raise ValueError("length must be nonnegative")
+    length = _nonnegative(length, "length")
     encoding = _encoding(q)
     if length == 0:
         return tuple([encoding.view(NecklaceWord, q, v) for v in q.vertices])

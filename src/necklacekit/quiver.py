@@ -3,6 +3,21 @@
 Vertices are numbered 1..k in all public interfaces.  Arrows carry string
 labels; the trailing ``*`` is reserved for the reversed arrows of a double
 quiver, so user labels may not end in it.
+
+This module also holds the one rule for each kind of argument, which every
+public entry point of the library applies before any work:
+
+- an integer argument (a vertex count, vertex, length, degree, seed,
+  ``max_iter``) is a ``numbers.Integral`` other than a bool, numpy integers
+  included, and is used as a Python int (``_int``); anything else is a
+  ``TypeError``, and a value out of range a ``ValueError``;
+- an entry of a dimension vector, box or semisimple type is a real x other
+  than a bool with int(x) == x, used as int(x) (``_whole``); any other entry
+  is a ``ValueError``, and so is a vector of the wrong length
+  (``_of_length``);
+- a weight entry is an int, a Fraction or a finite real, converted to the
+  exact Fraction of its value (``as_weight``); a bool, a string or None is a
+  ``TypeError`` and a NaN or an infinity a ``ValueError``.
 """
 from __future__ import annotations
 
@@ -10,6 +25,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral, Rational, Real
+from operator import index
 from typing import Callable, Iterable, Sequence, TypeVar
 
 STAR = "*"
@@ -59,21 +76,20 @@ class Quiver:
     arrows: tuple[Arrow, ...]
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 1:
+        k = _int(self.vertex_count, "vertex count")
+        if k < 1:
             raise QuiverError("vertex count must be a positive integer")
-        object.__setattr__(self, "arrows", tuple(self.arrows))
-        seen: set[str] = set()
+        object.__setattr__(self, "vertex_count", k)
+        by_label: dict[str, Arrow] = {}
         for arr in self.arrows:
-            if arr.label in seen:
+            if arr.label in by_label:
                 raise QuiverError(f"duplicate arrow label {arr.label!r}")
-            seen.add(arr.label)
             self._check_label(arr.label)
-            for v in (arr.source, arr.target):
-                if not 1 <= v <= self.vertex_count:
-                    raise QuiverError(
-                        f"arrow {arr.label!r}: vertex {v} out of range 1..{self.vertex_count}"
-                    )
-        object.__setattr__(self, "_by_label", {a.label: a for a in self.arrows})
+            ends = [_vertex(k, v, f"arrow {arr.label!r}: vertex") for v in (arr.source, arr.target)]
+            plain = type(arr.source) is type(arr.target) is int
+            by_label[arr.label] = arr if plain else Arrow(arr.label, *ends)
+        object.__setattr__(self, "arrows", tuple(by_label.values()))
+        object.__setattr__(self, "_by_label", by_label)
 
     @staticmethod
     def _check_label(label: str) -> None:
@@ -257,17 +273,45 @@ def num_parameters(q: Quiver, alpha: Sequence[int]) -> int:
     return 1 - bilinear(euler_form(q), alpha, alpha)
 
 
-def _integral(entries: Iterable[int]) -> DimVector:
-    """The entries as ints, refusing any x with int(x) != x."""
-    given = tuple(entries)
-    if (vec := tuple(map(int, given))) != given:
-        raise ValueError(f"dimension vector {given} has a non-integer entry")
-    return vec
+def _int(value, name: str) -> int:
+    """The rule for an integer argument: a ``numbers.Integral`` other than a
+    bool, numpy integers included, as a Python int; anything else is a
+    ``TypeError`` naming the argument."""
+    if type(value) is int or isinstance(value, Integral) and not isinstance(value, bool):
+        return index(value)
+    raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+def _nonnegative(value, name: str) -> int:
+    """An integer argument (``_int``) that counts, such as a length or a degree."""
+    value = _int(value, name)
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    return value
+
+
+def _vertex(k: int, value, name: str = "vertex") -> int:
+    """An integer argument (``_int``) naming one of the vertices 1..k."""
+    value = _int(value, name)
+    if not 1 <= value <= k:
+        raise QuiverError(f"{name} {value} out of range 1..{k}")
+    return value
+
+
+def _whole(x) -> int | None:
+    """The rule for an integer-valued entry: a real x other than a bool with
+    int(x) == x, as int(x); None for anything else."""
+    # int(x) raises at a NaN, which is not equal to itself, and at an infinity
+    real = isinstance(x, Real) and not isinstance(x, bool) and x == x and abs(x) != math.inf
+    return int(x) if real and int(x) == x else None
 
 
 def _of_length(q: Quiver, entries: Iterable[int]) -> DimVector:
-    """The entries as ints (``_integral``), one per vertex of q."""
-    vec = _integral(entries)
+    """The entries as ints (``_whole``), one per vertex of q, of either sign."""
+    given = tuple(entries)
+    vec = given if {int}.issuperset(map(type, given)) else tuple(map(_whole, given))
+    if None in vec:
+        raise ValueError(f"dimension vector {given} has a non-integer entry")
     if len(vec) != q.vertex_count:
         raise ValueError(f"dimension vector has length {len(vec)}, expected {q.vertex_count}")
     return vec
@@ -281,15 +325,17 @@ def as_dim_vector(q: Quiver, entries: Iterable[int]) -> DimVector:
 
 
 def as_weight(q: Quiver, entries: Iterable) -> Weight:
-    """The entries as exact Fractions, one per vertex of q, refusing a NaN
-    or an infinity."""
-    given = tuple(entries)
-    try:
-        vec = tuple(map(Fraction, given))
-    except (OverflowError, ValueError):
-        if any(x != x or x in (math.inf, -math.inf) for x in given):
-            raise ValueError(f"weight {given} has a non-finite entry") from None
-        raise
+    """The entries as exact Fractions, one per vertex of q: ints, Fractions
+    and finite reals, converted exactly; a real that is neither a float nor
+    a Rational (a numpy float32, say) goes through float, which rounds only
+    a numpy longdouble."""
+    vec = tuple(entries)
+    if not {Fraction}.issuperset(map(type, vec)):
+        if not all(isinstance(x, Real) and not isinstance(x, bool) for x in vec):
+            raise TypeError(f"weight {vec} has an entry that is not a real number")
+        if not all(x == x and abs(x) != math.inf for x in vec):  # a NaN is not equal to itself
+            raise ValueError(f"weight {vec} has a non-finite entry")
+        vec = tuple(Fraction(x if isinstance(x, (float, Rational)) else float(x)) for x in vec)
     if len(vec) != q.vertex_count:
         raise ValueError(f"weight has length {len(vec)}, expected {q.vertex_count}")
     return vec
@@ -313,9 +359,7 @@ def componentwise_lt(beta: Sequence[int], alpha: Sequence[int]) -> bool:
 
 def support_connected(q: Quiver, alpha: Sequence[int]) -> bool:
     """Whether the vertices with alpha_i > 0 induce a connected undirected subgraph."""
-    alpha = _integral(alpha)
-    if len(alpha) != q.vertex_count:
-        raise ValueError("dimension vector length does not match the quiver")
+    alpha = _of_length(q, alpha)
     support = {i for i in q.vertices if alpha[i - 1] > 0}
     if not support:
         raise ValueError("support of the zero vector is undefined")

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from numbers import Integral
 from operator import mul
 from typing import Sequence
 
@@ -31,7 +30,8 @@ from .quiver import (
     IntMatrix,
     Quiver,
     _Steps,
-    _integral,
+    _of_length,
+    _vertex,
     as_dim_vector,
     bilinear,
     support_connected,
@@ -72,13 +72,8 @@ class RootClass:
 
 def reflect(q: Quiver, vertex: int, alpha: Sequence[int]) -> tuple[int, ...]:
     """Simple reflection at a loop-free vertex: alpha - T(alpha, e_i) e_i."""
-    if isinstance(vertex, bool) or not isinstance(vertex, Integral):
-        raise TypeError(f"vertex must be an int, got {vertex!r}")
-    if not 1 <= vertex <= q.vertex_count:
-        raise ValueError(f"vertex {vertex} out of range 1..{q.vertex_count}")
-    alpha = _integral(alpha)
-    if len(alpha) != q.vertex_count:
-        raise ValueError("dimension vector length does not match the quiver")
+    vertex = _vertex(q.vertex_count, vertex)
+    alpha = _of_length(q, alpha)
     if not q.is_loop_free(vertex):
         raise ValueError(f"vertex {vertex} carries a loop; its reflection is undefined")
     pairing = sum(t * a for t, a in zip(tits_form(q)[vertex - 1], alpha))
@@ -89,9 +84,7 @@ def reflect(q: Quiver, vertex: int, alpha: Sequence[int]) -> tuple[int, ...]:
 
 def in_fundamental_set(q: Quiver, alpha: Sequence[int]) -> bool:
     """Nonzero, connected support, and T(alpha, e_i) <= 0 at every vertex."""
-    alpha = _integral(alpha)
-    if len(alpha) != q.vertex_count:
-        raise ValueError("dimension vector length does not match the quiver")
+    alpha = _of_length(q, alpha)
     if all(a == 0 for a in alpha):
         return False
     if any(a < 0 for a in alpha):
@@ -111,9 +104,7 @@ def classify_root(q: Quiver, alpha: Sequence[int]) -> RootClass:
     When there is none, the vector lies in the fundamental region exactly
     when every pairing is nonpositive and its support is connected.
     """
-    vec = _integral(alpha)
-    if len(vec) != q.vertex_count:
-        raise ValueError("dimension vector length does not match the quiver")
+    vec = _of_length(q, alpha)
     if any(a < 0 for a in vec):
         return RootClass(NOT_ROOT)
     return _descend(q, vec, _Steps())

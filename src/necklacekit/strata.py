@@ -63,6 +63,7 @@ from .quiver import (
     Quiver,
     Weight,
     _Steps,
+    _whole,
     as_dim_vector,
     as_weight,
     bilinear,
@@ -129,7 +130,7 @@ def _sum_multisets(
 
 def parameter_sum(q: Quiver, decomposition: Decomposition) -> int:
     """Sum of multiplicity-weighted p-values over the parts."""
-    return sum(mult * num_parameters(q, beta) for beta, mult in decomposition)
+    return sum(_multiplicity(mult) * num_parameters(q, beta) for beta, mult in decomposition)
 
 
 @dataclass(frozen=True)
@@ -454,12 +455,16 @@ def _checked_type(q: Quiver, rep_type: RepType) -> RepType:
     simple (``_simple``)."""
     if not rep_type:
         raise ValueError("a semisimple type has at least one part")
-    checked = []
-    for mult, beta in rep_type:
-        if int(mult) != mult or mult < 1:
-            raise ValueError(f"multiplicity {mult!r} is not an integer >= 1")
-        checked.append((int(mult), _simple(q, beta)))
-    return tuple(checked)
+    return tuple((_multiplicity(mult), _simple(q, beta)) for mult, beta in rep_type)
+
+
+def _multiplicity(mult) -> int:
+    """The multiplicity of a part given from outside: an integer-valued
+    entry (``quiver._whole``) >= 1."""
+    value = _whole(mult)
+    if value is None or value < 1:
+        raise ValueError(f"multiplicity {mult!r} is not an integer >= 1")
+    return value
 
 
 @dataclass(frozen=True)

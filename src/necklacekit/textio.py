@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path as FilePath
 from typing import TYPE_CHECKING
 
-from .quiver import Arrow, Quiver, QuiverError
+from .quiver import Arrow, Quiver, QuiverError, _int
 
 if TYPE_CHECKING:
     from .paths import NecklaceWord, Path
@@ -143,7 +143,7 @@ def parse_dim_vector(text: str, k: int) -> tuple[int, ...]:
         vec = tuple(int(p) for p in parts)
     except ValueError:
         raise ValueError(f"dimension vector {text!r} has non-integer entries") from None
-    if len(vec) != k:
+    if len(vec) != _int(k, "k"):
         raise ValueError(f"dimension vector {text!r} has {len(vec)} entries, expected {k}")
     if any(x < 0 for x in vec):
         raise ValueError(f"dimension vector {text!r} has a negative entry")
@@ -156,6 +156,6 @@ def parse_weight(text: str, k: int) -> tuple[Fraction, ...]:
         vec = tuple(Fraction(p) for p in parts)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"weight {text!r} has entries that are not exact rationals") from None
-    if len(vec) != k:
+    if len(vec) != _int(k, "k"):
         raise ValueError(f"weight {text!r} has {len(vec)} entries, expected {k}")
     return vec

@@ -11,7 +11,9 @@ quotient's representatives by testing every closed path and mark set
 against all its rotations instead of generating least rotations,
 membership in the weak and strict sets, minimality and representation types by enumerating every
 decomposition, and by the column recurrence over every hyperplane root
-that the library used before, instead of best sums over the strict members, the
+that the library used before, instead of best sums over the strict members,
+the strict membership verdict by reflecting into the fundamental region
+instead of comparing p-value sums, the
 graded dimensions of the form algebra from FormSum products of every pair
 of basis elements, reduced by exact Fraction elimination, the commutator
 quotient's dimensions and membership from the integer rows [a, w] and
@@ -396,6 +398,74 @@ def minimal_in_sigma_by_enumeration(q: Quiver, alpha, lam):
         if beta != alpha and sigma_membership_by_enumeration(q, beta, lam).in_sigma:
             return False, beta
     return True, None
+
+
+def sigma_by_fundamental_region(q: Quiver, alpha, lam) -> tuple[bool, str]:
+    """The strict verdict on alpha (whether it lies in Sigma_lambda) and its
+    reason, by reflecting (alpha, lambda) into the fundamental region
+    instead of comparing p-value sums over decompositions.
+
+    A vector that is not a root, or pairs nonzero with lambda, is out.  Then
+    the descent of ``reference_descent`` runs with the weight: a unit vector
+    reached is in ("unit"); otherwise at the least loop-free vertex i with
+    T(alpha, e_i) > 0, when lambda_i != 0 both are reflected, alpha to
+    alpha - T(alpha, e_i) e_i and lambda to lambda - lambda_i T[i], which
+    keeps the verdict (Crawley-Boevey 2001, reflection functors); when
+    lambda_i = 0, alpha - e_i and e_i are roots on the hyperplane and
+    p(alpha) <= p(alpha - e_i) + p(e_i), so alpha is out ("zero-weight
+    vertex").  With no such vertex alpha is in the fundamental region, and
+    out exactly when (I) alpha = m gamma with m >= 2 and T(gamma, gamma) = 0,
+    or (II) alpha = beta + gamma with beta a root and gamma an isotropic
+    root on the hyperplane and T(beta, gamma) = -1, where p(alpha) = p(beta)
+    + p(gamma); else in ("fundamental region").  This is the rule as the
+    enumeration oracle confirms it on every vector of the random boxes of
+    tests/test_sigma_table.py, not a transcription of a published theorem.
+    The isotropic roots below alpha are listed from every vector of its box
+    with T(gamma, gamma) = 0, each classified by ``reference_descent``."""
+    vec = list(as_dim_vector(q, alpha))
+    lam = list(as_weight(q, lam))
+    if not any(vec):
+        raise ValueError("the zero vector is not classified")
+    if reference_descent(q, vec)[0] == "not_root":
+        return False, "not a root"
+    if sum(l * a for l, a in zip(lam, vec)) != 0:
+        return False, "off the hyperplane"
+    k = q.vertex_count
+    tits = np.diag([2] * k)
+    for arrow in q.arrows:
+        tits[arrow.source - 1, arrow.target - 1] -= 1
+        tits[arrow.target - 1, arrow.source - 1] -= 1
+    while True:
+        if sum(vec) == 1:
+            return True, "unit"
+        pairings = tits @ vec
+        i = next((i for i in range(k) if tits[i, i] == 2 and vec[i] and pairings[i] > 0), None)
+        if i is None:
+            break
+        if lam[i] == 0:
+            return False, "zero-weight vertex"
+        vec[i] -= int(pairings[i])
+        lam = [l - lam[i] * int(t) for l, t in zip(lam, tits[i])]
+    alpha = np.array(vec)
+    if alpha @ tits @ alpha == 0 and math.gcd(*vec) >= 2:
+        return False, "(I)"
+    # every gamma < alpha with T(gamma, gamma) = 0 = lambda . gamma and
+    # T(alpha - gamma, gamma) = T(alpha, gamma) = -1
+    box = np.indices([a + 1 for a in vec]).reshape(k, -1).T
+    scale = math.lcm(*(l.denominator for l in lam))
+    scaled = np.array([int(l * scale) for l in lam])
+    keep = (
+        (np.einsum("ij,jk,ik->i", box, tits, box) == 0)
+        & (box @ tits @ alpha == -1)
+        & (box @ scaled == 0)
+        & box.any(axis=1)
+    )
+    for gamma in box[keep].tolist():
+        beta = [a - g for a, g in zip(vec, gamma)]
+        if reference_descent(q, gamma)[0] == "imaginary" and any(beta):
+            if reference_descent(q, beta)[0] != "not_root":
+                return False, "(II)"
+    return True, "fundamental region"
 
 
 def rep_types_by_enumeration(q: Quiver, alpha, lam):

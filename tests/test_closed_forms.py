@@ -23,7 +23,7 @@ import pytest
 from necklacekit import IMAGINARY, REAL, Arrow, Quiver, classify, enumerate_positive_roots
 from necklacekit.strata import _SigmaTable
 
-from oracles import box_vectors
+from oracles import box_vectors, sigma_by_fundamental_region
 
 
 def chain(n: int) -> list[tuple[int, int]]:
@@ -136,10 +136,14 @@ def test_sigma_zero_is_the_unit_vectors_and_delta(name, orientation):
         n, edges, delta = EUCLIDEAN[name]
         box = multiple(EUCLIDEAN_BOX[name], delta)
         expected = sorted(units(n) + [delta])
-    table = _SigmaTable(oriented(n, edges, orientation), (0,) * n, box)
+    q = oriented(n, edges, orientation)
+    table = _SigmaTable(q, (0,) * n, box)
     roots = table.hyperplane_roots()
     assert roots == list(vectors_of_q_at_most_one(name, box))
     assert [beta for beta in roots if table.in_sigma(beta)] == expected
+    # the fundamental-region rule: a real root but a unit vector is refused
+    # at a zero-weight vertex, m delta by (I) for m >= 2
+    assert [beta for beta in roots if sigma_by_fundamental_region(q, beta, (0,) * n)[0]] == expected
 
 
 def delta_types(delta, m: int) -> list[tuple[tuple[int, tuple[int, ...]], ...]]:
@@ -155,9 +159,12 @@ def delta_types(delta, m: int) -> list[tuple[tuple[int, tuple[int, ...]], ...]]:
 
 def check_multiple_of_delta(name: str, orientation: str, m: int) -> None:
     n, edges, delta = EUCLIDEAN[name]
-    report = classify(oriented(n, edges, orientation), multiple(m, delta), (0,) * n)
+    q = oriented(n, edges, orientation)
+    report = classify(q, multiple(m, delta), (0,) * n)
     membership = report.membership
     assert (membership.in_s, membership.in_sigma) == (m == 1, m == 1)
+    reason = "fundamental region" if m == 1 else "(I)"
+    assert sigma_by_fundamental_region(q, multiple(m, delta), (0,) * n) == (m == 1, reason)
     # the imaginary roots, j delta, have p = 1 and the real ones p = 0, so
     # m copies of delta are the one decomposition whose p-values sum to m
     witness = None if m == 1 else ((tuple(delta), m),)

@@ -69,7 +69,7 @@ def test_support_connected(calogero):
     assert not support_connected(Quiver(2, ()), (1, 1))
     with pytest.raises(ValueError):
         support_connected(calogero, (0, 0))
-    with pytest.raises(ValueError, match="^dimension vector length does not match the quiver$"):
+    with pytest.raises(ValueError, match="^dimension vector has length 1, expected 2$"):
         support_connected(calogero, (1,))
 
 

@@ -67,7 +67,8 @@ def test_reflect_rejects_bad_vertices_and_lengths():
         with pytest.raises(ValueError, match=f"vertex {vertex} out of range 1..2"):
             reflect(q, vertex, (1, 1))
     for alpha in ((1,), (1, 1, 1)):
-        with pytest.raises(ValueError, match="length does not match the quiver"):
+        message = f"^dimension vector has length {len(alpha)}, expected 2$"
+        with pytest.raises(ValueError, match=message):
             reflect(q, 1, alpha)
     # True would reflect at vertex 1 and 1.0 fail on tuple indexing
     for vertex in (True, False, 1.0, 1.5, "1", None):
@@ -97,7 +98,7 @@ def test_fundamental_set(calogero, one_loop):
     assert not in_fundamental_set(calogero, (0, 0))
     # the loop's Tits form is 0, so only the sign check tells (-1) apart
     assert not in_fundamental_set(one_loop, (-1,))
-    with pytest.raises(ValueError, match="^dimension vector length does not match the quiver$"):
+    with pytest.raises(ValueError, match="^dimension vector has length 1, expected 2$"):
         in_fundamental_set(calogero, (1,))
 
 
@@ -110,7 +111,7 @@ def test_classify_examples(calogero):
     assert classify_root(calogero, (-1, 0)).kind == "not_root"
     with pytest.raises(ValueError):
         classify_root(calogero, (0, 0))
-    with pytest.raises(ValueError, match="^dimension vector length does not match the quiver$"):
+    with pytest.raises(ValueError, match="^dimension vector has length 1, expected 2$"):
         classify_root(calogero, (1,))
 
 

@@ -1,7 +1,9 @@
 """Differential tests: the memoised membership table against enumeration of
-every decomposition, and against the column recurrence over every
-hyperplane root on boxes too wide to enumerate, witnesses included."""
+every decomposition, against the column recurrence over every hyperplane
+root on boxes too wide to enumerate, witnesses included, and its strict
+verdicts against the fundamental-region rule on 5-6 vertices."""
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,6 +34,7 @@ from oracles import (
     box_vectors,
     minimal_in_sigma_by_enumeration,
     rep_types_by_enumeration,
+    sigma_by_fundamental_region,
     sigma_membership_by_enumeration,
 )
 
@@ -127,7 +130,9 @@ CASES = random_cases()
 def test_table_matches_enumeration_on_the_box(q, alpha, lam):
     table = _SigmaTable(q, lam, alpha)
     for beta in box_vectors(alpha):
-        assert table.membership(beta) == sigma_membership_by_enumeration(q, beta, lam), beta
+        expected = sigma_membership_by_enumeration(q, beta, lam)
+        assert table.membership(beta) == expected, beta
+        assert sigma_by_fundamental_region(q, beta, lam)[0] == expected.in_sigma, beta
         # the dimensions read off p(beta) against the Euler and Tits forms
         if table.in_sigma(beta):
             verdict = _coadjoint_verdict(table, beta)
@@ -234,3 +239,51 @@ def test_wide_cases_are_wide_and_decided_by_decompositions():
     assert sum(m.witness_sigma is not None for m in memberships) >= 10
     assert sum(m.in_sigma for m in memberships) >= 10
     assert max(sum(alpha) for _, alpha, _ in WIDE_CASES) >= 8
+
+
+def region_cases(count: int = 24, seed: int = 2004):
+    """(quiver, alpha, lambda) on 5-6 vertices, past the enumeration oracle:
+    alpha among the largest roots of a box with entries up to 6, at the zero
+    weight, at a nonzero weight vanishing on alpha and at a weight that is
+    also 0 on a nonempty proper subset of the vertices.  An alpha whose
+    table at the zero weight needs more than the work budget is drawn again
+    (1 of the 25 drawn here)."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < 3 * count:
+        k = rng.choice((5, 6))
+        q = connected_quiver(rng, k)
+        box = tuple(rng.randint(1, 6) for _ in range(k))
+        roots = sorted((vec for vec, _ in enumerate_positive_roots(q, box)), key=sum)
+        alpha = rng.choice(roots[-5:])
+        support = [i for i, a in enumerate(alpha) if a]
+        if len(support) < 3:
+            continue
+        try:
+            _SigmaTable(q, (0,) * k, alpha).strict_members()
+        except ValueError:  # the computation needs more than WORK_CAP steps
+            continue
+        zeros = set(rng.sample(support, rng.randint(1, len(support) - 2)))
+        cases.append((q, alpha, (Fraction(0),) * k))
+        cases.append((q, alpha, nonzero_weight(rng, alpha)))
+        cases.append((q, alpha, weight_vanishing_on(rng, alpha, zeros)))
+    return cases
+
+
+REGION_CASES = region_cases()
+
+
+def test_the_fundamental_region_rule_gives_the_strict_verdicts():
+    # every hyperplane root of each table, and alpha, decided on its own by
+    # reflecting into the fundamental region; every reason occurs
+    reasons = Counter()
+    for q, alpha, lam in REGION_CASES:
+        table = _SigmaTable(q, lam, alpha)
+        for beta in [*table.hyperplane_roots(), alpha]:
+            verdict, reason = sigma_by_fundamental_region(q, beta, lam)
+            assert verdict == table.in_sigma(beta), (q, beta, lam, reason)
+            reasons[reason] += 1
+    rule = {"unit", "zero-weight vertex", "(I)", "(II)", "fundamental region"}
+    assert rule <= set(reasons), reasons
+    assert max(max(alpha) for _, alpha, _ in REGION_CASES) == 6
+    assert {q.vertex_count for q, _, _ in REGION_CASES} == {5, 6}
